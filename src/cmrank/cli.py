@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ss5.add_argument("--p", type=int, required=True)
     p_ss5.add_argument("--mode", default="first", choices=("first", "all"))
     p_ss5.add_argument("--threads", type=int, default=None)
-    p_ss5.add_argument("--chunk", type=int, default=0)
     p_ss5.add_argument("--results-dir", default="results")
     p_ss5.add_argument("--no-cache", action="store_true", help="do not persist the result")
     p_ss5.add_argument(
@@ -163,9 +162,7 @@ def _cmd_ss5(args) -> int:
     if args.ext_field:
         result = ss5_sweep_ext(args.p, mode=args.mode)
     else:
-        result = ss5_sweep(
-            SweepConfig(p=args.p, mode=args.mode, threads=threads, chunk=args.chunk)
-        )
+        result = ss5_sweep(SweepConfig(p=args.p, mode=args.mode, threads=threads))
         if not args.no_cache:
             write_result(args.results_dir, result)
     _emit(result.to_json())

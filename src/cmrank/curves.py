@@ -10,6 +10,9 @@ from .ff import FieldElement, field
 from .poly import DensePoly, is_squarefree, poly_pow_naive
 
 _VECTOR_SCAN_MIN_P = 41
+# the vectorized scan keeps about ten int64 arrays of p^2 entries alive at
+# once, about 330 MB at p = 2^11; larger p is refused before allocating
+SS_LAMBDAS_MAX_P = 1 << 11
 
 
 class LegendreCurve:
@@ -59,7 +62,10 @@ def _hasse_poly_in_lambda(p: int) -> DensePoly:
 
 def supersingular_lambdas(p: int) -> list:
     """All lambda in GF(p^2) - {0, 1} with vanishing Hasse invariant, ordered
-    lexicographically by coordinates.  Exhaustive scan of the extension."""
+    lexicographically by coordinates.  Exhaustive scan of the extension,
+    guarded to p <= SS_LAMBDAS_MAX_P."""
+    if p > SS_LAMBDAS_MAX_P:
+        raise ValueError(f"p = {p} exceeds the supersingular scan bound {SS_LAMBDAS_MAX_P}")
     ctx2 = field(p, 2)
     H = _hasse_poly_in_lambda(p)
     if p < _VECTOR_SCAN_MIN_P:

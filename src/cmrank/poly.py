@@ -14,6 +14,8 @@ from .ff import FieldCtx, FieldElement
 
 DEGREE_CAP = 1 << 24
 _NUMPY_MIN_LEN = 32
+# keeps np.convolve exact in int64: each product is below p^2 < 2^38 and at
+# most DEGREE_CAP = 2^24 of them are summed, which stays below 2^62
 _NUMPY_MAX_P = 1 << 19
 
 

@@ -15,13 +15,29 @@ has p-rank 0 exactly when the three entry equations
     a*d - b*c = 0,   a*b^(p-1) + d^p = 0,   a^p + c^(p-1)*d = 0
 
 hold for a = c_{p-1}, b = c_{2p-1}, c = c_{p-2}, d = c_{2p-2}, the
-coefficients of f^((p-1)/2) forming the 2x2 Cartier-Manin matrix.  The
-production path evaluates the entries for a whole grid chunk at once with
-numpy: the four needed coefficients sit within p of the ends of the
+coefficients of f^((p-1)/2) forming the 2x2 Cartier-Manin matrix.
+
+The maps M_u: x -> (x+u)/(ux+1) fix +-1 and compose as M_a M_b = M_c with
+c = (a+b)/(1+ab).  Substituting x -> M_u(x) therefore carries the pair
+(u, v) to (0, w) with
+
+    w = (v-u)/(1-uv),   w = infinity when uv = 1,
+
+so the fiber product for (u, v) is isomorphic to the one for (0, w).  The
+gcd and squarefree exclusions, the p-rank and superspeciality are all
+invariant under that isomorphism, so the (p-2)^2 grid is a line of p - 1
+orbits: w = 0 (the diagonal v = u, p - 2 pairs), every other w in
+GF(p) - {+-1} and w = infinity (p - 3 pairs each).  The sweep classifies one
+representative per orbit -- (0, w), and (2, 1/2) for w = infinity -- in one
+numpy pass.  The four needed coefficients sit within p of the ends of the
 coefficient range, so a forward and a reversed linear recurrence give them
-in O(p) vectorized steps instead of expanding f^((p-1)/2).  A scalar route
-through the generic cartier machinery provides the oracle the kernel is
-tested against.
+in O(p) vectorized steps instead of expanding f^((p-1)/2): O(p^2) work per
+prime.  The orbits of the good w values are then expanded into sorted (u, v)
+pairs, each of which is re-verified through the generic machinery.
+
+`ss5_check_pair` stays as the scalar oracle: it classifies any single pair
+directly, without the w reduction or the recurrence kernel, so the tests can
+check the orbit argument and the kernel against it pair by pair.
 """
 
 from __future__ import annotations
@@ -32,7 +48,6 @@ import time
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,18 +56,19 @@ from .covers import prank_fiber_product
 from .ff import FieldElement, field, is_prime
 from .poly import DensePoly, _is_rzero, is_squarefree, poly_gcd
 
-DEFAULT_CHUNK_PAIRS = 32768
 EXT_GRID_GUARD = 40000
 ENUM_GUARD = 1_200_000
-SWEEP_MAX_P = 1 << 20  # keeps every int64 accumulation in the kernel exact
+# keeps every int64 accumulation in the kernel exact: each recurrence term
+# weight * f_j * c_{k-j} is below p^3 and six are summed, and 6 p^3 < 2^63
+# for p <= 2^20
+SWEEP_MAX_P = 1 << 20
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     p: int
     mode: str = "first"
-    threads: int = 1
-    chunk: int = 0  # u-rows per chunk; 0 picks a size near DEFAULT_CHUNK_PAIRS
+    threads: int = 1  # accepted and validated; the w-line sweep is single-threaded
 
     def __post_init__(self):
         if not is_prime(self.p) or self.p % 12 != 11:
@@ -63,8 +79,6 @@ class SweepConfig:
             raise ValueError(f"mode must be 'first' or 'all', got {self.mode!r}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
-        if self.chunk < 0:
-            raise ValueError("chunk must be non-negative")
 
 
 @dataclass
@@ -163,7 +177,7 @@ def ss5_check_pair(
     return CheckResult(status=status, entries=(a, b, c, d))
 
 
-# -- vectorized grid kernel ------------------------------------------------------
+# -- vectorized w-line kernel ----------------------------------------------------
 
 
 def _powmod_vec(base, e: int, p: int):
@@ -211,9 +225,9 @@ def _recurrence_ends_vec(fs, m: int, p: int, inv_table):
         for j in range(1, 7):
             if j > k:
                 break
-            w = ((m + 1) * j - k) % p
-            if w:
-                acc += w * fs[j] * c_prev[j - 1]
+            weight = ((m + 1) * j - k) % p
+            if weight:
+                acc += weight * fs[j] * c_prev[j - 1]
         ck = acc % p * int(inv_table[k]) % p * inv_f0 % p
         if k == p - 2:
             out_pm2 = ck
@@ -221,17 +235,35 @@ def _recurrence_ends_vec(fs, m: int, p: int, inv_table):
     return out_pm2, c_prev[0]  # c_{p-2}, c_{p-1}
 
 
-def _scan_chunk(p: int, us, vs):
-    """Evaluate the pair test on the grid chunk us x vs.
+def _w_line(p: int):
+    """The w label (None for infinity) and the representative pair (u, v) of
+    every orbit: (0, w) for w in GF(p) - {+-1}, then (2, 1/2) for infinity."""
+    ws = [w for w in range(p) if w not in (1, p - 1)]
+    us = [0] * len(ws) + [2]
+    vs = ws + [(p + 1) // 2]
+    return ws + [None], np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
 
-    Returns (counts, solutions, fallback_pairs): counts for the chunk,
-    lexicographically sorted solutions, and any pairs the kernel could not
-    handle (f(0) = 0) for the scalar route to finish."""
+
+def _orbit(p: int, w, inv_table):
+    """The grid pairs (u, v) with invariant w, in ascending order: v = 1/u for
+    w = infinity, else v = (u+w)/(1+uw) for u != -1/w.  There are p - 2 of
+    them for w = 0 and p - 3 otherwise."""
+    us = np.concatenate(([0], np.arange(2, p - 1, dtype=np.int64)))
+    if w is None:
+        us = us[us != 0]
+        vs = inv_table[us]
+    else:
+        den = (1 + us * w) % p
+        us = us[den != 0]
+        vs = (us + w) * inv_table[den[den != 0]] % p
+    return list(zip(us.tolist(), vs.tolist()))
+
+
+def _classify(p: int, U, V, inv_table):
+    """Classify the pairs (U[i], V[i]) at once.
+
+    Returns boolean arrays (excluded_gcd, excluded_singular, solution)."""
     m = (p - 1) // 2
-    nu_len = len(vs)
-    U = np.repeat(np.asarray(us, dtype=np.int64), nu_len)
-    V = np.tile(np.asarray(vs, dtype=np.int64), len(us))
-
     a0 = (1 + U * U) % p  # A = a0 x^2 + a1 x + a0
     a1 = 4 * U % p
     # B = (x+v)^4 + (x+v)^2 (vx+1)^2 + (vx+1)^4 is palindromic:
@@ -270,41 +302,44 @@ def _scan_chunk(p: int, us, vs):
         (a1 * b4 + a0 * b3) % p,
         a0 * b4 % p,
     ]
-    fallback = live & (f[0] == 0)
-    live = live & ~fallback
+    # the recurrence divides by f(0) = a0 b0; on the representatives
+    # a0 is 1 or 5 and b0 = v^4 + v^2 + 1 has no root since p = 2 (mod 3)
+    if np.any(live & (f[0] == 0)):
+        raise RuntimeError(f"f(0) = 0 on a w-line representative at p = {p}")
 
+    solution = np.zeros_like(live)
     idx = np.flatnonzero(live)
-    counts = {
-        "tested": int(live.sum() + fallback.sum()),
-        "excluded_uv": 0,
-        "excluded_gcd": int(excluded_gcd.sum()),
-        "excluded_singular": int(excluded_singular.sum()),
-    }
-    solutions = []
     if idx.size:
-        inv_table = _inverse_table(p)
-        fs = [arr[idx] for arr in f]
-        c, a = _recurrence_ends_vec(fs, m, p, inv_table)
-        rev = list(reversed(fs))
-        b, d = _recurrence_ends_vec(rev, m, p, inv_table)
+        # one recurrence pass over f and its reversal (whose f(0) is f6 = a0 b4
+        # = f(0)): the low ends give c and a, the reversed ones b and d
+        n = idx.size
+        fs = [np.concatenate((f[j][idx], f[6 - j][idx])) for j in range(7)]
+        low, high = _recurrence_ends_vec(fs, m, p, inv_table)
+        c, b = low[:n], low[n:]
+        a, d = high[:n], high[n:]
         eq1 = (a * d - b * c) % p == 0
         eq2 = (a * _powmod_vec(b, p - 1, p) + _powmod_vec(d, p, p)) % p == 0
         eq3 = (_powmod_vec(a, p, p) + _powmod_vec(c, p - 1, p) * d) % p == 0
-        hit = idx[eq1 & eq2 & eq3]
-        solutions = sorted((int(U[i]), int(V[i])) for i in hit)
-    fallback_pairs = [(int(U[i]), int(V[i])) for i in np.flatnonzero(fallback)]
-    return counts, solutions, fallback_pairs
+        solution[idx] = eq1 & eq2 & eq3
+    return excluded_gcd, excluded_singular, solution
 
 
-def _process_chunk(p: int, us, vs):
-    counts, solutions, fallback_pairs = _scan_chunk(p, us, vs)
-    if fallback_pairs:
-        ctx = field(p)
-        for uu, vv in fallback_pairs:
-            r = ss5_check_pair(p, ctx.elem(uu), ctx.elem(vv), strategy="naive")
-            if r.status == "solution":
-                solutions.append((uu, vv))
-        solutions.sort()
+def _sweep_w_line(p: int):
+    """Full-grid counts and the sorted solution pairs, before re-verification."""
+    ws, U, V = _w_line(p)
+    inv_table = _inverse_table(p)
+    excluded_gcd, excluded_singular, solution = _classify(p, U, V, inv_table)
+    sizes = np.full(len(ws), p - 3, dtype=np.int64)
+    sizes[ws.index(0)] = p - 2
+    counts = {
+        "tested": int(sizes[~(excluded_gcd | excluded_singular)].sum()),
+        "excluded_uv": p * p - (p - 2) ** 2,
+        "excluded_gcd": int(sizes[excluded_gcd].sum()),
+        "excluded_singular": int(sizes[excluded_singular].sum()),
+    }
+    solutions = sorted(
+        pair for i in np.flatnonzero(solution) for pair in _orbit(p, ws[i], inv_table)
+    )
     return counts, solutions
 
 
@@ -325,40 +360,14 @@ def verify_solution_story(p: int, u: int, v: int):
 
 
 def ss5_sweep(cfg: SweepConfig) -> SearchResult:
-    """Run the grid sweep for one prime.  Deterministic for any thread count:
-    chunks partition the u-rows in ascending order and are merged in order."""
+    """Run the sweep for one prime.  Counts always cover the full grid; in
+    mode "first" only the lexicographically smallest solution is reported
+    (and re-verified)."""
     start = time.monotonic()
     p = cfg.p
-    grid = [x for x in range(p) if x not in (1, p - 1)]
-    rows = cfg.chunk or max(1, DEFAULT_CHUNK_PAIRS // max(1, len(grid)))
-    chunks = [grid[i : i + rows] for i in range(0, len(grid), rows)]
-
-    if cfg.threads == 1 or len(chunks) == 1:
-        ordered = map(lambda c: _process_chunk(p, c, grid), chunks)
-        iterator = enumerate(ordered)
-    else:
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
-        futures = [pool.submit(_process_chunk, p, c, grid) for c in chunks]
-        iterator = enumerate(f.result() for f in futures)
-
-    counts = {
-        "tested": 0,
-        "excluded_uv": p * p - len(grid) ** 2,
-        "excluded_gcd": 0,
-        "excluded_singular": 0,
-    }
-    solutions = []
-    for i, (chunk_counts, chunk_solutions) in iterator:
-        for key in ("tested", "excluded_gcd", "excluded_singular"):
-            counts[key] += chunk_counts[key]
-        if chunk_solutions:
-            if cfg.mode == "first":
-                solutions = [chunk_solutions[0]]
-                break
-            solutions.extend(chunk_solutions)
-    if cfg.threads > 1 and len(chunks) > 1:
-        pool.shutdown(wait=False, cancel_futures=True)
-    solutions.sort()
+    counts, solutions = _sweep_w_line(p)
+    if cfg.mode == "first":
+        solutions = solutions[:1]
     for u, v in solutions:
         verify_solution_story(p, u, v)
     elapsed_ms = int((time.monotonic() - start) * 1000)

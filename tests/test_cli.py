@@ -57,6 +57,9 @@ def test_ss_lambdas(capsys):
     lams = json.loads(out)
     assert len(lams) == 5
     assert all(isinstance(s, str) for s in lams)
+    # past the scan bound: an input error (exit 2), not a failed check
+    code, _, err = run(capsys, "ss-lambdas", "--p", "2053")
+    assert code == 2 and "bound" in err
 
 
 def test_ss5_writes_cache(tmp_path, capsys):

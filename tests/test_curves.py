@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cmrank import curves
 from cmrank.cartier import HyperellipticModel, p_rank, power_coeffs
 from cmrank.curves import (
     LegendreCurve,
@@ -96,6 +97,20 @@ def test_supersingular_lambdas_vectorized_path_agrees():
     assert len(lams) == 20
     for lam in lams:
         assert hasse_invariant(LegendreCurve(lam)).is_zero
+
+
+def test_supersingular_lambdas_size_guard(monkeypatch):
+    # 2053 is the first prime past the bound; the guard fires before the
+    # field or the Hasse polynomial is built
+    assert curves.SS_LAMBDAS_MAX_P < 2053
+
+    def refuse(*args):
+        raise AssertionError("allocated past the size guard")
+
+    monkeypatch.setattr(curves, "field", refuse)
+    monkeypatch.setattr(curves, "_hasse_poly_in_lambda", refuse)
+    with pytest.raises(ValueError, match="bound"):
+        supersingular_lambdas(2053)
 
 
 def test_quartic_criterion_examples():

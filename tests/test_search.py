@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,11 @@ from cmrank.covers import prank_fiber_product
 from cmrank.ff import field
 from cmrank.search import (
     SweepConfig,
+    _classify,
+    _inverse_table,
+    _orbit,
+    _sweep_w_line,
+    _w_line,
     load_result,
     quotient_polys,
     result_path,
@@ -40,21 +46,26 @@ def test_check_pair_exclusions():
 
 
 def test_check_pair_gcd_exclusions_match_kernel_counts():
-    # scalar classification over the full p = 11 grid reproduces the kernel's
+    # scalar classification over the full grid reproduces the kernel's
     # bookkeeping
-    ctx = field(11)
+    for p in (11, 23):
+        _check_full_grid_against_scalar(p)
+
+
+def _check_full_grid_against_scalar(p):
+    ctx = field(p)
     counts = {"uv": 0, "gcd": 0, "singular": 0, "tested": 0}
     solutions = []
-    for u in range(11):
-        for v in range(11):
-            r = ss5_check_pair(11, ctx.elem(u), ctx.elem(v))
+    for u in range(p):
+        for v in range(p):
+            r = ss5_check_pair(p, ctx.elem(u), ctx.elem(v))
             if r.status == "excluded":
                 counts[r.reason] += 1
             else:
                 counts["tested"] += 1
                 if r.status == "solution":
                     solutions.append((u, v))
-    sweep = ss5_sweep(SweepConfig(p=11, mode="all"))
+    sweep = ss5_sweep(SweepConfig(p=p, mode="all"))
     assert counts["uv"] == sweep.counts["excluded_uv"]
     assert counts["gcd"] == sweep.counts["excluded_gcd"]
     assert counts["singular"] == sweep.counts["excluded_singular"]
@@ -143,38 +154,92 @@ def test_sweep_solutions_verified_by_zeta_oracle():
             assert prank_oracle(HyperellipticModel(ctx, fpoly)) == 0
 
 
+def _w_verdicts(p):
+    """The kernel's verdict on each orbit, keyed by w (None for infinity)."""
+    ws, us, vs = _w_line(p)
+    gcd, singular, solution = _classify(p, us, vs, _inverse_table(p))
+    names = ["gcd" if g else "singular" if s else "solution" if h else "not_solution"
+             for g, s, h in zip(gcd, singular, solution)]
+    return dict(zip(ws, names))
+
+
 def test_sweep_counts_invariant():
-    for p in (11, 23):
-        r = ss5_sweep(SweepConfig(p=p, mode="all"))
-        c = r.counts
-        assert c["tested"] + c["excluded_gcd"] + c["excluded_singular"] == (p - 2) ** 2
-        assert c["excluded_uv"] == p * p - (p - 2) ** 2
+    for p in (11, 23, 47, 107, 131):
+        _check_counts_invariant(p)
 
 
-def test_sweep_determinism_across_threads():
-    base = ss5_sweep(SweepConfig(p=23, mode="all", threads=1, chunk=3))
-    for threads in (2, 4):
-        other = ss5_sweep(SweepConfig(p=23, mode="all", threads=threads, chunk=3))
-        assert other.solutions == base.solutions
-        assert other.counts == base.counts
-    first1 = ss5_sweep(SweepConfig(p=23, mode="first", threads=1, chunk=3))
-    first4 = ss5_sweep(SweepConfig(p=23, mode="first", threads=4, chunk=3))
-    assert first1.solutions == first4.solutions
-    assert first1.counts == first4.counts
-    assert first1.solutions[0] == base.solutions[0]
+def _check_counts_invariant(p):
+    c = ss5_sweep(SweepConfig(p=p, mode="first")).counts
+    assert c["tested"] + c["excluded_gcd"] + c["excluded_singular"] == (p - 2) ** 2
+    assert c["excluded_uv"] == p * p - (p - 2) ** 2
+    # the orbits partition the grid with the closed-form sizes, and the counts
+    # are their sizes summed per verdict
+    inv = _inverse_table(p)
+    verdicts = _w_verdicts(p)
+    by_verdict = {"gcd": 0, "singular": 0, "solution": 0, "not_solution": 0}
+    seen = set()
+    for w, verdict in verdicts.items():
+        orbit = _orbit(p, w, inv)
+        assert len(orbit) == (p - 2 if w == 0 else p - 3)
+        assert orbit == sorted(orbit)
+        seen.update(orbit)
+        by_verdict[verdict] += len(orbit)
+    grid = [x for x in range(p) if x not in (1, p - 1)]
+    assert seen == {(u, v) for u in grid for v in grid}
+    assert c["excluded_gcd"] == by_verdict["gcd"]
+    assert c["excluded_singular"] == by_verdict["singular"]
+    assert c["tested"] == by_verdict["solution"] + by_verdict["not_solution"]
+
+
+def test_sweep_mode_first_is_first_of_mode_all():
+    for p in (23, 47):
+        full = ss5_sweep(SweepConfig(p=p, mode="all"))
+        first = ss5_sweep(SweepConfig(p=p, mode="first"))
+        assert first.solutions == [full.solutions[0]]
+        assert first.counts == full.counts
+
+
+def test_sweep_verdict_invariant_on_orbits():
+    # seeded random pairs from every kind of orbit get the same verdict from
+    # the scalar oracle as the sweep gives their representative
+    p = 131
+    ctx = field(p)
+    rng = random.Random(131)
+    verdicts = _w_verdicts(p)
+    solutions = set(_sweep_w_line(p)[1])
+    finite = [w for w in verdicts if w not in (0, None)]
+    kinds = {
+        "diagonal": 0,
+        "infinity": None,
+        "gcd": rng.choice([w for w in finite if verdicts[w] == "gcd"]),
+        "good": rng.choice([w for w in finite if verdicts[w] == "solution"]),
+        "ordinary": rng.choice([w for w in finite if verdicts[w] == "not_solution"]),
+    }
+    grid = [x for x in range(p) if x not in (1, p - 1)]
+    for kind, w in kinds.items():
+        sampled = 0
+        while sampled < 3:
+            u = ctx.elem(rng.choice(grid))
+            if w is None:
+                if u.is_zero:
+                    continue
+                v = u.inverse()
+            else:
+                den = ctx.one + u * ctx.elem(w)
+                if den.is_zero:
+                    continue
+                v = (u + ctx.elem(w)) / den
+            sampled += 1
+            pair = (u.coords[0], v.coords[0])
+            r = ss5_check_pair(p, u, v)
+            got = r.reason if r.status == "excluded" else r.status
+            assert got == verdicts[w], (kind, w, pair)
+            assert (pair in solutions) == (got == "solution"), (kind, w, pair)
 
 
 def test_sweep_mode_first_single_solution():
     r = ss5_sweep(SweepConfig(p=11, mode="first"))
     assert len(r.solutions) == 1
-
-
-def test_sweep_first_solution_stable_across_chunk_sizes():
-    # the reported pair is the global lexicographic minimum for any chunking
-    baseline = ss5_sweep(SweepConfig(p=23, mode="all")).solutions[0]
-    for chunk in (1, 2, 7, 50):
-        r = ss5_sweep(SweepConfig(p=23, mode="first", chunk=chunk))
-        assert r.solutions == [baseline]
 
 
 def test_results_cache_roundtrip(tmp_path):
