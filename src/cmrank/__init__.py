@@ -28,7 +28,7 @@ from .curves import (
     supersingular_lambdas,
 )
 from .ff import FieldCtx, FieldElement, field
-from .poly import DensePoly, is_squarefree, poly_eval, poly_gcd, poly_mul, poly_pow_naive
+from .poly import DensePoly, is_squarefree, poly_gcd, poly_pow_naive
 from .search import (
     SearchResult,
     SweepConfig,
@@ -51,11 +51,9 @@ __all__ = [
     "FieldElement",
     "field",
     "DensePoly",
-    "poly_mul",
     "poly_pow_naive",
     "poly_gcd",
     "is_squarefree",
-    "poly_eval",
     "HyperellipticModel",
     "CartierData",
     "power_coeffs",

@@ -9,7 +9,6 @@ from .cartier import HyperellipticModel, power_coeffs
 from .ff import FieldElement, field
 from .poly import DensePoly, is_squarefree, poly_pow_naive
 
-_VECTOR_SCAN_MIN_P = 41
 # the vectorized scan keeps about ten int64 arrays of p^2 entries alive at
 # once, about 330 MB at p = 2^11; larger p is refused before allocating
 SS_LAMBDAS_MAX_P = 1 << 11
@@ -68,14 +67,6 @@ def supersingular_lambdas(p: int) -> list:
         raise ValueError(f"p = {p} exceeds the supersingular scan bound {SS_LAMBDAS_MAX_P}")
     ctx2 = field(p, 2)
     H = _hasse_poly_in_lambda(p)
-    if p < _VECTOR_SCAN_MIN_P:
-        out = []
-        for lam in ctx2.elements():
-            if lam.is_zero or lam == ctx2.one:
-                continue
-            if H.evaluate(lam).is_zero:
-                out.append(lam)
-        return out
     # vectorized Horner over the (a, b) grid of GF(p^2)
     nu = ctx2.nu
     a = np.repeat(np.arange(p, dtype=np.int64), p)

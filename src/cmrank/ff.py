@@ -291,19 +291,6 @@ class FieldElement:
         return f"{self} in {self.ctx!r}"
 
 
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch form of the four ring operations (CLI and test plumbing)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def frobenius(a: FieldElement) -> FieldElement:
     return a.frobenius()
 

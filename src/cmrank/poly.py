@@ -325,16 +325,8 @@ class DensePoly:
             acc = acc * xs + DensePoly.from_elements(self.ctx, [self.coeff(i)])
         return acc
 
-    def roots_in(self, ctx: FieldCtx):
-        """All roots in the given field, found by exhaustive evaluation."""
-        return [a for a in ctx.elements() if self.evaluate(a).is_zero]
-
 
 # -- module-level operation names --------------------------------------------
-
-
-def poly_mul(a: DensePoly, b: DensePoly) -> DensePoly:
-    return a * b
 
 
 def poly_pow_naive(f: DensePoly, m: int) -> DensePoly:
@@ -356,10 +348,6 @@ def is_squarefree(f: DensePoly) -> bool:
     if f.degree < 1:
         raise ValueError("squarefree test expects degree >= 1")
     return poly_gcd(f, f.derivative()).degree == 0
-
-
-def poly_eval(f: DensePoly, a: FieldElement) -> FieldElement:
-    return f.evaluate(a)
 
 
 def parse_poly(ctx: FieldCtx, text: str) -> DensePoly:

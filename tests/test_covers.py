@@ -251,7 +251,8 @@ def test_prop45_n3_returns_none_second_quotient():
     d1, d2 = prop45_models(3, ctx.elem(4))
     assert d2 is None
     assert d1.genus == 1
-    assert p_rank(d1) < 1 or True  # claim only under the residue hypothesis
+    # d1 is y^2 = x^3 - x, supersingular since 11 = -1 (mod 4)
+    assert p_rank(d1) == 0
 
 
 def test_prop45_preconditions():

@@ -7,9 +7,7 @@ from cmrank.poly import (
     DensePoly,
     is_squarefree,
     parse_poly,
-    poly_eval,
     poly_gcd,
-    poly_mul,
     poly_pow_naive,
 )
 
@@ -31,7 +29,7 @@ def test_mul_examples():
     assert P(k3, 1, 1) * P(k3, 1, 1) == P(k3, 1, 2, 1)
     k7 = field(7)
     assert P(k7, -1, 0, 1) * P(k7, 1, 0, 1) == P(k7, -1, 0, 0, 0, 1)
-    assert poly_mul(P(k7, 1, 2, 3), DensePoly.zero(k7)).is_zero
+    assert (P(k7, 1, 2, 3) * DensePoly.zero(k7)).is_zero
 
 
 def test_mul_context_mismatch():
@@ -62,9 +60,7 @@ def test_pow_additivity_random():
                 ],
             )
             m1, m2 = rng.randrange(0, 5), rng.randrange(0, 5)
-            assert poly_pow_naive(f, m1 + m2) == poly_mul(
-                poly_pow_naive(f, m1), poly_pow_naive(f, m2)
-            )
+            assert poly_pow_naive(f, m1 + m2) == poly_pow_naive(f, m1) * poly_pow_naive(f, m2)
 
 
 def test_mul_degree_additive():
@@ -137,18 +133,18 @@ def test_squarefree_vs_root_multiplicity_oracle():
             roots = [pool[rng.randrange(len(pool))] for _ in range(deg)]
             f = DensePoly.from_roots(ctx, roots)
             assert is_squarefree(f) == (len(set(roots)) == deg)
-            found = f.roots_in(ctx)
+            found = [a for a in pool if f.evaluate(a).is_zero]
             assert len(found) == len(set(roots))
 
 
 def test_eval_examples():
     k9 = field(3, 2)
     f = DensePoly.from_ints(k9, [1, 0, 1])
-    assert poly_eval(f, k9.gen).is_zero
+    assert f.evaluate(k9.gen).is_zero
     k5 = field(5)
     g = P(k5, 0, -1, 0, 1)  # x^3 - x
-    assert poly_eval(g, k5.elem(2)) == k5.elem(1)
-    assert poly_eval(g, k5.zero) == g.coeff(0)
+    assert g.evaluate(k5.elem(2)) == k5.elem(1)
+    assert g.evaluate(k5.zero) == g.coeff(0)
 
 
 def test_eval_coerces_into_extension():
@@ -156,9 +152,9 @@ def test_eval_coerces_into_extension():
     k49 = field(7, 2)
     f = P(k7, 1, 0, 1)
     w = k49.gen
-    assert poly_eval(f, w) == w * w + k49.one
+    assert f.evaluate(w) == w * w + k49.one
     with pytest.raises(ValueError):
-        poly_eval(DensePoly.from_ints(k49, [0, 1, 1]), k7.one)
+        DensePoly.from_ints(k49, [0, 1, 1]).evaluate(k7.one)
 
 
 def test_compose_linear_and_reverse():

@@ -21,6 +21,7 @@ from cmrank.search import (
     ss5_sweep_ext,
     superspecial_g2_enumeration,
     sweep_with_cache,
+    verify_solution_story,
 )
 
 
@@ -122,6 +123,37 @@ def test_scalar_robustness_constant_factor():
         assert eqs1 == eqs2
         checked += 1
     assert checked == 5
+
+
+def test_palindromic_reduction_against_oracle():
+    # f = A*B is palindromic, so the oracle's entries have b = c and d = a,
+    # and its three entry equations hold exactly when a = c = 0 -- the
+    # condition the kernel tests
+    rng = random.Random(5)
+    for p in (23, 131):
+        ctx = field(p)
+        grid = [x for x in range(p) if x not in (1, p - 1)]
+        solutions = rng.sample(_sweep_w_line(p)[1], 2)
+        checks = [ss5_check_pair(p, ctx.elem(u), ctx.elem(v)) for u, v in solutions]
+        while len(checks) < 40:
+            r = ss5_check_pair(p, ctx.elem(rng.choice(grid)), ctx.elem(rng.choice(grid)))
+            if r.status != "excluded":
+                checks.append(r)
+        for r in checks:
+            a, b, c, d = r.entries
+            assert b == c and d == a
+            assert (r.status == "solution") == (a.is_zero and c.is_zero)
+        assert 2 <= sum(r.status == "solution" for r in checks) < len(checks)
+
+
+def test_verify_solution_story_passes_and_fires():
+    p = 23
+    u, v = ss5_sweep(SweepConfig(p=p, mode="first")).solutions[0]
+    verify_solution_story(p, u, v)
+    # a live pair that is not a solution fails the genus-5 p-rank check
+    assert ss5_check_pair(p, field(p).elem(4), field(p).elem(18)).status == "not_solution"
+    with pytest.raises(RuntimeError, match="genus 5, p-rank 1"):
+        verify_solution_story(p, 4, 18)
 
 
 def test_sweep_p11_solutions_sound():
