@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cartier import HyperellipticModel, cartier_matrix
@@ -37,13 +36,6 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PRANK_THREADS", "")
-    if env.strip():
-        return int(env)
-    return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cmrank",
@@ -68,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ss5 = sub.add_parser("ss5", help="genus-5 superspecial sweep for one prime")
     p_ss5.add_argument("--p", type=int, required=True)
     p_ss5.add_argument("--mode", default="first", choices=("first", "all"))
-    p_ss5.add_argument("--threads", type=int, default=None)
+    p_ss5.add_argument("--threads", type=int, default=1)
     p_ss5.add_argument("--results-dir", default="results")
     p_ss5.add_argument("--no-cache", action="store_true", help="do not persist the result")
     p_ss5.add_argument(
@@ -81,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_range.add_argument("--from", dest="start", type=int, required=True)
     p_range.add_argument("--to", dest="stop", type=int, required=True, help="exclusive bound")
     p_range.add_argument("--mode", default="first", choices=("first", "all"))
-    p_range.add_argument("--threads", type=int, default=None)
+    p_range.add_argument("--threads", type=int, default=1)
     p_range.add_argument("--force", action="store_true", help="recompute cached primes")
     p_range.add_argument("--results-dir", default="results")
 
@@ -108,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="re-run a named verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--threads", type=int, default=None)
+    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--format", default="json", choices=("json", "table"))
 
     return ap
@@ -158,11 +150,10 @@ def _cmd_ss_lambdas(args) -> int:
 
 
 def _cmd_ss5(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.ext_field:
         result = ss5_sweep_ext(args.p, mode=args.mode)
     else:
-        result = ss5_sweep(SweepConfig(p=args.p, mode=args.mode, threads=threads))
+        result = ss5_sweep(SweepConfig(p=args.p, mode=args.mode, threads=args.threads))
         if not args.no_cache:
             write_result(args.results_dir, result)
     _emit(result.to_json())
@@ -170,12 +161,11 @@ def _cmd_ss5(args) -> int:
 
 
 def _cmd_ss5_range(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     print("p,found,num_solutions,first_u,first_v,tested,elapsed_ms")
     for p in range(args.start, args.stop):
         if p % 12 != 11 or not is_prime(p):
             continue
-        cfg = SweepConfig(p=p, mode=args.mode, threads=threads)
+        cfg = SweepConfig(p=p, mode=args.mode, threads=args.threads)
         result, _ = sweep_with_cache(cfg, args.results_dir, force=args.force)
         found = bool(result.solutions)
         first_u = result.solutions[0][0] if found else ""
@@ -237,8 +227,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = run_suite(args.suite, seed=args.seed, threads=threads)
+    report = run_suite(args.suite, seed=args.seed, threads=args.threads)
     if args.format == "table":
         reports = report.get("reports", [report])
         for r in reports:

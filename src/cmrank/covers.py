@@ -128,52 +128,22 @@ def primitive_root_of_unity(ctx: FieldCtx, order: int) -> FieldElement:
     raise ValueError(f"no element of order {order} found")  # unreachable
 
 
-class _Moebius:
-    """Linear fractional transformation as a projective 2x2 matrix."""
+def prop44_case2_points(n: int, lam: FieldElement) -> list:
+    """Branch points x_i = L(zeta^(i+2)), i = 1..n, where zeta is a fixed
+    primitive (n+3)-rd root of unity in GF(p^2) and L is the Moebius map
+    carrying (1, zeta, zeta^2) to (0, 1, lambda).  The third quotient has
+    branch locus L(mu_(n+3)), so it is a twist of w^2 = x^(n+3) - 1 and is
+    superspecial whenever p = -1 (mod n+3).
 
-    def __init__(self, a, b, c, d):
-        det = a * d - b * c
-        if det.is_zero:
-            raise ValueError("degenerate linear fractional transformation")
-        self.m = (a, b, c, d)
-
-    @classmethod
-    def to_zero_one_infty(cls, z1, z2, z3):
-        """The unique map sending (z1, z2, z3) to (0, 1, oo)."""
-        s = z2 - z3
-        t = z2 - z1
-        return cls(s, -(z1 * s), t, -(z3 * t))
-
-    def inverse(self):
-        a, b, c, d = self.m
-        return _Moebius(d, -b, -c, a)
-
-    def compose(self, other):
-        a, b, c, d = self.m
-        e, f, g, h = other.m
-        return _Moebius(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    def apply(self, z: FieldElement) -> FieldElement:
-        a, b, c, d = self.m
-        den = c * z + d
-        if den.is_zero:
-            raise ValueError("transformation sends a required point to infinity")
-        return (a * z + b) / den
-
-
-def moebius_through(src, dst) -> _Moebius:
-    """The unique map carrying the ordered triple src to the ordered triple dst."""
-    return _Moebius.to_zero_one_infty(*dst).inverse().compose(
-        _Moebius.to_zero_one_infty(*src)
-    )
-
-
-def prop44_case2_points(n: int, lam: FieldElement, t: FieldElement) -> list:
-    """Branch points x_i = L(zeta^(i+2) t), i = 1..n, where zeta is a fixed
-    primitive (n+3)-rd root of unity in GF(p^2) and L carries
-    (t, zeta t, zeta^2 t) to (0, 1, lambda).  The resulting third quotient
-    is a twist of w^2 = x^(n+3) - t^(n+3) and is superspecial whenever
-    p = -1 (mod n+3)."""
+    The construction moves zeta^(i+2) t by the map L_t carrying
+    (t, zeta t, zeta^2 t) to (0, 1, lambda); L_t composed with x -> t x
+    carries (1, zeta, zeta^2) there too, so it is L and t drops out.  In
+    closed form L = S^-1 T, with T(z) = zeta (1 - z) / (z - zeta^2) sending
+    (1, zeta, zeta^2) to (0, 1, oo) and S^-1(c) = lambda c / (c + lambda - 1).
+    L is a bijection of the projective line, so the points are distinct and
+    avoid {0, 1, lambda}; the construction fails only when some
+    T(zeta^(i+2)) = 1 - lambda sends a point to infinity, which happens for
+    exactly n values of lambda."""
     if n % 2 == 0 or n < 1:
         raise ValueError("n must be odd and positive")
     ctx = lam.ctx
@@ -184,18 +154,18 @@ def prop44_case2_points(n: int, lam: FieldElement, t: FieldElement) -> list:
         raise ValueError(f"p = {p} is not -1 mod {n + 3}")
     if lam.is_zero or lam == ctx.one:
         raise ValueError("lambda must avoid 0 and 1")
-    if t.ctx != ctx:
-        raise ValueError("lambda and t must share a field context")
-    if t.is_zero:
-        raise ValueError("t must be nonzero")
     if ctx.ext_degree != 2:
         raise ValueError("points live in GF(p^2); pass elements of the extension")
     zeta = primitive_root_of_unity(ctx, n + 3)
-    L = moebius_through((t, zeta * t, zeta * zeta * t), (ctx.zero, ctx.one, lam))
-    xs = [L.apply(zeta ** (i + 2) * t) for i in range(1, n + 1)]
-    forbidden = {ctx.zero, ctx.one, lam}
-    if len(set(xs)) != n or any(x in forbidden for x in xs):
-        raise ValueError("branch points collide with {0, 1, lambda}; choose other t, lambda")
+    zeta2 = zeta * zeta
+    xs = []
+    for k in range(3, n + 3):
+        zk = zeta**k
+        c = zeta * (ctx.one - zk) / (zk - zeta2)
+        den = c + lam - ctx.one
+        if den.is_zero:
+            raise ValueError("lambda sends a branch point to infinity; choose another lambda")
+        xs.append(lam * c / den)
     return xs
 
 

@@ -241,6 +241,12 @@ class DensePoly:
     def __pow__(self, m: int):
         if m < 0:
             raise ValueError("negative polynomial power")
+        # every intermediate power has degree at most m * degree, so this one
+        # check keeps the products below the constructor's cap
+        if m * self.degree >= DEGREE_CAP:
+            raise ValueError(
+                f"degree {m * self.degree} of the power exceeds the cap {DEGREE_CAP}"
+            )
         result = DensePoly.one(self.ctx)
         base = self
         while m:

@@ -36,13 +36,6 @@ from .ff import is_prime
 
 SPACES = ("B_Eg", "B_g", "H_g")
 
-NEWTON_POLYGON_NOTES = {
-    3: ["(1/2)^6"],
-    4: ["(1/3)^3 (1/2)^2 (2/3)^3", "(1/2)^8"],
-    5: ["(1/4)^4 (1/2)^2 (3/4)^4", "(1/3)^3 (1/2)^4 (2/3)^3", "(1/2)^10"],
-}
-
-
 @dataclass(frozen=True)
 class StratumQuery:
     g: int

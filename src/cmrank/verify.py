@@ -9,6 +9,7 @@ report is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -204,7 +205,7 @@ def verify_prop44(seed=None, threads=1):
     rep.check("case1_new_part_not_ordinary", not fails_ordinary, f"{fails_ordinary}")
     rep.check("case1_prank_bound", not fails_bound, f"{fails_bound}")
 
-    # case 2: Moebius-transported branch points
+    # case 2: Moebius-transported branch points, supersingular lambdas first
     fails2 = []
     tested2 = 0
     for n in (3, 5, 7):
@@ -214,28 +215,23 @@ def verify_prop44(seed=None, threads=1):
             ctx = field(p, 2)
             ss_list = supersingular_lambdas(p)
             ss_set = set(ss_list)
-            candidates = ss_list + [
-                lam
-                for lam in ctx.elements()
-                if not (lam.is_zero or lam == ctx.one) and lam not in ss_set
-            ]
-            found = None
+            candidates = itertools.chain(
+                ss_list,
+                (
+                    lam
+                    for lam in ctx.elements()
+                    if not (lam.is_zero or lam == ctx.one) and lam not in ss_set
+                ),
+            )
             for lam in candidates:
-                for t in ctx.elements():
-                    if t.is_zero:
-                        continue
-                    try:
-                        xs = prop44_case2_points(n, lam, t)
-                        found = (lam, xs)
-                        break
-                    except ValueError:
-                        continue
-                if found:
+                try:
+                    xs = prop44_case2_points(n, lam)
                     break
-            if not found:
+                except ValueError:
+                    continue
+            else:
                 fails2.append((n, p, "no valid configuration"))
                 continue
-            lam, xs = found
             tested2 += 1
             f3 = DensePoly.from_roots(ctx, [ctx.zero, ctx.one, lam] + xs)
             f2 = DensePoly.from_roots(ctx, xs)

@@ -33,6 +33,13 @@ def test_prank_singular_exits_2(capsys):
     assert "squarefree" in err
 
 
+def test_prank_power_past_degree_cap_exits_2(capsys):
+    # genus 3 takes the naive route: f^((p-1)/2) would have degree about 7.5e9
+    code, _, err = run(capsys, "prank", "--p", "2147483629", "--poly", "1,0,0,0,0,0,0,1")
+    assert code == 2
+    assert "exceeds the cap" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -140,11 +147,15 @@ def test_verify_seed_recorded(capsys):
     assert json.loads(out)["seed"] == 7
 
 
-def test_threads_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("PRANK_THREADS", "2")
-    code, out, _ = run(capsys, "ss5", "--p", "11", "--no-cache")
+def test_ss5_no_cache_writes_nothing(tmp_path, capsys):
+    results = tmp_path / "results"
+    code, out, _ = run(
+        capsys, "ss5", "--p", "11", "--no-cache", "--threads", "2",
+        "--results-dir", str(results),
+    )
     assert code == 0
     assert json.loads(out)["solutions"]
+    assert not results.exists()
 
 
 def test_help_exits_zero(capsys):

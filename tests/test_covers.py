@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from cmrank.covers import (
     genus2_supersingular_pair,
     kani_rosen_triple,
     prank_fiber_product,
+    primitive_root_of_unity,
     prop44_case2_points,
     prop45_models,
 )
@@ -179,33 +181,59 @@ def test_family_sweep_not_ordinary():
 # -- proposition families -------------------------------------------------------------
 
 
+PROP44_CASE2_CONFIGS = [
+    (n, p)
+    for n in (3, 5, 7)
+    for p in PRIMES_TO_50
+    if (n + 3) % p and p % (n + 3) == n + 2
+]
+
+
 def _first_working_prop44(n, p, supersingular_only=False):
+    """First lambda with finite branch points, in verify's order:
+    supersingular lambdas first, then the rest of GF(p^2) minus {0, 1}."""
     ctx = field(p, 2)
-    candidates = list(supersingular_lambdas(p))
+    ss = supersingular_lambdas(p)
+    candidates = ss
     if not supersingular_only:
-        candidates += [
+        ss_set = set(ss)
+        ordinary = (
             lam
             for lam in ctx.elements()
-            if not (lam.is_zero or lam == ctx.one) and lam not in set(candidates)
-        ]
+            if not (lam.is_zero or lam == ctx.one) and lam not in ss_set
+        )
+        candidates = itertools.chain(ss, ordinary)
     for lam in candidates:
-        for t in ctx.elements():
-            if t.is_zero:
-                continue
-            try:
-                xs = prop44_case2_points(n, lam, t)
-                return ctx, lam, t, xs
-            except ValueError:
-                continue
-    raise AssertionError(f"no valid (lambda, t) for n={n}, p={p}")
+        try:
+            return ctx, lam, prop44_case2_points(n, lam)
+        except ValueError:
+            continue
+    raise AssertionError(f"no valid lambda for n={n}, p={p}")
+
+
+def _rejected_lambdas(n, ctx):
+    rejected = []
+    for lam in ctx.elements():
+        if lam.is_zero or lam == ctx.one:
+            continue
+        try:
+            prop44_case2_points(n, lam)
+        except ValueError:
+            rejected.append(lam)
+    return rejected
+
+
+def _cross_ratio(a, b, c, d):
+    """(a, b; c, d) of four finite points; invariant under Moebius maps."""
+    return (c - a) * (d - b) / ((c - b) * (d - a))
 
 
 def test_prop44_case2_points_n3_p11():
-    ctx, lam, t, xs = _first_working_prop44(3, 11, supersingular_only=True)
+    ctx, lam, xs = _first_working_prop44(3, 11, supersingular_only=True)
     assert len(xs) == len(set(xs)) == 3
     assert all(x not in (ctx.zero, ctx.one, lam) for x in xs)
     # third quotient: branch locus {0, 1, lambda, x1..xn}; superspecial by
-    # transport to w^2 = x^(n+3) - t^(n+3)
+    # transport to w^2 = x^(n+3) - 1
     f3 = DensePoly.from_roots(ctx, [ctx.zero, ctx.one, lam] + xs)
     assert is_superspecial(HyperellipticModel(ctx, f3))
     # with a supersingular base curve the whole cover has small p-rank
@@ -216,9 +244,10 @@ def test_prop44_case2_points_n3_p11():
 
 
 def test_prop44_case2_points_n5_p7():
-    # no supersingular lambda admits finite branch points here; the new-part
+    # no supersingular lambda admits finite branch points here (checked in
+    # test_prop44_case2_n5_p7_rejects_every_supersingular_lambda); the new-part
     # bound is lambda-independent so any valid configuration exercises it
-    ctx, lam, t, xs = _first_working_prop44(5, 7)
+    ctx, lam, xs = _first_working_prop44(5, 7)
     assert len(xs) == len(set(xs)) == 5
     f3 = DensePoly.from_roots(ctx, [ctx.zero, ctx.one, lam] + xs)
     assert is_superspecial(HyperellipticModel(ctx, f3))
@@ -230,7 +259,39 @@ def test_prop44_case2_points_n5_p7():
 def test_prop44_case2_rejects_wrong_residue():
     ctx = field(7, 2)
     with pytest.raises(ValueError):
-        prop44_case2_points(3, ctx.elem(3), ctx.one)  # 7 is not -1 mod 6
+        prop44_case2_points(3, ctx.elem(3))  # 7 is not -1 mod 6
+
+
+def test_prop44_case2_matches_cross_ratio_definition():
+    # the paper's definition: x_i = L(zeta^(i+2) t) with L carrying
+    # (t, zeta t, zeta^2 t) to (0, 1, lambda); a Moebius map preserves cross
+    # ratios, and a point is fixed by its cross ratio with three others
+    assert len(PROP44_CASE2_CONFIGS) == 13
+    rng = random.Random(4404)
+    for n, p in PROP44_CASE2_CONFIGS:
+        ctx, lam, xs = _first_working_prop44(n, p)
+        assert len(xs) == len(set(xs)) == n
+        assert all(x not in (ctx.zero, ctx.one, lam) for x in xs)
+        zeta = primitive_root_of_unity(ctx, n + 3)
+        elements = [e for e in ctx.elements() if not e.is_zero]
+        for t in rng.sample(elements, 3):
+            src = (t, zeta * t, zeta * zeta * t)
+            for i, x in enumerate(xs, start=1):
+                assert _cross_ratio(ctx.zero, ctx.one, lam, x) == _cross_ratio(
+                    *src, zeta ** (i + 2) * t
+                ), (n, p, str(t), i)
+
+
+@pytest.mark.parametrize("n, p", [(3, 11), (5, 7)])
+def test_prop44_case2_rejects_exactly_n_lambdas(n, p):
+    rejected = _rejected_lambdas(n, field(p, 2))
+    assert len(rejected) == n
+
+
+def test_prop44_case2_n5_p7_rejects_every_supersingular_lambda():
+    ss = supersingular_lambdas(7)
+    assert ss
+    assert set(ss) <= set(_rejected_lambdas(5, field(7, 2)))
 
 
 def test_prop45_direct_rank_check_n4_p5():

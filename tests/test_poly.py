@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cmrank import poly
 from cmrank.ff import field
 from cmrank.poly import (
     DensePoly,
@@ -180,3 +181,23 @@ def test_degree_cap():
     k = field(3)
     with pytest.raises(ValueError):
         DensePoly(k, [1] * ((1 << 24) + 2))
+
+
+def _no_multiplication(*args):
+    raise AssertionError("multiplied a power past the degree cap")
+
+
+def test_pow_degree_cap_fires_before_multiplying(monkeypatch):
+    f = P(field(3), 1, 0, 0, 0, 0, 0, 0, 0, 1)  # degree 8
+    monkeypatch.setattr(poly, "_raw_mul", _no_multiplication)
+    with pytest.raises(ValueError, match="cap"):
+        f ** ((1 << 24) // 8)  # degree exactly DEGREE_CAP, one past the largest allowed
+
+
+def test_pow_degree_cap_boundary(monkeypatch):
+    f = P(field(3), 1, 0, 0, 0, 0, 0, 0, 0, 1)
+    monkeypatch.setattr(poly, "DEGREE_CAP", 64)
+    assert (f ** 7).degree == 56
+    monkeypatch.setattr(poly, "_raw_mul", _no_multiplication)
+    with pytest.raises(ValueError, match="cap"):
+        f ** 8
