@@ -8,6 +8,17 @@ Coefficient extraction has two routes: full expansion of f^((p-1)/2)
 end of the coefficient range in O(p) field operations.  An independent
 zeta-function oracle computes the p-rank from point counts so the two
 routes can be checked against each other.
+
+Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
+arrays up to A = f^(m//2), sets B = A or A*f, and takes each wanted c_k as
+the dot product of A_i and B_(k-i), with three convolutions per GF(p^2)
+product.  The arrays are int64 for p < 2^19, where every sum of at most
+2^24 products of residues stays below 2^62, and Python ints above.  The
+quadratic cost is bounded by refusing powers of degree m*deg(f) above
+`poly.EXPANSION_CAP` = 2^17 with a ValueError (CLI exit 2) before any array
+is built.  Genus >= 3 models reach it from p ~ 37 000 (degree 7) or
+p ~ 18 700 (degree 14), since their middle entries are out of the
+recurrence's reach.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ff import FieldCtx, FieldElement
-from .poly import DensePoly, _rinv, _rmul, is_squarefree, poly_pow_naive
+from .poly import DensePoly, _rinv, _rmul, is_squarefree, pow_coeffs
 
 ORACLE_MAX_GENUS = 3
 ORACLE_MAX_P = 31
@@ -134,8 +145,7 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> dict:
     if not indices:
         return {}
     if strategy == "naive" or m == 0 or f.degree < 1:
-        h = poly_pow_naive(f, m)
-        return {k: h.coeff(k) for k in indices}
+        return pow_coeffs(f, m, indices)
 
     ctx = f.ctx
     p = ctx.p
@@ -149,8 +159,7 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> dict:
                     f"indices {unreachable} are not within p of either end"
                 )
             raise RecurrenceUnavailable("f(0) = 0")
-        h = poly_pow_naive(f, m)
-        return {k: h.coeff(k) for k in indices}
+        return pow_coeffs(f, m, indices)
 
     out = {}
     if forward:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .cartier import HyperellipticModel, p_rank
 from .curves import supersingular_lambdas
-from .ff import FieldCtx, FieldElement, field
+from .ff import FieldCtx, FieldElement, field, is_prime
 from .poly import DensePoly, is_squarefree, poly_gcd
 
 
@@ -105,25 +105,19 @@ def family_xn_tn(n: int, t: FieldElement) -> HyperellipticModel:
     return HyperellipticModel(ctx, f)
 
 
-def _element_order(a: FieldElement, bound: int) -> int:
-    acc = a
-    for k in range(1, bound + 1):
-        if acc == a.ctx.one:
-            return k
-        acc = acc * a
-    return 0
-
-
 @lru_cache(maxsize=256)
 def primitive_root_of_unity(ctx: FieldCtx, order: int) -> FieldElement:
     """First element of exact multiplicative order `order`, scanning the
-    deterministic element ordering."""
+    deterministic element ordering: a^order = 1 and a^(order/r) != 1 for
+    every prime r dividing order."""
     if (ctx.order - 1) % order != 0:
         raise ValueError(f"GF({ctx.order}) has no element of order {order}")
+    cofactors = [order // r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    one = ctx.one
     for a in ctx.elements():
         if a.is_zero:
             continue
-        if _element_order(a, order) == order:
+        if a**order == one and all(a**e != one for e in cofactors):
             return a
     raise ValueError(f"no element of order {order} found")  # unreachable
 

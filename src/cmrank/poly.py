@@ -4,6 +4,9 @@ Coefficients are stored low-to-high as raw residues (an int for GF(p), an
 (a, b) pair for GF(p^2)) in canonical form: the top coefficient is nonzero
 and the zero polynomial is the empty tuple.  Products switch to an exact
 numpy convolution once operands are long enough for it to pay.
+
+`pow_coeffs` reads single coefficients of a power without forming it: it
+keeps the polynomial as coordinate arrays and squares up to f^(m//2).
 """
 
 from __future__ import annotations
@@ -13,10 +16,18 @@ import numpy as np
 from .ff import FieldCtx, FieldElement
 
 DEGREE_CAP = 1 << 24
+# cost guard of `pow_coeffs`: its last squaring is about (n/2)^2 multiply-adds
+# for a power of degree n, 4*10^9 at the guard, 18 times the n ~ 7*10^3 of a
+# genus-6 Cartier-Manin expansion at p ~ 1100.  At the guard on a 2-core Xeon
+# VM: 1.5 s over GF(p) and 5 s over GF(p^2) in int64; the object route
+# (p >= _NUMPY_MAX_P) took 6 s and 13 s at n = 2^15, so minutes at the guard
+EXPANSION_CAP = 1 << 17
 _NUMPY_MIN_LEN = 32
-# keeps np.convolve exact in int64: each product is below p^2 < 2^38 and at
-# most DEGREE_CAP = 2^24 of them are summed, which stays below 2^62
+# keeps np.convolve and np.dot exact in int64: each product of residues is at
+# most (p-1)^2 < 2^38 and at most DEGREE_CAP = 2^24 of them are summed, so
+# every sum stays below 2^62; Karatsuba adds coordinates mod p first
 _NUMPY_MAX_P = 1 << 19
+assert DEGREE_CAP * (_NUMPY_MAX_P - 1) ** 2 < 1 << 62
 
 
 def _rzero(ext):
@@ -338,6 +349,68 @@ class DensePoly:
 def poly_pow_naive(f: DensePoly, m: int) -> DensePoly:
     """f^m by binary exponentiation; the oracle for the recurrence path."""
     return f ** m
+
+
+def _arrays_mul(a, b, p, nu):
+    """Product of polynomials held as coordinate arrays, reduced mod p; over
+    GF(p^2) the cross term (a0+a1)(b0+b1) - a0 b0 - a1 b1 saves a convolution."""
+    if len(a) == 1:
+        return (np.convolve(a[0], b[0]) % p,)
+    q00 = np.convolve(a[0], b[0]) % p
+    q11 = np.convolve(a[1], b[1]) % p
+    qs = np.convolve((a[0] + a[1]) % p, (b[0] + b[1]) % p)
+    return ((q00 + nu * q11) % p, (qs - q00 - q11) % p)
+
+
+def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
+    """Coefficients of f^m at the given indices, without forming f^m.
+
+    f is held as coordinate arrays, one over GF(p) and two over GF(p^2), and
+    squared up to A = f^(m//2); with B = A for even m and A*f for odd m, each
+    coefficient c_k is the dot product of A_i and B_(k-i).  The arrays are
+    int64 below _NUMPY_MAX_P and Python ints at or above it.
+    """
+    if m < 0:
+        raise ValueError("negative polynomial power")
+    n = m * f.degree
+    if n >= DEGREE_CAP:
+        raise ValueError(f"degree {n} of the power exceeds the cap {DEGREE_CAP}")
+    if n > EXPANSION_CAP:
+        raise ValueError(
+            f"degree {n} of the full expansion exceeds the cost guard {EXPANSION_CAP}"
+        )
+    ctx = f.ctx
+    p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
+    if f.is_zero and m:
+        return {k: ctx.zero for k in indices}
+    dtype = np.int64 if p < _NUMPY_MAX_P else object
+
+    def arrays(raw):
+        if ext == 1:
+            return (np.array(raw, dtype=dtype),)
+        return tuple(np.array([x[i] for x in raw], dtype=dtype) for i in (0, 1))
+
+    F = arrays(f.raw())
+    A = F if m > 1 else arrays([_rsmall(p, ext, 1)])
+    for bit in bin(m // 2)[3:]:
+        A = _arrays_mul(A, A, p, nu)
+        if bit == "1":
+            A = _arrays_mul(A, F, p, nu)
+    B = _arrays_mul(A, F, p, nu) if m % 2 else A
+    if ext == 2:
+        A = A + ((A[0] + A[1]) % p,)
+        B = B + ((B[0] + B[1]) % p,)
+    la, lb = len(A[0]), len(B[0])
+    out = {}
+    for k in indices:
+        lo, hi = max(0, k - lb + 1), min(k, la - 1)
+        if lo > hi:
+            out[k] = ctx.zero
+            continue
+        d = [int(np.dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1])) for a, b in zip(A, B)]
+        c = (d[0] % p,) if ext == 1 else ((d[0] + nu * d[1]) % p, (d[2] - d[0] - d[1]) % p)
+        out[k] = ctx.from_coords(c)
+    return out
 
 
 def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:

@@ -62,7 +62,7 @@ import numpy as np
 from .cartier import HyperellipticModel, power_coeffs
 from .covers import prank_fiber_product
 from .ff import FieldElement, field, is_prime
-from .poly import DensePoly, _is_rzero, is_squarefree, poly_gcd
+from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 
 EXT_GRID_GUARD = 40000
 ENUM_GUARD = 1_200_000
@@ -472,21 +472,14 @@ def superspecial_g2_enumeration(p: int, q: int) -> list:
     if q**6 + q**5 > ENUM_GUARD:
         raise ValueError(f"candidate count {q**6 + q**5} exceeds the guard {ENUM_GUARD}")
     m = (p - 1) // 2
-    ext = ctx.ext_degree
-    one_raw = 1 if ext == 1 else (1, 0)
-    raw_elems = [e.coords[0] if ext == 1 else e.coords for e in ctx.elements()]
     needed = [p * j - i for j in (1, 2) for i in (1, 2)]
     out = []
     for d in (5, 6):
-        for tail in product(raw_elems, repeat=d):
-            coeffs = list(tail) + [one_raw]
-            if m == 1:
-                # f^1 = f: the matrix entries are plain coefficient reads
-                if any(not _is_rzero(ext, coeffs[k]) for k in needed):
-                    continue
-                f = DensePoly(ctx, coeffs)
-            else:
-                f = DensePoly(ctx, coeffs)
+        # for m = 1 the matrix entries are plain coefficient reads of f, so
+        # only tails with those coefficients zero are generated
+        for coeffs in _monic_tails(ctx, d, needed if m == 1 else ()):
+            f = DensePoly(ctx, coeffs)
+            if m > 1:
                 top = m * d
                 vals = power_coeffs(f, m, {k for k in needed if k <= top}, "naive")
                 if any(not v.is_zero for v in vals.values()):
@@ -494,3 +487,19 @@ def superspecial_g2_enumeration(p: int, q: int) -> list:
             if is_squarefree(f):
                 out.append(HyperellipticModel(ctx, f))
     return out
+
+
+def _monic_tails(ctx, d: int, zeros):
+    """Raw coefficient lists c_0..c_d of the monic degree-d polynomials with
+    c_k = 0 for every k in zeros, in lexicographic order of (c_0, ..., c_(d-1)).
+    None exist when d is in zeros, because c_d = 1."""
+    if d in zeros:
+        return
+    ext = ctx.ext_degree
+    raw_elems = [e.coords[0] if ext == 1 else e.coords for e in ctx.elements()]
+    free = [k for k in range(d) if k not in zeros]
+    coeffs = [_rzero(ext)] * d + [_rsmall(ctx.p, ext, 1)]
+    for values in product(raw_elems, repeat=len(free)):
+        for k, v in zip(free, values):
+            coeffs[k] = v
+        yield list(coeffs)

@@ -282,6 +282,24 @@ def test_prop44_case2_matches_cross_ratio_definition():
                 ), (n, p, str(t), i)
 
 
+def _scan_order(a, bound):
+    """The multiplicative order of a by repeated multiplication, 0 past bound."""
+    acc = a
+    for k in range(1, bound + 1):
+        if acc == a.ctx.one:
+            return k
+        acc = acc * a
+    return 0
+
+
+def test_primitive_root_matches_order_scan():
+    for n, p in PROP44_CASE2_CONFIGS:
+        ctx = field(p, 2)
+        order = n + 3
+        first = next(a for a in ctx.elements() if not a.is_zero and _scan_order(a, order) == order)
+        assert primitive_root_of_unity(ctx, order) == first, (n, p)
+
+
 @pytest.mark.parametrize("n, p", [(3, 11), (5, 7)])
 def test_prop44_case2_rejects_exactly_n_lambdas(n, p):
     rejected = _rejected_lambdas(n, field(p, 2))

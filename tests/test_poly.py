@@ -1,16 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 
-from cmrank import poly
-from cmrank.ff import field
+from cmrank import cli, poly, search
+from cmrank.cartier import _recurrence_block
+from cmrank.ff import field, is_prime
 from cmrank.poly import (
     DensePoly,
     is_squarefree,
     parse_poly,
     poly_gcd,
     poly_pow_naive,
+    pow_coeffs,
 )
+
+from helpers import random_poly
 
 
 def P(ctx, *ints):
@@ -201,3 +206,124 @@ def test_pow_degree_cap_boundary(monkeypatch):
     monkeypatch.setattr(poly, "_raw_mul", _no_multiplication)
     with pytest.raises(ValueError, match="cap"):
         f ** 8
+
+
+# -- pow_coeffs: single coefficients of f^m without forming it -----------------------
+
+# the first prime at or above _NUMPY_MAX_P, where pow_coeffs uses object arrays
+P_OBJECT = next(q for q in range(poly._NUMPY_MAX_P, 2 * poly._NUMPY_MAX_P) if is_prime(q))
+
+
+def _assert_matches_full_power(f, m):
+    h = f**m
+    top = max(h.degree, 0)
+    got = pow_coeffs(f, m, range(top + 1))
+    assert got == {k: h.coeff(k) for k in range(top + 1)}, (f, m)
+
+
+def test_pow_coeffs_matches_full_power():
+    rng = random.Random(5005)
+    for p in (3, 11, 101):
+        for ext in (1, 2):
+            ctx = field(p, ext)
+            # both sides of _NUMPY_MIN_LEN, so the oracle f ** m uses both kernels
+            for deg in (0, 1, 4, poly._NUMPY_MIN_LEN - 2, poly._NUMPY_MIN_LEN + 8):
+                f = random_poly(rng, ctx, deg)
+                for m in (0, 1, 2, 3, 50):
+                    _assert_matches_full_power(f, m)
+
+
+def test_pow_coeffs_zero_polynomial_and_out_of_range():
+    ctx = field(11, 2)
+    zero = DensePoly.zero(ctx)
+    assert pow_coeffs(zero, 0, [0, 1]) == {0: ctx.one, 1: ctx.zero}
+    assert pow_coeffs(zero, 3, [0]) == {0: ctx.zero}
+    f = DensePoly.from_ints(ctx, [1, 1])
+    assert pow_coeffs(f, 3, [-1, 3, 4]) == {-1: ctx.zero, 3: ctx.one, 4: ctx.zero}
+
+
+def test_pow_coeffs_matches_recurrence_at_every_reachable_index():
+    # the recurrence is independent of any expansion; it reaches the indices
+    # within p of either end of [0, m deg] when f(0) != 0
+    rng = random.Random(3691)
+    for p in (13, 101, 1009):
+        m = (p - 1) // 2
+        for ext in (1, 2):
+            ctx = field(p, ext)
+            for genus in range(3, 7):
+                deg = 2 * genus + 1 + rng.randrange(2)
+                f = random_poly(rng, ctx, deg, nonzero_const=True)
+                top = m * deg
+                low = _recurrence_block(f, m, min(p - 1, top))
+                high = _recurrence_block(f.reverse(), m, min(p - 1, top))
+                expected = {k: c for k, c in enumerate(low)}
+                expected.update({top - k: c for k, c in enumerate(high)})
+                got = pow_coeffs(f, m, expected)
+                for k, c in expected.items():
+                    assert got[k] == ctx.from_coords((c,) if ext == 1 else c), (p, ext, genus, k)
+
+
+def test_pow_coeffs_object_route_above_numpy_max_p(monkeypatch):
+    dtypes = set()
+    convolve = np.convolve
+
+    def spy(a, b):
+        dtypes.add(a.dtype)
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    rng = random.Random(19)
+    for ext in (1, 2):
+        ctx = field(P_OBJECT, ext)
+        for m in (1, 2, 3):
+            _assert_matches_full_power(random_poly(rng, ctx, 6), m)
+    assert dtypes == {np.dtype(object)}
+
+
+def _no_convolution(*args):
+    raise AssertionError("convolved past a guard")
+
+
+@pytest.mark.parametrize("p", [3, P_OBJECT])
+def test_pow_coeffs_degree_cap_fires_before_allocating(monkeypatch, p):
+    monkeypatch.setattr(np, "convolve", _no_convolution)
+    f = P(field(p), 1, 0, 0, 0, 0, 0, 0, 0, 1)  # degree 8
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        pow_coeffs(f, poly.DEGREE_CAP // 8, [0])
+
+
+@pytest.mark.parametrize("p", [524287, P_OBJECT])
+def test_prank_cost_guard_exits_2_before_convolving(monkeypatch, capsys, p):
+    # below DEGREE_CAP, but the genus-3 entries c_(2p-i) are out of the
+    # recurrence's reach, and full expansion to degree 7 (p-1)/2 ~ 1.8 10^6
+    # would square arrays of ~9 10^5 terms
+    monkeypatch.setattr(np, "convolve", _no_convolution)
+    assert 7 * (p - 1) // 2 < poly.DEGREE_CAP
+    code = cli.main(["prank", "--p", str(p), "--poly", "1,0,0,0,0,0,0,1"])
+    assert code == 2
+    assert "cost guard" in capsys.readouterr().err
+
+
+def test_pow_coeffs_cost_guard_boundary(monkeypatch):
+    f = P(field(101, 2), 3, 1, 4, 1, 5, 9, 2, 6)  # degree 7
+    monkeypatch.setattr(poly, "EXPANSION_CAP", 70)
+    assert pow_coeffs(f, 10, [35]) == {35: (f**10).coeff(35)}
+    monkeypatch.setattr(np, "convolve", _no_convolution)
+    with pytest.raises(ValueError, match="cost guard"):
+        pow_coeffs(f, 11, [35])
+
+
+def test_int64_bounds_of_the_constants():
+    p_max = poly._NUMPY_MAX_P - 1
+    # a convolution or a dot product of residue arrays sums at most DEGREE_CAP
+    # products of residues; Karatsuba adds coordinates mod p first, so its
+    # operands are residues too
+    largest_sum = poly.DEGREE_CAP * p_max**2
+    assert largest_sum < 2**62
+    # the cross term takes two reduced convolutions from that sum, and the
+    # GF(p^2) real part adds nu < p times a reduced convolution to another
+    assert -(2**63) < -2 * p_max and largest_sum < 2**63
+    assert p_max + p_max * p_max < 2**63
+    assert poly.EXPANSION_CAP < poly.DEGREE_CAP
+    # the sweep kernel sums six recurrence terms, each below p^3
+    assert 6 * search.SWEEP_MAX_P**3 < 2**63

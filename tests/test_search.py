@@ -1,14 +1,17 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
 from cmrank.cartier import HyperellipticModel, cartier_matrix, is_superspecial
 from cmrank.covers import prank_fiber_product
 from cmrank.ff import field
+from cmrank.poly import DensePoly, is_squarefree
 from cmrank.search import (
     SweepConfig,
     _classify,
+    _monic_tails,
     _inverse_table,
     _orbit,
     _sweep_w_line,
@@ -306,6 +309,34 @@ def test_ext_search_small():
 def test_enumeration_char3_empty():
     assert superspecial_g2_enumeration(3, 9) == []
     assert superspecial_g2_enumeration(3, 3) == []
+
+
+def _walk_and_discard(ctx, d, needed):
+    """Every monic degree-d tail in lexicographic order, kept when the
+    coefficients at `needed` vanish: the enumeration's former walk."""
+    ext = ctx.ext_degree
+    raw_elems = [e.coords[0] if ext == 1 else e.coords for e in ctx.elements()]
+    zero = 0 if ext == 1 else (0, 0)
+    one = 1 if ext == 1 else (1, 0)
+    for tail in product(raw_elems, repeat=d):
+        coeffs = list(tail) + [one]
+        if all(coeffs[k] == zero for k in needed):
+            yield coeffs
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_enumeration_char3_tails_match_walk_and_discard(q):
+    ctx = field(3) if q == 3 else field(3, 2)
+    needed = [1, 2, 4, 5]  # 3j - i for i, j in {1, 2}
+    survivors = []
+    for d in (5, 6):
+        walked = list(_walk_and_discard(ctx, d, needed))
+        assert list(_monic_tails(ctx, d, needed)) == walked
+        survivors += walked
+    # degree 5 is dead (its x^5 coefficient is the monic 1); degree 6 keeps c0, c3
+    assert len(survivors) == q**2
+    expected = [c for c in survivors if is_squarefree(DensePoly(ctx, c))]
+    assert [C.f.raw() for C in superspecial_g2_enumeration(3, q)] == [tuple(c) for c in expected]
 
 
 def test_enumeration_p5_models_verified():
