@@ -161,17 +161,17 @@ def _cmd_ss5(args) -> int:
 
 
 def _cmd_ss5_range(args) -> int:
+    # every prime is validated before the first one is swept
+    primes = [p for p in range(args.start, args.stop) if p % 12 == 11 and is_prime(p)]
+    cfgs = [SweepConfig(p=p, mode=args.mode, threads=args.threads) for p in primes]
     print("p,found,num_solutions,first_u,first_v,tested,elapsed_ms")
-    for p in range(args.start, args.stop):
-        if p % 12 != 11 or not is_prime(p):
-            continue
-        cfg = SweepConfig(p=p, mode=args.mode, threads=args.threads)
+    for cfg in cfgs:
         result, _ = sweep_with_cache(cfg, args.results_dir, force=args.force)
         found = bool(result.solutions)
         first_u = result.solutions[0][0] if found else ""
         first_v = result.solutions[0][1] if found else ""
         print(
-            f"{p},{int(found)},{len(result.solutions)},{first_u},{first_v},"
+            f"{cfg.p},{int(found)},{len(result.solutions)},{first_u},{first_v},"
             f"{result.counts['tested']},{result.elapsed_ms}"
         )
     return 0

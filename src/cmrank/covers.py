@@ -11,7 +11,7 @@ supersingular genus-2 pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .cartier import HyperellipticModel, p_rank
@@ -68,17 +68,7 @@ def component_p_rank(f: DensePoly) -> int:
 
 def triple_with_pranks(f1: DensePoly, f2: DensePoly) -> QuotientTriple:
     t = kani_rosen_triple(f1, f2)
-    total = (
-        component_p_rank(t.fE) + component_p_rank(t.f2) + component_p_rank(t.f3)
-    )
-    return QuotientTriple(
-        fE=t.fE,
-        f2=t.f2,
-        f3=t.f3,
-        genera=t.genera,
-        genus_total=t.genus_total,
-        prank_total=total,
-    )
+    return replace(t, prank_total=sum(component_p_rank(f) for f in (t.fE, t.f2, t.f3)))
 
 
 def prank_fiber_product(f1: DensePoly, f2: DensePoly):

@@ -3,11 +3,13 @@ supersingular lambda values in GF(p^2), and the characteristic-3 quartic test.""
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .cartier import HyperellipticModel, power_coeffs
 from .ff import FieldElement, field
-from .poly import DensePoly, is_squarefree, poly_pow_naive
+from .poly import DensePoly, is_squarefree
 
 # the vectorized scan keeps about ten int64 arrays of p^2 entries alive at
 # once, about 330 MB at p = 2^11; larger p is refused before allocating
@@ -51,12 +53,11 @@ def _hasse_poly_in_lambda(p: int) -> DensePoly:
 
     Writing f = x * (x-1) * (x-T), the wanted coefficient is the x^m
     coefficient of ((x-1)(x-T))^m with m = (p-1)/2, and the T^k part of it
-    is P_k * P_{m-k} with P = (x-1)^m.
+    is P_k * P_{m-k} with P = (x-1)^m, that is (-1)^m binom(m, k)^2.
     """
-    ctx = field(p)
     m = (p - 1) // 2
-    P = poly_pow_naive(DensePoly.from_ints(ctx, [-1, 1]), m)
-    return DensePoly(ctx, [P.raw()[k] * P.raw()[m - k] % p for k in range(m + 1)])
+    sign = (-1) ** m
+    return DensePoly.from_ints(field(p), [sign * comb(m, k) ** 2 for k in range(m + 1)])
 
 
 def supersingular_lambdas(p: int) -> list:

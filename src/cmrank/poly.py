@@ -278,20 +278,7 @@ class DensePoly:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        p, nu, ext = self.ctx.p, self.ctx.nu, self.ctx.ext_degree
-        rem = list(self._c)
-        d = other.degree
-        lead_inv = _rinv(p, nu, ext, other._c[-1])
-        quo = [_rzero(ext)] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if _is_rzero(ext, c):
-                continue
-            q = _rmul(p, nu, ext, c, lead_inv)
-            quo[i - d] = q
-            for j, oj in enumerate(other._c):
-                rem[i - d + j] = _rsub(p, ext, rem[i - d + j], _rmul(p, nu, ext, q, oj))
-        return DensePoly(self.ctx, quo), DensePoly(self.ctx, rem)
+        return tuple(DensePoly(self.ctx, r) for r in _raw_divmod(self.ctx, self._c, other._c))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -347,7 +334,8 @@ class DensePoly:
 
 
 def poly_pow_naive(f: DensePoly, m: int) -> DensePoly:
-    """f^m by binary exponentiation; the oracle for the recurrence path."""
+    """f^m by binary exponentiation.  No route of the package calls it: it
+    stays public as the tests' oracle for the recurrence and the closed forms."""
     return f ** m
 
 
@@ -413,13 +401,36 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
     return out
 
 
+def _raw_divmod(ctx: FieldCtx, a, b):
+    """Quotient and remainder of raw coefficient sequences, b with a nonzero
+    top coefficient; the remainder is trimmed to canonical form."""
+    p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
+    rem = list(a)
+    d = len(b) - 1
+    lead_inv = _rinv(p, nu, ext, b[-1])
+    quo = [_rzero(ext)] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        if _is_rzero(ext, rem[i]):
+            continue
+        q = quo[i - d] = _rmul(p, nu, ext, rem[i], lead_inv)
+        # the top term cancels: only the d below it change, and it is dropped
+        for j in range(d):
+            rem[i - d + j] = _rsub(p, ext, rem[i - d + j], _rmul(p, nu, ext, q, b[j]))
+    del rem[d:]
+    while rem and _is_rzero(ext, rem[-1]):
+        rem.pop()
+    return quo, rem
+
+
 def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd by the Euclidean algorithm on raw coefficients."""
+    a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    x, y = a.raw(), b.raw()
+    while y:
+        x, y = y, _raw_divmod(a.ctx, x, y)[1]
+    return DensePoly(a.ctx, x).monic()
 
 
 def is_squarefree(f: DensePoly) -> bool:

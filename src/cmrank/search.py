@@ -39,8 +39,17 @@ representative per orbit -- (0, w), and (2, 1/2) for w = infinity -- in one
 numpy pass.  The two needed coefficients c and a sit within p of the low
 end of the coefficient range, so one linear recurrence gives them in O(p)
 vectorized steps instead of expanding f^((p-1)/2): O(p^2) work per prime.
-The orbits of the good w values are then expanded into sorted (u, v) pairs,
-each of which is re-verified through the generic machinery.
+The orbits of the good w values are then expanded into sorted (u, v) pairs.
+
+Every reported pair is rechecked for the stronger claim, superspeciality of
+the genus-5 curve, by a route that shares nothing with the kernel.  The
+Cartier operator commutes with the (Z/2)^2 action, so on the regular
+differentials, which split into the pullbacks from the three quotients E_u,
+D_v and the genus-2 curve (Kani-Rosen), it is the direct sum of their
+Cartier operators: the curve is superspecial exactly when the three
+quotient Cartier-Manin matrices vanish.  Each is read by full expansion of
+f^((p-1)/2), of degree at most 3(p-1), which `poly.EXPANSION_CAP` bounds;
+that bound is `SWEEP_MAX_P`.
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -59,17 +68,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .cartier import HyperellipticModel, power_coeffs
-from .covers import prank_fiber_product
+from .cartier import HyperellipticModel, cartier_matrix, power_coeffs
+from .covers import kani_rosen_triple
 from .ff import FieldElement, field, is_prime
-from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
+from .poly import EXPANSION_CAP, DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 
 EXT_GRID_GUARD = 40000
 ENUM_GUARD = 1_200_000
+# the recheck expands f^((p-1)/2) for the degree-6 quotients, of degree
+# 3(p-1) <= EXPANSION_CAP = 2^17 for p <= 2^17 // 3 + 1 = 43 691.  It also
 # keeps every int64 accumulation in the kernel exact: each recurrence term
 # weight * f_j * c_{k-j} is below p^3 and six are summed, and 6 p^3 < 2^63
-# for p <= 2^20
-SWEEP_MAX_P = 1 << 20
+SWEEP_MAX_P = EXPANSION_CAP // 3 + 1
+assert 6 * SWEEP_MAX_P**3 < 1 << 63
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,7 @@ class SweepConfig:
         if not is_prime(self.p) or self.p % 12 != 11:
             raise ValueError(f"p = {self.p} is not a prime with p = 11 (mod 12)")
         if self.p > SWEEP_MAX_P:
-            raise ValueError(f"p = {self.p} exceeds the kernel bound {SWEEP_MAX_P}")
+            raise ValueError(f"p = {self.p} exceeds the sweep bound {SWEEP_MAX_P}")
         if self.mode not in ("first", "all"):
             raise ValueError(f"mode must be 'first' or 'all', got {self.mode!r}")
         if self.threads < 1:
@@ -142,16 +153,12 @@ def _pair_polys(u: FieldElement, v: FieldElement):
 
 def quotient_polys(u: FieldElement, v: FieldElement):
     """Model polynomials of the two covers E_u, D_v whose fiber product the
-    sweep studies: A * ((x+u)^2 - (ux+1)^2) and B * ((x+v)^2 - (vx+1)^2)."""
-    ctx = u.ctx
-    one = DensePoly.one(ctx)
-    x = DensePoly.x(ctx)
+    sweep studies: A * ((x+u)^2 - (ux+1)^2) and B * ((x+v)^2 - (vx+1)^2),
+    where (x+u)^2 - (ux+1)^2 = (1-u^2)(x^2-1)."""
     a, b = _pair_polys(u, v)
-    xu = x + DensePoly.from_elements(ctx, [u])
-    ux1 = x.scale(u) + one
-    xv = x + DensePoly.from_elements(ctx, [v])
-    vx1 = x.scale(v) + one
-    return a * (xu * xu - ux1 * ux1), b * (xv * xv - vx1 * vx1)
+    x2m1 = DensePoly.from_ints(u.ctx, [-1, 0, 1])
+    one = u.ctx.one
+    return a * x2m1.scale(one - u * u), b * x2m1.scale(one - v * v)
 
 
 def ss5_check_pair(
@@ -345,17 +352,19 @@ def _sweep_w_line(p: int):
 
 
 def verify_solution_story(p: int, u: int, v: int):
-    """Recheck a reported solution through the generic machinery: the genus-5
-    fiber product has p-rank 0.  That p-rank is the sum of the p-ranks of its
-    three quotients E_u, D_v and the genus-2 quotient, so all three are
-    rechecked."""
+    """Recheck a reported solution without the kernel's recurrence: the
+    genus-5 fiber product is superspecial, so the Cartier-Manin matrices of
+    its quotients E_u, D_v and the genus-2 curve, read by full expansion,
+    all vanish (module docstring).  They are checked in that order."""
     ctx = field(p)
-    f_eu, f_dv = quotient_polys(ctx.elem(u), ctx.elem(v))
-    genus, rank = prank_fiber_product(f_eu, f_dv)
-    if (genus, rank) != (5, 0):
-        raise RuntimeError(
-            f"solution ({u}, {v}) fails the genus-5 story: genus {genus}, p-rank {rank}"
-        )
+    t = kani_rosen_triple(*quotient_polys(ctx.elem(u), ctx.elem(v)))
+    if t.genus_total != 5:
+        raise RuntimeError(f"solution ({u}, {v}) has genus {t.genus_total}, not 5")
+    for name, f in (("E_u", t.fE), ("D_v", t.f2), ("the genus-2 quotient", t.f3)):
+        M = cartier_matrix(HyperellipticModel(ctx, f), strategy="naive").M
+        if any(not x.is_zero for row in M for x in row):
+            msg = f"the Cartier-Manin matrix of {name} is nonzero"
+            raise RuntimeError(f"solution ({u}, {v}) is not superspecial: {msg}")
 
 
 def ss5_sweep(cfg: SweepConfig) -> SearchResult:

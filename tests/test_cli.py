@@ -1,5 +1,6 @@
 import json
 
+from cmrank import search
 from cmrank.cli import main
 
 
@@ -160,3 +161,19 @@ def test_ss5_no_cache_writes_nothing(tmp_path, capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_ss5_past_the_sweep_bound_exits_2_before_sweeping(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("swept past the bound")
+
+    monkeypatch.setattr(search, "_sweep_w_line", refuse)
+    code, _, err = run(capsys, "ss5", "--p", "43787", "--no-cache")
+    assert code == 2 and "bound" in err
+    # a range is validated as a whole: 43 691 is in bounds but is not swept
+    code, _, err = run(
+        capsys, "ss5-range", "--from", "43680", "--to", "43800",
+        "--results-dir", str(tmp_path),
+    )
+    assert code == 2 and "bound" in err
+    assert not (tmp_path / "ss5").exists()

@@ -10,8 +10,8 @@ from cmrank.curves import (
     quartic_hasse_char3,
     supersingular_lambdas,
 )
-from cmrank.ff import field
-from cmrank.poly import DensePoly, is_squarefree
+from cmrank.ff import field, is_prime
+from cmrank.poly import DensePoly, is_squarefree, poly_pow_naive
 
 
 def test_legendre_rejects_degenerate_lambda():
@@ -101,6 +101,19 @@ def test_supersingular_lambdas_vectorized_path_agrees():
     assert len(lams) == 20
     for lam in lams:
         assert hasse_invariant(LegendreCurve(lam)).is_zero
+
+
+def test_hasse_poly_closed_form_matches_expansion():
+    # the T^k coefficient is P_k * P_(m-k) with P = (x-1)^m, read here from
+    # the expanded power
+    for p in range(3, 400, 2):
+        if not is_prime(p):
+            continue
+        ctx = field(p)
+        m = (p - 1) // 2
+        P = poly_pow_naive(DensePoly.from_ints(ctx, [-1, 1]), m).raw()
+        expected = DensePoly(ctx, [P[k] * P[m - k] % p for k in range(m + 1)])
+        assert curves._hasse_poly_in_lambda(p) == expected, p
 
 
 def test_supersingular_lambdas_size_guard(monkeypatch):

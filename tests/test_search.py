@@ -7,8 +7,9 @@ import pytest
 from cmrank.cartier import HyperellipticModel, cartier_matrix, is_superspecial
 from cmrank.covers import prank_fiber_product
 from cmrank.ff import field
-from cmrank.poly import DensePoly, is_squarefree
+from cmrank.poly import EXPANSION_CAP, DensePoly, is_squarefree
 from cmrank.search import (
+    SWEEP_MAX_P,
     SweepConfig,
     _classify,
     _monic_tails,
@@ -39,6 +40,16 @@ def test_config_validation():
         SweepConfig(p=11, threads=0)
     with pytest.raises(ValueError):
         SweepConfig(p=1048583)  # prime, 11 mod 12, beyond the kernel bound
+
+
+def test_sweep_bound_is_the_recheck_expansion_bound():
+    # 43 691 is the last prime p = 11 (mod 12) whose degree-6 quotients expand
+    # within EXPANSION_CAP, and 43 787 the next one
+    assert SWEEP_MAX_P == 43691
+    assert 3 * (SWEEP_MAX_P - 1) <= EXPANSION_CAP < 3 * (43787 - 1)
+    SweepConfig(p=43691)
+    with pytest.raises(ValueError, match="bound"):
+        SweepConfig(p=43787)
 
 
 def test_check_pair_exclusions():
@@ -153,10 +164,34 @@ def test_verify_solution_story_passes_and_fires():
     p = 23
     u, v = ss5_sweep(SweepConfig(p=p, mode="first")).solutions[0]
     verify_solution_story(p, u, v)
-    # a live pair that is not a solution fails the genus-5 p-rank check
+    # the quotients are checked in the order E_u, D_v, genus-2 curve, and the
+    # message names the first whose Cartier-Manin matrix does not vanish.  A
+    # live pair that is not a solution fails at the genus-2 quotient
     assert ss5_check_pair(p, field(p).elem(4), field(p).elem(18)).status == "not_solution"
-    with pytest.raises(RuntimeError, match="genus 5, p-rank 1"):
+    with pytest.raises(RuntimeError, match="genus-2 quotient"):
         verify_solution_story(p, 4, 18)
+    # y^2 = x^4 - 1 is ordinary for p = 1 (mod 4), so E_u fails first
+    with pytest.raises(RuntimeError, match="E_u"):
+        verify_solution_story(13, 2, 2)
+    # at p = 19 E_u passes and D_v does not
+    with pytest.raises(RuntimeError, match="D_v"):
+        verify_solution_story(19, 2, 2)
+
+
+def test_recheck_runs_without_recurrence_or_p_rank(monkeypatch):
+    from cmrank import cartier, covers
+
+    p = 23
+    expected = _sweep_w_line(p)[1]
+    assert len(expected) == 80
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recheck must not use the recurrence or p_rank")
+
+    monkeypatch.setattr(cartier, "_recurrence_block", refuse)
+    monkeypatch.setattr(cartier, "p_rank", refuse)
+    monkeypatch.setattr(covers, "p_rank", refuse)
+    assert ss5_sweep(SweepConfig(p=p, mode="all")).solutions == expected
 
 
 def test_sweep_p11_solutions_sound():
