@@ -161,9 +161,13 @@ def _cmd_ss5(args) -> int:
 
 
 def _cmd_ss5_range(args) -> int:
-    # every prime is validated before the first one is swept
-    primes = [p for p in range(args.start, args.stop) if p % 12 == 11 and is_prime(p)]
-    cfgs = [SweepConfig(p=p, mode=args.mode, threads=args.threads) for p in primes]
+    # every prime is validated before the first one is swept; SweepConfig
+    # raises at the first prime past the bound, ending the scan there
+    cfgs = [
+        SweepConfig(p=p, mode=args.mode, threads=args.threads)
+        for p in range(args.start, args.stop)
+        if p % 12 == 11 and is_prime(p)
+    ]
     print("p,found,num_solutions,first_u,first_v,tested,elapsed_ms")
     for cfg in cfgs:
         result, _ = sweep_with_cache(cfg, args.results_dir, force=args.force)

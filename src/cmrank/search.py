@@ -42,14 +42,17 @@ vectorized steps instead of expanding f^((p-1)/2): O(p^2) work per prime.
 The orbits of the good w values are then expanded into sorted (u, v) pairs.
 
 Every reported pair is rechecked for the stronger claim, superspeciality of
-the genus-5 curve, by a route that shares nothing with the kernel.  The
+the genus-5 curve, on the pair itself rather than its w representative.  The
 Cartier operator commutes with the (Z/2)^2 action, so on the regular
 differentials, which split into the pullbacks from the three quotients E_u,
 D_v and the genus-2 curve (Kani-Rosen), it is the direct sum of their
 Cartier operators: the curve is superspecial exactly when the three
-quotient Cartier-Manin matrices vanish.  Each is read by full expansion of
-f^((p-1)/2), of degree at most 3(p-1), which `poly.EXPANSION_CAP` bounds;
-that bound is `SWEEP_MAX_P`.
+quotient Cartier-Manin matrices vanish.  `cartier.is_superspecial` reads
+each through the scalar recurrence of `cartier`, not the kernel's
+vectorized code, in O(p) per quotient: f(0) != 0 for all three, since
+1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and v^4 + v^2 + 1 != 0
+(p = 2 mod 3), so the recheck never falls back to full expansion, which
+costs O(p^2) and is refused past `poly.EXPANSION_CAP`.
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -68,19 +71,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .cartier import HyperellipticModel, cartier_matrix, power_coeffs
+from .cartier import HyperellipticModel, is_superspecial, power_coeffs
 from .covers import kani_rosen_triple
 from .ff import FieldElement, field, is_prime
-from .poly import EXPANSION_CAP, DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
+from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 
 EXT_GRID_GUARD = 40000
 ENUM_GUARD = 1_200_000
-# the recheck expands f^((p-1)/2) for the degree-6 quotients, of degree
-# 3(p-1) <= EXPANSION_CAP = 2^17 for p <= 2^17 // 3 + 1 = 43 691.  It also
 # keeps every int64 accumulation in the kernel exact: each recurrence term
 # weight * f_j * c_{k-j} is below p^3 and six are summed, and 6 p^3 < 2^63
-SWEEP_MAX_P = EXPANSION_CAP // 3 + 1
-assert 6 * SWEEP_MAX_P**3 < 1 << 63
+# for p <= 2^20
+SWEEP_MAX_P = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class SweepConfig:
         if not is_prime(self.p) or self.p % 12 != 11:
             raise ValueError(f"p = {self.p} is not a prime with p = 11 (mod 12)")
         if self.p > SWEEP_MAX_P:
-            raise ValueError(f"p = {self.p} exceeds the sweep bound {SWEEP_MAX_P}")
+            raise ValueError(f"p = {self.p} exceeds the kernel bound {SWEEP_MAX_P}")
         if self.mode not in ("first", "all"):
             raise ValueError(f"mode must be 'first' or 'all', got {self.mode!r}")
         if self.threads < 1:
@@ -352,17 +353,16 @@ def _sweep_w_line(p: int):
 
 
 def verify_solution_story(p: int, u: int, v: int):
-    """Recheck a reported solution without the kernel's recurrence: the
-    genus-5 fiber product is superspecial, so the Cartier-Manin matrices of
-    its quotients E_u, D_v and the genus-2 curve, read by full expansion,
-    all vanish (module docstring).  They are checked in that order."""
+    """Recheck a reported solution: the genus-5 fiber product is
+    superspecial, so the Cartier-Manin matrices of its quotients E_u, D_v and
+    the genus-2 curve all vanish (module docstring).  They are checked in
+    that order."""
     ctx = field(p)
     t = kani_rosen_triple(*quotient_polys(ctx.elem(u), ctx.elem(v)))
     if t.genus_total != 5:
         raise RuntimeError(f"solution ({u}, {v}) has genus {t.genus_total}, not 5")
     for name, f in (("E_u", t.fE), ("D_v", t.f2), ("the genus-2 quotient", t.f3)):
-        M = cartier_matrix(HyperellipticModel(ctx, f), strategy="naive").M
-        if any(not x.is_zero for row in M for x in row):
+        if not is_superspecial(HyperellipticModel(ctx, f)):
             msg = f"the Cartier-Manin matrix of {name} is nonzero"
             raise RuntimeError(f"solution ({u}, {v}) is not superspecial: {msg}")
 

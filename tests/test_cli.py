@@ -168,11 +168,11 @@ def test_ss5_past_the_sweep_bound_exits_2_before_sweeping(monkeypatch, tmp_path,
         raise AssertionError("swept past the bound")
 
     monkeypatch.setattr(search, "_sweep_w_line", refuse)
-    code, _, err = run(capsys, "ss5", "--p", "43787", "--no-cache")
+    code, _, err = run(capsys, "ss5", "--p", "1048583", "--no-cache")
     assert code == 2 and "bound" in err
-    # a range is validated as a whole: 43 691 is in bounds but is not swept
+    # a range is validated as a whole: 1 048 571 is in bounds but is not swept
     code, _, err = run(
-        capsys, "ss5-range", "--from", "43680", "--to", "43800",
+        capsys, "ss5-range", "--from", "1048560", "--to", "1048600",
         "--results-dir", str(tmp_path),
     )
     assert code == 2 and "bound" in err

@@ -7,9 +7,8 @@ import pytest
 from cmrank.cartier import HyperellipticModel, cartier_matrix, is_superspecial
 from cmrank.covers import prank_fiber_product
 from cmrank.ff import field
-from cmrank.poly import EXPANSION_CAP, DensePoly, is_squarefree
+from cmrank.poly import DensePoly, is_squarefree
 from cmrank.search import (
-    SWEEP_MAX_P,
     SweepConfig,
     _classify,
     _monic_tails,
@@ -40,16 +39,7 @@ def test_config_validation():
         SweepConfig(p=11, threads=0)
     with pytest.raises(ValueError):
         SweepConfig(p=1048583)  # prime, 11 mod 12, beyond the kernel bound
-
-
-def test_sweep_bound_is_the_recheck_expansion_bound():
-    # 43 691 is the last prime p = 11 (mod 12) whose degree-6 quotients expand
-    # within EXPANSION_CAP, and 43 787 the next one
-    assert SWEEP_MAX_P == 43691
-    assert 3 * (SWEEP_MAX_P - 1) <= EXPANSION_CAP < 3 * (43787 - 1)
-    SweepConfig(p=43691)
-    with pytest.raises(ValueError, match="bound"):
-        SweepConfig(p=43787)
+    SweepConfig(p=1048571)  # the last such prime within it
 
 
 def test_check_pair_exclusions():
@@ -178,7 +168,9 @@ def test_verify_solution_story_passes_and_fires():
         verify_solution_story(19, 2, 2)
 
 
-def test_recheck_runs_without_recurrence_or_p_rank(monkeypatch):
+def test_recheck_never_expands_or_runs_p_rank(monkeypatch):
+    # every quotient has f(0) != 0, so the recheck takes the recurrence route
+    # and never reaches full expansion, which is refused past EXPANSION_CAP
     from cmrank import cartier, covers
 
     p = 23
@@ -186,9 +178,9 @@ def test_recheck_runs_without_recurrence_or_p_rank(monkeypatch):
     assert len(expected) == 80
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the recheck must not use the recurrence or p_rank")
+        raise AssertionError("the recheck must not expand f^m or run p_rank")
 
-    monkeypatch.setattr(cartier, "_recurrence_block", refuse)
+    monkeypatch.setattr(cartier, "pow_coeffs", refuse)
     monkeypatch.setattr(cartier, "p_rank", refuse)
     monkeypatch.setattr(covers, "p_rank", refuse)
     assert ss5_sweep(SweepConfig(p=p, mode="all")).solutions == expected
