@@ -80,46 +80,49 @@ class CartierData:
 
 
 def _recurrence_block(f: DensePoly, m: int, upto: int) -> list:
-    """Raw coefficients c_0..c_upto of f^m, assuming f(0) != 0 and upto < p."""
+    """Raw coefficients c_0..c_upto of f^m, assuming f(0) != 0 and upto < p.
+
+    k f_0 c_k = sum_{j=1..d} ((m+1) j - k) f_j c_{k-j}, with f_j / f_0 taken
+    once and 1/k from the table inv[k] = -(p // k) inv[p mod k]."""
     ctx = f.ctx
     p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
     d = f.degree
     raw = f.raw()
+    inv = [0, 1]
+    for k in range(2, upto + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    f0_inv = _rinv(p, nu, ext, raw[0])
+    # (weight at k = 0, f_j / f_0) for j = 1..d; c is padded with d zeros
+    # below c_0, so every step runs over all j
+    terms = [((m + 1) * j % p, _rmul(p, nu, ext, raw[j], f0_inv)) for j in range(1, d + 1)]
     if ext == 1:
-        f0 = raw[0]
-        c = [pow(f0, m, p)]
-        f0_inv = pow(f0, p - 2, p)
+        c = [0] * d + [pow(raw[0], m, p)]
         for k in range(1, upto + 1):
+            top = d + k  # c[top - j] is c_{k-j}
             acc = 0
-            for j in range(1, min(d, k) + 1):
-                w = ((m + 1) * j - k) % p
-                if w:
-                    acc += w * raw[j] * c[k - j]
-            c.append(acc % p * pow(k, p - 2, p) % p * f0_inv % p)
-        return c
-    f0 = raw[0]
+            for j, (w0, fj) in enumerate(terms, 1):
+                acc += (w0 - k) * fj * c[top - j]
+            c.append(acc % p * inv[k] % p)
+        return c[d:]
     result = (1, 0)
-    base, e = f0, m
+    base, e = raw[0], m
     while e:
         if e & 1:
             result = _rmul(p, nu, ext, result, base)
         base = _rmul(p, nu, ext, base, base)
         e >>= 1
-    c = [result]
-    f0_inv = _rinv(p, nu, ext, f0)
+    c = [(0, 0)] * d + [result]
     for k in range(1, upto + 1):
+        top = d + k
         a0 = a1 = 0
-        for j in range(1, min(d, k) + 1):
-            w = ((m + 1) * j - k) % p
-            if w:
-                fj = raw[j]
-                ck = c[k - j]
-                a0 += w * (fj[0] * ck[0] + nu * fj[1] * ck[1])
-                a1 += w * (fj[0] * ck[1] + fj[1] * ck[0])
-        kinv = pow(k, p - 2, p)
-        s = (a0 % p * kinv % p, a1 % p * kinv % p)
-        c.append(_rmul(p, nu, ext, s, f0_inv))
-    return c
+        for j, (w0, fj) in enumerate(terms, 1):
+            w = w0 - k
+            ck = c[top - j]
+            a0 += w * (fj[0] * ck[0] + nu * fj[1] * ck[1])
+            a1 += w * (fj[0] * ck[1] + fj[1] * ck[0])
+        kinv = inv[k]
+        c.append((a0 % p * kinv % p, a1 % p * kinv % p))
+    return c[d:]
 
 
 def _raw_to_elem(ctx: FieldCtx, raw) -> FieldElement:
@@ -206,40 +209,41 @@ def matrix_rank(M) -> int:
     return rank
 
 
-def _mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    zero = A[0][0].ctx.zero
+def _raw_mat_mul(p, nu, ext, A, B):
+    """A * B for matrices of raw residues."""
+    cols = list(zip(*B))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_frob(M):
-    return tuple(tuple(x.frobenius() for x in row) for row in M)
+    for row in A:
+        out_row = []
+        for col in cols:
+            terms = [_rmul(p, nu, ext, a, b) for a, b in zip(row, col)]
+            if ext == 1:
+                out_row.append(sum(terms) % p)
+            else:
+                out_row.append((sum(t[0] for t in terms) % p, sum(t[1] for t in terms) % p))
+        out.append(out_row)
+    return out
 
 
 def semilinear_iterate(M) -> tuple:
-    """The product M^(sigma^(g-1)) ... M^(sigma) M for a g x g matrix."""
-    g = len(M)
-    T = M
-    F = M
-    for _ in range(1, g):
-        F = _mat_frob(F)
-        T = _mat_mul(F, T)
-    return T
+    """The product M^(sigma^(g-1)) ... M^(sigma) M for a g x g matrix,
+    formed on raw residues: sigma is the identity over GF(p) and negates the
+    second coordinate over GF(p^2)."""
+    ctx = M[0][0].ctx
+    p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
+    T = F = [[x.coords[0] if ext == 1 else x.coords for x in row] for row in M]
+    for _ in range(1, len(M)):
+        if ext == 2:
+            F = [[(a, -b % p) for a, b in row] for row in F]
+        T = _raw_mat_mul(p, nu, ext, F, T)
+    return tuple(tuple(_raw_to_elem(ctx, x) for x in row) for row in T)
 
 
 # -- the Cartier-Manin matrix ---------------------------------------------------
 
 
-def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData:
+def _matrix_entries(C: HyperellipticModel, strategy: str) -> tuple:
+    """The Cartier-Manin matrix of C and the strategy that read it."""
     ctx = C.ctx
     p = ctx.p
     g = C.genus
@@ -262,8 +266,13 @@ def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData
         tuple(coeffs.get(p * j - i, zero) for j in range(1, g + 1))
         for i in range(1, g + 1)
     )
+    return M, used
+
+
+def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData:
+    M, used = _matrix_entries(C, strategy)
     T = semilinear_iterate(M)
-    return CartierData(M=M, p=p, iterate=T, p_rank=matrix_rank(T), strategy=used)
+    return CartierData(M=M, p=C.ctx.p, iterate=T, p_rank=matrix_rank(T), strategy=used)
 
 
 def p_rank(C: HyperellipticModel) -> int:
@@ -280,9 +289,10 @@ def p_rank(C: HyperellipticModel) -> int:
 
 
 def is_superspecial(C: HyperellipticModel) -> bool:
-    """True iff the Cartier-Manin matrix vanishes identically."""
-    data = cartier_matrix(C)
-    return all(x.is_zero for row in data.M for x in row)
+    """True iff the Cartier-Manin matrix vanishes identically; forms no
+    semilinear iterate and no rank."""
+    M, _ = _matrix_entries(C, "auto")
+    return all(x.is_zero for row in M for x in row)
 
 
 # -- independent zeta-function oracle -------------------------------------------

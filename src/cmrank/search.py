@@ -47,12 +47,20 @@ Cartier operator commutes with the (Z/2)^2 action, so on the regular
 differentials, which split into the pullbacks from the three quotients E_u,
 D_v and the genus-2 curve (Kani-Rosen), it is the direct sum of their
 Cartier operators: the curve is superspecial exactly when the three
-quotient Cartier-Manin matrices vanish.  `cartier.is_superspecial` reads
-each through the scalar recurrence of `cartier`, not the kernel's
-vectorized code, in O(p) per quotient: f(0) != 0 for all three, since
-1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and v^4 + v^2 + 1 != 0
-(p = 2 mod 3), so the recheck never falls back to full expansion, which
-costs O(p^2) and is refused past `poly.EXPANSION_CAP`.
+quotient Cartier-Manin matrices vanish.  Each pair's quotients are formed
+and checked as polynomials (genus total 5, all three squarefree); then all
+entries of all three matrices, of every pair of a prime, are read in
+passes of at most `RECHECK_SLICE` pairs through the same vectorized
+recurrence as the kernel, `_power_coeffs_vec`, five rows per pair: E_u,
+D_v and the genus-2 quotient from their low ends, D_v and the genus-2
+quotient again reversed for the entries near the top.  f(0) != 0 for all
+three, since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and
+v^4 + v^2 + 1 != 0 (p = 2 mod 3), so no row needs full expansion.  The
+recheck thus shares its recurrence code with the kernel; what keeps it
+independent is what it checks -- the pair's own three quotients and every
+matrix entry, with neither the w reduction nor the palindromic a = c = 0
+shortcut -- and the tests, which hold the routine against `cartier`'s
+scalar recurrence and against full expansion (`poly.pow_coeffs`).
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -71,17 +79,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .cartier import HyperellipticModel, is_superspecial, power_coeffs
+from .cartier import HyperellipticModel, power_coeffs
 from .covers import kani_rosen_triple
 from .ff import FieldElement, field, is_prime
 from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 
 EXT_GRID_GUARD = 40000
 ENUM_GUARD = 1_200_000
-# keeps every int64 accumulation in the kernel exact: each recurrence term
-# weight * f_j * c_{k-j} is below p^3 and six are summed, and 6 p^3 < 2^63
-# for p <= 2^20
+# keeps every int64 accumulation of `_power_coeffs_vec` exact: each recurrence
+# term weight * f_j * c_{k-j} is below p^3 and at most six are summed
 SWEEP_MAX_P = 1 << 20
+assert 6 * SWEEP_MAX_P**3 < 1 << 63
+# pairs per pass of the superspecial recheck: a pass holds three quotient
+# polynomials and about 150 int64 values per pair, some 1 MB at 512 pairs
+# whatever p, while mode "all" reports 40 016 pairs at p = 10 007 and
+# 348 832 at p = 43 607.  Larger passes gain little: at p = 10 007 a pass
+# of 1024 pairs is 20 % faster per pair and one of 4096 no faster still
+RECHECK_SLICE = 512
 
 
 @dataclass(frozen=True)
@@ -223,32 +237,72 @@ def _res_quadratics(a2, a1, a0, b2, b1, b0, p):
     return (t1 * t1 - t2 * t3) % p
 
 
-def _recurrence_ends_vec(fs, m: int, p: int, inv_table):
-    """c_{p-2} and c_{p-1} of prod-polynomial powers, vectorized over pairs.
+def _power_coeffs_vec(F, p: int, ks, inv_table):
+    """The coefficients c_k, k in ks, of f^((p-1)/2) for every column f of F.
 
-    fs is the list [f0..f6] of int64 coefficient arrays with f0 nonzero."""
-    f0 = fs[0]
-    c_prev = [None] * 6  # c_{k-1} .. c_{k-6}
-    c0 = _powmod_vec(f0, m, p)
-    inv_f0 = _powmod_vec(f0, p - 2, p)
-    c_prev[0] = c0
-    zeros = np.zeros_like(f0)
-    for j in range(1, 6):
-        c_prev[j] = zeros
-    out_pm2 = None
-    for k in range(1, p):
-        acc = np.zeros_like(f0)
-        for j in range(1, 7):
-            if j > k:
-                break
-            weight = ((m + 1) * j - k) % p
-            if weight:
-                acc += weight * fs[j] * c_prev[j - 1]
-        ck = acc % p * int(inv_table[k]) % p * inv_f0 % p
-        if k == p - 2:
-            out_pm2 = ck
-        c_prev = [ck] + c_prev[:5]
-    return out_pm2, c_prev[0]  # c_{p-2}, c_{p-1}
+    F is a (d+1, n) int64 array of residues mod p with 1 <= d <= 6: column i
+    holds f_0..f_d of one polynomial, zero-padded above its degree.  Every
+    f_0 must be nonzero, every k in ks in 1..p-1, and p at most SWEEP_MAX_P.
+    Returns a (len(ks), n) array.  The recurrence
+
+        k f_0 c_k = sum_{j=1..d} ((m+1) j - k) f_j c_{k-j},   m = (p-1)/2,
+
+    runs for all columns at once, one product and sum per step, and keeps
+    only the window c_{k-d}..c_{k-1}: O(p d n) work in O(d n) memory."""
+    d = F.shape[0] - 1
+    if not 1 <= d <= 6 or p > SWEEP_MAX_P or not all(0 < k < p for k in ks):
+        raise ValueError(f"need 1 <= d <= 6, p <= {SWEEP_MAX_P} and 0 < k < p")
+    f0 = F[0]
+    if not f0.all():
+        # the recurrence divides by f_0: a zero would read every c_k as 0
+        raise ValueError("f(0) = 0 in a column: the recurrence divides by f(0)")
+    m = (p - 1) // 2
+    fs = F[:0:-1] * _powmod_vec(f0, p - 2, p) % p  # f_d .. f_1, each over f_0
+    weights = (m + 1) * np.arange(d, 0, -1, dtype=np.int64)
+    # c_t sits in rows t mod d and t mod d + d, so for r = k mod d the rows
+    # r .. r+d-1 hold c_{k-d} .. c_{k-1}, in the order of fs
+    window = np.zeros((2 * d, F.shape[1]), dtype=np.int64)
+    window[0] = window[d] = _powmod_vec(f0, m, p)
+    out = np.empty((len(ks), F.shape[1]), dtype=np.int64)
+    at = {k: i for i, k in enumerate(ks)}
+    for k in range(1, max(ks) + 1):
+        r = k % d
+        w = (weights - k) * int(inv_table[k]) % p
+        ck = np.einsum("i,in,in->n", w, fs, window[r : r + d]) % p
+        window[r] = window[r + d] = ck
+        if k in at:
+            out[at[k]] = ck
+    return out
+
+
+def _cartier_entries_vec(p: int, polys, inv_table):
+    """Cartier-Manin matrices of y^2 = f for every f in polys, as an
+    (len(polys), 2, 2) int64 array, zero outside a genus-1 matrix.
+
+    Each f lies over GF(p), has degree 4 or 6 and f(0) != 0.  The entries
+    are c_{p-1}, c_{p-2} (first column) and c_{2p-1}, c_{2p-2} (second) of
+    f^((p-1)/2); for degree 6 the second column is c_{p-2}, c_{p-1} of the
+    reverse of f, as in `cartier.power_coeffs`.  So a genus-1 model takes
+    one column of the recurrence and a genus-2 model two."""
+    for f in polys:
+        if f.ctx.ext_degree != 1 or f.degree not in (4, 6):
+            raise ValueError(f"expected degree 4 or 6 over GF({p}), got {f!r}")
+    two = np.array([f.degree == 6 for f in polys])  # genus 2
+    low = np.cumsum(1 + two) - 1 - two  # the column of f; its reverse is next
+    F = np.zeros((int(low[-1] + 1 + two[-1]), 7), dtype=np.int64)
+    for f, col, genus2 in zip(polys, low.tolist(), two.tolist()):
+        raw = f.raw()
+        F[col, : len(raw)] = raw
+        if genus2:
+            F[col + 1] = raw[::-1]
+    pm2, pm1 = _power_coeffs_vec(F.T, p, (p - 2, p - 1), inv_table)
+    out = np.zeros((len(polys), 2, 2), dtype=np.int64)
+    out[:, 0, 0] = pm1[low]
+    rev = low[two] + 1
+    out[two, 1, 0] = pm2[low[two]]
+    out[two, 0, 1] = pm2[rev]
+    out[two, 1, 1] = pm1[rev]
+    return out
 
 
 def _w_line(p: int):
@@ -279,7 +333,6 @@ def _classify(p: int, U, V, inv_table):
     """Classify the pairs (U[i], V[i]) at once.
 
     Returns boolean arrays (excluded_gcd, excluded_singular, solution)."""
-    m = (p - 1) // 2
     a0 = (1 + U * U) % p  # A = a0 x^2 + a1 x + a0
     a1 = 4 * U % p
     # B = (x+v)^4 + (x+v)^2 (vx+1)^2 + (vx+1)^4 is palindromic:
@@ -318,17 +371,14 @@ def _classify(p: int, U, V, inv_table):
         (a1 * b4 + a0 * b3) % p,
         a0 * b4 % p,
     ]
-    # the recurrence divides by f(0) = a0 b0; on the representatives
-    # a0 is 1 or 5 and b0 = v^4 + v^2 + 1 has no root since p = 2 (mod 3)
-    if np.any(live & (f[0] == 0)):
-        raise RuntimeError(f"f(0) = 0 on a w-line representative at p = {p}")
-
     solution = np.zeros_like(live)
     idx = np.flatnonzero(live)
     if idx.size:
         # f is palindromic, so b = c, d = a and the entry equations reduce
-        # to a = c = 0 (module docstring)
-        c, a = _recurrence_ends_vec([fj[idx] for fj in f], m, p, inv_table)
+        # to a = c = 0 (module docstring).  The recurrence divides by
+        # f(0) = a0 b0: on the representatives a0 is 1 or 5 and
+        # b0 = v^4 + v^2 + 1 has no root since p = 2 (mod 3)
+        c, a = _power_coeffs_vec(np.stack(f)[:, idx], p, (p - 2, p - 1), inv_table)
         solution[idx] = (a == 0) & (c == 0)
     return excluded_gcd, excluded_singular, solution
 
@@ -352,19 +402,58 @@ def _sweep_w_line(p: int):
     return counts, solutions
 
 
-def verify_solution_story(p: int, u: int, v: int):
-    """Recheck a reported solution: the genus-5 fiber product is
-    superspecial, so the Cartier-Manin matrices of its quotients E_u, D_v and
-    the genus-2 curve all vanish (module docstring).  They are checked in
-    that order."""
+def verify_solution_story(p: int, u, v):
+    """Recheck reported solutions: each genus-5 fiber product is
+    superspecial, so the Cartier-Manin matrices of its quotients E_u, D_v
+    and the genus-2 curve all vanish (module docstring).
+
+    u and v are ints naming one pair, or equal-length sequences naming the
+    pairs (u[i], v[i]) of one batch.  The error names the first pair that
+    fails and, within it, the first of E_u, D_v and the genus-2 quotient
+    whose matrix does not vanish."""
+    us, vs = np.atleast_1d(u), np.atleast_1d(v)
+    if us.shape != vs.shape:
+        raise ValueError(f"{us.size} values of u but {vs.size} of v")
     ctx = field(p)
+    inv_table = _inverse_table(p)
+    for start in range(0, us.size, RECHECK_SLICE):
+        part = slice(start, start + RECHECK_SLICE)
+        _recheck_slice(ctx, list(zip(us[part].tolist(), vs[part].tolist())), inv_table)
+
+
+_QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
+
+
+def _recheck_slice(ctx, pairs, inv_table):
+    quotients, failure = [], None
+    for u, v in pairs:
+        try:
+            quotients += _pair_quotients(ctx, u, v)
+        except (ValueError, RuntimeError) as err:
+            # raised after the matrices of the pairs before it are checked,
+            # so the first failing pair is named
+            failure = err
+            break
+    if quotients:
+        entries = _cartier_entries_vec(ctx.p, quotients, inv_table)
+        nonzero = entries.reshape(-1, 3, 4).any(axis=2)
+        if nonzero.any():
+            i, q = np.argwhere(nonzero)[0]
+            u, v = pairs[i]
+            msg = f"the Cartier-Manin matrix of {_QUOTIENT_NAMES[q]} is nonzero"
+            raise RuntimeError(f"solution ({u}, {v}) is not superspecial: {msg}")
+    if failure is not None:
+        raise failure
+
+
+def _pair_quotients(ctx, u: int, v: int):
+    """The model polynomials of E_u, D_v and the genus-2 quotient of (u, v),
+    once the genus total is 5 and all three are squarefree."""
     t = kani_rosen_triple(*quotient_polys(ctx.elem(u), ctx.elem(v)))
     if t.genus_total != 5:
         raise RuntimeError(f"solution ({u}, {v}) has genus {t.genus_total}, not 5")
-    for name, f in (("E_u", t.fE), ("D_v", t.f2), ("the genus-2 quotient", t.f3)):
-        if not is_superspecial(HyperellipticModel(ctx, f)):
-            msg = f"the Cartier-Manin matrix of {name} is nonzero"
-            raise RuntimeError(f"solution ({u}, {v}) is not superspecial: {msg}")
+    HyperellipticModel(ctx, t.f3)  # kani_rosen_triple checked E_u and D_v
+    return t.fE, t.f2, t.f3
 
 
 def ss5_sweep(cfg: SweepConfig) -> SearchResult:
@@ -376,8 +465,8 @@ def ss5_sweep(cfg: SweepConfig) -> SearchResult:
     counts, solutions = _sweep_w_line(p)
     if cfg.mode == "first":
         solutions = solutions[:1]
-    for u, v in solutions:
-        verify_solution_story(p, u, v)
+    if solutions:
+        verify_solution_story(p, *zip(*solutions))
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return SearchResult(
         p=p, mode=cfg.mode, solutions=solutions, counts=counts, elapsed_ms=elapsed_ms

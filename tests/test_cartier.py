@@ -259,10 +259,71 @@ def test_prank_invariant_under_galois_conjugation():
         assert p_rank(C) == p_rank(conj)
 
 
+def _mat_mul(A, B):
+    """Matrix product on FieldElements: the oracle of the raw-residue
+    product in `semilinear_iterate`."""
+    n, k, m = len(A), len(B), len(B[0])
+    zero = A[0][0].ctx.zero
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = zero
+            for t in range(k):
+                acc = acc + A[i][t] * B[t][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _mat_frob(M):
+    return tuple(tuple(x.frobenius() for x in row) for row in M)
+
+
+def test_semilinear_iterate_matches_field_element_product():
+    from cmrank.cartier import semilinear_iterate
+
+    rng = random.Random(4242)
+    for p in (3, 7, 1009):
+        for ext in (1, 2):
+            ctx = field(p, ext)
+            for g in range(1, 7):
+                M = tuple(
+                    tuple(
+                        ctx.from_coords([rng.randrange(p) for _ in range(ext)])
+                        for _ in range(g)
+                    )
+                    for _ in range(g)
+                )
+                T = F = M
+                for _ in range(1, g):
+                    F = _mat_frob(F)
+                    T = _mat_mul(F, T)
+                assert semilinear_iterate(M) == T, (p, ext, g)
+
+
+def test_is_superspecial_forms_no_iterate(monkeypatch):
+    from cmrank import cartier
+
+    rng = random.Random(5151)
+    models = [model(19, [-1, 0, 0, 0, 0, 1]), model(3, [-1, 0, 0, 0, 0, 0, 0, 1])]
+    models += [xn_minus_tn(field(p), n, 1) for n in (3, 5, 6) for p in (11, 13, 17, 29)]
+    models += [random_model(rng, field(p, ext), rng.randrange(3, 10))
+               for p in (3, 5, 7) for ext in (1, 2) for _ in range(4)]
+    expected = [all(x.is_zero for row in cartier_matrix(C).M for x in row) for C in models]
+    assert any(expected) and not all(expected)
+
+    def refuse(M):
+        raise AssertionError("is_superspecial must not form the semilinear iterate")
+
+    monkeypatch.setattr(cartier, "semilinear_iterate", refuse)
+    assert [is_superspecial(C) for C in models] == expected
+
+
 def test_iterate_rank_is_stable():
     # the g-fold semilinear product already has the stable rank: twisting
     # further and multiplying again never drops it
-    from cmrank.cartier import _mat_frob, _mat_mul, semilinear_iterate
+    from cmrank.cartier import semilinear_iterate
 
     rng = random.Random(777)
     for _ in range(20):

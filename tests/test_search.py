@@ -2,18 +2,24 @@ import json
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from cmrank import search
 from cmrank.cartier import HyperellipticModel, cartier_matrix, is_superspecial
 from cmrank.covers import prank_fiber_product
-from cmrank.ff import field
-from cmrank.poly import DensePoly, is_squarefree
+from cmrank.ff import field, is_prime
+from cmrank.poly import DensePoly, is_squarefree, pow_coeffs
 from cmrank.search import (
     SweepConfig,
+    _cartier_entries_vec,
     _classify,
     _monic_tails,
     _inverse_table,
     _orbit,
+    _pair_quotients,
+    _power_coeffs_vec,
+    _powmod_vec,
     _sweep_w_line,
     _w_line,
     load_result,
@@ -26,6 +32,8 @@ from cmrank.search import (
     sweep_with_cache,
     verify_solution_story,
 )
+
+from helpers import random_squarefree
 
 
 def test_config_validation():
@@ -184,6 +192,159 @@ def test_recheck_never_expands_or_runs_p_rank(monkeypatch):
     monkeypatch.setattr(cartier, "p_rank", refuse)
     monkeypatch.setattr(covers, "p_rank", refuse)
     assert ss5_sweep(SweepConfig(p=p, mode="all")).solutions == expected
+
+
+def _recurrence_ends_vec(fs, m: int, p: int, inv_table):
+    """c_{p-2} and c_{p-1} of f^m for the columns f_0..f_6 in fs, one term
+    at a time: the oracle of `_power_coeffs_vec`."""
+    f0 = fs[0]
+    c_prev = [None] * 6  # c_{k-1} .. c_{k-6}
+    c0 = _powmod_vec(f0, m, p)
+    inv_f0 = _powmod_vec(f0, p - 2, p)
+    c_prev[0] = c0
+    zeros = np.zeros_like(f0)
+    for j in range(1, 6):
+        c_prev[j] = zeros
+    out_pm2 = None
+    for k in range(1, p):
+        acc = np.zeros_like(f0)
+        for j in range(1, 7):
+            if j > k:
+                break
+            weight = ((m + 1) * j - k) % p
+            if weight:
+                acc += weight * fs[j] * c_prev[j - 1]
+        ck = acc % p * int(inv_table[k]) % p * inv_f0 % p
+        if k == p - 2:
+            out_pm2 = ck
+        c_prev = [ck] + c_prev[:5]
+    return out_pm2, c_prev[0]
+
+
+def test_kernel_recurrence_matches_per_term_oracle(monkeypatch):
+    # every census prime below 500: the kernel's (c_{p-2}, c_{p-1}) on the w
+    # line equal those of the per-term recurrence
+    seen = []
+
+    def spy(F, p, ks, inv_table):
+        out = _power_coeffs_vec(F, p, ks, inv_table)
+        seen.append((F, p, ks, inv_table, out))
+        return out
+
+    monkeypatch.setattr(search, "_power_coeffs_vec", spy)
+    primes = [p for p in range(11, 500, 12) if is_prime(p)]
+    assert len(primes) == 25
+    for p in primes:
+        ws, us, vs = _w_line(p)
+        _classify(p, us, vs, _inverse_table(p))
+    assert [call[1] for call in seen] == primes
+    for F, p, ks, inv_table, out in seen:
+        assert ks == (p - 2, p - 1) and F.shape[0] == 7
+        c, a = _recurrence_ends_vec(list(F), (p - 1) // 2, p, inv_table)
+        assert (out[0] == c).all() and (out[1] == a).all(), p
+
+
+def _raw_matrix(M):
+    return [[x.coords[0] for x in row] for row in M]
+
+
+def test_batched_entries_match_scalar_route_and_expansion():
+    # the three quotients of every solution for p = 11 (mod 12) up to 71, of
+    # sampled non-solutions, and random models of degree 4 and 6
+    rng = random.Random(9090)
+    for p in (11, 23, 47, 59, 71):
+        ctx = field(p)
+        m = (p - 1) // 2
+        pairs = _sweep_w_line(p)[1]
+        grid = [x for x in range(p) if x not in (1, p - 1)]
+        non_solutions = 0
+        while non_solutions < 10:
+            u, v = rng.choice(grid), rng.choice(grid)
+            if ss5_check_pair(p, ctx.elem(u), ctx.elem(v)).status == "not_solution":
+                pairs.append((u, v))
+                non_solutions += 1
+        polys = [f for u, v in pairs for f in _pair_quotients(ctx, u, v)]
+        for deg in (4, 6):
+            polys += [random_squarefree(rng, ctx, deg, nonzero_const=True) for _ in range(6)]
+        entries = _cartier_entries_vec(p, polys, _inverse_table(p))
+        assert entries.shape == (len(polys), 2, 2)
+        for f, got in zip(polys, entries.tolist()):
+            M = _raw_matrix(cartier_matrix(HyperellipticModel(ctx, f)).M)
+            g = len(M)
+            assert [row[:g] for row in got[:g]] == M, (p, f)
+            assert not any(got[i][j] for i in range(2) for j in range(2) if max(i, j) >= g)
+            ks = [p * j - i for i in range(1, g + 1) for j in range(1, g + 1)]
+            full = pow_coeffs(f, m, ks)
+            assert [full[k].coords[0] for k in ks] == [x for row in M for x in row]
+        by_pair = entries[: 3 * len(pairs)].reshape(len(pairs), 3, 4)
+        assert not by_pair[:-10].any()
+        assert by_pair[-10:, 2].any(axis=1).all()  # the genus-2 quotient fails
+    with pytest.raises(ValueError, match="degree 4 or 6"):
+        _cartier_entries_vec(p, [random_squarefree(rng, ctx, 5, nonzero_const=True)], None)
+
+
+def test_vectorized_recurrence_refuses_zero_constant():
+    p = 23
+    F = np.array([[1, 3, 0], [2, 2, 2], [1, 0, 5]], dtype=np.int64)  # f_0 = 0 in column 2
+    with pytest.raises(ValueError, match="f\\(0\\) = 0"):
+        _power_coeffs_vec(F, p, (p - 2, p - 1), _inverse_table(p))
+    # without the zero column the same rows run
+    assert _power_coeffs_vec(F[:, :2], p, (p - 2, p - 1), _inverse_table(p)).shape == (2, 2)
+
+
+def test_recheck_batch_names_the_first_failing_pair():
+    p = 23
+    ctx = field(p)
+    solutions = _sweep_w_line(p)[1]
+    grid = [(u, v) for u in range(2, p - 1) for v in range(2, p - 1)]
+    gcd_pair = next(
+        (u, v) for u, v in grid
+        if ss5_check_pair(p, ctx.elem(u), ctx.elem(v)).reason == "gcd"
+    )
+
+    def recheck(pairs):
+        us, vs = zip(*pairs)
+        verify_solution_story(p, us, vs)
+
+    recheck(solutions)
+    batch = solutions[:40] + [(4, 18)] + solutions[40:]
+    with pytest.raises(RuntimeError, match=r"\(4, 18\) is not superspecial: .* genus-2 quotient"):
+        recheck(batch)
+    # a later failure of any kind does not hide an earlier one
+    with pytest.raises(RuntimeError, match=r"\(4, 18\)"):
+        recheck(solutions[:5] + [(4, 18)] + solutions[5:9] + [gcd_pair])
+    u, v = gcd_pair
+    with pytest.raises(RuntimeError, match=rf"\({u}, {v}\) has genus"):
+        recheck(solutions[:5] + [gcd_pair] + [(4, 18)])
+
+
+def test_recheck_slices_match_unsliced(monkeypatch):
+    p = 47
+    solutions = _sweep_w_line(p)[1]
+    us, vs = zip(*solutions)
+    passes = []
+
+    def spy(*args):
+        out = _cartier_entries_vec(*args)
+        passes.append(out)
+        return out
+
+    monkeypatch.setattr(search, "_cartier_entries_vec", spy)
+    verify_solution_story(p, us, vs)
+    assert len(passes) == 1
+    unsliced = passes.pop()
+    monkeypatch.setattr(search, "RECHECK_SLICE", 7)
+    verify_solution_story(p, us, vs)
+    assert len(passes) == -(-len(solutions) // 7) > 2
+    assert (np.concatenate(passes) == unsliced).all()
+    # a non-solution in the third slice is still named
+    bad = (list(us[:15]) + [4] + list(us[15:]), list(vs[:15]) + [18] + list(vs[15:]))
+    ctx = field(p)
+    assert ss5_check_pair(p, ctx.elem(4), ctx.elem(18)).status == "not_solution"
+    for size in (7, search.RECHECK_SLICE):
+        monkeypatch.setattr(search, "RECHECK_SLICE", size)
+        with pytest.raises(RuntimeError, match=r"\(4, 18\) is not superspecial"):
+            verify_solution_story(p, *bad)
 
 
 def test_sweep_p11_solutions_sound():
