@@ -19,6 +19,13 @@ quadratic cost is bounded by refusing powers of degree m*deg(f) above
 is built.  Genus >= 3 models reach it from p ~ 37 000 (degree 7) or
 p ~ 18 700 (degree 14), since their middle entries are out of the
 recurrence's reach.
+
+The recurrence here (`_recurrence_block`) is the scalar one: it serves a
+single model, of any degree, over GF(p) or GF(p^2); `search._power_coeffs_vec`
+is its vectorized twin for batches of GF(p) models of degree at most 6.
+It runs up to p steps and keeps about p values, so it is refused past
+`RECURRENCE_CAP` steps: a query that would need more falls back to full
+expansion under "auto", where `EXPANSION_CAP` refuses it (CLI exit 2).
 """
 
 from __future__ import annotations
@@ -32,10 +39,26 @@ from .poly import DensePoly, _rinv, _rmul, is_squarefree, pow_coeffs
 
 ORACLE_MAX_GENUS = 3
 ORACLE_MAX_P = 31
+# cost guard of `_recurrence_block`, the partner of `poly.EXPANSION_CAP`: a
+# query of k steps builds two Python lists of k + 1 entries (the inverse
+# table and the coefficients).  For genus 2 at p = 1 048 573, on a 2-core
+# Xeon VM: 3.5 s and 157 MB peak over GF(p), 6.3 s and 285 MB over GF(p^2).
+# Unbounded, a query near the field bound p < 2^31 takes 2^11 times that:
+# hours, and hundreds of GB
+RECURRENCE_CAP = 1 << 20
 
 
 class RecurrenceUnavailable(ValueError):
     """Raised when the recurrence route cannot produce a requested index."""
+
+
+class Coefficients(dict):
+    """Coefficients of f^m by index, as `power_coeffs` returns them, with the
+    route that read them: strategy is "naive" or "recurrence"."""
+
+    def __init__(self, values: dict, strategy: str):
+        super().__init__(values)
+        self.strategy = strategy
 
 
 class HyperellipticModel:
@@ -129,12 +152,31 @@ def _raw_to_elem(ctx: FieldCtx, raw) -> FieldElement:
     return ctx.from_coords((raw,) if ctx.ext_degree == 1 else raw)
 
 
-def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> dict:
+def _recurrence_obstacle(f: DensePoly, m: int, indices) -> str | None:
+    """Why the recurrence cannot read these coefficients of f^m, or None when
+    it can: f(0) != 0, every index within p of an end of [0, m*deg(f)] and at
+    most RECURRENCE_CAP steps from it."""
+    p = f.ctx.p
+    top = m * f.degree
+    unreachable = [k for k in indices if k >= p and top - k >= p]
+    if unreachable:
+        return f"indices {unreachable} are not within p of either end"
+    if f.coeff(0).is_zero:
+        return "f(0) = 0"
+    steps = max(k if k < p else top - k for k in indices)
+    if steps > RECURRENCE_CAP:
+        return f"{steps} recurrence steps exceed the cost guard {RECURRENCE_CAP}"
+    return None
+
+
+def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coefficients:
     """Exact coefficients of f^m at the requested indices.
 
     strategy "recurrence" requires f(0) != 0 and every index within p of an
-    end of the range [0, m*deg(f)]; "auto" uses the recurrence when those
-    preconditions hold and falls back to full expansion otherwise.
+    end of the range [0, m*deg(f)], at most RECURRENCE_CAP steps from it;
+    "auto" uses the recurrence when those preconditions hold and falls back
+    to full expansion otherwise.  The result's strategy names the route
+    taken.
     """
     if strategy not in ("naive", "recurrence", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -146,24 +188,19 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> dict:
         if k < 0 or k > top:
             raise IndexError(f"index {k} out of range [0, {top}]")
     if not indices:
-        return {}
+        return Coefficients({}, "naive")
     if strategy == "naive" or m == 0 or f.degree < 1:
-        return pow_coeffs(f, m, indices)
+        return Coefficients(pow_coeffs(f, m, indices), "naive")
+    obstacle = _recurrence_obstacle(f, m, indices)
+    if obstacle is not None:
+        if strategy == "recurrence":
+            raise RecurrenceUnavailable(obstacle)
+        return Coefficients(pow_coeffs(f, m, indices), "naive")
 
     ctx = f.ctx
     p = ctx.p
     forward = [k for k in indices if k < p]
-    backward = [k for k in indices if k >= p and top - k < p]
-    unreachable = [k for k in indices if k >= p and top - k >= p]
-    if unreachable or f.coeff(0).is_zero:
-        if strategy == "recurrence":
-            if unreachable:
-                raise RecurrenceUnavailable(
-                    f"indices {unreachable} are not within p of either end"
-                )
-            raise RecurrenceUnavailable("f(0) = 0")
-        return pow_coeffs(f, m, indices)
-
+    backward = [k for k in indices if k >= p]
     out = {}
     if forward:
         block = _recurrence_block(f, m, max(forward))
@@ -173,7 +210,7 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> dict:
         block = _recurrence_block(f.reverse(), m, max(top - k for k in backward))
         for k in backward:
             out[k] = _raw_to_elem(ctx, block[top - k])
-    return out
+    return Coefficients(out, "recurrence")
 
 
 # -- exact linear algebra over the scalar field ---------------------------------
@@ -251,22 +288,13 @@ def _matrix_entries(C: HyperellipticModel, strategy: str) -> tuple:
     top = m * C.f.degree
     wanted = [p * j - i for j in range(1, g + 1) for i in range(1, g + 1)]
     in_range = {k for k in wanted if 0 <= k <= top}
-    used = strategy
-    if strategy == "auto":
-        try:
-            coeffs = power_coeffs(C.f, m, in_range, "recurrence")
-            used = "recurrence"
-        except RecurrenceUnavailable:
-            coeffs = power_coeffs(C.f, m, in_range, "naive")
-            used = "naive"
-    else:
-        coeffs = power_coeffs(C.f, m, in_range, strategy)
+    coeffs = power_coeffs(C.f, m, in_range, strategy)
     zero = ctx.zero
     M = tuple(
         tuple(coeffs.get(p * j - i, zero) for j in range(1, g + 1))
         for i in range(1, g + 1)
     )
-    return M, used
+    return M, coeffs.strategy
 
 
 def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData:

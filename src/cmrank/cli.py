@@ -60,6 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ss5 = sub.add_parser("ss5", help="genus-5 superspecial sweep for one prime")
     p_ss5.add_argument("--p", type=int, required=True)
     p_ss5.add_argument("--mode", default="first", choices=("first", "all"))
+    # accepted and ignored, as is SweepConfig.threads: the sweep runs in one
+    # thread, and the benchmark's workloads still pass --threads 1
     p_ss5.add_argument("--threads", type=int, default=1)
     p_ss5.add_argument("--results-dir", default="results")
     p_ss5.add_argument("--no-cache", action="store_true", help="do not persist the result")
@@ -73,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_range.add_argument("--from", dest="start", type=int, required=True)
     p_range.add_argument("--to", dest="stop", type=int, required=True, help="exclusive bound")
     p_range.add_argument("--mode", default="first", choices=("first", "all"))
-    p_range.add_argument("--threads", type=int, default=1)
     p_range.add_argument("--force", action="store_true", help="recompute cached primes")
     p_range.add_argument("--results-dir", default="results")
 
@@ -100,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="re-run a named verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--format", default="json", choices=("json", "table"))
 
     return ap
@@ -164,7 +164,7 @@ def _cmd_ss5_range(args) -> int:
     # every prime is validated before the first one is swept; SweepConfig
     # raises at the first prime past the bound, ending the scan there
     cfgs = [
-        SweepConfig(p=p, mode=args.mode, threads=args.threads)
+        SweepConfig(p=p, mode=args.mode)
         for p in range(args.start, args.stop)
         if p % 12 == 11 and is_prime(p)
     ]
@@ -231,7 +231,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, seed=args.seed, threads=args.threads)
+    report = run_suite(args.suite, seed=args.seed)
     if args.format == "table":
         reports = report.get("reports", [report])
         for r in reports:

@@ -2,27 +2,51 @@
 genus-2 enumeration.
 
 The sweep fixes p = 11 (mod 12) and scans pairs (u, v) over GF(p) - {1, -1}.
-The two covers are the Moebius transports of y^2 = x^4 - 1 and z^2 = x^6 - 1
-under x -> (x+u)/(ux+1) and x -> (x+v)/(vx+1), so both stay superspecial;
-their fiber product is a genus-5 curve whose remaining quotient is the
-genus-2 model w^2 = f with
+The family is defined once, by the quadratic factors of its two base
+polynomials,
 
-    f = ((x+u)^2 + (ux+1)^2) * ((x+v)^4 + (x+v)^2 (vx+1)^2 + (vx+1)^4),
+    x^4 - 1 = (x^2 - 1)(x^2 + 1),
+    x^6 - 1 = (x^2 - 1)(x^2 + x + 1)(x^2 - x + 1),
 
-the transports of the cofactors x^2 + 1 and x^4 + x^2 + 1.  That quotient
-has p-rank 0 exactly when the three entry equations
+and their transports under the Moebius map M_u: x -> (x+u)/(ux+1).  Clearing
+denominators, M_u carries a quadratic a x^2 + c x + b to
+
+    T(a x^2 + c x + b; u) = a (x+u)^2 + c (x+u)(ux+1) + b (ux+1)^2,
+
+whose coefficients, low to high, are
+
+    [a u^2 + c u + b,   2 (a+b) u + c (1+u^2),   a + c u + b u^2]
+
+(`_transport`).  With A = T(x^2 + 1; u) and
+B = T(x^2 + x + 1; v) T(x^2 - x + 1; v), the two covers are
+E_u: y^2 = T(x^2 - 1; u) A and D_v: z^2 = T(x^2 - 1; v) B, the transports of
+y^2 = x^4 - 1 and z^2 = x^6 - 1, so both stay superspecial; their fiber
+product is a genus-5 curve whose remaining quotient is the genus-2 model
+w^2 = f with f = A B.  That quotient has p-rank 0 exactly when the three
+entry equations
 
     a*d - b*c = 0,   a*b^(p-1) + d^p = 0,   a^p + c^(p-1)*d = 0
 
 hold for a = c_{p-1}, b = c_{2p-1}, c = c_{p-2}, d = c_{2p-2}, the
 coefficients of f^((p-1)/2) forming the 2x2 Cartier-Manin matrix.
 
-A and B are palindromic, so f and f^((p-1)/2) are too: c_k = c_{3(p-1)-k},
-hence b = c and d = a.  The equations become a^2 = c^2 and a c^(p-1) + a^p = 0
-(twice).  Over GF(p), a^p = a; if c != 0 then c^(p-1) = 1, the second reads
-2a = 0, and the first forces c = 0, a contradiction.  So c = 0, and then
-a = 0: the genus-2 quotient has p-rank 0 exactly when its Cartier-Manin
-matrix vanishes, a = c = 0.
+The kernel (`_classify`), the scalar oracle (`ss5_check_pair`, through
+`_pair_polys`) and the superspecial recheck (`_quotient_rows`) all build the
+family from `_transport`: on FieldElements over GF(p) or GF(p^2) for the
+oracle, on int64 arrays mod p for the kernel and the recheck.  So they share the family's closed form; the tests pin it
+against the explicit Moebius transports, kept there as the oracle.  What
+stays independent of the kernel is its own logic: the resultant
+exclusions, the w reduction, the palindromic shortcut and the recurrence.
+
+A palindromic quadratic a x^2 + c x + a stays palindromic under M_u: both
+ends of its transport are a u^2 + c u + a.  The three factors of f are
+transports of the palindromic x^2 + 1 and x^2 +- x + 1, so f is palindromic,
+and so is f^((p-1)/2): c_k = c_{3(p-1)-k}, hence b = c and d = a.  The
+equations become a^2 = c^2 and a c^(p-1) + a^p = 0 (twice).  Over GF(p),
+a^p = a; if c != 0 then c^(p-1) = 1, the second reads 2a = 0, and the first
+forces c = 0, a contradiction.  So c = 0, and then a = 0: the genus-2
+quotient has p-rank 0 exactly when its Cartier-Manin matrix vanishes,
+a = c = 0.
 
 The maps M_u: x -> (x+u)/(ux+1) fix +-1 and compose as M_a M_b = M_c with
 c = (a+b)/(1+ab).  Substituting x -> M_u(x) therefore carries the pair
@@ -47,20 +71,22 @@ Cartier operator commutes with the (Z/2)^2 action, so on the regular
 differentials, which split into the pullbacks from the three quotients E_u,
 D_v and the genus-2 curve (Kani-Rosen), it is the direct sum of their
 Cartier operators: the curve is superspecial exactly when the three
-quotient Cartier-Manin matrices vanish.  Each pair's quotients are formed
-and checked as polynomials (genus total 5, all three squarefree); then all
-entries of all three matrices, of every pair of a prime, are read in
-passes of at most `RECHECK_SLICE` pairs through the same vectorized
-recurrence as the kernel, `_power_coeffs_vec`, five rows per pair: E_u,
-D_v and the genus-2 quotient from their low ends, D_v and the genus-2
-quotient again reversed for the entries near the top.  f(0) != 0 for all
-three, since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and
+quotient Cartier-Manin matrices vanish.  The coefficients of E_u and D_v
+are built for a whole slice of pairs at once on int64 arrays; each pair's
+quotients are then formed and checked as polynomials (genus total 5, all
+three squarefree), and all entries of all three matrices, of every pair of
+a prime, are read in passes of at most `RECHECK_SLICE` pairs through the
+same vectorized recurrence as the kernel, `_power_coeffs_vec`, five rows
+per pair: E_u, D_v and the genus-2 quotient from their low ends, D_v and
+the genus-2 quotient again reversed for the entries near the top.  f(0) != 0
+for all three, since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and
 v^4 + v^2 + 1 != 0 (p = 2 mod 3), so no row needs full expansion.  The
-recheck thus shares its recurrence code with the kernel; what keeps it
-independent is what it checks -- the pair's own three quotients and every
-matrix entry, with neither the w reduction nor the palindromic a = c = 0
-shortcut -- and the tests, which hold the routine against `cartier`'s
-scalar recurrence and against full expansion (`poly.pow_coeffs`).
+recheck thus shares its recurrence code and the family's closed form with
+the kernel; what keeps it independent is what it checks -- the pair's own
+three quotients and every matrix entry, with neither the w reduction nor
+the palindromic a = c = 0 shortcut -- and the tests, which hold the routine
+against `cartier`'s scalar recurrence and against full expansion
+(`poly.pow_coeffs`).
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -87,7 +113,8 @@ from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 EXT_GRID_GUARD = 40000
 ENUM_GUARD = 1_200_000
 # keeps every int64 accumulation of `_power_coeffs_vec` exact: each recurrence
-# term weight * f_j * c_{k-j} is below p^3 and at most six are summed
+# term weight * f_j * c_{k-j} is below p^3 and at most six are summed; the
+# family's rows stay below 2^42 (`_transport`) and 3 p^2 (`_rows_mul`)
 SWEEP_MAX_P = 1 << 20
 assert 6 * SWEEP_MAX_P**3 < 1 << 63
 # pairs per pass of the superspecial recheck: a pass holds three quotient
@@ -102,7 +129,9 @@ RECHECK_SLICE = 512
 class SweepConfig:
     p: int
     mode: str = "first"
-    threads: int = 1  # accepted and validated; the w-line sweep is single-threaded
+    # accepted and validated, then ignored: the w-line sweep runs in one
+    # thread, and the benchmark's workloads still pass threads=1
+    threads: int = 1
 
     def __post_init__(self):
         if not is_prime(self.p) or self.p % 12 != 11:
@@ -150,30 +179,61 @@ class CheckResult:
     entries: tuple | None = None  # (a, b, c, d) when computed
 
 
-def _pair_polys(u: FieldElement, v: FieldElement):
-    """The quadratic A = (x+u)^2 + (ux+1)^2 and the sextic-cofactor quartic
-    B = (x+v)^4 + (x+v)^2 (vx+1)^2 + (vx+1)^4, the Moebius transports of
-    x^2 + 1 and x^4 + x^2 + 1."""
+# -- the family: quadratic factors a x^2 + c x + b, as (a, c, b) -------------------
+
+_X2_MINUS_1 = (1, 0, -1)  # in both x^4 - 1 and x^6 - 1
+_A_FACTOR = (1, 0, 1)  # x^4 - 1 = (x^2 - 1)(x^2 + 1)
+_B_FACTORS = ((1, 1, 1), (1, -1, 1))  # x^6 - 1 = (x^2 - 1)(x^2 + x + 1)(x^2 - x + 1)
+
+
+def _transport(a, c, b, u):
+    """Coefficients, low to high, of T(a x^2 + c x + b; u) =
+    a (x+u)^2 + c (x+u)(ux+1) + b (ux+1)^2.
+
+    a, c, b and u are FieldElements of one field, GF(p) or GF(p^2); or a, c, b
+    are ints and u an int64 array of residues mod p < 2^20, whose rows come
+    back unreduced, below 2^42."""
+    uu = u * u
+    return [a * uu + c * u + b, (a + b) * (u + u) + c * uu + c, a + c * u + b * uu]
+
+
+def _transport_poly(quad, u: FieldElement) -> DensePoly:
     ctx = u.ctx
-    one = DensePoly.one(ctx)
-    x = DensePoly.x(ctx)
-    xu = x + DensePoly.from_elements(ctx, [u])
-    ux1 = x.scale(u) + one
-    xv = x + DensePoly.from_elements(ctx, [v])
-    vx1 = x.scale(v) + one
-    a = xu * xu + ux1 * ux1
-    b = xv**4 + (xv * vx1) ** 2 + vx1**4
-    return a, b
+    return DensePoly.from_elements(ctx, _transport(*map(ctx.elem, quad), u))
 
 
-def quotient_polys(u: FieldElement, v: FieldElement):
-    """Model polynomials of the two covers E_u, D_v whose fiber product the
-    sweep studies: A * ((x+u)^2 - (ux+1)^2) and B * ((x+v)^2 - (vx+1)^2),
-    where (x+u)^2 - (ux+1)^2 = (1-u^2)(x^2-1)."""
-    a, b = _pair_polys(u, v)
-    x2m1 = DensePoly.from_ints(u.ctx, [-1, 0, 1])
-    one = u.ctx.one
-    return a * x2m1.scale(one - u * u), b * x2m1.scale(one - v * v)
+def _transport_rows(quad, U, p: int):
+    return [t % p for t in _transport(*quad, U)]
+
+
+def _rows_mul(f, g, p: int):
+    """The product of two polynomials given as coefficient rows mod p < 2^20,
+    low to high: each row holds one coefficient of many polynomials.
+    Returns an int64 array of rows."""
+    f = np.stack(f)
+    out = np.zeros((len(f) + len(g) - 1, f.shape[1]), dtype=np.int64)
+    for j, gj in enumerate(g):
+        out[j : j + len(f)] += f * gj
+    return out % p
+
+
+def _pair_polys(u: FieldElement, v: FieldElement):
+    """A = T(x^2 + 1; u) and B = T(x^2 + x + 1; v) T(x^2 - x + 1; v), the
+    genus-2 quotient's factors."""
+    b1, b2 = (_transport_poly(q, v) for q in _B_FACTORS)
+    return _transport_poly(_A_FACTOR, u), b1 * b2
+
+
+def _quotient_rows(U, V, p: int):
+    """The coefficients of the two covers whose fiber product the sweep
+    studies, E_u: T(x^2 - 1; u) A and D_v: T(x^2 - 1; v) B, for every pair
+    (U[i], V[i]) of residues mod p, as (5, n) and (7, n) int64 arrays, low
+    to high."""
+    a = _transport_rows(_A_FACTOR, U, p)
+    b = _rows_mul(*(_transport_rows(q, V, p) for q in _B_FACTORS), p)
+    e_u = _rows_mul(a, _transport_rows(_X2_MINUS_1, U, p), p)
+    d_v = _rows_mul(b, _transport_rows(_X2_MINUS_1, V, p), p)
+    return e_u, d_v
 
 
 def ss5_check_pair(
@@ -229,11 +289,12 @@ def _inverse_table(p: int):
     return inv
 
 
-def _res_quadratics(a2, a1, a0, b2, b1, b0, p):
-    """Resultant of a2 x^2 + a1 x + a0 and b2 x^2 + b1 x + b0, vectorized."""
-    t1 = (a2 * b0 - a0 * b2) % p
-    t2 = (a2 * b1 - a1 * b2) % p
-    t3 = (a1 * b0 - a0 * b1) % p
+def _res_quadratics(f, g, p):
+    """Resultant of the quadratics with coefficient rows f and g, low to high,
+    vectorized."""
+    t1 = (f[2] * g[0] - f[0] * g[2]) % p
+    t2 = (f[2] * g[1] - f[1] * g[2]) % p
+    t3 = (f[1] * g[0] - f[0] * g[1]) % p
     return (t1 * t1 - t2 * t3) % p
 
 
@@ -333,52 +394,27 @@ def _classify(p: int, U, V, inv_table):
     """Classify the pairs (U[i], V[i]) at once.
 
     Returns boolean arrays (excluded_gcd, excluded_singular, solution)."""
-    a0 = (1 + U * U) % p  # A = a0 x^2 + a1 x + a0
-    a1 = 4 * U % p
-    # B = (x+v)^4 + (x+v)^2 (vx+1)^2 + (vx+1)^4 is palindromic:
-    al = (1 + V * V) % p
-    b0 = (al * al - V * V) % p  # = v^4 + v^2 + 1
-    b1 = 6 * V % p * al % p
-    b2 = (V * V % p * V % p * V + 16 * V * V + 1) % p
-    b3 = b1
-    b4 = b0
-
-    # writing B = (S+T)(S-T) with S, T the transports of x^2+1 and x,
-    # gcd(A, B) != 1 iff A shares a root with S+T or S-T
-    sp2 = (V * V + V + 1) % p
-    sp1 = (V * V + 4 * V + 1) % p
-    sm2 = (V * V - V + 1) % p
-    sm1 = (4 * V - V * V - 1) % p
-    res1 = _res_quadratics(a0, a1, a0, sp2, sp1, sp2, p)
-    res2 = _res_quadratics(a0, a1, a0, sm2, sm1, sm2, p)
-    excluded_gcd = (res1 == 0) | (res2 == 0)
+    A = _transport_rows(_A_FACTOR, U, p)
+    B1, B2 = (_transport_rows(q, V, p) for q in _B_FACTORS)
+    # gcd(A, B) != 1 iff A shares a root with a factor of B
+    excluded_gcd = (_res_quadratics(A, B1, p) == 0) | (_res_quadratics(A, B2, p) == 0)
 
     # with gcd(A, B) = 1, f = A*B is squarefree iff A and B are; on this
     # grid B is always squarefree (p > 3) and A is squarefree iff u != +-1,
     # which the grid already excludes -- recorded anyway for honesty
-    disc_a = (U * U - 1) % p
+    disc_a = (A[1] * A[1] - 4 * A[0] * A[2]) % p
     excluded_singular = (~excluded_gcd) & (disc_a == 0)
 
     live = ~(excluded_gcd | excluded_singular)
-
-    # f = A * B, coefficients f0..f6
-    f = [
-        a0 * b0 % p,
-        (a0 * b1 + a1 * b0) % p,
-        (a0 * b2 + a1 * b1 + a0 * b0) % p,
-        (a0 * b3 + a1 * b2 + a0 * b1) % p,
-        (a0 * b4 + a1 * b3 + a0 * b2) % p,
-        (a1 * b4 + a0 * b3) % p,
-        a0 * b4 % p,
-    ]
+    f = _rows_mul(_rows_mul(B1, B2, p), A, p)
     solution = np.zeros_like(live)
     idx = np.flatnonzero(live)
     if idx.size:
         # f is palindromic, so b = c, d = a and the entry equations reduce
         # to a = c = 0 (module docstring).  The recurrence divides by
-        # f(0) = a0 b0: on the representatives a0 is 1 or 5 and
-        # b0 = v^4 + v^2 + 1 has no root since p = 2 (mod 3)
-        c, a = _power_coeffs_vec(np.stack(f)[:, idx], p, (p - 2, p - 1), inv_table)
+        # f(0) = A(0) B(0): on the representatives A(0) = 1 + u^2 is 1 or 5
+        # and B(0) = v^4 + v^2 + 1 has no root since p = 2 (mod 3)
+        c, a = _power_coeffs_vec(f[:, idx], p, (p - 2, p - 1), inv_table)
         solution[idx] = (a == 0) & (c == 0)
     return excluded_gcd, excluded_singular, solution
 
@@ -414,21 +450,25 @@ def verify_solution_story(p: int, u, v):
     us, vs = np.atleast_1d(u), np.atleast_1d(v)
     if us.shape != vs.shape:
         raise ValueError(f"{us.size} values of u but {vs.size} of v")
+    if p > SWEEP_MAX_P:
+        raise ValueError(f"p = {p} exceeds the kernel bound {SWEEP_MAX_P}")
     ctx = field(p)
     inv_table = _inverse_table(p)
     for start in range(0, us.size, RECHECK_SLICE):
         part = slice(start, start + RECHECK_SLICE)
-        _recheck_slice(ctx, list(zip(us[part].tolist(), vs[part].tolist())), inv_table)
+        _recheck_slice(ctx, us[part], vs[part], inv_table)
 
 
 _QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
 
 
-def _recheck_slice(ctx, pairs, inv_table):
+def _recheck_slice(ctx, us, vs, inv_table):
+    pairs = list(zip(us.tolist(), vs.tolist()))
+    e_rows, d_rows = _quotient_rows(us % ctx.p, vs % ctx.p, ctx.p)
     quotients, failure = [], None
-    for u, v in pairs:
+    for (u, v), e_u, d_v in zip(pairs, e_rows.T.tolist(), d_rows.T.tolist()):
         try:
-            quotients += _pair_quotients(ctx, u, v)
+            quotients += _pair_quotients(u, v, DensePoly(ctx, e_u), DensePoly(ctx, d_v))
         except (ValueError, RuntimeError) as err:
             # raised after the matrices of the pairs before it are checked,
             # so the first failing pair is named
@@ -446,13 +486,14 @@ def _recheck_slice(ctx, pairs, inv_table):
         raise failure
 
 
-def _pair_quotients(ctx, u: int, v: int):
+def _pair_quotients(u: int, v: int, f_eu: DensePoly, f_dv: DensePoly):
     """The model polynomials of E_u, D_v and the genus-2 quotient of (u, v),
-    once the genus total is 5 and all three are squarefree."""
-    t = kani_rosen_triple(*quotient_polys(ctx.elem(u), ctx.elem(v)))
+    given those of E_u and D_v, once the genus total is 5 and all three are
+    squarefree."""
+    t = kani_rosen_triple(f_eu, f_dv)
     if t.genus_total != 5:
         raise RuntimeError(f"solution ({u}, {v}) has genus {t.genus_total}, not 5")
-    HyperellipticModel(ctx, t.f3)  # kani_rosen_triple checked E_u and D_v
+    HyperellipticModel(t.f3.ctx, t.f3)  # kani_rosen_triple checked E_u and D_v
     return t.fE, t.f2, t.f3
 
 

@@ -91,7 +91,7 @@ class _Report:
 
 
 @_suite("lemma43")
-def verify_lemma43(seed=None, threads=1):
+def verify_lemma43(seed=None):
     """z^2 = x^n - t^n: rank M = #S, never ordinary off p = 1 (mod n), and
     M = 0 at p = -1 (mod n)."""
     rep = _Report("lemma43")
@@ -117,7 +117,7 @@ def verify_lemma43(seed=None, threads=1):
 
 
 @_suite("char3-genus3")
-def verify_char3_genus3(seed=None, threads=1):
+def verify_char3_genus3(seed=None):
     rep = _Report("char3-genus3")
     t = char3_genus3_witness()
     for label, f in (("E", t.fE), ("D2", t.f2), ("D3", t.f3)):
@@ -129,7 +129,7 @@ def verify_char3_genus3(seed=None, threads=1):
 
 
 @_suite("ekedahl3")
-def verify_ekedahl3(seed=None, threads=1):
+def verify_ekedahl3(seed=None):
     rep = _Report("ekedahl3")
     models = superspecial_g2_enumeration(3, 9)
     rep.bump("candidates", 9**5 + 9**6)
@@ -142,7 +142,7 @@ def verify_ekedahl3(seed=None, threads=1):
 
 
 @_suite("genus2-ss")
-def verify_genus2_ss(seed=None, threads=1):
+def verify_genus2_ss(seed=None):
     rep = _Report("genus2-ss")
     for p in (5, 7, 11, 13):
         t = genus2_supersingular_pair(p)
@@ -169,7 +169,7 @@ def _candidate_lambdas(p, count=2):
 
 
 @_suite("prop44")
-def verify_prop44(seed=None, threads=1):
+def verify_prop44(seed=None):
     rep = _Report("prop44")
     # case 1: D2 = z^2 = x^n - t^n
     fails_ordinary = []
@@ -253,7 +253,7 @@ def verify_prop44(seed=None, threads=1):
 
 
 @_suite("prop45")
-def verify_prop45(seed=None, threads=1):
+def verify_prop45(seed=None):
     rep = _Report("prop45")
     fails_ordinary = []
     fails_bound = []
@@ -284,10 +284,10 @@ def verify_prop45(seed=None, threads=1):
 
 
 @_suite("ss5-small")
-def verify_ss5_small(seed=None, threads=1):
+def verify_ss5_small(seed=None):
     rep = _Report("ss5-small")
     for p in (11, 23, 47, 59, 71, 83):
-        r = ss5_sweep(SweepConfig(p=p, mode="first", threads=threads))
+        r = ss5_sweep(SweepConfig(p=p, mode="first"))
         ok = len(r.solutions) == 1
         detail = f"solution {r.solutions[0]}" if ok else "no solution found"
         if ok:
@@ -299,7 +299,7 @@ def verify_ss5_small(seed=None, threads=1):
                 detail = f"solution {r.solutions[0]} fails the naive recheck"
         rep.check(f"p{p}_has_solution", ok, detail)
         rep.bump("pairs_tested", r.counts["tested"])
-    r107 = ss5_sweep(SweepConfig(p=107, mode="all", threads=threads))
+    r107 = ss5_sweep(SweepConfig(p=107, mode="all"))
     rep.check(
         "p107_has_none",
         len(r107.solutions) == 0,
@@ -310,7 +310,7 @@ def verify_ss5_small(seed=None, threads=1):
 
 
 @_suite("oracle")
-def verify_oracle(seed=None, threads=1):
+def verify_oracle(seed=None):
     seed = DEFAULT_SEED if seed is None else seed
     rep = _Report("oracle", seed=seed)
     rng = random.Random(seed)
@@ -364,7 +364,7 @@ def verify_oracle(seed=None, threads=1):
 
 
 @_suite("strata")
-def verify_strata(seed=None, threads=1):
+def verify_strata(seed=None):
     rep = _Report("strata")
     bad = []
     for g in range(2, 9):
@@ -410,8 +410,10 @@ def verify_strata(seed=None, threads=1):
 
 
 def run_suite(name: str, seed=None, threads: int = 1) -> dict:
+    # threads is accepted and ignored: every suite runs in one thread, and
+    # the benchmark's verify workload still passes threads=1
     if name == "all":
-        reports = [fn(seed=seed, threads=threads) for fn in SUITES.values()]
+        reports = [fn(seed=seed) for fn in SUITES.values()]
         return {
             "suite": "all",
             "passed": all(r["passed"] for r in reports),
@@ -420,4 +422,4 @@ def run_suite(name: str, seed=None, threads: int = 1) -> dict:
         }
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed=seed, threads=threads)
+    return SUITES[name](seed=seed)

@@ -77,6 +77,49 @@ def test_power_coeffs_recurrence_precondition_errors():
     assert power_coeffs(g, 5, {15}, "auto") == power_coeffs(g, 5, {15}, "naive")
 
 
+def test_recurrence_cost_guard_boundary(monkeypatch):
+    # with the guard at p - 2, indices p - 2 steps from an end are read and
+    # p - 1 steps are refused; "auto" then reads the matrix by full expansion
+    from cmrank import cartier
+
+    p = 23
+    ctx = field(p)
+    m = (p - 1) // 2
+    f = random_squarefree(random.Random(2323), ctx, 6, nonzero_const=True)
+    C = HyperellipticModel(ctx, f)
+    expected = cartier_matrix(C)
+    assert expected.strategy == "recurrence"
+    monkeypatch.setattr(cartier, "RECURRENCE_CAP", p - 2)
+    edge = {p - 2, 2 * p - 1}  # p - 2 steps from the low and the high end
+    assert power_coeffs(f, m, edge, "recurrence") == power_coeffs(f, m, edge, "naive")
+    for k in (p - 1, 2 * p - 2):
+        with pytest.raises(RecurrenceUnavailable, match="cost guard"):
+            power_coeffs(f, m, {k}, "recurrence")
+    past = cartier_matrix(C)
+    assert past.strategy == "naive" and past.M == expected.M
+
+
+def test_matrix_read_calls_power_coeffs_once(monkeypatch):
+    from cmrank import cartier
+
+    calls = []
+
+    def spy(f, m, indices, strategy="auto"):
+        out = power_coeffs(f, m, indices, strategy)
+        calls.append(out.strategy)
+        return out
+
+    monkeypatch.setattr(cartier, "power_coeffs", spy)
+    ctx = field(101)
+    rng = random.Random(77)
+    for deg, route in ((6, "recurrence"), (7, "naive")):  # genus 2 and 3
+        C = HyperellipticModel(ctx, random_squarefree(rng, ctx, deg, nonzero_const=True))
+        assert cartier_matrix(C).strategy == route
+        assert is_superspecial(C) is False
+        assert calls == [route, route]
+        calls.clear()
+
+
 def test_strategy_agreement_random():
     rng = random.Random(808)
     cases = 0

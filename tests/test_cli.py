@@ -41,6 +41,30 @@ def test_prank_power_past_degree_cap_exits_2(capsys):
     assert "exceeds the cap" in err
 
 
+def test_prank_past_the_recurrence_guard_exits_2(monkeypatch, capsys):
+    # genus 1 below the field bound: the recurrence would take p steps and
+    # full expansion is refused, so nothing is computed
+    import numpy as np
+
+    from cmrank import cartier
+
+    def refuse(*args):
+        raise AssertionError("ran past the cost guards")
+
+    monkeypatch.setattr(cartier, "_recurrence_block", refuse)
+    monkeypatch.setattr(np, "convolve", refuse)
+    code, _, err = run(capsys, "prank", "--p", "2147483647", "--poly", "1,0,0,1")
+    assert code == 2 and "exceeds the cap" in err
+
+
+def test_removed_threads_flags_exit_2(tmp_path, capsys):
+    argv = ["ss5-range", "--from", "11", "--to", "12", "--results-dir", str(tmp_path)]
+    assert main(argv + ["--threads", "1"]) == 2
+    assert not (tmp_path / "ss5").exists()
+    assert main(["verify", "strata", "--threads", "1"]) == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

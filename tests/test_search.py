@@ -17,13 +17,14 @@ from cmrank.search import (
     _monic_tails,
     _inverse_table,
     _orbit,
+    _pair_polys,
     _pair_quotients,
     _power_coeffs_vec,
     _powmod_vec,
+    _quotient_rows,
     _sweep_w_line,
     _w_line,
     load_result,
-    quotient_polys,
     result_path,
     ss5_check_pair,
     ss5_sweep,
@@ -48,6 +49,48 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(p=1048583)  # prime, 11 mod 12, beyond the kernel bound
     SweepConfig(p=1048571)  # the last such prime within it
+
+
+def _moebius_family(u, v):
+    """A, B, E_u and D_v by explicit Moebius arithmetic: with X = x + u and
+    Z = ux + 1, x^k - 1 goes to X^k - Z^k, x^2 + 1 to X^2 + Z^2 and
+    x^4 + x^2 + 1 to X^4 + X^2 Z^2 + Z^4 (A and B as `search` built them
+    before the closed form)."""
+    ctx = u.ctx
+    x, one = DensePoly.x(ctx), DensePoly.one(ctx)
+    xu, ux1 = x + DensePoly.from_elements(ctx, [u]), x.scale(u) + one
+    xv, vx1 = x + DensePoly.from_elements(ctx, [v]), x.scale(v) + one
+    a = xu * xu + ux1 * ux1
+    b = xv**4 + (xv * vx1) ** 2 + vx1**4
+    return a, b, xu**4 - ux1**4, xv**6 - vx1**6
+
+
+def _quotients(ctx, u: int, v: int):
+    """E_u and D_v of the pair (u, v), as the superspecial recheck builds them."""
+    e_u, d_v = _quotient_rows(np.array([u]), np.array([v]), ctx.p)
+    return DensePoly(ctx, e_u[:, 0].tolist()), DensePoly(ctx, d_v[:, 0].tolist())
+
+
+def test_family_matches_explicit_moebius_transports():
+    # the full GF(p)^2 grid, through both the FieldElement and the array route
+    for p in (11, 23):
+        ctx = field(p)
+        grid = list(product(range(p), repeat=2))
+        e_rows, d_rows = _quotient_rows(*np.array(grid, dtype=np.int64).T, p)
+        assert e_rows.shape == (5, p * p) and d_rows.shape == (7, p * p)
+        for (u, v), e_u, d_v in zip(grid, e_rows.T.tolist(), d_rows.T.tolist()):
+            a, b, f_eu, f_dv = _moebius_family(ctx.elem(u), ctx.elem(v))
+            assert _pair_polys(ctx.elem(u), ctx.elem(v)) == (a, b), (u, v)
+            assert (DensePoly(ctx, e_u), DensePoly(ctx, d_v)) == (f_eu, f_dv), (u, v)
+    # every u in GF(121), where u^2 = -1 and u^2 +- u + 1 = 0 lose degree
+    ctx = field(11, 2)
+    degrees = []
+    for u in ctx.elements():
+        a, b, _, _ = _moebius_family(u, u)
+        assert _pair_polys(u, u) == (a, b), u
+        degrees.append((a.degree, b.degree))
+    assert sum(da < 2 for da, _ in degrees) == 2
+    assert sum(db < 4 for _, db in degrees) == 4
 
 
 def test_check_pair_exclusions():
@@ -263,7 +306,10 @@ def test_batched_entries_match_scalar_route_and_expansion():
             if ss5_check_pair(p, ctx.elem(u), ctx.elem(v)).status == "not_solution":
                 pairs.append((u, v))
                 non_solutions += 1
-        polys = [f for u, v in pairs for f in _pair_quotients(ctx, u, v)]
+        polys = [
+            f for u, v in pairs
+            for f in _pair_quotients(u, v, *_quotients(ctx, u, v))
+        ]
         for deg in (4, 6):
             polys += [random_squarefree(rng, ctx, deg, nonzero_const=True) for _ in range(6)]
         entries = _cartier_entries_vec(p, polys, _inverse_table(p))
@@ -358,7 +404,7 @@ def test_sweep_p11_solutions_sound():
 
         a_poly, b_poly = _pair_polys(ctx.elem(u), ctx.elem(v))
         assert is_superspecial(HyperellipticModel(ctx, a_poly * b_poly))
-        f_eu, f_dv = quotient_polys(ctx.elem(u), ctx.elem(v))
+        f_eu, f_dv = _quotients(ctx, u, v)
         assert prank_fiber_product(f_eu, f_dv) == (5, 0)
 
 
@@ -371,7 +417,7 @@ def test_sweep_solutions_verified_by_zeta_oracle():
     r = ss5_sweep(SweepConfig(p=11, mode="all"))
     ctx = field(11)
     for u, v in r.solutions[:4]:
-        f_eu, f_dv = quotient_polys(ctx.elem(u), ctx.elem(v))
+        f_eu, f_dv = _quotients(ctx, u, v)
         t = kani_rosen_triple(f_eu, f_dv)
         for fpoly in (t.fE, t.f2, t.f3):
             assert prank_oracle(HyperellipticModel(ctx, fpoly)) == 0
@@ -489,7 +535,10 @@ def test_load_missing_returns_none(tmp_path):
 def test_ext_search_small():
     r = ss5_sweep_ext(11, mode="first")
     assert r.mode == "ext-first"
-    assert r.solutions, "extension grid contains the prime-field solutions"
+    assert r.solutions == [("0+0*w", "2+0*w")]
+    assert r.counts == {
+        "tested": 22, "excluded_uv": 480, "excluded_gcd": 0, "excluded_singular": 0,
+    }
     with pytest.raises(ValueError):
         ss5_sweep_ext(107)
 
