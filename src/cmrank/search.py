@@ -71,22 +71,37 @@ Cartier operator commutes with the (Z/2)^2 action, so on the regular
 differentials, which split into the pullbacks from the three quotients E_u,
 D_v and the genus-2 curve (Kani-Rosen), it is the direct sum of their
 Cartier operators: the curve is superspecial exactly when the three
-quotient Cartier-Manin matrices vanish.  The coefficients of E_u and D_v
-are built for a whole slice of pairs at once on int64 arrays; each pair's
-quotients are then formed and checked as polynomials (genus total 5, all
-three squarefree), and all entries of all three matrices, of every pair of
-a prime, are read in passes of at most `RECHECK_SLICE` pairs through the
-same vectorized recurrence as the kernel, `_power_coeffs_vec`, five rows
-per pair: E_u, D_v and the genus-2 quotient from their low ends, D_v and
-the genus-2 quotient again reversed for the entries near the top.  f(0) != 0
+quotient Cartier-Manin matrices vanish.  The recheck runs in passes of at
+most `RECHECK_SLICE` pairs, on the int64 coefficient rows of the three
+quotients of every pair of the pass (`_quotient_rows`).
+
+First the polynomial facts that split rests on, the same ones
+`covers.kani_rosen_triple` and `cartier.HyperellipticModel` establish for
+one pair: E_u and D_v are squarefree curve models, the fiber product has
+genus 5, and its third quotient E_u D_v / gcd(E_u, D_v)^2 is squarefree.
+Each is a gcd degree -- f is squarefree iff gcd(f, f') = 1 -- read off a
+rank mod p: the Bezout matrix of f and g has rank max(deg f, deg g) -
+deg gcd(f, g), and one batched elimination ranks the four Bezout matrices
+of every pair of the pass (`_gcd_degrees`).  The ranks are taken on the
+quotients' own rows, not on resultants of the family's quadratic factors
+as the kernel's exclusions are, so the check holds for any rows it is
+given; the family's closed form enters only through the rows of the third
+quotient, A B, which a coefficient identity certifies as
+E_u D_v / gcd^2 up to a constant (`_polynomial_checks`).
+
+Then all entries of all three matrices are read through the same
+vectorized recurrence as the kernel, `_power_coeffs_vec`, five rows per
+pair: E_u, D_v and the genus-2 quotient from their low ends, D_v and the
+genus-2 quotient again reversed for the entries near the top.  f(0) != 0
 for all three, since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and
 v^4 + v^2 + 1 != 0 (p = 2 mod 3), so no row needs full expansion.  The
 recheck thus shares its recurrence code and the family's closed form with
 the kernel; what keeps it independent is what it checks -- the pair's own
 three quotients and every matrix entry, with neither the w reduction nor
-the palindromic a = c = 0 shortcut -- and the tests, which hold the routine
-against `cartier`'s scalar recurrence and against full expansion
-(`poly.pow_coeffs`).
+the palindromic a = c = 0 shortcut -- and the tests, which hold the ranks
+against Euclid's gcd (`poly.poly_gcd`), the polynomial verdicts against
+the per-pair route, and the entries against `cartier`'s scalar recurrence
+and against full expansion (`poly.pow_coeffs`).
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -100,13 +115,13 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .cartier import HyperellipticModel, power_coeffs
-from .covers import kani_rosen_triple
 from .ff import FieldElement, field, is_prime
 from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 
@@ -118,11 +133,16 @@ ENUM_GUARD = 1_200_000
 SWEEP_MAX_P = 1 << 20
 assert 6 * SWEEP_MAX_P**3 < 1 << 63
 # pairs per pass of the superspecial recheck: a pass holds three quotient
-# polynomials and about 150 int64 values per pair, some 1 MB at 512 pairs
-# whatever p, while mode "all" reports 40 016 pairs at p = 10 007 and
-# 348 832 at p = 43 607.  Larger passes gain little: at p = 10 007 a pass
-# of 1024 pairs is 20 % faster per pair and one of 4096 no faster still
+# polynomials, four 6 x 6 Bezout matrices and the recurrence's window, a few
+# hundred int64 values per pair, under 2 MB at 512 pairs whatever p, while
+# mode "all" reports 40 016 pairs at p = 10 007 and 348 832 at p = 43 607.
+# Larger passes gain little: at p = 10 007 a pass of 1024 pairs is 20 %
+# faster per pair and one of 4096 no faster still
 RECHECK_SLICE = 512
+# recurrence steps whose weights `_power_coeffs_vec` tabulates at once: 4096
+# steps of six weights are 192 KB, where one table up to SWEEP_MAX_P would
+# be about 50 MB
+_WEIGHT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -208,8 +228,9 @@ def _transport_rows(quad, U, p: int):
 
 def _rows_mul(f, g, p: int):
     """The product of two polynomials given as coefficient rows mod p < 2^20,
-    low to high: each row holds one coefficient of many polynomials.
-    Returns an int64 array of rows."""
+    low to high: each row holds one coefficient of many polynomials, or of
+    all of them when a row of g is a single int.  Returns an int64 array of
+    rows."""
     f = np.stack(f)
     out = np.zeros((len(f) + len(g) - 1, f.shape[1]), dtype=np.int64)
     for j, gj in enumerate(g):
@@ -225,15 +246,15 @@ def _pair_polys(u: FieldElement, v: FieldElement):
 
 
 def _quotient_rows(U, V, p: int):
-    """The coefficients of the two covers whose fiber product the sweep
-    studies, E_u: T(x^2 - 1; u) A and D_v: T(x^2 - 1; v) B, for every pair
-    (U[i], V[i]) of residues mod p, as (5, n) and (7, n) int64 arrays, low
-    to high."""
+    """The coefficients of the three quotients of the fiber product the sweep
+    studies, E_u: T(x^2 - 1; u) A, D_v: T(x^2 - 1; v) B and the genus-2
+    curve A B, for every pair (U[i], V[i]) of residues mod p, as (5, n),
+    (7, n) and (7, n) int64 arrays, low to high."""
     a = _transport_rows(_A_FACTOR, U, p)
     b = _rows_mul(*(_transport_rows(q, V, p) for q in _B_FACTORS), p)
     e_u = _rows_mul(a, _transport_rows(_X2_MINUS_1, U, p), p)
     d_v = _rows_mul(b, _transport_rows(_X2_MINUS_1, V, p), p)
-    return e_u, d_v
+    return e_u, d_v, _rows_mul(b, a, p)
 
 
 def ss5_check_pair(
@@ -326,44 +347,178 @@ def _power_coeffs_vec(F, p: int, ks, inv_table):
     window[0] = window[d] = _powmod_vec(f0, m, p)
     out = np.empty((len(ks), F.shape[1]), dtype=np.int64)
     at = {k: i for i, k in enumerate(ks)}
-    for k in range(1, max(ks) + 1):
-        r = k % d
-        w = (weights - k) * int(inv_table[k]) % p
-        ck = np.einsum("i,in,in->n", w, fs, window[r : r + d]) % p
-        window[r] = window[r + d] = ck
-        if k in at:
-            out[at[k]] = ck
+    top = max(ks)
+    for start in range(1, top + 1, _WEIGHT_BLOCK):
+        steps = np.arange(start, min(start + _WEIGHT_BLOCK, top + 1))
+        # the step weights ((m+1) j - k) / k of a block of steps, one row each
+        table = (weights - steps[:, None]) * inv_table[steps, None] % p
+        for k, w in zip(steps.tolist(), table):
+            r = k % d
+            ck = np.einsum("i,in,in->n", w, fs, window[r : r + d]) % p
+            window[r] = window[r + d] = ck
+            if k in at:
+                out[at[k]] = ck
     return out
 
 
-def _cartier_entries_vec(p: int, polys, inv_table):
-    """Cartier-Manin matrices of y^2 = f for every f in polys, as an
-    (len(polys), 2, 2) int64 array, zero outside a genus-1 matrix.
+def _cartier_entries_vec(p: int, models, inv_table):
+    """Cartier-Manin matrices of y^2 = f for every column f of models, a
+    (7, n) int64 array of coefficient rows mod p, low to high, as an
+    (n, 2, 2) int64 array, zero outside a genus-1 matrix.
 
-    Each f lies over GF(p), has degree 4 or 6 and f(0) != 0.  The entries
-    are c_{p-1}, c_{p-2} (first column) and c_{2p-1}, c_{2p-2} (second) of
-    f^((p-1)/2); for degree 6 the second column is c_{p-2}, c_{p-1} of the
-    reverse of f, as in `cartier.power_coeffs`.  So a genus-1 model takes
-    one column of the recurrence and a genus-2 model two."""
-    for f in polys:
-        if f.ctx.ext_degree != 1 or f.degree not in (4, 6):
-            raise ValueError(f"expected degree 4 or 6 over GF({p}), got {f!r}")
-    two = np.array([f.degree == 6 for f in polys])  # genus 2
-    low = np.cumsum(1 + two) - 1 - two  # the column of f; its reverse is next
-    F = np.zeros((int(low[-1] + 1 + two[-1]), 7), dtype=np.int64)
-    for f, col, genus2 in zip(polys, low.tolist(), two.tolist()):
-        raw = f.raw()
-        F[col, : len(raw)] = raw
-        if genus2:
-            F[col + 1] = raw[::-1]
-    pm2, pm1 = _power_coeffs_vec(F.T, p, (p - 2, p - 1), inv_table)
-    out = np.zeros((len(polys), 2, 2), dtype=np.int64)
-    out[:, 0, 0] = pm1[low]
-    rev = low[two] + 1
-    out[two, 1, 0] = pm2[low[two]]
-    out[two, 0, 1] = pm2[rev]
-    out[two, 1, 1] = pm1[rev]
+    Each f has degree 4 or 6 and f(0) != 0.  The entries are c_{p-1},
+    c_{p-2} (first column) and c_{2p-1}, c_{2p-2} (second) of f^((p-1)/2);
+    for degree 6 the second column is c_{p-2}, c_{p-1} of the reverse of f,
+    as in `cartier.power_coeffs`.  So a genus-1 model takes one column of the
+    recurrence and a genus-2 model two."""
+    degree = _degrees(models)
+    wrong = np.flatnonzero((degree != 4) & (degree != 6))
+    if wrong.size:
+        f = DensePoly(field(p), models[:, wrong[0]].tolist())
+        raise ValueError(f"expected degree 4 or 6 over GF({p}), got {f!r}")
+    two = degree == 6  # genus 2; the reverses of these follow the n models
+    n = len(degree)
+    pm2, pm1 = _power_coeffs_vec(
+        np.hstack([models, models[::-1, two]]), p, (p - 2, p - 1), inv_table
+    )
+    out = np.zeros((n, 2, 2), dtype=np.int64)
+    out[:, 0, 0] = pm1[:n]
+    out[two, 1, 0] = pm2[:n][two]
+    out[two, 0, 1] = pm2[n:]
+    out[two, 1, 1] = pm1[n:]
     return out
+
+
+# -- polynomial checks by Bezout ranks ----------------------------------------------
+
+
+def _degrees(R):
+    """The degree of every column of the coefficient rows R, -1 for zero."""
+    nonzero = R != 0
+    return np.where(nonzero.any(axis=0), len(R) - 1 - nonzero[::-1].argmax(axis=0), -1)
+
+
+def _derivative(R, p: int):
+    return R[1:] * np.arange(1, len(R), dtype=np.int64)[:, None] % p
+
+
+@lru_cache(maxsize=None)
+def _bezout_layout(n: int):
+    """Where the n x n Bezout matrix of f and g of degree at most n takes its
+    entries from.  (f(x) g(y) - f(y) g(x)) / (x - y) has the coefficient
+    sum_b W[i+j+1-b, b], W[a, b] = f_a g_b - f_b g_a, at x^i y^j, over
+    max(0, i+j+1-n) <= b <= min(i, j): at most (n+1) // 2 terms, given as
+    indices into W flattened and padded with that of W[0, 0] = 0."""
+    layout = np.zeros((n, n, (n + 1) // 2), dtype=np.intp)
+    for i, j in product(range(n), repeat=2):
+        bs = range(max(0, i + j + 1 - n), min(i, j) + 1)
+        layout[i, j, : len(bs)] = [(i + j + 1 - b) * (n + 1) + b for b in bs]
+    layout.flags.writeable = False  # cached: every caller gets this array
+    return layout
+
+
+def _ranks_mod_p(S, p: int):
+    """The rank mod p of every matrix S[:, :, i], by fraction-free elimination
+    of all of them at once, one column per step: every row is scaled by the
+    pivot entry, then the pivot row times a row's own entry is subtracted
+    from each row not yet used as a pivot.  Entries are residues mod
+    p < 2^20, so every product stays below 2^40."""
+    at = np.arange(S.shape[2])
+    used = np.zeros((S.shape[0], S.shape[2]), dtype=bool)
+    for c in range(S.shape[1]):
+        col = np.where(used, 0, S[:, c])
+        row = col.argmax(axis=0)  # a nonzero entry, if the column has one
+        lead = col[row, at]
+        used[row, at] |= lead != 0
+        rest = S[:, c + 1 :]
+        pivot = rest[row, :, at].T
+        rest *= np.where(lead != 0, lead, 1)
+        rest -= col[:, None] * pivot
+        rest %= p
+    return used.sum(axis=0)
+
+
+def _gcd_degrees(pairs, p: int):
+    """deg gcd(f, g) for every column pair (f, g) of each (F, G) in pairs,
+    coefficient rows mod p < 2^20, low to high, f and g not both zero.
+
+    One elimination ranks all their Bezout matrices, each embedded in an
+    identity of the largest size.  The Bezout matrix of f and g has rank
+    max(deg f, deg g) - deg gcd(f, g) over any field (with n = deg f >= deg g
+    it is an invertible triangular Hankel matrix times g(C_f), C_f the
+    companion matrix of f), and zero rows and columns beyond that degree."""
+    dims = [max(len(F), len(G)) - 1 for F, G in pairs]
+    size = max(dims)
+    ends = np.cumsum([F.shape[1] for F, _ in pairs])
+    S = np.zeros((size, size, ends[-1]), dtype=np.int64)
+    for (F, G), n, end in zip(pairs, dims, ends):
+        f, g = (np.vstack([R, np.zeros((n + 1 - len(R), R.shape[1]), np.int64)])
+                for R in (F, G))
+        W = (f[:, None] * g - g[:, None] * f).reshape((n + 1) ** 2, -1)  # below 2^40
+        block = S[:, :, end - F.shape[1] : end]
+        block[:n, :n] = W[_bezout_layout(n)].sum(axis=2) % p
+        block[range(n, size), range(n, size)] = 1
+    ranks = np.split(_ranks_mod_p(S, p), ends[:-1])
+    return [
+        np.maximum(_degrees(F), _degrees(G)) - (rank - (size - n))
+        for (F, G), n, rank in zip(pairs, dims, ranks)
+    ]
+
+
+# The polynomial checks of a recheck pair, in the order the generic route
+# (`covers.kani_rosen_triple`, then `cartier.HyperellipticModel` on the
+# genus-2 quotient) makes them, each with its exception and message there
+_POLYNOMIAL_CHECKS = (
+    (ValueError, "deg {deg_e} < 3: quotient would not be a curve model"),
+    (ValueError, "singular input model"),
+    (ValueError, "deg {deg_d} < 3: quotient would not be a curve model"),
+    (ValueError, "singular input model"),
+    (ValueError, "f1*f2 is a perfect square: the cover is disconnected"),
+    (RuntimeError, "solution ({u}, {v}) has genus {genus}, not 5"),
+    (RuntimeError, "solution ({u}, {v}): the genus-2 quotient is not E_u D_v / gcd^2"),
+    (ValueError, "singular model: f is not squarefree"),
+)
+_X2_MINUS_1_SQUARED = (1, 0, -2, 0, 1)  # (x^2 - 1)^2, low to high
+
+
+def _polynomial_checks(p: int, us, vs, E, D, F):
+    """The first of `_POLYNOMIAL_CHECKS` that each pair (us[i], vs[i]) fails,
+    len of it if none, and the numbers its message takes, given the quotient
+    rows E, D and F of `_quotient_rows`.
+
+    E_u and D_v must be curve models, squarefree, and make a cover of genus
+    5; the genus-2 quotient is then E_u D_v / gcd^2, which must be
+    squarefree.  F is A B, not that quotient, so it is certified as one:
+    E_u D_v lc(F) = lc(E_u) lc(D_v) (x^2 - 1)^2 F with F != 0 puts each of
+    x +- 1 into both squarefree E_u and D_v, so with deg gcd = 2 the gcd is
+    x^2 - 1 and F is E_u D_v / gcd^2 up to a constant, which changes neither
+    its squarefreeness nor whether its Cartier-Manin matrix vanishes."""
+    deg_e, deg_d, deg_f = _degrees(E), _degrees(D), _degrees(F)
+    sq_e, sq_d, gcd_ed, sq_f = _gcd_degrees(
+        [(E, _derivative(E, p)), (D, _derivative(D, p)), (E, D), (F, _derivative(F, p))], p
+    )
+    deg_f3 = deg_e + deg_d - 2 * gcd_ed
+    genus = sum((d + 1) // 2 - 1 for d in (deg_e, deg_d, deg_f3))
+    at = np.arange(E.shape[1])
+    lc_e, lc_d, lc_f = E[deg_e, at], D[deg_d, at], F[deg_f, at]
+    proportional = (
+        _rows_mul(E, D, p) * lc_f % p
+        == _rows_mul(F, _X2_MINUS_1_SQUARED, p) * (lc_e * lc_d % p) % p
+    ).all(axis=0)
+    same = proportional & (lc_f != 0) & (gcd_ed == 2)
+    # genus 5 leaves the genus-2 quotient degree 5 or 6, so
+    # HyperellipticModel's degree check cannot fail after it
+    fails = np.stack(
+        [deg_e < 3, sq_e > 0, deg_d < 3, sq_d > 0, deg_f3 == 0, genus != 5, ~same, sq_f > 0]
+    )
+    first = np.where(fails.any(axis=0), fails.argmax(axis=0), len(fails))
+    return first, {"u": us, "v": vs, "deg_e": deg_e, "deg_d": deg_d, "genus": genus}
+
+
+def _polynomial_error(first, numbers, i):
+    """The exception of the first polynomial check that pair i fails."""
+    error, msg = _POLYNOMIAL_CHECKS[first[i]]
+    return error(msg.format(**{name: int(values[i]) for name, values in numbers.items()}))
 
 
 def _w_line(p: int):
@@ -452,49 +607,34 @@ def verify_solution_story(p: int, u, v):
         raise ValueError(f"{us.size} values of u but {vs.size} of v")
     if p > SWEEP_MAX_P:
         raise ValueError(f"p = {p} exceeds the kernel bound {SWEEP_MAX_P}")
-    ctx = field(p)
+    field(p)  # refuses p that is not an odd prime
     inv_table = _inverse_table(p)
     for start in range(0, us.size, RECHECK_SLICE):
         part = slice(start, start + RECHECK_SLICE)
-        _recheck_slice(ctx, us[part], vs[part], inv_table)
+        _recheck_slice(p, us[part], vs[part], inv_table)
 
 
 _QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
 
 
-def _recheck_slice(ctx, us, vs, inv_table):
-    pairs = list(zip(us.tolist(), vs.tolist()))
-    e_rows, d_rows = _quotient_rows(us % ctx.p, vs % ctx.p, ctx.p)
-    quotients, failure = [], None
-    for (u, v), e_u, d_v in zip(pairs, e_rows.T.tolist(), d_rows.T.tolist()):
-        try:
-            quotients += _pair_quotients(u, v, DensePoly(ctx, e_u), DensePoly(ctx, d_v))
-        except (ValueError, RuntimeError) as err:
-            # raised after the matrices of the pairs before it are checked,
-            # so the first failing pair is named
-            failure = err
-            break
-    if quotients:
-        entries = _cartier_entries_vec(ctx.p, quotients, inv_table)
+def _recheck_slice(p: int, us, vs, inv_table):
+    E, D, F = _quotient_rows(us % p, vs % p, p)
+    first, numbers = _polynomial_checks(p, us, vs, E, D, F)
+    failed = np.flatnonzero(first < len(_POLYNOMIAL_CHECKS))
+    # the matrices of the pairs before the first polynomial failure are
+    # checked first, so the first failing pair is named
+    n = failed[0] if failed.size else len(us)
+    if n:
+        E = np.vstack([E, np.zeros_like(E[:2])])
+        models = np.stack([E[:, :n], D[:, :n], F[:, :n]], axis=2).reshape(7, 3 * n)
+        entries = _cartier_entries_vec(p, models, inv_table)
         nonzero = entries.reshape(-1, 3, 4).any(axis=2)
         if nonzero.any():
             i, q = np.argwhere(nonzero)[0]
-            u, v = pairs[i]
             msg = f"the Cartier-Manin matrix of {_QUOTIENT_NAMES[q]} is nonzero"
-            raise RuntimeError(f"solution ({u}, {v}) is not superspecial: {msg}")
-    if failure is not None:
-        raise failure
-
-
-def _pair_quotients(u: int, v: int, f_eu: DensePoly, f_dv: DensePoly):
-    """The model polynomials of E_u, D_v and the genus-2 quotient of (u, v),
-    given those of E_u and D_v, once the genus total is 5 and all three are
-    squarefree."""
-    t = kani_rosen_triple(f_eu, f_dv)
-    if t.genus_total != 5:
-        raise RuntimeError(f"solution ({u}, {v}) has genus {t.genus_total}, not 5")
-    HyperellipticModel(t.f3.ctx, t.f3)  # kani_rosen_triple checked E_u and D_v
-    return t.fE, t.f2, t.f3
+            raise RuntimeError(f"solution ({us[i]}, {vs[i]}) is not superspecial: {msg}")
+    if failed.size:
+        raise _polynomial_error(first, numbers, n)
 
 
 def ss5_sweep(cfg: SweepConfig) -> SearchResult:

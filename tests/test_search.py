@@ -7,21 +7,26 @@ import pytest
 
 from cmrank import search
 from cmrank.cartier import HyperellipticModel, cartier_matrix, is_superspecial
-from cmrank.covers import prank_fiber_product
+from cmrank.covers import kani_rosen_triple, prank_fiber_product
 from cmrank.ff import field, is_prime
-from cmrank.poly import DensePoly, is_squarefree, pow_coeffs
+from cmrank.poly import DensePoly, is_squarefree, poly_gcd, pow_coeffs
 from cmrank.search import (
+    _POLYNOMIAL_CHECKS,
     SweepConfig,
     _cartier_entries_vec,
     _classify,
+    _derivative,
+    _gcd_degrees,
     _monic_tails,
     _inverse_table,
     _orbit,
     _pair_polys,
-    _pair_quotients,
+    _polynomial_checks,
+    _polynomial_error,
     _power_coeffs_vec,
     _powmod_vec,
     _quotient_rows,
+    _ranks_mod_p,
     _sweep_w_line,
     _w_line,
     load_result,
@@ -34,7 +39,7 @@ from cmrank.search import (
     verify_solution_story,
 )
 
-from helpers import random_squarefree
+from helpers import random_poly, random_squarefree
 
 
 def test_config_validation():
@@ -66,9 +71,18 @@ def _moebius_family(u, v):
 
 
 def _quotients(ctx, u: int, v: int):
-    """E_u and D_v of the pair (u, v), as the superspecial recheck builds them."""
-    e_u, d_v = _quotient_rows(np.array([u]), np.array([v]), ctx.p)
-    return DensePoly(ctx, e_u[:, 0].tolist()), DensePoly(ctx, d_v[:, 0].tolist())
+    """E_u, D_v and the genus-2 quotient of the pair (u, v), as the
+    superspecial recheck builds them."""
+    rows = _quotient_rows(np.array([u]), np.array([v]), ctx.p)
+    return tuple(DensePoly(ctx, r[:, 0].tolist()) for r in rows)
+
+
+def _model_rows(polys):
+    """The (7, n) coefficient rows of polynomials of degree at most 6."""
+    rows = np.zeros((7, len(polys)), dtype=np.int64)
+    for i, f in enumerate(polys):
+        rows[: f.degree + 1, i] = f.raw()
+    return rows
 
 
 def test_family_matches_explicit_moebius_transports():
@@ -76,12 +90,14 @@ def test_family_matches_explicit_moebius_transports():
     for p in (11, 23):
         ctx = field(p)
         grid = list(product(range(p), repeat=2))
-        e_rows, d_rows = _quotient_rows(*np.array(grid, dtype=np.int64).T, p)
-        assert e_rows.shape == (5, p * p) and d_rows.shape == (7, p * p)
-        for (u, v), e_u, d_v in zip(grid, e_rows.T.tolist(), d_rows.T.tolist()):
+        e_rows, d_rows, f_rows = _quotient_rows(*np.array(grid, dtype=np.int64).T, p)
+        assert e_rows.shape == (5, p * p) and d_rows.shape == f_rows.shape == (7, p * p)
+        columns = zip(grid, e_rows.T.tolist(), d_rows.T.tolist(), f_rows.T.tolist())
+        for (u, v), e_u, d_v, f in columns:
             a, b, f_eu, f_dv = _moebius_family(ctx.elem(u), ctx.elem(v))
             assert _pair_polys(ctx.elem(u), ctx.elem(v)) == (a, b), (u, v)
             assert (DensePoly(ctx, e_u), DensePoly(ctx, d_v)) == (f_eu, f_dv), (u, v)
+            assert DensePoly(ctx, f) == a * b, (u, v)
     # every u in GF(121), where u^2 = -1 and u^2 +- u + 1 = 0 lose degree
     ctx = field(11, 2)
     degrees = []
@@ -306,13 +322,10 @@ def test_batched_entries_match_scalar_route_and_expansion():
             if ss5_check_pair(p, ctx.elem(u), ctx.elem(v)).status == "not_solution":
                 pairs.append((u, v))
                 non_solutions += 1
-        polys = [
-            f for u, v in pairs
-            for f in _pair_quotients(u, v, *_quotients(ctx, u, v))
-        ]
+        polys = [f for u, v in pairs for f in _quotients(ctx, u, v)]
         for deg in (4, 6):
             polys += [random_squarefree(rng, ctx, deg, nonzero_const=True) for _ in range(6)]
-        entries = _cartier_entries_vec(p, polys, _inverse_table(p))
+        entries = _cartier_entries_vec(p, _model_rows(polys), _inverse_table(p))
         assert entries.shape == (len(polys), 2, 2)
         for f, got in zip(polys, entries.tolist()):
             M = _raw_matrix(cartier_matrix(HyperellipticModel(ctx, f)).M)
@@ -326,7 +339,119 @@ def test_batched_entries_match_scalar_route_and_expansion():
         assert not by_pair[:-10].any()
         assert by_pair[-10:, 2].any(axis=1).all()  # the genus-2 quotient fails
     with pytest.raises(ValueError, match="degree 4 or 6"):
-        _cartier_entries_vec(p, [random_squarefree(rng, ctx, 5, nonzero_const=True)], None)
+        _cartier_entries_vec(
+            p, _model_rows([random_squarefree(rng, ctx, 5, nonzero_const=True)]), None
+        )
+
+
+def _with_roots(rng, ctx, deg, roots):
+    """A random polynomial of degree deg divisible by the x - r, r in roots."""
+    rest = random_poly(rng, ctx, deg - len(roots))
+    return DensePoly.from_roots(ctx, [ctx.elem(r) for r in roots]) * rest
+
+
+def test_gcd_degrees_match_euclid():
+    # random pairs over GF(p) of every formal degree pair up to 6, with forced
+    # shared and repeated roots, some of lower true degree than their rows
+    rng = random.Random(4242)
+    for p in (11, 23, 47):
+        ctx = field(p)
+        for m, n in product(range(1, 7), repeat=2):
+            fs, gs = [], []
+            for _ in range(8):
+                shared = [rng.randrange(p) for _ in range(rng.randint(0, min(m, n)))]
+                pair = []
+                for top in (m, n):
+                    deg = top if rng.random() < 0.7 else rng.randint(len(shared), top)
+                    roots = list(shared)
+                    if deg - len(roots) >= 2 and rng.random() < 0.4:
+                        roots += [rng.randrange(p)] * 2
+                    pair.append(_with_roots(rng, ctx, deg, roots))
+                fs.append(pair[0])
+                gs.append(pair[1])
+            F, G = _model_rows(fs)[: m + 1], _model_rows(gs)[: n + 1]
+            expected = [poly_gcd(f, g).degree for f, g in zip(fs, gs)]
+            assert _gcd_degrees([(F, G)], p)[0].tolist() == expected, (p, m, n)
+            # f is squarefree iff gcd(f, f') = 1
+            squarefree = _gcd_degrees([(F, _derivative(F, p))], p)[0] == 0
+            expected = [f.degree < 1 or is_squarefree(f) for f in fs]
+            assert squarefree.tolist() == expected, (p, m)
+
+
+def _rank_mod_p(rows, p):
+    """Rank of a matrix mod p by row reduction with inverses, one at a time."""
+    rows, rank = [list(r) for r in rows], 0
+    for c in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            k = rows[r][c] * inv
+            rows[r] = [(a - k * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_batched_ranks_match_row_reduction():
+    # square matrices of planted rank r <= n, as products of n x r and r x n
+    # factors, eliminated together
+    rng = np.random.default_rng(77)
+    for p in (11, 23, 1048573):
+        mats = [
+            rng.integers(0, p, (n, r)) @ rng.integers(0, p, (r, n)) % p
+            for n in range(1, 7) for r in range(n + 1) for _ in range(3)
+        ]
+        S = np.zeros((6, 6, len(mats)), dtype=np.int64)
+        for i, M in enumerate(mats):
+            n = len(M)
+            S[:n, :n, i] = M
+            S[range(n, 6), range(n, 6), i] = 1
+        expected = [_rank_mod_p(M.tolist(), p) + 6 - len(M) for M in mats]
+        assert _ranks_mod_p(S, p).tolist() == expected, p
+
+
+def _generic_verdict(ctx, u, v):
+    """The genus total (None if refused before it) and the error, if any, of
+    the per-pair route: kani_rosen_triple, then HyperellipticModel on the
+    genus-2 quotient."""
+    f_eu, f_dv, _ = _quotients(ctx, u, v)
+    try:
+        t = kani_rosen_triple(f_eu, f_dv)
+    except ValueError as err:
+        return None, (ValueError, str(err))
+    if t.genus_total != 5:
+        msg = f"solution ({u}, {v}) has genus {t.genus_total}, not 5"
+        return t.genus_total, (RuntimeError, msg)
+    try:
+        HyperellipticModel(ctx, t.f3)
+    except ValueError as err:
+        return 5, (ValueError, str(err))
+    return 5, None
+
+
+def test_batched_polynomial_checks_match_generic_route():
+    # every pair of the GF(23) grid minus +-1, gcd-excluded ones included; and
+    # the whole GF(13) grid, where u = +-1 zeroes E_u and u^4 = 1 or v^6 = 1
+    # lowers a degree
+    for p, values in ((23, [0, *range(2, 22)]), (13, range(13))):
+        ctx = field(p)
+        pairs = list(product(values, repeat=2))
+        us, vs = np.array(pairs, dtype=np.int64).T
+        first, numbers = _polynomial_checks(p, us, vs, *_quotient_rows(us, vs, p))
+        for i, (u, v) in enumerate(pairs):
+            genus, expected = _generic_verdict(ctx, u, v)
+            got = None
+            if first[i] < len(_POLYNOMIAL_CHECKS):
+                err = _polynomial_error(first, numbers, i)
+                got = (type(err), str(err))
+            assert got == expected, (p, u, v)
+            if genus is not None:
+                assert numbers["genus"][i] == genus, (p, u, v)
+        # genus failures and passes on both grids; degree failures of E_u and
+        # D_v on GF(13)
+        assert set(first.tolist()) == ({5, 8} if p == 23 else {0, 2, 5, 8})
 
 
 def test_vectorized_recurrence_refuses_zero_constant():
@@ -383,14 +508,20 @@ def test_recheck_slices_match_unsliced(monkeypatch):
     verify_solution_story(p, us, vs)
     assert len(passes) == -(-len(solutions) // 7) > 2
     assert (np.concatenate(passes) == unsliced).all()
-    # a non-solution in the third slice is still named
-    bad = (list(us[:15]) + [4] + list(us[15:]), list(vs[:15]) + [18] + list(vs[15:]))
+    # a non-solution, and a pair that fails a polynomial check, in the third
+    # slice are still named
     ctx = field(p)
     assert ss5_check_pair(p, ctx.elem(4), ctx.elem(18)).status == "not_solution"
-    for size in (7, search.RECHECK_SLICE):
-        monkeypatch.setattr(search, "RECHECK_SLICE", size)
-        with pytest.raises(RuntimeError, match=r"\(4, 18\) is not superspecial"):
-            verify_solution_story(p, *bad)
+    gcd_pair = next(
+        (u, v) for u in range(2, p - 1) for v in range(2, p - 1)
+        if ss5_check_pair(p, ctx.elem(u), ctx.elem(v)).reason == "gcd"
+    )
+    for (u, v), error in (((4, 18), r"is not superspecial"), (gcd_pair, r"has genus")):
+        bad = (list(us[:15]) + [u] + list(us[15:]), list(vs[:15]) + [v] + list(vs[15:]))
+        for size in (7, search.RECHECK_SLICE):
+            monkeypatch.setattr(search, "RECHECK_SLICE", size)
+            with pytest.raises(RuntimeError, match=rf"\({u}, {v}\) {error}"):
+                verify_solution_story(p, *bad)
 
 
 def test_sweep_p11_solutions_sound():
@@ -404,7 +535,7 @@ def test_sweep_p11_solutions_sound():
 
         a_poly, b_poly = _pair_polys(ctx.elem(u), ctx.elem(v))
         assert is_superspecial(HyperellipticModel(ctx, a_poly * b_poly))
-        f_eu, f_dv = _quotients(ctx, u, v)
+        f_eu, f_dv, _ = _quotients(ctx, u, v)
         assert prank_fiber_product(f_eu, f_dv) == (5, 0)
 
 
@@ -412,14 +543,13 @@ def test_sweep_solutions_verified_by_zeta_oracle():
     # independent validation: point-count L-polynomials of all three
     # quotients vanish mod p for sampled solutions
     from cmrank.cartier import prank_oracle
-    from cmrank.covers import kani_rosen_triple
 
     r = ss5_sweep(SweepConfig(p=11, mode="all"))
     ctx = field(11)
     for u, v in r.solutions[:4]:
-        f_eu, f_dv = _quotients(ctx, u, v)
+        f_eu, f_dv, f = _quotients(ctx, u, v)
         t = kani_rosen_triple(f_eu, f_dv)
-        for fpoly in (t.fE, t.f2, t.f3):
+        for fpoly in (t.fE, t.f2, t.f3, f):
             assert prank_oracle(HyperellipticModel(ctx, fpoly)) == 0
 
 
