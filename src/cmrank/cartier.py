@@ -3,22 +3,25 @@
 The matrix entry M[i][j] (1-indexed) is the coefficient c_{p*j - i} of
 f^((p-1)/2); the p-rank is the rank of the g-fold semilinear iterate
 M^(sigma^(g-1)) ... M^(sigma) M, with sigma the entrywise p-power map.
-Coefficient extraction has two routes: full expansion of f^((p-1)/2)
-(naive) and a linear recurrence that reaches any index within p of either
-end of the coefficient range in O(p) field operations.  An independent
-zeta-function oracle computes the p-rank from point counts so the two
-routes can be checked against each other.
+The iterate is formed by squaring and ranked by one elimination
+(`_raw_rank`), both on raw residues; FieldElements are built only for the
+returned `CartierData`.  Coefficient extraction has two routes: full
+expansion of f^((p-1)/2) (naive) and a linear recurrence that reaches any
+index within p of either end of the coefficient range in O(p) field
+operations.  An independent zeta-function oracle computes the p-rank from
+point counts so the two routes can be checked against each other.
 
 Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
 arrays up to A = f^(m//2), sets B = A or A*f, and takes each wanted c_k as
 the dot product of A_i and B_(k-i), with three convolutions per GF(p^2)
-product.  The arrays are int64 for p < 2^19, where every sum of at most
-2^24 products of residues stays below 2^62, and Python ints above.  The
-quadratic cost is bounded by refusing powers of degree m*deg(f) above
-`poly.EXPANSION_CAP` = 2^17 with a ValueError (CLI exit 2) before any array
-is built.  Genus >= 3 models reach it from p ~ 37 000 (degree 7) or
-p ~ 18 700 (degree 14), since their middle entries are out of the
-recurrence's reach.
+product.  For p < 2^18 the convolutions run in float64 on int64 arrays,
+exact because no sum of products of residues reaches 2^53; above that the
+arrays and convolutions are int64 for p < 2^19, where every sum stays
+below 2^62, and Python ints beyond.  The quadratic cost is bounded by
+refusing powers of degree m*deg(f) above `poly.EXPANSION_CAP` = 2^17 with a
+ValueError (CLI exit 2) before any array is built.  Genus >= 3 models
+reach it from p ~ 37 000 (degree 7) or p ~ 18 700 (degree 14), since their
+middle entries are out of the recurrence's reach.
 
 The recurrence here (`_recurrence_block`) is the scalar one: it serves a
 single model, of any degree, over GF(p) or GF(p^2); `search._power_coeffs_vec`
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ff import FieldCtx, FieldElement
-from .poly import DensePoly, _rinv, _rmul, is_squarefree, pow_coeffs
+from .poly import DensePoly, _is_rzero, _rdot, _rinv, _rmul, _rsub, is_squarefree, pow_coeffs
 
 ORACLE_MAX_GENUS = 3
 ORACLE_MAX_P = 31
@@ -216,64 +219,89 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coeff
 # -- exact linear algebra over the scalar field ---------------------------------
 
 
-def matrix_rank(M) -> int:
-    """Rank by Gaussian elimination over the exact field."""
-    rows = [list(r) for r in M]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+def _raw_matrix(M) -> list:
+    """The raw residues of a matrix of FieldElements."""
+    if M[0][0].ctx.ext_degree == 1:
+        return [[x.coords[0] for x in row] for row in M]
+    return [[x.coords for x in row] for row in M]
+
+
+def _elem_matrix(ctx: FieldCtx, T) -> tuple:
+    return tuple(tuple(_raw_to_elem(ctx, x) for x in row) for row in T)
+
+
+def _raw_rank(ctx: FieldCtx, rows) -> int:
+    """Rank of a matrix of raw residues over GF(p) or GF(p^2), by Gaussian
+    elimination to row echelon form."""
+    p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
+    rows = [list(r) for r in rows]
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(rows)):
-            if not rows[r][col].is_zero:
-                pivot = r
-                break
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if not _is_rzero(ext, rows[r][col])), None)
         if pivot is None:
             continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = rows[row][col].inverse()
-        rows[row] = [x * inv for x in rows[row]]
-        for r in range(len(rows)):
-            if r != row and not rows[r][col].is_zero:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[row])]
-        row += 1
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = _rinv(p, nu, ext, rows[rank][col])
+        top = [_rmul(p, nu, ext, x, inv) for x in rows[rank][col:]]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col]
+            if not _is_rzero(ext, factor):
+                rows[r][col:] = [
+                    _rsub(p, ext, x, _rmul(p, nu, ext, factor, y))
+                    for x, y in zip(rows[r][col:], top)
+                ]
         rank += 1
-        if row == len(rows):
+        if rank == len(rows):
             break
     return rank
 
 
-def _raw_mat_mul(p, nu, ext, A, B):
+def matrix_rank(M) -> int:
+    """Rank by Gaussian elimination over the exact field."""
+    if not M or not M[0]:
+        return 0
+    return _raw_rank(M[0][0].ctx, _raw_matrix(M))
+
+
+def _raw_mat_mul(ctx: FieldCtx, A, B):
     """A * B for matrices of raw residues."""
+    p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
     cols = list(zip(*B))
-    out = []
-    for row in A:
-        out_row = []
-        for col in cols:
-            terms = [_rmul(p, nu, ext, a, b) for a, b in zip(row, col)]
-            if ext == 1:
-                out_row.append(sum(terms) % p)
-            else:
-                out_row.append((sum(t[0] for t in terms) % p, sum(t[1] for t in terms) % p))
-        out.append(out_row)
-    return out
+    return [[_rdot(p, nu, ext, row, col) for col in cols] for row in A]
+
+
+def _raw_mat_pow(ctx: FieldCtx, A, e: int):
+    """A^e for e >= 1, by squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = A if result is None else _raw_mat_mul(ctx, result, A)
+        e >>= 1
+        if not e:
+            return result
+        A = _raw_mat_mul(ctx, A, A)
+
+
+def _raw_iterate(ctx: FieldCtx, M):
+    """M^(sigma^(g-1)) ... M^(sigma) M on raw residues.  Over GF(p) sigma is
+    the identity, so this is M^g; over GF(p^2) sigma negates the second
+    coordinate and sigma^2 = 1, so with N = M^sigma M it is N^(g/2) for even
+    g and M N^((g-1)/2) for odd g."""
+    g = len(M)
+    if ctx.ext_degree == 1:
+        return _raw_mat_pow(ctx, M, g)
+    p = ctx.p
+    N = _raw_mat_mul(ctx, [[(a, -b % p) for a, b in row] for row in M], M)
+    if g % 2 == 0:
+        return _raw_mat_pow(ctx, N, g // 2)
+    return M if g == 1 else _raw_mat_mul(ctx, M, _raw_mat_pow(ctx, N, g // 2))
 
 
 def semilinear_iterate(M) -> tuple:
-    """The product M^(sigma^(g-1)) ... M^(sigma) M for a g x g matrix,
-    formed on raw residues: sigma is the identity over GF(p) and negates the
-    second coordinate over GF(p^2)."""
+    """The product M^(sigma^(g-1)) ... M^(sigma) M for a g x g matrix, with
+    sigma the entrywise p-power map, formed on raw residues."""
     ctx = M[0][0].ctx
-    p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
-    T = F = [[x.coords[0] if ext == 1 else x.coords for x in row] for row in M]
-    for _ in range(1, len(M)):
-        if ext == 2:
-            F = [[(a, -b % p) for a, b in row] for row in F]
-        T = _raw_mat_mul(p, nu, ext, F, T)
-    return tuple(tuple(_raw_to_elem(ctx, x) for x in row) for row in T)
+    return _elem_matrix(ctx, _raw_iterate(ctx, _raw_matrix(M)))
 
 
 # -- the Cartier-Manin matrix ---------------------------------------------------
@@ -299,8 +327,11 @@ def _matrix_entries(C: HyperellipticModel, strategy: str) -> tuple:
 
 def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData:
     M, used = _matrix_entries(C, strategy)
-    T = semilinear_iterate(M)
-    return CartierData(M=M, p=C.ctx.p, iterate=T, p_rank=matrix_rank(T), strategy=used)
+    ctx = C.ctx
+    T = _raw_iterate(ctx, _raw_matrix(M))
+    return CartierData(
+        M=M, p=ctx.p, iterate=_elem_matrix(ctx, T), p_rank=_raw_rank(ctx, T), strategy=used
+    )
 
 
 def p_rank(C: HyperellipticModel) -> int:

@@ -7,9 +7,18 @@ numpy convolution once operands are long enough for it to pay.
 
 `pow_coeffs` reads single coefficients of a power without forming it: it
 keeps the polynomial as coordinate arrays and squares up to f^(m//2).
+
+Every numpy convolution goes through `_convolve`, which runs it in float64
+whenever no output can reach 2^53 (numpy convolves float64 through its SIMD
+dot kernel, int64 in a scalar loop, about 4x slower) and in the arrays' own
+dtype otherwise: int64 below `_NUMPY_MAX_P`, Python ints above.  Arrays and
+the reductions mod p stay int64; only the convolution's operands and result
+are cast.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -19,8 +28,10 @@ DEGREE_CAP = 1 << 24
 # cost guard of `pow_coeffs`: its last squaring is about (n/2)^2 multiply-adds
 # for a power of degree n, 4*10^9 at the guard, 18 times the n ~ 7*10^3 of a
 # genus-6 Cartier-Manin expansion at p ~ 1100.  At the guard on a 2-core Xeon
-# VM: 1.5 s over GF(p) and 5 s over GF(p^2) in int64; the object route
-# (p >= _NUMPY_MAX_P) took 6 s and 13 s at n = 2^15, so minutes at the guard
+# VM (range of three runs): 0.3 s over GF(p) and 0.9-1.1 s over GF(p^2) on
+# the float64 route (p < 2^18), 0.9-1.4 s and 2.5-4 s on the int64 route
+# (2^18 <= p < 2^19); the object route (p >= _NUMPY_MAX_P) took 4.4 s and
+# 15 s at n = 2^15, so minutes at the guard
 EXPANSION_CAP = 1 << 17
 _NUMPY_MIN_LEN = 32
 # keeps np.convolve and np.dot exact in int64: each product of residues is at
@@ -28,6 +39,28 @@ _NUMPY_MIN_LEN = 32
 # every sum stays below 2^62; Karatsuba adds coordinates mod p first
 _NUMPY_MAX_P = 1 << 19
 assert DEGREE_CAP * (_NUMPY_MAX_P - 1) ** 2 < 1 << 62
+# keeps np.convolve exact in float64: when no output sums more than `terms`
+# products of residues, each product and every partial sum, in any order and
+# with or without FMA, is a non-negative integer at most terms * (p-1)^2, so
+# below 2^53 when that is (and the int64 arrays and dot products around it
+# exact for any p).  `pow_coeffs` sums at most n + 1 <= EXPANSION_CAP + 1
+# products per output, Karatsuba's cross term adding coordinates mod p first,
+# so every cartier expansion with p < 2^18 takes this route
+_FLOAT_EXACT = 1 << 53
+assert (EXPANSION_CAP + 1) * ((1 << 18) - 1) ** 2 < _FLOAT_EXACT
+
+
+def _float_exact(terms, p):
+    return terms * (p - 1) ** 2 < _FLOAT_EXACT
+
+
+def _convolve(a, b, p, terms):
+    """np.convolve of residue arrays, not reduced, when no output sums more
+    than `terms` products: in float64 when that is exact, else in the
+    arrays' own dtype.  The result is int64 on the float route."""
+    if _float_exact(terms, p):
+        return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    return np.convolve(a, b)
 
 
 def _rzero(ext):
@@ -64,6 +97,17 @@ def _rmul(p, nu, ext, x, y):
     return ((a * c + nu * b * d) % p, (a * d + b * c) % p)
 
 
+def _rdot(p, nu, ext, xs, ys):
+    """The sum of x*y over paired raw residues, reduced once."""
+    if ext == 1:
+        return sum(map(operator.mul, xs, ys)) % p
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c + nu * b * d
+        im += a * d + b * c
+    return (re % p, im % p)
+
+
 def _rinv(p, nu, ext, x):
     if ext == 1:
         return pow(x, p - 2, p)
@@ -82,8 +126,10 @@ def _conv_int(a, b, p):
     """Exact convolution of residue lists mod p."""
     la, lb = len(a), len(b)
     if min(la, lb) >= _NUMPY_MIN_LEN and p < _NUMPY_MAX_P:
-        out = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        return [int(v) for v in out % p]
+        out = _convolve(
+            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p, min(la, lb)
+        )
+        return (out % p).tolist()
     out = [0] * (la + lb - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -339,14 +385,15 @@ def poly_pow_naive(f: DensePoly, m: int) -> DensePoly:
     return f ** m
 
 
-def _arrays_mul(a, b, p, nu):
-    """Product of polynomials held as coordinate arrays, reduced mod p; over
-    GF(p^2) the cross term (a0+a1)(b0+b1) - a0 b0 - a1 b1 saves a convolution."""
+def _arrays_mul(a, b, p, nu, terms):
+    """Product of polynomials held as coordinate arrays, reduced mod p, when
+    no coefficient sums more than `terms` products; over GF(p^2) the cross
+    term (a0+a1)(b0+b1) - a0 b0 - a1 b1 saves a convolution."""
     if len(a) == 1:
-        return (np.convolve(a[0], b[0]) % p,)
-    q00 = np.convolve(a[0], b[0]) % p
-    q11 = np.convolve(a[1], b[1]) % p
-    qs = np.convolve((a[0] + a[1]) % p, (b[0] + b[1]) % p)
+        return (_convolve(a[0], b[0], p, terms) % p,)
+    q00 = _convolve(a[0], b[0], p, terms) % p
+    q11 = _convolve(a[1], b[1], p, terms) % p
+    qs = _convolve((a[0] + a[1]) % p, (b[0] + b[1]) % p, p, terms)
     return ((q00 + nu * q11) % p, (qs - q00 - q11) % p)
 
 
@@ -355,7 +402,9 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
 
     f is held as coordinate arrays, one over GF(p) and two over GF(p^2), and
     squared up to A = f^(m//2); with B = A for even m and A*f for odd m, each
-    coefficient c_k is the dot product of A_i and B_(k-i).  The arrays are
+    coefficient c_k is the dot product of A_i and B_(k-i).  No sum has more
+    than n + 1 = m deg(f) + 1 terms: when (n + 1)(p - 1)^2 < 2^53 every
+    convolution runs in float64 on int64 arrays, otherwise the arrays are
     int64 below _NUMPY_MAX_P and Python ints at or above it.
     """
     if m < 0:
@@ -371,7 +420,7 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
     p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
     if f.is_zero and m:
         return {k: ctx.zero for k in indices}
-    dtype = np.int64 if p < _NUMPY_MAX_P else object
+    dtype = np.int64 if p < _NUMPY_MAX_P or _float_exact(n + 1, p) else object
 
     def arrays(raw):
         if ext == 1:
@@ -381,10 +430,10 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
     F = arrays(f.raw())
     A = F if m > 1 else arrays([_rsmall(p, ext, 1)])
     for bit in bin(m // 2)[3:]:
-        A = _arrays_mul(A, A, p, nu)
+        A = _arrays_mul(A, A, p, nu, n + 1)
         if bit == "1":
-            A = _arrays_mul(A, F, p, nu)
-    B = _arrays_mul(A, F, p, nu) if m % 2 else A
+            A = _arrays_mul(A, F, p, nu, n + 1)
+    B = _arrays_mul(A, F, p, nu, n + 1) if m % 2 else A
     if ext == 2:
         A = A + ((A[0] + A[1]) % p,)
         B = B + ((B[0] + B[1]) % p,)

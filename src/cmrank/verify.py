@@ -106,7 +106,8 @@ def verify_lemma43(seed=None):
                 g = C.genus
                 M = cartier_matrix(C).M
                 s_size = sum(1 for i in range(1, g + 1) if 1 <= (p * i) % n <= g)
-                ok = matrix_rank(M) == s_size and matrix_rank(M) < g
+                rank = matrix_rank(M)
+                ok = rank == s_size and rank < g
                 if p % n == n - 1:
                     ok = ok and all(x.is_zero for row in M for x in row)
                 rep.bump("cases")

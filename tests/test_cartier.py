@@ -345,6 +345,59 @@ def test_semilinear_iterate_matches_field_element_product():
                 assert semilinear_iterate(M) == T, (p, ext, g)
 
 
+def _rank_oracle(M):
+    """Rank by Gauss-Jordan elimination on FieldElements: the oracle of the
+    raw-residue elimination `_raw_rank`."""
+    rows = [list(r) for r in M]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][col].is_zero:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_raw_rank_matches_field_element_elimination():
+    from cmrank.cartier import _raw_matrix, _raw_rank
+
+    rng = random.Random(6161)
+    cases = 0
+    for p in (3, 7, 1009):
+        for ext in (1, 2):
+            ctx = field(p, ext)
+
+            def rand():
+                return ctx.from_coords([rng.randrange(p) for _ in range(ext)])
+
+            for _ in range(60):
+                nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+                # a product of nrows x k and k x ncols factors has rank <= k
+                k = rng.randrange(0, min(nrows, ncols) + 1)
+                left = [[rand() for _ in range(k)] for _ in range(nrows)]
+                right = [[rand() for _ in range(ncols)] for _ in range(k)]
+                M = [
+                    [sum((row[t] * right[t][j] for t in range(k)), ctx.zero) for j in range(ncols)]
+                    for row in left
+                ]
+                for r in rng.sample(range(nrows), rng.randrange(nrows)):
+                    M[r] = [ctx.zero] * ncols
+                expected = _rank_oracle(M)
+                assert expected <= k
+                cases += expected < min(nrows, ncols)
+                assert _raw_rank(ctx, _raw_matrix(M)) == expected, (p, ext, M)
+                assert matrix_rank(M) == expected, (p, ext, M)
+    assert cases > 100  # rank-deficient matrices dominate
+    assert matrix_rank([]) == 0
+
+
 def test_is_superspecial_forms_no_iterate(monkeypatch):
     from cmrank import cartier
 
@@ -356,10 +409,11 @@ def test_is_superspecial_forms_no_iterate(monkeypatch):
     expected = [all(x.is_zero for row in cartier_matrix(C).M for x in row) for C in models]
     assert any(expected) and not all(expected)
 
-    def refuse(M):
-        raise AssertionError("is_superspecial must not form the semilinear iterate")
+    def refuse(*args):
+        raise AssertionError("is_superspecial must not form the semilinear iterate or a rank")
 
-    monkeypatch.setattr(cartier, "semilinear_iterate", refuse)
+    for name in ("_raw_iterate", "_raw_rank", "semilinear_iterate", "matrix_rank"):
+        monkeypatch.setattr(cartier, name, refuse)
     assert [is_superspecial(C) for C in models] == expected
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -210,7 +211,7 @@ def test_pow_degree_cap_boundary(monkeypatch):
 
 # -- pow_coeffs: single coefficients of f^m without forming it -----------------------
 
-# the first prime at or above _NUMPY_MAX_P, where pow_coeffs uses object arrays
+# the first prime at or above _NUMPY_MAX_P, where the int64 route ends
 P_OBJECT = next(q for q in range(poly._NUMPY_MAX_P, 2 * poly._NUMPY_MAX_P) if is_prime(q))
 
 
@@ -263,7 +264,8 @@ def test_pow_coeffs_matches_recurrence_at_every_reachable_index():
                     assert got[k] == ctx.from_coords((c,) if ext == 1 else c), (p, ext, genus, k)
 
 
-def test_pow_coeffs_object_route_above_numpy_max_p(monkeypatch):
+def _convolve_dtypes(monkeypatch):
+    """Record the dtype of every array np.convolve is given from now on."""
     dtypes = set()
     convolve = np.convolve
 
@@ -272,12 +274,63 @@ def test_pow_coeffs_object_route_above_numpy_max_p(monkeypatch):
         return convolve(a, b)
 
     monkeypatch.setattr(np, "convolve", spy)
+    return dtypes
+
+
+def test_pow_coeffs_object_route_above_numpy_max_p(monkeypatch):
+    # from 2^26 on, 7 (p-1)^2 >= 2^53: no power of degree 6 m + 1 >= 7 has
+    # sums that float64 keeps exact, so object arrays run
+    p_object = next(q for q in range(1 << 26, 1 << 27) if is_prime(q))
+    assert not poly._float_exact(7, p_object)
+    dtypes = _convolve_dtypes(monkeypatch)
     rng = random.Random(19)
     for ext in (1, 2):
-        ctx = field(P_OBJECT, ext)
+        ctx = field(p_object, ext)
         for m in (1, 2, 3):
             _assert_matches_full_power(random_poly(rng, ctx, 6), m)
     assert dtypes == {np.dtype(object)}
+
+
+def _float_boundary_primes(terms):
+    """The largest prime p with terms (p-1)^2 < 2^53, and the next prime."""
+    q = 1 + math.isqrt((poly._FLOAT_EXACT - 1) // terms)
+    last = next(r for r in range(q, 1, -1) if is_prime(r))
+    return last, next(r for r in range(q + 1, 2 * q) if is_prime(r))
+
+
+@pytest.mark.parametrize(
+    "m, deg, ext, beyond",
+    [
+        (3, 6, 1, np.dtype(object)),
+        (3, 6, 2, np.dtype(object)),
+        # n + 1 = 2^16, so the boundary lies below _NUMPY_MAX_P
+        (3, 21845, 1, np.dtype(np.int64)),
+    ],
+)
+def test_pow_coeffs_float_route_is_exact_at_its_bound(monkeypatch, m, deg, ext, beyond):
+    # every coefficient p - 1 makes the sums of products of residues as large
+    # as residues allow; the middle coefficients of f^m sum the most of them.
+    # With f = c (1 + x + ... + x^deg), c_k of f^m is c^m times the number of
+    # ways to write k as an ordered sum of m = 3 parts in [0, deg]
+    n = m * deg
+    last, after = _float_boundary_primes(n + 1)
+    assert (after < poly._NUMPY_MAX_P) == (beyond == np.dtype(np.int64))
+    indices = sorted({0, 1, n // 3, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n})
+
+    def pairs(s):  # ordered sums of two parts in [0, deg]
+        return max(0, min(s, 2 * deg - s) + 1)
+
+    for p, route in ((last, np.dtype(np.float64)), (after, beyond)):
+        ctx = field(p, ext)
+        c = ctx.from_coords((p - 1,) * ext)
+        f = DensePoly.from_elements(ctx, [c] * (deg + 1))
+        h = f**m
+        expected = {k: c**m * ctx.elem(sum(pairs(k - i) for i in range(deg + 1))) for k in indices}
+        assert {k: h.coeff(k) for k in indices} == expected, p
+        dtypes = _convolve_dtypes(monkeypatch)
+        assert pow_coeffs(f, m, indices) == expected, p
+        assert dtypes == {route}, p
+        monkeypatch.undo()
 
 
 def _no_convolution(*args):
@@ -325,5 +378,8 @@ def test_int64_bounds_of_the_constants():
     assert -(2**63) < -2 * p_max and largest_sum < 2**63
     assert p_max + p_max * p_max < 2**63
     assert poly.EXPANSION_CAP < poly.DEGREE_CAP
+    # a cartier expansion sums at most EXPANSION_CAP + 1 products per output,
+    # so below p = 2^18 its convolutions take the float64 route
+    assert poly._float_exact(poly.EXPANSION_CAP + 1, (1 << 18) - 1)
     # the sweep kernel sums six recurrence terms, each below p^3
     assert 6 * search.SWEEP_MAX_P**3 < 2**63

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmrank import search
-from cmrank.cartier import HyperellipticModel, cartier_matrix, is_superspecial
+from cmrank.cartier import HyperellipticModel, _raw_matrix, cartier_matrix, is_superspecial
 from cmrank.covers import kani_rosen_triple, prank_fiber_product
 from cmrank.ff import field, is_prime
 from cmrank.poly import DensePoly, is_squarefree, poly_gcd, pow_coeffs
@@ -301,10 +301,6 @@ def test_kernel_recurrence_matches_per_term_oracle(monkeypatch):
         assert ks == (p - 2, p - 1) and F.shape[0] == 7
         c, a = _recurrence_ends_vec(list(F), (p - 1) // 2, p, inv_table)
         assert (out[0] == c).all() and (out[1] == a).all(), p
-
-
-def _raw_matrix(M):
-    return [[x.coords[0] for x in row] for row in M]
 
 
 def test_batched_entries_match_scalar_route_and_expansion():
