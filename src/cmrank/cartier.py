@@ -14,10 +14,8 @@ point counts so the two routes can be checked against each other.
 Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
 arrays up to A = f^(m//2), sets B = A or A*f, and takes each wanted c_k as
 the dot product of A_i and B_(k-i), with three convolutions per GF(p^2)
-product.  For p < 2^18 the convolutions run in float64 on int64 arrays,
-exact because no sum of products of residues reaches 2^53; above that the
-arrays and convolutions are int64 for p < 2^19, where every sum stays
-below 2^62, and Python ints beyond.  The quadratic cost is bounded by
+product.  The convolutions run in float64 on int64 arrays, exact by the
+bound `poly._FLOAT_EXACT` states.  The quadratic cost is bounded by
 refusing powers of degree m*deg(f) above `poly.EXPANSION_CAP` = 2^17 with a
 ValueError (CLI exit 2) before any array is built.  Genus >= 3 models
 reach it from p ~ 37 000 (degree 7) or p ~ 18 700 (degree 14), since their
@@ -37,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ff import FieldCtx, FieldElement
+from .ff import FieldCtx, FieldElement, inverse_table
 from .poly import DensePoly, _is_rzero, _rdot, _rinv, _rmul, _rsub, is_squarefree, pow_coeffs
 
 ORACLE_MAX_GENUS = 3
@@ -109,14 +107,12 @@ def _recurrence_block(f: DensePoly, m: int, upto: int) -> list:
     """Raw coefficients c_0..c_upto of f^m, assuming f(0) != 0 and upto < p.
 
     k f_0 c_k = sum_{j=1..d} ((m+1) j - k) f_j c_{k-j}, with f_j / f_0 taken
-    once and 1/k from the table inv[k] = -(p // k) inv[p mod k]."""
+    once and 1/k from `inverse_table`."""
     ctx = f.ctx
     p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
     d = f.degree
     raw = f.raw()
-    inv = [0, 1]
-    for k in range(2, upto + 1):
-        inv.append(-(p // k) * inv[p % k] % p)
+    inv = inverse_table(p, upto)
     f0_inv = _rinv(p, nu, ext, raw[0])
     # (weight at k = 0, f_j / f_0) for j = 1..d; c is padded with d zeros
     # below c_0, so every step runs over all j

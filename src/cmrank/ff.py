@@ -41,6 +41,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def inverse_table(p: int, upto: int) -> list:
+    """[0, 1/1, 1/2, ..., 1/upto] mod p for upto < p, by the recurrence
+    1/k = -(p // k) / (p mod k)."""
+    inv = [0, 1][: upto + 1]
+    for k in range(2, upto + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    return inv
+
+
 def _smallest_nonresidue(p: int) -> int:
     a = 2
     while pow(a, (p - 1) // 2, p) == 1:

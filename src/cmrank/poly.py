@@ -6,14 +6,14 @@ and the zero polynomial is the empty tuple.  Products switch to an exact
 numpy convolution once operands are long enough for it to pay.
 
 `pow_coeffs` reads single coefficients of a power without forming it: it
-keeps the polynomial as coordinate arrays and squares up to f^(m//2).
+keeps the polynomial as int64 coordinate arrays and squares up to f^(m//2).
 
 Every numpy convolution goes through `_convolve`, which runs it in float64
-whenever no output can reach 2^53 (numpy convolves float64 through its SIMD
-dot kernel, int64 in a scalar loop, about 4x slower) and in the arrays' own
-dtype otherwise: int64 below `_NUMPY_MAX_P`, Python ints above.  Arrays and
-the reductions mod p stay int64; only the convolution's operands and result
-are cast.
+(numpy convolves float64 through its SIMD dot kernel, int64 in a scalar
+loop, about 4x slower) on int64 arrays, and is called only where that is
+exact (`_FLOAT_EXACT`, which states the argument): past that bound a
+product falls back to a schoolbook loop over Python ints, and `pow_coeffs`
+refuses the power.
 """
 
 from __future__ import annotations
@@ -28,24 +28,19 @@ DEGREE_CAP = 1 << 24
 # cost guard of `pow_coeffs`: its last squaring is about (n/2)^2 multiply-adds
 # for a power of degree n, 4*10^9 at the guard, 18 times the n ~ 7*10^3 of a
 # genus-6 Cartier-Manin expansion at p ~ 1100.  At the guard on a 2-core Xeon
-# VM (range of three runs): 0.3 s over GF(p) and 0.9-1.1 s over GF(p^2) on
-# the float64 route (p < 2^18), 0.9-1.4 s and 2.5-4 s on the int64 route
-# (2^18 <= p < 2^19); the object route (p >= _NUMPY_MAX_P) took 4.4 s and
-# 15 s at n = 2^15, so minutes at the guard
+# VM (range of three runs): 0.3 s over GF(p) and 0.9-1.1 s over GF(p^2)
 EXPANSION_CAP = 1 << 17
 _NUMPY_MIN_LEN = 32
-# keeps np.convolve and np.dot exact in int64: each product of residues is at
-# most (p-1)^2 < 2^38 and at most DEGREE_CAP = 2^24 of them are summed, so
-# every sum stays below 2^62; Karatsuba adds coordinates mod p first
-_NUMPY_MAX_P = 1 << 19
-assert DEGREE_CAP * (_NUMPY_MAX_P - 1) ** 2 < 1 << 62
-# keeps np.convolve exact in float64: when no output sums more than `terms`
-# products of residues, each product and every partial sum, in any order and
-# with or without FMA, is a non-negative integer at most terms * (p-1)^2, so
-# below 2^53 when that is (and the int64 arrays and dot products around it
-# exact for any p).  `pow_coeffs` sums at most n + 1 <= EXPANSION_CAP + 1
-# products per output, Karatsuba's cross term adding coordinates mod p first,
-# so every cartier expansion with p < 2^18 takes this route
+# the one exactness bound of the numpy routes.  When no output sums more than
+# `terms` products of residues, each product and every partial sum, in any
+# order and with or without FMA, is a non-negative integer at most
+# terms * (p-1)^2: float64 convolutions are exact while that is below 2^53,
+# and so are the int64 arrays, reductions and dot products around them.
+# Karatsuba's cross term adds coordinates mod p first, so its operands are
+# residues too.  A power of degree n sums at most n + 1 products per output,
+# and `pow_coeffs` refuses one past this bound.  No Cartier-Manin expansion
+# reaches it: those have m = (p-1)/2 and deg f >= 3, so EXPANSION_CAP refuses
+# every one with p >= 2^18, and below 2^18 the assert keeps them exact
 _FLOAT_EXACT = 1 << 53
 assert (EXPANSION_CAP + 1) * ((1 << 18) - 1) ** 2 < _FLOAT_EXACT
 
@@ -54,13 +49,10 @@ def _float_exact(terms, p):
     return terms * (p - 1) ** 2 < _FLOAT_EXACT
 
 
-def _convolve(a, b, p, terms):
-    """np.convolve of residue arrays, not reduced, when no output sums more
-    than `terms` products: in float64 when that is exact, else in the
-    arrays' own dtype.  The result is int64 on the float route."""
-    if _float_exact(terms, p):
-        return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-    return np.convolve(a, b)
+def _convolve(a, b):
+    """np.convolve of int64 residue arrays, not reduced, run in float64;
+    callers keep it exact by `_float_exact`.  The result is int64."""
+    return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
 
 
 def _rzero(ext):
@@ -125,10 +117,8 @@ def _rsmall(p, ext, n):
 def _conv_int(a, b, p):
     """Exact convolution of residue lists mod p."""
     la, lb = len(a), len(b)
-    if min(la, lb) >= _NUMPY_MIN_LEN and p < _NUMPY_MAX_P:
-        out = _convolve(
-            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p, min(la, lb)
-        )
+    if min(la, lb) >= _NUMPY_MIN_LEN and _float_exact(min(la, lb), p):
+        out = _convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
         return (out % p).tolist()
     out = [0] * (la + lb - 1)
     for i, ai in enumerate(a):
@@ -385,27 +375,27 @@ def poly_pow_naive(f: DensePoly, m: int) -> DensePoly:
     return f ** m
 
 
-def _arrays_mul(a, b, p, nu, terms):
-    """Product of polynomials held as coordinate arrays, reduced mod p, when
-    no coefficient sums more than `terms` products; over GF(p^2) the cross
-    term (a0+a1)(b0+b1) - a0 b0 - a1 b1 saves a convolution."""
+def _arrays_mul(a, b, p, nu):
+    """Product of polynomials held as coordinate arrays, reduced mod p; over
+    GF(p^2) the cross term (a0+a1)(b0+b1) - a0 b0 - a1 b1 saves a
+    convolution."""
     if len(a) == 1:
-        return (_convolve(a[0], b[0], p, terms) % p,)
-    q00 = _convolve(a[0], b[0], p, terms) % p
-    q11 = _convolve(a[1], b[1], p, terms) % p
-    qs = _convolve((a[0] + a[1]) % p, (b[0] + b[1]) % p, p, terms)
+        return (_convolve(a[0], b[0]) % p,)
+    q00 = _convolve(a[0], b[0]) % p
+    q11 = _convolve(a[1], b[1]) % p
+    qs = _convolve((a[0] + a[1]) % p, (b[0] + b[1]) % p)
     return ((q00 + nu * q11) % p, (qs - q00 - q11) % p)
 
 
 def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
     """Coefficients of f^m at the given indices, without forming f^m.
 
-    f is held as coordinate arrays, one over GF(p) and two over GF(p^2), and
-    squared up to A = f^(m//2); with B = A for even m and A*f for odd m, each
-    coefficient c_k is the dot product of A_i and B_(k-i).  No sum has more
-    than n + 1 = m deg(f) + 1 terms: when (n + 1)(p - 1)^2 < 2^53 every
-    convolution runs in float64 on int64 arrays, otherwise the arrays are
-    int64 below _NUMPY_MAX_P and Python ints at or above it.
+    f is held as int64 coordinate arrays, one over GF(p) and two over
+    GF(p^2), and squared up to A = f^(m//2); with B = A for even m and A*f
+    for odd m, each coefficient c_k is the dot product of A_i and B_(k-i).
+    No sum has more than n + 1 = m deg(f) + 1 terms, so for m >= 1 the power
+    is refused with a ValueError, before any array is built, unless
+    `_float_exact(n + 1, p)` holds.
     """
     if m < 0:
         raise ValueError("negative polynomial power")
@@ -418,22 +408,26 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
         )
     ctx = f.ctx
     p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
+    if m and not _float_exact(n + 1, p):
+        raise ValueError(
+            f"degree {n} of the full expansion over p = {p} sums products "
+            "of residues past the exact float64 bound 2^53"
+        )
     if f.is_zero and m:
         return {k: ctx.zero for k in indices}
-    dtype = np.int64 if p < _NUMPY_MAX_P or _float_exact(n + 1, p) else object
 
     def arrays(raw):
         if ext == 1:
-            return (np.array(raw, dtype=dtype),)
-        return tuple(np.array([x[i] for x in raw], dtype=dtype) for i in (0, 1))
+            return (np.array(raw, dtype=np.int64),)
+        return tuple(np.array([x[i] for x in raw], dtype=np.int64) for i in (0, 1))
 
     F = arrays(f.raw())
     A = F if m > 1 else arrays([_rsmall(p, ext, 1)])
     for bit in bin(m // 2)[3:]:
-        A = _arrays_mul(A, A, p, nu, n + 1)
+        A = _arrays_mul(A, A, p, nu)
         if bit == "1":
-            A = _arrays_mul(A, F, p, nu, n + 1)
-    B = _arrays_mul(A, F, p, nu, n + 1) if m % 2 else A
+            A = _arrays_mul(A, F, p, nu)
+    B = _arrays_mul(A, F, p, nu) if m % 2 else A
     if ext == 2:
         A = A + ((A[0] + A[1]) % p,)
         B = B + ((B[0] + B[1]) % p,)

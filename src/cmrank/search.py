@@ -122,7 +122,7 @@ from pathlib import Path
 import numpy as np
 
 from .cartier import HyperellipticModel, power_coeffs
-from .ff import FieldElement, field, is_prime
+from .ff import FieldElement, field, inverse_table, is_prime
 from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 
 EXT_GRID_GUARD = 40000
@@ -303,11 +303,7 @@ def _powmod_vec(base, e: int, p: int):
 
 
 def _inverse_table(p: int):
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1] = 1
-    for k in range(2, p):
-        inv[k] = (p - (p // k) * inv[p % k]) % p
-    return inv
+    return np.array(inverse_table(p, p - 1), dtype=np.int64)
 
 
 def _res_quadratics(f, g, p):
@@ -694,15 +690,19 @@ def sweep_with_cache(cfg: SweepConfig, results_dir, force: bool = False):
 def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
     """Exploratory sweep with (u, v) over GF(p^2); guarded to small grids.
     No expected outcome is attached to these findings."""
+    if mode not in ("first", "all"):
+        raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
     if not is_prime(p) or p % 12 != 11:
         raise ValueError(f"p = {p} is not a prime with p = 11 (mod 12)")
-    ctx = field(p, 2)
-    elems = [e for e in ctx.elements() if not (e == ctx.one or e == -ctx.one)]
-    grid_size = len(elems) ** 2
+    # u, v range over GF(p^2) without +-1; the size is checked before the
+    # p^2 elements are listed
+    grid_size = (p * p - 2) ** 2
     if grid_size > EXT_GRID_GUARD:
         raise ValueError(
             f"extension grid has {grid_size} pairs, beyond the guard {EXT_GRID_GUARD}"
         )
+    ctx = field(p, 2)
+    elems = [e for e in ctx.elements() if not (e == ctx.one or e == -ctx.one)]
     start = time.monotonic()
     counts = {
         "tested": 0,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cmrank import cartier
 from cmrank.cartier import (
     HyperellipticModel,
     RecurrenceUnavailable,
@@ -219,6 +220,17 @@ def test_oracle_guard():
     ctx = field(7, 2)
     with pytest.raises(ValueError):
         prank_oracle(HyperellipticModel.from_ints(ctx, [1, 1, 0, 1]))
+
+
+def test_oracle_genus_guard_fires_before_counting_points(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted points past the oracle guard")
+
+    monkeypatch.setattr(cartier, "_count_points", refuse)
+    C = model(7, [0, -1] + [0] * 7 + [1])  # x^9 - x
+    assert C.genus == cartier.ORACLE_MAX_GENUS + 1
+    with pytest.raises(ValueError, match="oracle guard"):
+        prank_oracle(C)
 
 
 def test_oracle_agreement_random():

@@ -1,6 +1,6 @@
 import json
 
-from cmrank import search
+from cmrank import ff, search
 from cmrank.cli import main
 
 
@@ -55,6 +55,15 @@ def test_prank_past_the_recurrence_guard_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(np, "convolve", refuse)
     code, _, err = run(capsys, "prank", "--p", "2147483647", "--poly", "1,0,0,1")
     assert code == 2 and "exceeds the cap" in err
+
+
+def test_prank_past_max_prime_exits_2_before_primality(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("tested primality past MAX_PRIME")
+
+    monkeypatch.setattr(ff, "is_prime", refuse)
+    code, _, err = run(capsys, "prank", "--p", "2147483659", "--poly", "1,0,0,1")
+    assert code == 2 and "2^31" in err
 
 
 def test_removed_threads_flags_exit_2(tmp_path, capsys):
@@ -201,3 +210,12 @@ def test_ss5_past_the_sweep_bound_exits_2_before_sweeping(monkeypatch, tmp_path,
     )
     assert code == 2 and "bound" in err
     assert not (tmp_path / "ss5").exists()
+
+
+def test_ss5_ext_field_past_the_grid_guard_exits_2_before_listing(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("listed GF(p^2) past the grid guard")
+
+    monkeypatch.setattr(ff.FieldCtx, "elements", refuse)
+    code, _, err = run(capsys, "ss5", "--p", "1048571", "--ext-field", "--no-cache")
+    assert code == 2 and "guard" in err

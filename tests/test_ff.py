@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from cmrank.ff import field, frobenius, is_prime, legendre
+from cmrank import ff
+from cmrank.ff import field, frobenius, inverse_table, is_prime, legendre
+
+# the first prime past MAX_PRIME = 2^31
+P_PAST_MAX = 2147483659
 
 
 def test_context_construction():
@@ -23,6 +27,26 @@ def test_context_rejects_bad_moduli():
         field(9)
     with pytest.raises(ValueError):
         field(7, 3)
+
+
+def test_context_refuses_past_max_prime_before_primality(monkeypatch):
+    assert P_PAST_MAX == next(q for q in range(ff.MAX_PRIME, ff.MAX_PRIME + 100) if is_prime(q))
+
+    def refuse(n):
+        raise AssertionError("tested primality past MAX_PRIME")
+
+    monkeypatch.setattr(ff, "is_prime", refuse)
+    for ext in (1, 2):
+        with pytest.raises(ValueError, match="2\\^31"):
+            field(P_PAST_MAX, ext)
+
+
+def test_inverse_table():
+    for p in (3, 7, 101):
+        for upto in (0, 1, p // 2, p - 1):
+            inv = inverse_table(p, upto)
+            assert len(inv) == upto + 1 and inv[0] == 0
+            assert all(k * inv[k] % p == 1 for k in range(1, upto + 1))
 
 
 def test_modulus_choice_p1mod4():

@@ -211,8 +211,8 @@ def test_pow_degree_cap_boundary(monkeypatch):
 
 # -- pow_coeffs: single coefficients of f^m without forming it -----------------------
 
-# the first prime at or above _NUMPY_MAX_P, where the int64 route ends
-P_OBJECT = next(q for q in range(poly._NUMPY_MAX_P, 2 * poly._NUMPY_MAX_P) if is_prime(q))
+# a prime past 2^18, where every Cartier-Manin expansion is past EXPANSION_CAP
+P_LARGE = 524309
 
 
 def _assert_matches_full_power(f, m):
@@ -264,31 +264,41 @@ def test_pow_coeffs_matches_recurrence_at_every_reachable_index():
                     assert got[k] == ctx.from_coords((c,) if ext == 1 else c), (p, ext, genus, k)
 
 
-def _convolve_dtypes(monkeypatch):
-    """Record the dtype of every array np.convolve is given from now on."""
-    dtypes = set()
-    convolve = np.convolve
-
-    def spy(a, b):
-        dtypes.add(a.dtype)
-        return convolve(a, b)
-
-    monkeypatch.setattr(np, "convolve", spy)
-    return dtypes
+def _no_convolution(*args):
+    raise AssertionError("convolved past a guard")
 
 
-def test_pow_coeffs_object_route_above_numpy_max_p(monkeypatch):
+def test_pow_coeffs_refuses_past_the_float_bound(monkeypatch):
     # from 2^26 on, 7 (p-1)^2 >= 2^53: no power of degree 6 m + 1 >= 7 has
-    # sums that float64 keeps exact, so object arrays run
-    p_object = next(q for q in range(1 << 26, 1 << 27) if is_prime(q))
-    assert not poly._float_exact(7, p_object)
-    dtypes = _convolve_dtypes(monkeypatch)
+    # sums that float64 keeps exact, so each is refused before convolving
+    p = next(q for q in range(1 << 26, 1 << 27) if is_prime(q))
+    assert not poly._float_exact(7, p)
+    monkeypatch.setattr(np, "convolve", _no_convolution)
     rng = random.Random(19)
     for ext in (1, 2):
-        ctx = field(p_object, ext)
+        ctx = field(p, ext)
         for m in (1, 2, 3):
-            _assert_matches_full_power(random_poly(rng, ctx, 6), m)
-    assert dtypes == {np.dtype(object)}
+            f = random_poly(rng, ctx, 6)
+            with pytest.raises(ValueError, match="2\\^53"):
+                pow_coeffs(f, m, [0])
+        assert pow_coeffs(f, 0, [0]) == {0: ctx.one}
+
+
+def test_products_past_the_float_bound_use_the_schoolbook_loop(monkeypatch):
+    p = next(q for q in range(1 << 26, 1 << 27) if is_prime(q))
+    n = poly._NUMPY_MIN_LEN + 8
+    assert not poly._float_exact(n, p)
+    monkeypatch.setattr(np, "convolve", _no_convolution)
+    rng = random.Random(23)
+    for ext in (1, 2):
+        ctx = field(p, ext)
+        a, b = random_poly(rng, ctx, n), random_poly(rng, ctx, n)
+        # every coefficient of a b, as the sum of its products of elements
+        expected = [
+            sum((a.coeff(i) * b.coeff(k - i) for i in range(k + 1)), ctx.zero)
+            for k in range(2 * n + 1)
+        ]
+        assert (a * b).coeffs == tuple(expected)
 
 
 def _float_boundary_primes(terms):
@@ -298,46 +308,33 @@ def _float_boundary_primes(terms):
     return last, next(r for r in range(q + 1, 2 * q) if is_prime(r))
 
 
-@pytest.mark.parametrize(
-    "m, deg, ext, beyond",
-    [
-        (3, 6, 1, np.dtype(object)),
-        (3, 6, 2, np.dtype(object)),
-        # n + 1 = 2^16, so the boundary lies below _NUMPY_MAX_P
-        (3, 21845, 1, np.dtype(np.int64)),
-    ],
-)
-def test_pow_coeffs_float_route_is_exact_at_its_bound(monkeypatch, m, deg, ext, beyond):
+# the last case has long operands, n + 1 = 2^16, and its bound near p = 2^18.5
+@pytest.mark.parametrize("m, deg, ext", [(3, 6, 1), (3, 6, 2), (3, 21845, 1)])
+def test_pow_coeffs_float_route_is_exact_at_its_bound(monkeypatch, m, deg, ext):
     # every coefficient p - 1 makes the sums of products of residues as large
     # as residues allow; the middle coefficients of f^m sum the most of them.
     # With f = c (1 + x + ... + x^deg), c_k of f^m is c^m times the number of
     # ways to write k as an ordered sum of m = 3 parts in [0, deg]
     n = m * deg
     last, after = _float_boundary_primes(n + 1)
-    assert (after < poly._NUMPY_MAX_P) == (beyond == np.dtype(np.int64))
     indices = sorted({0, 1, n // 3, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n})
 
     def pairs(s):  # ordered sums of two parts in [0, deg]
         return max(0, min(s, 2 * deg - s) + 1)
 
-    for p, route in ((last, np.dtype(np.float64)), (after, beyond)):
-        ctx = field(p, ext)
-        c = ctx.from_coords((p - 1,) * ext)
-        f = DensePoly.from_elements(ctx, [c] * (deg + 1))
-        h = f**m
-        expected = {k: c**m * ctx.elem(sum(pairs(k - i) for i in range(deg + 1))) for k in indices}
-        assert {k: h.coeff(k) for k in indices} == expected, p
-        dtypes = _convolve_dtypes(monkeypatch)
-        assert pow_coeffs(f, m, indices) == expected, p
-        assert dtypes == {route}, p
-        monkeypatch.undo()
+    ctx = field(last, ext)
+    c = ctx.from_coords((last - 1,) * ext)
+    f = DensePoly.from_elements(ctx, [c] * (deg + 1))
+    expected = {k: c**m * ctx.elem(sum(pairs(k - i) for i in range(deg + 1))) for k in indices}
+    assert pow_coeffs(f, m, indices) == expected, last
+    ctx = field(after, ext)
+    f = DensePoly.from_elements(ctx, [ctx.from_coords((after - 1,) * ext)] * (deg + 1))
+    monkeypatch.setattr(np, "convolve", _no_convolution)
+    with pytest.raises(ValueError, match="2\\^53"):
+        pow_coeffs(f, m, indices)
 
 
-def _no_convolution(*args):
-    raise AssertionError("convolved past a guard")
-
-
-@pytest.mark.parametrize("p", [3, P_OBJECT])
+@pytest.mark.parametrize("p", [3, P_LARGE])
 def test_pow_coeffs_degree_cap_fires_before_allocating(monkeypatch, p):
     monkeypatch.setattr(np, "convolve", _no_convolution)
     f = P(field(p), 1, 0, 0, 0, 0, 0, 0, 0, 1)  # degree 8
@@ -345,7 +342,7 @@ def test_pow_coeffs_degree_cap_fires_before_allocating(monkeypatch, p):
         pow_coeffs(f, poly.DEGREE_CAP // 8, [0])
 
 
-@pytest.mark.parametrize("p", [524287, P_OBJECT])
+@pytest.mark.parametrize("p", [524287, P_LARGE])
 def test_prank_cost_guard_exits_2_before_convolving(monkeypatch, capsys, p):
     # below DEGREE_CAP, but the genus-3 entries c_(2p-i) are out of the
     # recurrence's reach, and full expansion to degree 7 (p-1)/2 ~ 1.8 10^6
@@ -367,16 +364,16 @@ def test_pow_coeffs_cost_guard_boundary(monkeypatch):
 
 
 def test_int64_bounds_of_the_constants():
-    p_max = poly._NUMPY_MAX_P - 1
-    # a convolution or a dot product of residue arrays sums at most DEGREE_CAP
-    # products of residues; Karatsuba adds coordinates mod p first, so its
-    # operands are residues too
-    largest_sum = poly.DEGREE_CAP * p_max**2
-    assert largest_sum < 2**62
+    # numpy convolves and takes dot products only where _float_exact holds,
+    # so for some terms >= 1 and p at most p_max
+    p_max = 1 + math.isqrt(poly._FLOAT_EXACT - 1)
+    assert poly._float_exact(1, p_max) and not poly._float_exact(1, p_max + 1)
+    # there every sum of products of residues is an integer below 2^53, so
+    # the int64 arrays and the dot products over them are exact as well
+    assert poly._FLOAT_EXACT < 2**63
     # the cross term takes two reduced convolutions from that sum, and the
     # GF(p^2) real part adds nu < p times a reduced convolution to another
-    assert -(2**63) < -2 * p_max and largest_sum < 2**63
-    assert p_max + p_max * p_max < 2**63
+    assert -(2**63) < -2 * p_max and p_max + p_max * p_max < 2**63
     assert poly.EXPANSION_CAP < poly.DEGREE_CAP
     # a cartier expansion sums at most EXPANSION_CAP + 1 products per output,
     # so below p = 2^18 its convolutions take the float64 route

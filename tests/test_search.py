@@ -8,7 +8,7 @@ import pytest
 from cmrank import search
 from cmrank.cartier import HyperellipticModel, _raw_matrix, cartier_matrix, is_superspecial
 from cmrank.covers import kani_rosen_triple, prank_fiber_product
-from cmrank.ff import field, is_prime
+from cmrank.ff import FieldCtx, field, is_prime
 from cmrank.poly import DensePoly, is_squarefree, poly_gcd, pow_coeffs
 from cmrank.search import (
     _POLYNOMIAL_CHECKS,
@@ -667,6 +667,19 @@ def test_ext_search_small():
     }
     with pytest.raises(ValueError):
         ss5_sweep_ext(107)
+
+
+def test_ext_search_guards_fire_before_listing_the_field(monkeypatch):
+    def refuse(self):
+        raise AssertionError("listed GF(p^2) past a guard")
+
+    monkeypatch.setattr(FieldCtx, "elements", refuse)
+    # (23^2 - 2)^2 = 277 729 pairs, so p = 11 is the only prime admitted
+    assert (23**2 - 2) ** 2 > search.EXT_GRID_GUARD >= (11**2 - 2) ** 2
+    with pytest.raises(ValueError, match="guard"):
+        ss5_sweep_ext(23)
+    with pytest.raises(ValueError, match="mode"):
+        ss5_sweep_ext(11, mode="some")
 
 
 def test_enumeration_char3_empty():
