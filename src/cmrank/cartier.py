@@ -15,7 +15,8 @@ Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
 arrays up to A = f^(m//2), sets B = A or A*f, and takes each wanted c_k as
 the dot product of A_i and B_(k-i), with three convolutions per GF(p^2)
 product.  The convolutions run in float64 on int64 arrays, exact by the
-bound `poly._FLOAT_EXACT` states.  The quadratic cost is bounded by
+bound `poly._FLOAT_EXACT` states; a power of a non-constant f past that
+bound is refused.  The quadratic cost is bounded by
 refusing powers of degree m*deg(f) above `poly.EXPANSION_CAP` = 2^17 with a
 ValueError (CLI exit 2) before any array is built.  Genus >= 3 models
 reach it from p ~ 37 000 (degree 7) or p ~ 18 700 (degree 14), since their

@@ -393,9 +393,10 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
     f is held as int64 coordinate arrays, one over GF(p) and two over
     GF(p^2), and squared up to A = f^(m//2); with B = A for even m and A*f
     for odd m, each coefficient c_k is the dot product of A_i and B_(k-i).
-    No sum has more than n + 1 = m deg(f) + 1 terms, so for m >= 1 the power
-    is refused with a ValueError, before any array is built, unless
-    `_float_exact(n + 1, p)` holds.
+    No sum has more than n + 1 = m deg(f) + 1 terms, so for m >= 1 and
+    deg f >= 1 the power is refused with a ValueError, before any array is
+    built, unless `_float_exact(n + 1, p)` holds; a constant f is answered
+    directly.
     """
     if m < 0:
         raise ValueError("negative polynomial power")
@@ -408,13 +409,14 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
         )
     ctx = f.ctx
     p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
+    if f.degree < 1:  # f^m is the constant f(0)^m, with 0^0 = 1
+        c = f.coeff(0) ** m
+        return {k: c if k == 0 else ctx.zero for k in indices}
     if m and not _float_exact(n + 1, p):
         raise ValueError(
             f"degree {n} of the full expansion over p = {p} sums products "
             "of residues past the exact float64 bound 2^53"
         )
-    if f.is_zero and m:
-        return {k: ctx.zero for k in indices}
 
     def arrays(raw):
         if ext == 1:

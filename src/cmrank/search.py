@@ -303,7 +303,7 @@ def _powmod_vec(base, e: int, p: int):
 
 
 def _inverse_table(p: int):
-    return np.array(inverse_table(p, p - 1), dtype=np.int64)
+    return np.frombuffer(inverse_table(p, p - 1), dtype=np.int64)
 
 
 def _res_quadratics(f, g, p):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cmrank import cli, poly, search
-from cmrank.cartier import _recurrence_block
+from cmrank.cartier import _recurrence_block, power_coeffs
 from cmrank.ff import field, is_prime
 from cmrank.poly import (
     DensePoly,
@@ -284,6 +284,24 @@ def test_pow_coeffs_refuses_past_the_float_bound(monkeypatch):
         assert pow_coeffs(f, 0, [0]) == {0: ctx.one}
 
 
+def test_constant_powers_are_answered_past_the_float_bound(monkeypatch):
+    # a single product (p-1)^2 already passes 2^53 here, but f^m of a
+    # constant f needs no convolution: it is f(0)^m
+    p = next(q for q in range(1 << 27, 1 << 28) if is_prime(q))
+    assert not poly._float_exact(1, p)
+    monkeypatch.setattr(np, "convolve", _no_convolution)
+    rng = random.Random(29)
+    for ext in (1, 2):
+        ctx = field(p, ext)
+        for f in (random_poly(rng, ctx, 0), DensePoly(ctx, [])):
+            c = f.coeff(0)
+            for m in (0, 1, 2, 3):
+                assert pow_coeffs(f, m, [0, 1]) == {0: c**m, 1: ctx.zero}, (ext, m)
+                if m == 0 or not f.is_zero:  # else f^m = 0 has no index 0
+                    for strategy in ("auto", "naive"):
+                        assert power_coeffs(f, m, [0], strategy)[0] == c**m, (ext, m)
+
+
 def test_products_past_the_float_bound_use_the_schoolbook_loop(monkeypatch):
     p = next(q for q in range(1 << 26, 1 << 27) if is_prime(q))
     n = poly._NUMPY_MIN_LEN + 8
@@ -322,13 +340,17 @@ def test_pow_coeffs_float_route_is_exact_at_its_bound(monkeypatch, m, deg, ext):
     def pairs(s):  # ordered sums of two parts in [0, deg]
         return max(0, min(s, 2 * deg - s) + 1)
 
-    ctx = field(last, ext)
-    c = ctx.from_coords((last - 1,) * ext)
-    f = DensePoly.from_elements(ctx, [c] * (deg + 1))
-    expected = {k: c**m * ctx.elem(sum(pairs(k - i) for i in range(deg + 1))) for k in indices}
-    assert pow_coeffs(f, m, indices) == expected, last
-    ctx = field(after, ext)
-    f = DensePoly.from_elements(ctx, [ctx.from_coords((after - 1,) * ext)] * (deg + 1))
+    # f**m is an independent route to the same coefficients: at `after` it
+    # still answers, while pow_coeffs refuses before convolving
+    for p in (last, after):
+        ctx = field(p, ext)
+        c = ctx.from_coords((p - 1,) * ext)
+        f = DensePoly.from_elements(ctx, [c] * (deg + 1))
+        h = f**m
+        expected = {k: c**m * ctx.elem(sum(pairs(k - i) for i in range(deg + 1))) for k in indices}
+        assert {k: h.coeff(k) for k in indices} == expected, p
+        if p == last:
+            assert pow_coeffs(f, m, indices) == expected, p
     monkeypatch.setattr(np, "convolve", _no_convolution)
     with pytest.raises(ValueError, match="2\\^53"):
         pow_coeffs(f, m, indices)
