@@ -8,8 +8,10 @@ The iterate is formed by squaring and ranked by one elimination
 returned `CartierData`.  Coefficient extraction has two routes: full
 expansion of f^((p-1)/2) (naive) and a linear recurrence that reaches any
 index within p of either end of the coefficient range in O(p) field
-operations.  An independent zeta-function oracle computes the p-rank from
-point counts so the two routes can be checked against each other.
+operations.  When f(0) = 0 the recurrence writes f = x^v h with h(0) != 0
+and reads the low end from h^m, whose coefficients are those of f^m
+shifted by v*m.  An independent zeta-function oracle computes the p-rank
+from point counts so the two routes can be checked against each other.
 
 Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
 arrays up to A = f^(m//2), sets B = A or A*f, and takes each wanted c_k as
@@ -104,16 +106,16 @@ class CartierData:
 # -- coefficient extraction ----------------------------------------------------
 
 
-def _recurrence_block(f: DensePoly, m: int, upto: int) -> list:
-    """Raw coefficients c_0..c_upto of f^m, assuming f(0) != 0 and upto < p.
+def _recurrence_block(f: DensePoly, m: int, upto: int, inv) -> list:
+    """Raw coefficients c_0..c_upto of f^m, assuming f(0) != 0 and upto < p;
+    inv is `inverse_table(p, n)` for some n >= upto.
 
     k f_0 c_k = sum_{j=1..d} ((m+1) j - k) f_j c_{k-j}, with f_j / f_0 taken
-    once and 1/k from `inverse_table`."""
+    once and 1/k from inv."""
     ctx = f.ctx
     p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
     d = f.degree
     raw = f.raw()
-    inv = inverse_table(p, upto)
     f0_inv = _rinv(p, nu, ext, raw[0])
     # (weight at k = 0, f_j / f_0) for j = 1..d; c is padded with d zeros
     # below c_0, so every step runs over all j
@@ -152,18 +154,14 @@ def _raw_to_elem(ctx: FieldCtx, raw) -> FieldElement:
     return ctx.from_coords((raw,) if ctx.ext_degree == 1 else raw)
 
 
-def _recurrence_obstacle(f: DensePoly, m: int, indices) -> str | None:
-    """Why the recurrence cannot read these coefficients of f^m, or None when
-    it can: f(0) != 0, every index within p of an end of [0, m*deg(f)] and at
-    most RECURRENCE_CAP steps from it."""
-    p = f.ctx.p
-    top = m * f.degree
-    unreachable = [k for k in indices if k >= p and top - k >= p]
+def _recurrence_obstacle(p: int, low: int, top: int, indices) -> str | None:
+    """Why the recurrence cannot read these coefficients of f^m = x^low h^m,
+    h(0) != 0, top = m*deg(f), or None when it can: every index below low,
+    or within p of low or of top and at most RECURRENCE_CAP steps from it."""
+    unreachable = [k for k in indices if k - low >= p and top - k >= p]
     if unreachable:
         return f"indices {unreachable} are not within p of either end"
-    if f.coeff(0).is_zero:
-        return "f(0) = 0"
-    steps = max(k if k < p else top - k for k in indices)
+    steps = max(max(k - low, 0) if k - low < p else top - k for k in indices)
     if steps > RECURRENCE_CAP:
         return f"{steps} recurrence steps exceed the cost guard {RECURRENCE_CAP}"
     return None
@@ -172,11 +170,13 @@ def _recurrence_obstacle(f: DensePoly, m: int, indices) -> str | None:
 def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coefficients:
     """Exact coefficients of f^m at the requested indices.
 
-    strategy "recurrence" requires f(0) != 0 and every index within p of an
-    end of the range [0, m*deg(f)], at most RECURRENCE_CAP steps from it;
-    "auto" uses the recurrence when those preconditions hold and falls back
-    to full expansion otherwise.  The result's strategy names the route
-    taken.
+    strategy "recurrence" writes f = x^v h with h(0) != 0, so that
+    f^m = x^(v*m) h^m: an index k < v*m reads 0, k - v*m < p is read from
+    the low end of h^m and m*deg(f) - k < p from the high end of f^m, at
+    most RECURRENCE_CAP steps from that end, and any other index is refused.
+    "auto" uses the recurrence when every index is within its reach and
+    falls back to full expansion otherwise.  The result's strategy names the
+    route taken.
     """
     if strategy not in ("naive", "recurrence", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -191,23 +191,29 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coeff
         return Coefficients({}, "naive")
     if strategy == "naive" or m == 0 or f.degree < 1:
         return Coefficients(pow_coeffs(f, m, indices), "naive")
-    obstacle = _recurrence_obstacle(f, m, indices)
+    ctx = f.ctx
+    p = ctx.p
+    v = next(i for i, c in enumerate(f.raw()) if not _is_rzero(ctx.ext_degree, c))  # f = x^v h
+    low = v * m
+    obstacle = _recurrence_obstacle(p, low, top, indices)
     if obstacle is not None:
         if strategy == "recurrence":
             raise RecurrenceUnavailable(obstacle)
         return Coefficients(pow_coeffs(f, m, indices), "naive")
 
-    ctx = f.ctx
-    p = ctx.p
-    forward = [k for k in indices if k < p]
-    backward = [k for k in indices if k >= p]
-    out = {}
+    forward = [k for k in indices if low <= k < low + p]
+    backward = [k for k in indices if k >= low + p]
+    # one inverse table serves both ends
+    steps = [k - low for k in forward] + [top - k for k in backward]
+    inv = inverse_table(p, max(steps, default=0))
+    out = {k: ctx.zero for k in indices if k < low}
     if forward:
-        block = _recurrence_block(f, m, max(forward))
+        h = DensePoly(ctx, f.raw()[v:])
+        block = _recurrence_block(h, m, forward[-1] - low, inv)
         for k in forward:
-            out[k] = _raw_to_elem(ctx, block[k])
+            out[k] = _raw_to_elem(ctx, block[k - low])
     if backward:
-        block = _recurrence_block(f.reverse(), m, max(top - k for k in backward))
+        block = _recurrence_block(f.reverse(), m, top - backward[0], inv)
         for k in backward:
             out[k] = _raw_to_elem(ctx, block[top - k])
     return Coefficients(out, "recurrence")
@@ -332,15 +338,8 @@ def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData
 
 
 def p_rank(C: HyperellipticModel) -> int:
-    """Rank of the semilinear iterate; invariant under x -> x+s and f -> c*f."""
-    f = C.f
-    # a shift makes the recurrence route available without changing the rank
-    if f.coeff(0).is_zero and C.genus <= 2:
-        for s in C.ctx.elements():
-            if not f.evaluate(s).is_zero:
-                f = f.compose_linear(s)
-                break
-        C = HyperellipticModel(C.ctx, f)
+    """Rank of the semilinear iterate of the Cartier-Manin matrix, read by
+    `cartier_matrix`; invariant under x -> x+s and f -> c*f."""
     return cartier_matrix(C).p_rank
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (all checks passed for `verify`), 1 a verification
-suite reported a failing check, 2 usage or input-validation error.
+suite reported a failing check, 2 usage or input-validation error, 3 an
+internal error (any other exception, with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .cartier import HyperellipticModel, cartier_matrix
 from .covers import component_p_rank, kani_rosen_triple
@@ -269,6 +271,9 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -570,10 +570,9 @@ def _classify(p: int, U, V, inv_table):
     return excluded_gcd, excluded_singular, solution
 
 
-def _sweep_w_line(p: int):
+def _sweep_w_line(p: int, inv_table):
     """Full-grid counts and the sorted solution pairs, before re-verification."""
     ws, U, V = _w_line(p)
-    inv_table = _inverse_table(p)
     excluded_gcd, excluded_singular, solution = _classify(p, U, V, inv_table)
     sizes = np.full(len(ws), p - 3, dtype=np.int64)
     sizes[ws.index(0)] = p - 2
@@ -604,7 +603,12 @@ def verify_solution_story(p: int, u, v):
     if p > SWEEP_MAX_P:
         raise ValueError(f"p = {p} exceeds the kernel bound {SWEEP_MAX_P}")
     field(p)  # refuses p that is not an odd prime
-    inv_table = _inverse_table(p)
+    _recheck(p, us, vs, _inverse_table(p))
+
+
+def _recheck(p: int, us, vs, inv_table):
+    """`verify_solution_story` on validated arrays, in slices of RECHECK_SLICE
+    pairs, with the inverse table of p built by the caller."""
     for start in range(0, us.size, RECHECK_SLICE):
         part = slice(start, start + RECHECK_SLICE)
         _recheck_slice(p, us[part], vs[part], inv_table)
@@ -639,11 +643,13 @@ def ss5_sweep(cfg: SweepConfig) -> SearchResult:
     (and re-verified)."""
     start = time.monotonic()
     p = cfg.p
-    counts, solutions = _sweep_w_line(p)
+    inv_table = _inverse_table(p)
+    counts, solutions = _sweep_w_line(p, inv_table)
     if cfg.mode == "first":
         solutions = solutions[:1]
     if solutions:
-        verify_solution_story(p, *zip(*solutions))
+        us, vs = map(np.array, zip(*solutions))
+        _recheck(p, us, vs, inv_table)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return SearchResult(
         p=p, mode=cfg.mode, solutions=solutions, counts=counts, elapsed_ms=elapsed_ms

@@ -13,10 +13,10 @@ from cmrank.cartier import (
     power_coeffs,
     prank_oracle,
 )
-from cmrank.ff import field
+from cmrank.ff import field, inverse_table
 from cmrank.poly import DensePoly
 
-from helpers import random_model, random_squarefree
+from helpers import random_model, random_poly, random_squarefree
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 PRIMES_TO_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -67,15 +67,61 @@ def test_power_coeffs_recurrence_matches_naive_spec_case():
 
 def test_power_coeffs_recurrence_precondition_errors():
     k = field(11)
-    f = DensePoly.from_ints(k, [0, 1, 0, 0, 0, 0, 1])  # f(0) = 0
-    with pytest.raises(RecurrenceUnavailable):
-        power_coeffs(f, 5, {3}, "recurrence")
+    # f(0) = 0: f^5 = x^5 (1 + x^5)^5, so c_3 = 0 and c_10 is read from the
+    # low end of (1 + x^5)^5
+    f = DensePoly.from_ints(k, [0, 1, 0, 0, 0, 0, 1])
+    got = power_coeffs(f, 5, {3, 10, 29}, "recurrence")
+    assert got.strategy == "recurrence"
+    assert got == power_coeffs(f, 5, {3, 10, 29}, "naive")
+    assert got[3].is_zero
     g = DensePoly.from_ints(k, [1, 1, 0, 0, 0, 0, 1])
     # middle index: neither k < p nor top-k < p (top = 30)
-    with pytest.raises(RecurrenceUnavailable):
-        power_coeffs(g, 5, {15}, "recurrence")
-    # auto falls back to the naive route
-    assert power_coeffs(g, 5, {15}, "auto") == power_coeffs(g, 5, {15}, "naive")
+    for h, mid in ((g, 15), (f, 17)):  # for f: neither k - 5 < p nor top-k < p
+        with pytest.raises(RecurrenceUnavailable, match="not within p"):
+            power_coeffs(h, 5, {mid}, "recurrence")
+        # auto falls back to the naive route
+        auto = power_coeffs(h, 5, {mid}, "auto")
+        assert auto.strategy == "naive" and auto == power_coeffs(h, 5, {mid}, "naive")
+
+
+def test_power_coeffs_recurrence_on_x_power_times_unit_matches_naive():
+    # f = x^v h with h(0) != 0: indices below v*m read 0, the rest within p
+    # of v*m or of the top are read by the recurrence
+    rng = random.Random(4242)
+    for _ in range(60):
+        p = rng.choice([3, 5, 7, 11, 13, 29, 53, 101])
+        ext = rng.choice((1, 2))
+        ctx = field(p, ext)
+        v = rng.choice((1, 2))
+        h = random_poly(rng, ctx, rng.randrange(1, 6), nonzero_const=True)
+        f = h.shift_x(v)
+        m = rng.randrange(1, p)
+        top = m * f.degree
+        low = v * m
+        reachable = [k for k in range(top + 1) if k - low < p or top - k < p]
+        idx = set(rng.sample(reachable, min(6, len(reachable)))) | {rng.randrange(low)}
+        naive = power_coeffs(f, m, idx, "naive")
+        for strategy in ("recurrence", "auto"):
+            got = power_coeffs(f, m, idx, strategy)
+            assert got.strategy == "recurrence" and got == naive, (p, ext, v, m, sorted(idx))
+
+
+def test_power_coeffs_builds_one_inverse_table(monkeypatch):
+    calls = []
+
+    def spy(p, upto):
+        calls.append(upto)
+        return inverse_table(p, upto)
+
+    monkeypatch.setattr(cartier, "inverse_table", spy)
+    p = 101
+    ctx = field(p)
+    f = random_squarefree(random.Random(5), ctx, 6, nonzero_const=True)
+    m = (p - 1) // 2
+    idx = {5, m * 6 - 50}  # 5 steps from the low end, 50 from the top
+    got = power_coeffs(f, m, idx, "recurrence")
+    assert calls == [50]
+    assert got == power_coeffs(f, m, idx, "naive")
 
 
 def test_recurrence_cost_guard_boundary(monkeypatch):
@@ -98,6 +144,11 @@ def test_recurrence_cost_guard_boundary(monkeypatch):
             power_coeffs(f, m, {k}, "recurrence")
     past = cartier_matrix(C)
     assert past.strategy == "naive" and past.M == expected.M
+    # for x f the low end is m: steps count from there
+    g = f.shift_x(1)
+    assert power_coeffs(g, m, {m + p - 2}, "recurrence") == power_coeffs(g, m, {m + p - 2}, "naive")
+    with pytest.raises(RecurrenceUnavailable, match="cost guard"):
+        power_coeffs(g, m, {m + p - 1}, "recurrence")
 
 
 def test_matrix_read_calls_power_coeffs_once(monkeypatch):
@@ -243,6 +294,21 @@ def test_oracle_agreement_random():
         C = random_model(rng, ctx, deg)
         assert p_rank(C) == prank_oracle(C), f"disagreement for {C!r}"
         cases += 1
+
+
+def test_oracle_agreement_f0_zero():
+    # f = x h with h(0) != 0: genus <= 2 matrices are read by the recurrence
+    # on h at the low end, with no shift of the model
+    rng = random.Random(1203)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        ctx = field(p)
+        for deg in (3, 4, 5, 6, 7, 8) if p <= 13 else (3, 4, 5, 6):
+            # h squarefree with h(0) != 0, so x h is squarefree
+            h = random_squarefree(rng, ctx, deg - 1, nonzero_const=True)
+            C = HyperellipticModel(ctx, h.shift_x(1))
+            assert p_rank(C) == prank_oracle(C), f"disagreement for {C!r}"
+            if C.genus <= 2:
+                assert cartier_matrix(C).strategy == "recurrence"
 
 
 def test_oracle_agreement_genus3_sample():

@@ -1,6 +1,6 @@
 import json
 
-from cmrank import ff, search
+from cmrank import cartier, cli, ff, poly, search, verify
 from cmrank.cli import main
 
 
@@ -55,6 +55,38 @@ def test_prank_past_the_recurrence_guard_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(np, "convolve", refuse)
     code, _, err = run(capsys, "prank", "--p", "2147483647", "--poly", "1,0,0,1")
     assert code == 2 and "exceeds the cap" in err
+
+
+def test_prank_f0_zero_past_the_expansion_guard_uses_the_recurrence(monkeypatch, capsys):
+    # y^2 = x^3 + x at p = 100 003 (= 3 mod 4, supersingular): f(0) = 0 and
+    # the power has degree 3 (p-1)/2 > EXPANSION_CAP, so only the recurrence
+    # on f / x answers it
+    def refuse(*args):
+        raise AssertionError("fell back to full expansion")
+
+    monkeypatch.setattr(poly, "pow_coeffs", refuse)
+    monkeypatch.setattr(cartier, "pow_coeffs", refuse)
+    code, out, _ = run(capsys, "prank", "--p", "100003", "--poly", "0,1,0,1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["p_rank"] == 0 and obj["strategy"] == "recurrence"
+
+
+def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
+    def fail(C):
+        raise RuntimeError("recheck failed")
+
+    monkeypatch.setattr(cli, "cartier_matrix", fail)
+    code, out, err = run(capsys, "prank", "--p", "19", "--poly=-1,0,0,0,0,1")
+    assert code == 3 and out == ""
+    assert "Traceback" in err and "RuntimeError: recheck failed" in err
+
+
+def test_failing_suite_still_exits_1(monkeypatch, capsys):
+    report = {"suite": "strata", "passed": False, "checks": [], "elapsed_ms": 0}
+    monkeypatch.setitem(verify.SUITES, "strata", lambda seed=None: report)
+    code, out, _ = run(capsys, "verify", "strata")
+    assert code == 1 and json.loads(out)["passed"] is False
 
 
 def test_prank_past_max_prime_exits_2_before_primality(monkeypatch, capsys):

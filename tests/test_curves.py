@@ -31,6 +31,31 @@ def test_hasse_invariant_matches_one_by_one_matrix():
         assert hasse_invariant(E) == cartier_matrix(E.model()).M[0][0]
 
 
+def _hasse_closed_form(p: int, lam: int) -> int:
+    """The value at lam of `curves._hasse_poly_in_lambda(p)`, the sum of
+    (-1)^m binom(m, k)^2 lam^k with m = (p-1)/2, its binomials kept mod p."""
+    m = (p - 1) // 2
+    acc, binom, power = 0, 1, 1
+    for k in range(m + 1):
+        acc += binom * binom * power
+        binom = binom * (m - k) * pow(k + 1, -1, p) % p
+        power = power * lam % p
+    return (-1) ** m * acc % p
+
+
+def test_hasse_invariant_f0_zero_at_large_p_matches_closed_form():
+    # the Legendre cubic has f(0) = 0; at p = 100 003 its power has degree
+    # 3 (p-1)/2 > EXPANSION_CAP, so only the recurrence on f / x reaches c_(p-1)
+    lam = 5
+    for p in (103, 1009):
+        assert field(p).elem(_hasse_closed_form(p, lam)) == curves._hasse_poly_in_lambda(
+            p
+        ).evaluate(field(p).elem(lam))
+    p = 100003
+    ctx = field(p)
+    assert hasse_invariant(LegendreCurve(ctx.elem(lam))) == ctx.elem(_hasse_closed_form(p, lam))
+
+
 def test_hasse_zero_iff_prank_zero():
     k = field(13)
     for a in range(2, 13):

@@ -6,7 +6,7 @@ import pytest
 
 from cmrank import cli, poly, search
 from cmrank.cartier import _recurrence_block, power_coeffs
-from cmrank.ff import field, is_prime
+from cmrank.ff import field, inverse_table, is_prime
 from cmrank.poly import (
     DensePoly,
     is_squarefree,
@@ -249,14 +249,15 @@ def test_pow_coeffs_matches_recurrence_at_every_reachable_index():
     rng = random.Random(3691)
     for p in (13, 101, 1009):
         m = (p - 1) // 2
+        inv = inverse_table(p, p - 1)
         for ext in (1, 2):
             ctx = field(p, ext)
             for genus in range(3, 7):
                 deg = 2 * genus + 1 + rng.randrange(2)
                 f = random_poly(rng, ctx, deg, nonzero_const=True)
                 top = m * deg
-                low = _recurrence_block(f, m, min(p - 1, top))
-                high = _recurrence_block(f.reverse(), m, min(p - 1, top))
+                low = _recurrence_block(f, m, min(p - 1, top), inv)
+                high = _recurrence_block(f.reverse(), m, min(p - 1, top), inv)
                 expected = {k: c for k, c in enumerate(low)}
                 expected.update({top - k: c for k, c in enumerate(high)})
                 got = pow_coeffs(f, m, expected)

@@ -8,7 +8,7 @@ import pytest
 from cmrank import search
 from cmrank.cartier import HyperellipticModel, _raw_matrix, cartier_matrix, is_superspecial
 from cmrank.covers import kani_rosen_triple, prank_fiber_product
-from cmrank.ff import FieldCtx, field, is_prime
+from cmrank.ff import FieldCtx, field, inverse_table, is_prime
 from cmrank.poly import DensePoly, is_squarefree, poly_gcd, pow_coeffs
 from cmrank.search import (
     _POLYNOMIAL_CHECKS,
@@ -204,7 +204,7 @@ def test_palindromic_reduction_against_oracle():
     for p in (23, 131):
         ctx = field(p)
         grid = [x for x in range(p) if x not in (1, p - 1)]
-        solutions = rng.sample(_sweep_w_line(p)[1], 2)
+        solutions = rng.sample(_sweep_w_line(p, _inverse_table(p))[1], 2)
         checks = [ss5_check_pair(p, ctx.elem(u), ctx.elem(v)) for u, v in solutions]
         while len(checks) < 40:
             r = ss5_check_pair(p, ctx.elem(rng.choice(grid)), ctx.elem(rng.choice(grid)))
@@ -241,7 +241,7 @@ def test_recheck_never_expands_or_runs_p_rank(monkeypatch):
     from cmrank import cartier, covers
 
     p = 23
-    expected = _sweep_w_line(p)[1]
+    expected = _sweep_w_line(p, _inverse_table(p))[1]
     assert len(expected) == 80
 
     def refuse(*args, **kwargs):
@@ -310,7 +310,7 @@ def test_batched_entries_match_scalar_route_and_expansion():
     for p in (11, 23, 47, 59, 71):
         ctx = field(p)
         m = (p - 1) // 2
-        pairs = _sweep_w_line(p)[1]
+        pairs = _sweep_w_line(p, _inverse_table(p))[1]
         grid = [x for x in range(p) if x not in (1, p - 1)]
         non_solutions = 0
         while non_solutions < 10:
@@ -462,7 +462,7 @@ def test_vectorized_recurrence_refuses_zero_constant():
 def test_recheck_batch_names_the_first_failing_pair():
     p = 23
     ctx = field(p)
-    solutions = _sweep_w_line(p)[1]
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
     grid = [(u, v) for u in range(2, p - 1) for v in range(2, p - 1)]
     gcd_pair = next(
         (u, v) for u, v in grid
@@ -485,9 +485,24 @@ def test_recheck_batch_names_the_first_failing_pair():
         recheck(solutions[:5] + [gcd_pair] + [(4, 18)])
 
 
+def test_sweep_builds_one_inverse_table(monkeypatch):
+    calls = []
+
+    def spy(p, upto):
+        calls.append(p)
+        return inverse_table(p, upto)
+
+    monkeypatch.setattr(search, "inverse_table", spy)
+    for mode in ("first", "all"):
+        result = ss5_sweep(SweepConfig(p=47, mode=mode))
+        assert result.solutions  # so the recheck ran
+        assert calls == [47]
+        calls.clear()
+
+
 def test_recheck_slices_match_unsliced(monkeypatch):
     p = 47
-    solutions = _sweep_w_line(p)[1]
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
     us, vs = zip(*solutions)
     passes = []
 
@@ -601,7 +616,7 @@ def test_sweep_verdict_invariant_on_orbits():
     ctx = field(p)
     rng = random.Random(131)
     verdicts = _w_verdicts(p)
-    solutions = set(_sweep_w_line(p)[1])
+    solutions = set(_sweep_w_line(p, _inverse_table(p))[1])
     finite = [w for w in verdicts if w not in (0, None)]
     kinds = {
         "diagonal": 0,
