@@ -13,16 +13,22 @@ and reads the low end from h^m, whose coefficients are those of f^m
 shifted by v*m.  An independent zeta-function oracle computes the p-rank
 from point counts so the two routes can be checked against each other.
 
+"auto" chooses by cost.  A power of degree n = m*deg(f) at most
+`EXPAND_MAX_DEGREE` = 2^15, the measured crossover, whose sums are exact in
+float64 is expanded, the faster route there.  Past it the recurrence reads
+every entry within its reach (genus <= 2), and full expansion reads the
+rest (the middle entries of genus >= 3).
+
 Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
 arrays up to A = f^(m//2), sets B = A or A*f, and takes each wanted c_k as
-the dot product of A_i and B_(k-i), with three convolutions per GF(p^2)
-product.  The convolutions run in float64 on int64 arrays, exact by the
-bound `poly._FLOAT_EXACT` states; a power of a non-constant f past that
-bound is refused.  The quadratic cost is bounded by
-refusing powers of degree m*deg(f) above `poly.EXPANSION_CAP` = 2^17 with a
-ValueError (CLI exit 2) before any array is built.  Genus >= 3 models
-reach it from p ~ 37 000 (degree 7) or p ~ 18 700 (degree 14), since their
-middle entries are out of the recurrence's reach.
+the dot product of A_i and B_(k-i).  Over GF(p^2) a square takes two
+convolutions and a product with f three.  The convolutions run in float64
+on int64 arrays, exact by the bound `poly._FLOAT_EXACT` states; a power of
+a non-constant f past that bound is refused.  The quadratic cost is bounded
+by refusing powers of degree m*deg(f) above `poly.EXPANSION_CAP` = 2^17
+with a ValueError (CLI exit 2) before any array is built.  Genus >= 3
+models reach it from p ~ 37 000 (degree 7) or p ~ 18 700 (degree 14),
+since their middle entries are out of the recurrence's reach.
 
 The recurrence here (`_recurrence_block`) is the scalar one: it serves a
 single model, of any degree, over GF(p) or GF(p^2); `search._power_coeffs_vec`
@@ -39,7 +45,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ff import FieldCtx, FieldElement, inverse_table
-from .poly import DensePoly, _is_rzero, _rdot, _rinv, _rmul, _rsub, is_squarefree, pow_coeffs
+from .poly import (
+    DensePoly,
+    _float_exact,
+    _is_rzero,
+    _rdot,
+    _rinv,
+    _rmul,
+    _rsub,
+    is_squarefree,
+    pow_coeffs,
+)
 
 ORACLE_MAX_GENUS = 3
 ORACLE_MAX_P = 31
@@ -50,6 +66,20 @@ ORACLE_MAX_P = 31
 # Unbounded, a query near the field bound p < 2^31 takes 2^11 times that:
 # hours, and hundreds of GB
 RECURRENCE_CAP = 1 << 20
+# the crossover of "auto": a power of degree n = m*deg(f) at most this is read
+# by full expansion, which is faster there than the recurrence even where the
+# recurrence reaches every index.  One genus 1-2 Cartier-Manin query, best of
+# 3-5 runs on a 2-core Xeon VM, recurrence / expansion in ms:
+#   p       deg  n       GF(p)        GF(p^2)
+#   1 009   6    3 024   2.2 / 0.21   5.3 / 0.82
+#   10 007  6    30 018  39 / 19      95 / 39
+#   11 003  6    33 006  43 / 22      104 / 48
+#   20 011  4    40 020  28 / 28      56 / 60
+#   30 011  3    45 015  46 / 44      91 / 84
+#   30 011  6    90 030  108 / 154    324 / 329
+# Expansion takes at most about half the time up to n = 2^15, the two are
+# within 10 % from n ~ 40 000, and past that the recurrence's O(p) steps win
+EXPAND_MAX_DEGREE = 1 << 15
 
 
 class RecurrenceUnavailable(ValueError):
@@ -174,9 +204,11 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coeff
     f^m = x^(v*m) h^m: an index k < v*m reads 0, k - v*m < p is read from
     the low end of h^m and m*deg(f) - k < p from the high end of f^m, at
     most RECURRENCE_CAP steps from that end, and any other index is refused.
-    "auto" uses the recurrence when every index is within its reach and
-    falls back to full expansion otherwise.  The result's strategy names the
-    route taken.
+    "auto" uses full expansion for a power of degree m*deg(f) at most
+    EXPAND_MAX_DEGREE whose sums `poly._float_exact` keeps exact, where it
+    is the faster route; past that it uses the recurrence when every index
+    is within its reach, and full expansion otherwise.  The result's
+    strategy names the route taken.
     """
     if strategy not in ("naive", "recurrence", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -189,10 +221,12 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coeff
             raise IndexError(f"index {k} out of range [0, {top}]")
     if not indices:
         return Coefficients({}, "naive")
-    if strategy == "naive" or m == 0 or f.degree < 1:
-        return Coefficients(pow_coeffs(f, m, indices), "naive")
     ctx = f.ctx
     p = ctx.p
+    if strategy == "naive" or m == 0 or f.degree < 1:
+        return Coefficients(pow_coeffs(f, m, indices), "naive")
+    if strategy == "auto" and top <= EXPAND_MAX_DEGREE and _float_exact(top + 1, p):
+        return Coefficients(pow_coeffs(f, m, indices), "naive")
     v = next(i for i, c in enumerate(f.raw()) if not _is_rzero(ctx.ext_degree, c))  # f = x^v h
     low = v * m
     obstacle = _recurrence_obstacle(p, low, top, indices)

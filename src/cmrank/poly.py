@@ -7,6 +7,8 @@ numpy convolution once operands are long enough for it to pay.
 
 `pow_coeffs` reads single coefficients of a power without forming it: it
 keeps the polynomial as int64 coordinate arrays and squares up to f^(m//2).
+Over GF(p^2) a square takes two convolutions and any other product three
+(`_arrays_mul`).
 
 Every numpy convolution goes through `_convolve`, which runs it in float64
 (numpy convolves float64 through its SIMD dot kernel, int64 in a scalar
@@ -36,11 +38,12 @@ _NUMPY_MIN_LEN = 32
 # order and with or without FMA, is a non-negative integer at most
 # terms * (p-1)^2: float64 convolutions are exact while that is below 2^53,
 # and so are the int64 arrays, reductions and dot products around them.
-# Karatsuba's cross term adds coordinates mod p first, so its operands are
-# residues too.  A power of degree n sums at most n + 1 products per output,
-# and `pow_coeffs` refuses one past this bound.  No Cartier-Manin expansion
-# reaches it: those have m = (p-1)/2 and deg f >= 3, so EXPANSION_CAP refuses
-# every one with p >= 2^18, and below 2^18 the assert keeps them exact
+# Karatsuba's cross term and the GF(p^2) square's (a0+a1)(a0+nu a1) reduce
+# their operands mod p first, so those are residues too.  A power of degree n
+# sums at most n + 1 products per output, and `pow_coeffs` refuses one past
+# this bound.  No Cartier-Manin expansion reaches it: those have m = (p-1)/2
+# and deg f >= 3, so EXPANSION_CAP refuses every one with p >= 2^18, and
+# below 2^18 the assert keeps them exact
 _FLOAT_EXACT = 1 << 53
 assert (EXPANSION_CAP + 1) * ((1 << 18) - 1) ** 2 < _FLOAT_EXACT
 
@@ -376,11 +379,19 @@ def poly_pow_naive(f: DensePoly, m: int) -> DensePoly:
 
 
 def _arrays_mul(a, b, p, nu):
-    """Product of polynomials held as coordinate arrays, reduced mod p; over
-    GF(p^2) the cross term (a0+a1)(b0+b1) - a0 b0 - a1 b1 saves a
-    convolution."""
+    """Product of polynomials held as coordinate arrays, reduced mod p.
+
+    Over GF(p^2) a product takes three convolutions, by Karatsuba's cross
+    term (a0+a1)(b0+b1) - a0 b0 - a1 b1, and a square two:
+    (a0 + a1 w)^2 = (a0+a1)(a0+nu a1) - (1+nu) a0 a1 + 2 a0 a1 w.  Each
+    convolution's operands are residues mod p, and a0 a1 is reduced before
+    it is scaled by 1 + nu <= p, so that term stays below p^2 in int64."""
     if len(a) == 1:
         return (_convolve(a[0], b[0]) % p,)
+    if a is b:
+        q01 = _convolve(a[0], a[1]) % p
+        qs = _convolve((a[0] + a[1]) % p, (a[0] + nu * a[1]) % p)
+        return ((qs - (1 + nu) * q01) % p, 2 * q01 % p)
     q00 = _convolve(a[0], b[0]) % p
     q11 = _convolve(a[1], b[1]) % p
     qs = _convolve((a[0] + a[1]) % p, (b[0] + b[1]) % p)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -86,7 +87,8 @@ def test_power_coeffs_recurrence_precondition_errors():
 
 def test_power_coeffs_recurrence_on_x_power_times_unit_matches_naive():
     # f = x^v h with h(0) != 0: indices below v*m read 0, the rest within p
-    # of v*m or of the top are read by the recurrence
+    # of v*m or of the top are read by the recurrence; "auto" expands these
+    # small powers
     rng = random.Random(4242)
     for _ in range(60):
         p = rng.choice([3, 5, 7, 11, 13, 29, 53, 101])
@@ -101,9 +103,9 @@ def test_power_coeffs_recurrence_on_x_power_times_unit_matches_naive():
         reachable = [k for k in range(top + 1) if k - low < p or top - k < p]
         idx = set(rng.sample(reachable, min(6, len(reachable)))) | {rng.randrange(low)}
         naive = power_coeffs(f, m, idx, "naive")
-        for strategy in ("recurrence", "auto"):
-            got = power_coeffs(f, m, idx, strategy)
-            assert got.strategy == "recurrence" and got == naive, (p, ext, v, m, sorted(idx))
+        got = power_coeffs(f, m, idx, "recurrence")
+        assert got.strategy == "recurrence" and got == naive, (p, ext, v, m, sorted(idx))
+        assert power_coeffs(f, m, idx, "auto").strategy == "naive"
 
 
 def test_power_coeffs_builds_one_inverse_table(monkeypatch):
@@ -126,7 +128,8 @@ def test_power_coeffs_builds_one_inverse_table(monkeypatch):
 
 def test_recurrence_cost_guard_boundary(monkeypatch):
     # with the guard at p - 2, indices p - 2 steps from an end are read and
-    # p - 1 steps are refused; "auto" then reads the matrix by full expansion
+    # p - 1 steps are refused; "auto", past its crossover, then reads the
+    # matrix by full expansion
     from cmrank import cartier
 
     p = 23
@@ -134,14 +137,19 @@ def test_recurrence_cost_guard_boundary(monkeypatch):
     m = (p - 1) // 2
     f = random_squarefree(random.Random(2323), ctx, 6, nonzero_const=True)
     C = HyperellipticModel(ctx, f)
-    expected = cartier_matrix(C)
+    expected = cartier_matrix(C, "recurrence")
     assert expected.strategy == "recurrence"
+    assert cartier_matrix(C).strategy == "naive"  # below the crossover
+    monkeypatch.setattr(cartier, "EXPAND_MAX_DEGREE", 0)
+    assert cartier_matrix(C).strategy == "recurrence"
     monkeypatch.setattr(cartier, "RECURRENCE_CAP", p - 2)
     edge = {p - 2, 2 * p - 1}  # p - 2 steps from the low and the high end
     assert power_coeffs(f, m, edge, "recurrence") == power_coeffs(f, m, edge, "naive")
     for k in (p - 1, 2 * p - 2):
         with pytest.raises(RecurrenceUnavailable, match="cost guard"):
             power_coeffs(f, m, {k}, "recurrence")
+    with pytest.raises(RecurrenceUnavailable, match="cost guard"):
+        cartier_matrix(C, "recurrence")
     past = cartier_matrix(C)
     assert past.strategy == "naive" and past.M == expected.M
     # for x f the low end is m: steps count from there
@@ -166,9 +174,11 @@ def test_matrix_read_calls_power_coeffs_once(monkeypatch):
     rng = random.Random(77)
     for deg, route in ((6, "recurrence"), (7, "naive")):  # genus 2 and 3
         C = HyperellipticModel(ctx, random_squarefree(rng, ctx, deg, nonzero_const=True))
-        assert cartier_matrix(C).strategy == route
+        assert cartier_matrix(C, route).strategy == route
+        # "auto" expands both below the crossover
+        assert cartier_matrix(C).strategy == "naive"
         assert is_superspecial(C) is False
-        assert calls == [route, route]
+        assert calls == [route, "naive", "naive"]
         calls.clear()
 
 
@@ -188,6 +198,64 @@ def test_strategy_agreement_random():
         idx = set(rng.sample(reachable, min(6, len(reachable))))
         assert power_coeffs(f, m, idx, "recurrence") == power_coeffs(f, m, idx, "naive")
         cases += 1
+
+
+def _refuse(*args):
+    raise AssertionError("took the route this query must not take")
+
+
+@pytest.mark.parametrize("ext", [1, 2])
+def test_auto_expands_genus2_below_the_crossover(monkeypatch, ext):
+    # n = 3 * 1008 is far below EXPAND_MAX_DEGREE, so "auto" never starts the
+    # recurrence, which reaches every entry of a genus-2 model
+    ctx = field(1009, ext)
+    C = HyperellipticModel(ctx, random_squarefree(random.Random(1009), ctx, 6, nonzero_const=True))
+    expected = cartier_matrix(C, "recurrence")
+    monkeypatch.setattr(cartier, "_recurrence_block", _refuse)
+    assert cartier_matrix(C) == dataclasses.replace(expected, strategy="naive")
+
+
+def test_auto_takes_the_recurrence_past_the_crossover(monkeypatch):
+    # genus 1 at p = 30 011: n = 3 * 15 005 = 45 015 > EXPAND_MAX_DEGREE
+    p = 30011
+    ctx = field(p)
+    f = random_squarefree(random.Random(30011), ctx, 3, nonzero_const=True)
+    m = (p - 1) // 2
+    assert m * f.degree > cartier.EXPAND_MAX_DEGREE
+    expected = power_coeffs(f, m, {p - 1}, "naive")
+    monkeypatch.setattr(cartier, "pow_coeffs", _refuse)
+    got = power_coeffs(f, m, {p - 1})
+    assert got.strategy == "recurrence" and got == expected
+
+
+def test_auto_crossover_boundary(monkeypatch):
+    # a power of degree n expands with the constant at n, and is read by the
+    # recurrence with the constant at n - 1
+    p = 101
+    ctx = field(p)
+    f = random_squarefree(random.Random(101), ctx, 6, nonzero_const=True)
+    m = (p - 1) // 2
+    n = m * f.degree
+    idx = {p - 2, p - 1, 2 * p - 2, 2 * p - 1}
+    expected = power_coeffs(f, m, idx, "naive")
+    for cap, route in ((n, "naive"), (n - 1, "recurrence")):
+        monkeypatch.setattr(cartier, "EXPAND_MAX_DEGREE", cap)
+        got = power_coeffs(f, m, idx)
+        assert got.strategy == route and got == expected, cap
+
+
+def test_auto_answers_small_powers_past_the_float_bound():
+    # n = 1000 is below the crossover, but 1001 (p-1)^2 >= 2^53, so "auto"
+    # takes the recurrence, as it did before the crossover existed
+    from math import comb
+
+    p = 2**31 - 1
+    ctx = field(p)
+    f = DensePoly.from_ints(ctx, [1, 1])  # (1 + x)^1000
+    idx = {0, 1, 7, 500, 999, 1000}
+    got = power_coeffs(f, 1000, idx)
+    assert got.strategy == "recurrence"
+    assert got == {k: ctx.elem(comb(1000, k)) for k in idx}
 
 
 # -- cartier_matrix / p_rank / is_superspecial -----------------------------------
@@ -285,6 +353,8 @@ def test_oracle_genus_guard_fires_before_counting_points(monkeypatch):
 
 
 def test_oracle_agreement_random():
+    # "auto" expands these small models, so genus <= 2 also goes through the
+    # recurrence, which reaches every entry of theirs
     rng = random.Random(1905)
     cases = 0
     while cases < 50:
@@ -292,13 +362,16 @@ def test_oracle_agreement_random():
         ctx = field(p)
         deg = rng.randrange(3, 7)
         C = random_model(rng, ctx, deg)
-        assert p_rank(C) == prank_oracle(C), f"disagreement for {C!r}"
+        expected = prank_oracle(C)
+        assert p_rank(C) == expected, f"disagreement for {C!r}"
+        if C.genus <= 2:
+            assert cartier_matrix(C, "recurrence").p_rank == expected, f"disagreement for {C!r}"
         cases += 1
 
 
 def test_oracle_agreement_f0_zero():
-    # f = x h with h(0) != 0: genus <= 2 matrices are read by the recurrence
-    # on h at the low end, with no shift of the model
+    # f = x h with h(0) != 0: the recurrence reads genus <= 2 matrices on h
+    # at the low end, with no shift of the model; "auto" expands them
     rng = random.Random(1203)
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         ctx = field(p)
@@ -306,9 +379,12 @@ def test_oracle_agreement_f0_zero():
             # h squarefree with h(0) != 0, so x h is squarefree
             h = random_squarefree(rng, ctx, deg - 1, nonzero_const=True)
             C = HyperellipticModel(ctx, h.shift_x(1))
-            assert p_rank(C) == prank_oracle(C), f"disagreement for {C!r}"
+            expected = prank_oracle(C)
+            assert p_rank(C) == expected, f"disagreement for {C!r}"
             if C.genus <= 2:
-                assert cartier_matrix(C).strategy == "recurrence"
+                rec = cartier_matrix(C, "recurrence")
+                assert rec.strategy == "recurrence" and rec.p_rank == expected, f"{C!r}"
+                assert cartier_matrix(C).strategy == "naive"
 
 
 def test_oracle_agreement_genus3_sample():

@@ -327,19 +327,27 @@ def _float_boundary_primes(terms):
     return last, next(r for r in range(q + 1, 2 * q) if is_prime(r))
 
 
-# the last case has long operands, n + 1 = 2^16, and its bound near p = 2^18.5
-@pytest.mark.parametrize("m, deg, ext", [(3, 6, 1), (3, 6, 2), (3, 21845, 1)])
+# the last case has long operands, n + 1 = 2^16, and its bound near p = 2^18.5;
+# m >= 4 squares over GF(p^2), and at (5, 6, 2) nu = p - 1 makes (1 + nu) a0 a1
+# as large as it gets
+@pytest.mark.parametrize(
+    "m, deg, ext", [(3, 6, 1), (3, 6, 2), (3, 21845, 1), (4, 6, 2), (5, 6, 2)]
+)
 def test_pow_coeffs_float_route_is_exact_at_its_bound(monkeypatch, m, deg, ext):
     # every coefficient p - 1 makes the sums of products of residues as large
     # as residues allow; the middle coefficients of f^m sum the most of them.
     # With f = c (1 + x + ... + x^deg), c_k of f^m is c^m times the number of
-    # ways to write k as an ordered sum of m = 3 parts in [0, deg]
+    # ways to write k as an ordered sum of m parts in [0, deg]
     n = m * deg
     last, after = _float_boundary_primes(n + 1)
     indices = sorted({0, 1, n // 3, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n})
 
-    def pairs(s):  # ordered sums of two parts in [0, deg]
-        return max(0, min(s, 2 * deg - s) + 1)
+    def parts(k):  # by inclusion-exclusion over the parts that exceed deg
+        return sum(
+            (-1) ** j * math.comb(m, j) * math.comb(k - j * (deg + 1) + m - 1, m - 1)
+            for j in range(m + 1)
+            if k - j * (deg + 1) >= 0
+        )
 
     # f**m is an independent route to the same coefficients: at `after` it
     # still answers, while pow_coeffs refuses before convolving
@@ -348,7 +356,7 @@ def test_pow_coeffs_float_route_is_exact_at_its_bound(monkeypatch, m, deg, ext):
         c = ctx.from_coords((p - 1,) * ext)
         f = DensePoly.from_elements(ctx, [c] * (deg + 1))
         h = f**m
-        expected = {k: c**m * ctx.elem(sum(pairs(k - i) for i in range(deg + 1))) for k in indices}
+        expected = {k: c**m * ctx.elem(parts(k)) for k in indices}
         assert {k: h.coeff(k) for k in indices} == expected, p
         if p == last:
             assert pow_coeffs(f, m, indices) == expected, p
@@ -395,8 +403,11 @@ def test_int64_bounds_of_the_constants():
     # the int64 arrays and the dot products over them are exact as well
     assert poly._FLOAT_EXACT < 2**63
     # the cross term takes two reduced convolutions from that sum, and the
-    # GF(p^2) real part adds nu < p times a reduced convolution to another
+    # GF(p^2) real part adds nu < p times a reduced convolution to another;
+    # a square's real part takes (1 + nu)(p - 1), 1 + nu <= p, at most from
+    # a sum below 2^53
     assert -(2**63) < -2 * p_max and p_max + p_max * p_max < 2**63
+    assert -(2**63) < -p_max * (p_max - 1)
     assert poly.EXPANSION_CAP < poly.DEGREE_CAP
     # a cartier expansion sums at most EXPANSION_CAP + 1 products per output,
     # so below p = 2^18 its convolutions take the float64 route
