@@ -150,8 +150,9 @@ def _recurrence_block(f: DensePoly, m: int, upto: int, inv) -> list:
     # (weight at k = 0, f_j / f_0) for j = 1..d; c is padded with d zeros
     # below c_0, so every step runs over all j
     terms = [((m + 1) * j % p, _rmul(p, nu, ext, raw[j], f0_inv)) for j in range(1, d + 1)]
+    c0 = (f.coeff(0) ** m).coords  # (c_0,) over GF(p), (x0, x1) over GF(p^2)
     if ext == 1:
-        c = [0] * d + [pow(raw[0], m, p)]
+        c = [0] * d + [c0[0]]
         for k in range(1, upto + 1):
             top = d + k  # c[top - j] is c_{k-j}
             acc = 0
@@ -159,14 +160,7 @@ def _recurrence_block(f: DensePoly, m: int, upto: int, inv) -> list:
                 acc += (w0 - k) * fj * c[top - j]
             c.append(acc % p * inv[k] % p)
         return c[d:]
-    result = (1, 0)
-    base, e = raw[0], m
-    while e:
-        if e & 1:
-            result = _rmul(p, nu, ext, result, base)
-        base = _rmul(p, nu, ext, base, base)
-        e >>= 1
-    c = [(0, 0)] * d + [result]
+    c = [(0, 0)] * d + [c0]
     for k in range(1, upto + 1):
         top = d + k
         a0 = a1 = 0

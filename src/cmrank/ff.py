@@ -300,11 +300,3 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self} in {self.ctx!r}"
-
-
-def frobenius(a: FieldElement) -> FieldElement:
-    return a.frobenius()
-
-
-def legendre(a: FieldElement) -> int:
-    return a.legendre()

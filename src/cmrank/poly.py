@@ -227,12 +227,6 @@ class DensePoly:
     def raw(self) -> tuple:
         return self._c
 
-    @property
-    def leading(self) -> FieldElement:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeff(self.degree)
-
     def __eq__(self, other):
         return (
             isinstance(other, DensePoly)

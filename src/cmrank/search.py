@@ -58,12 +58,22 @@ so the fiber product for (u, v) is isomorphic to the one for (0, w).  The
 gcd and squarefree exclusions, the p-rank and superspeciality are all
 invariant under that isomorphism, so the (p-2)^2 grid is a line of p - 1
 orbits: w = 0 (the diagonal v = u, p - 2 pairs), every other w in
-GF(p) - {+-1} and w = infinity (p - 3 pairs each).  The sweep classifies one
-representative per orbit -- (0, w), and (2, 1/2) for w = infinity -- in one
+GF(p) - {+-1} and w = infinity (p - 3 pairs each).
+
+The orbit w = infinity is the twin of w = 0.  Its representative
+(0, infinity) transports D_v by M_infinity: x -> 1/x, which fixes the
+palindromic x^2 + 1 and x^2 +- x + 1 and sends x^2 - 1 to -(x^2 - 1).  So
+the (0, infinity) cover is the (0, 0) cover with D_v twisted by -1, with the
+same genus-2 quotient A B; superspeciality and the gcd and squarefree
+exclusions do not see twists, and w = infinity takes the verdict of w = 0.
+
+The sweep classifies the p - 2 representatives (0, w), w finite, in one
 numpy pass.  The two needed coefficients c and a sit within p of the low
 end of the coefficient range, so one linear recurrence gives them in O(p)
 vectorized steps instead of expanding f^((p-1)/2): O(p^2) work per prime.
 The orbits of the good w values are then expanded into sorted (u, v) pairs.
+The GF(p^2) scan (`ss5_sweep_ext`) uses the same rule: each of its pairs
+takes the scalar oracle's verdict on (0, w), checked once per w.
 
 Every reported pair is rechecked for the stronger claim, superspeciality of
 the genus-5 curve, on the pair itself rather than its w representative.  The
@@ -518,18 +528,16 @@ def _polynomial_error(first, numbers, i):
 
 
 def _w_line(p: int):
-    """The w label (None for infinity) and the representative pair (u, v) of
-    every orbit: (0, w) for w in GF(p) - {+-1}, then (2, 1/2) for infinity."""
-    ws = [w for w in range(p) if w not in (1, p - 1)]
-    us = [0] * len(ws) + [2]
-    vs = ws + [(p + 1) // 2]
-    return ws + [None], np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    """The finite orbit labels w in GF(p) - {+-1}, ascending from w = 0, as an
+    int64 array; w = infinity takes the verdict of w = 0 (module docstring)."""
+    return np.array([w for w in range(p) if w not in (1, p - 1)], dtype=np.int64)
 
 
 def _orbit(p: int, w, inv_table):
     """The grid pairs (u, v) with invariant w, in ascending order: v = 1/u for
-    w = infinity, else v = (u+w)/(1+uw) for u != -1/w.  There are p - 2 of
-    them for w = 0 and p - 3 otherwise."""
+    w = infinity (None), whose orbit has the verdict of w = 0, else
+    v = (u+w)/(1+uw) for u != -1/w.  There are p - 2 of them for w = 0 and
+    p - 3 otherwise."""
     us = np.concatenate(([0], np.arange(2, p - 1, dtype=np.int64)))
     if w is None:
         us = us[us != 0]
@@ -541,18 +549,19 @@ def _orbit(p: int, w, inv_table):
     return list(zip(us.tolist(), vs.tolist()))
 
 
-def _classify(p: int, U, V, inv_table):
-    """Classify the pairs (U[i], V[i]) at once.
+def _classify(p: int, W, inv_table):
+    """Classify the representatives (0, W[i]) at once.  With u = 0, A is
+    x^2 + 1 in every column, and f(0) = A(0) B(0) = w^4 + w^2 + 1.
 
     Returns boolean arrays (excluded_gcd, excluded_singular, solution)."""
-    A = _transport_rows(_A_FACTOR, U, p)
-    B1, B2 = (_transport_rows(q, V, p) for q in _B_FACTORS)
+    A = _transport_rows(_A_FACTOR, 0, p)
+    B1, B2 = (_transport_rows(q, W, p) for q in _B_FACTORS)
     # gcd(A, B) != 1 iff A shares a root with a factor of B
     excluded_gcd = (_res_quadratics(A, B1, p) == 0) | (_res_quadratics(A, B2, p) == 0)
 
-    # with gcd(A, B) = 1, f = A*B is squarefree iff A and B are; on this
-    # grid B is always squarefree (p > 3) and A is squarefree iff u != +-1,
-    # which the grid already excludes -- recorded anyway for honesty
+    # with gcd(A, B) = 1, f = A*B is squarefree iff A and B are; B is always
+    # squarefree (p > 3) and so is A = x^2 + 1 (p > 2) -- recorded anyway
+    # for honesty
     disc_a = (A[1] * A[1] - 4 * A[0] * A[2]) % p
     excluded_singular = (~excluded_gcd) & (disc_a == 0)
 
@@ -563,8 +572,7 @@ def _classify(p: int, U, V, inv_table):
     if idx.size:
         # f is palindromic, so b = c, d = a and the entry equations reduce
         # to a = c = 0 (module docstring).  The recurrence divides by
-        # f(0) = A(0) B(0): on the representatives A(0) = 1 + u^2 is 1 or 5
-        # and B(0) = v^4 + v^2 + 1 has no root since p = 2 (mod 3)
+        # f(0) = w^4 + w^2 + 1, which has no root since p = 2 (mod 3)
         c, a = _power_coeffs_vec(f[:, idx], p, (p - 2, p - 1), inv_table)
         solution[idx] = (a == 0) & (c == 0)
     return excluded_gcd, excluded_singular, solution
@@ -572,10 +580,14 @@ def _classify(p: int, U, V, inv_table):
 
 def _sweep_w_line(p: int, inv_table):
     """Full-grid counts and the sorted solution pairs, before re-verification."""
-    ws, U, V = _w_line(p)
-    excluded_gcd, excluded_singular, solution = _classify(p, U, V, inv_table)
+    W = _w_line(p)
+    # w = infinity, appended last, takes the verdict of w = 0, the first
+    excluded_gcd, excluded_singular, solution = (
+        np.append(verdict, verdict[0]) for verdict in _classify(p, W, inv_table)
+    )
+    ws = W.tolist() + [None]
     sizes = np.full(len(ws), p - 3, dtype=np.int64)
-    sizes[ws.index(0)] = p - 2
+    sizes[0] = p - 2
     counts = {
         "tested": int(sizes[~(excluded_gcd | excluded_singular)].sum()),
         "excluded_uv": p * p - (p - 2) ** 2,
@@ -695,11 +707,13 @@ def sweep_with_cache(cfg: SweepConfig, results_dir, force: bool = False):
 
 def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
     """Exploratory sweep with (u, v) over GF(p^2); guarded to small grids.
-    No expected outcome is attached to these findings."""
-    if mode not in ("first", "all"):
-        raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
-    if not is_prime(p) or p % 12 != 11:
-        raise ValueError(f"p = {p} is not a prime with p = 11 (mod 12)")
+    No expected outcome is attached to these findings.
+
+    The grid is walked in order and counted pair by pair, but the scalar
+    oracle runs once per orbit: (u, v) takes the verdict of (0, w),
+    w = (v-u)/(1-uv), and of (0, 0) when uv = 1 (module docstring).  That is
+    at most p^2 - 2 oracle calls for the (p^2 - 2)^2 pairs."""
+    SweepConfig(p, mode)  # validates p and mode
     # u, v range over GF(p^2) without +-1; the size is checked before the
     # p^2 elements are listed
     grid_size = (p * p - 2) ** 2
@@ -708,7 +722,8 @@ def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
             f"extension grid has {grid_size} pairs, beyond the guard {EXT_GRID_GUARD}"
         )
     ctx = field(p, 2)
-    elems = [e for e in ctx.elements() if not (e == ctx.one or e == -ctx.one)]
+    one, zero = ctx.one, ctx.zero
+    elems = [e for e in ctx.elements() if not (e == one or e == -one)]
     start = time.monotonic()
     counts = {
         "tested": 0,
@@ -717,21 +732,21 @@ def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
         "excluded_singular": 0,
     }
     solutions = []
-    done = False
-    for u in elems:
-        for v in elems:
-            r = ss5_check_pair(p, u, v, strategy="auto")
-            if r.status == "excluded":
-                counts["excluded_" + r.reason] += 1
-                continue
-            counts["tested"] += 1
-            if r.status == "solution":
-                solutions.append((str(u), str(v)))
-                if mode == "first":
-                    done = True
-                    break
-        if done:
-            break
+    verdicts = {}  # w -> the oracle's verdict on (0, w)
+    for u, v in product(elems, repeat=2):
+        den = one - u * v
+        w = zero if den.is_zero else (v - u) / den
+        if w not in verdicts:
+            verdicts[w] = ss5_check_pair(p, zero, w)
+        r = verdicts[w]
+        if r.status == "excluded":
+            counts["excluded_" + r.reason] += 1
+            continue
+        counts["tested"] += 1
+        if r.status == "solution":
+            solutions.append((str(u), str(v)))
+            if mode == "first":
+                break
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return SearchResult(
         p=p, mode=f"ext-{mode}", solutions=solutions, counts=counts, elapsed_ms=elapsed_ms

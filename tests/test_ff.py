@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cmrank import ff
-from cmrank.ff import field, frobenius, inverse_table, is_prime, legendre
+from cmrank.ff import field, inverse_table, is_prime
 
 # the first prime past MAX_PRIME = 2^31
 P_PAST_MAX = 2147483659
@@ -97,34 +97,34 @@ def test_context_mismatch():
 def test_frobenius_fixed_on_prime_field():
     k = field(7)
     for a in k.elements():
-        assert frobenius(a) == a
+        assert a.frobenius() == a
 
 
 def test_frobenius_on_gf9():
     k = field(3, 2)
     i = k.gen
-    assert frobenius(i) == -i
+    assert i.frobenius() == -i
     for a in k.elements():
-        assert frobenius(frobenius(a)) == a
+        assert a.frobenius().frobenius() == a
 
 
 def test_legendre_values():
     k11 = field(11)
-    assert legendre(k11.elem(3)) == 1  # 5^2 = 25 = 3
-    assert legendre(k11.zero) == 0
+    assert k11.elem(3).legendre() == 1  # 5^2 = 25 = 3
+    assert k11.zero.legendre() == 0
     k13 = field(13, 2)
     nonres = field(13).elem(field(13, 2).nu)
-    assert legendre(nonres) == -1
+    assert nonres.legendre() == -1
 
 
 def test_legendre_of_chosen_nonresidue():
     for p in [5, 7, 11, 13, 17, 19, 23]:
         k = field(p, 2)
-        assert legendre(field(p).elem(k.nu)) == -1
+        assert field(p).elem(k.nu).legendre() == -1
         # every element of GF(p) becomes a square in GF(p^2)
         for a in field(p).elements():
             if not a.is_zero:
-                assert legendre(k.embed(a)) == 1
+                assert k.embed(a).legendre() == 1
 
 
 def test_field_axioms_random():
@@ -150,8 +150,8 @@ def test_frobenius_is_multiplicative():
     for _ in range(300):
         a = ctx.from_coords((rng.randrange(11), rng.randrange(11)))
         b = ctx.from_coords((rng.randrange(11), rng.randrange(11)))
-        assert frobenius(a * b) == frobenius(a) * frobenius(b)
-        assert frobenius(a + b) == frobenius(a) + frobenius(b)
+        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
 
 
 def test_legendre_is_multiplicative():
@@ -162,7 +162,7 @@ def test_legendre_is_multiplicative():
             b = ctx.from_coords([rng.randrange(ctx.p) for _ in range(ctx.ext_degree)])
             if a.is_zero or b.is_zero:
                 continue
-            assert legendre(a) * legendre(b) == legendre(a * b)
+            assert a.legendre() * b.legendre() == (a * b).legendre()
 
 
 def test_pow_matches_repeated_multiplication():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import product
@@ -294,8 +295,7 @@ def test_kernel_recurrence_matches_per_term_oracle(monkeypatch):
     primes = [p for p in range(11, 500, 12) if is_prime(p)]
     assert len(primes) == 25
     for p in primes:
-        ws, us, vs = _w_line(p)
-        _classify(p, us, vs, _inverse_table(p))
+        _classify(p, _w_line(p), _inverse_table(p))
     assert [call[1] for call in seen] == primes
     for F, p, ks, inv_table, out in seen:
         assert ks == (p - 2, p - 1) and F.shape[0] == 7
@@ -565,12 +565,15 @@ def test_sweep_solutions_verified_by_zeta_oracle():
 
 
 def _w_verdicts(p):
-    """The kernel's verdict on each orbit, keyed by w (None for infinity)."""
-    ws, us, vs = _w_line(p)
-    gcd, singular, solution = _classify(p, us, vs, _inverse_table(p))
+    """The kernel's verdict on each orbit, keyed by w (None for infinity,
+    which takes the verdict of w = 0)."""
+    ws = _w_line(p)
+    gcd, singular, solution = _classify(p, ws, _inverse_table(p))
     names = ["gcd" if g else "singular" if s else "solution" if h else "not_solution"
              for g, s, h in zip(gcd, singular, solution)]
-    return dict(zip(ws, names))
+    verdicts = dict(zip(ws.tolist(), names))
+    verdicts[None] = verdicts[0]
+    return verdicts
 
 
 def test_sweep_counts_invariant():
@@ -695,6 +698,101 @@ def test_ext_search_guards_fire_before_listing_the_field(monkeypatch):
         ss5_sweep_ext(23)
     with pytest.raises(ValueError, match="mode"):
         ss5_sweep_ext(11, mode="some")
+
+
+def _verdict(r):
+    return r.reason if r.status == "excluded" else r.status
+
+
+def test_infinity_orbit_takes_the_verdict_of_w_zero():
+    # the former representative (2, 1/2) of w = infinity, kept as the oracle
+    for p in range(11, 1000, 12):
+        if is_prime(p):
+            ctx = field(p)
+            r = ss5_check_pair(p, ctx.elem(2), ctx.elem(2).inverse())
+            assert _verdict(r) == _w_verdicts(p)[0], p
+    for p in (11, 23, 47):
+        ctx = field(p, 2)
+        two = ctx.elem(2)
+        r = ss5_check_pair(p, two, two.inverse())
+        assert _verdict(r) == _verdict(ss5_check_pair(p, ctx.zero, ctx.zero)), p
+
+
+def test_ext_orbits_share_their_representative_verdict():
+    # one seeded pair per orbit of the GF(121) grid, infinity included,
+    # against the oracle's verdict on (0, w), (0, 0) for infinity
+    p = 11
+    ctx = field(p, 2)
+    one = ctx.one
+    elems = [e for e in ctx.elements() if not (e == one or e == -one)]
+    rng = random.Random(1111)
+    for w in elems + [None]:
+        while True:
+            u = rng.choice(elems)
+            if w is None:
+                if u.is_zero:
+                    continue
+                v = u.inverse()
+            else:
+                den = one + u * w
+                if den.is_zero:
+                    continue
+                v = (u + w) / den
+            break
+        assert v in elems, (w, u)
+        rep = ss5_check_pair(p, ctx.zero, ctx.zero if w is None else w)
+        assert _verdict(ss5_check_pair(p, u, v)) == _verdict(rep), (w, u, v)
+
+
+def test_ext_search_checks_each_orbit_once(monkeypatch):
+    calls = []
+
+    def spy(p, u, v, strategy="auto"):
+        calls.append((u, v))
+        return ss5_check_pair(p, u, v, strategy)
+
+    monkeypatch.setattr(search, "ss5_check_pair", spy)
+    ss5_sweep_ext(11, mode="all")
+    assert len(calls) <= 11**2 - 2
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    ss5_sweep_ext(11, mode="first")
+    assert len(calls) <= 22
+
+
+def test_ext_search_all_golden():
+    # the solution digest was taken from the per-pair scan the orbit rule
+    # replaced
+    r = ss5_sweep_ext(11, mode="all")
+    assert r.mode == "ext-all"
+    assert r.counts == {
+        "tested": 13689, "excluded_uv": 480, "excluded_gcd": 472, "excluded_singular": 0,
+    }
+    assert len(r.solutions) == 472
+    digest = hashlib.sha256(json.dumps(r.to_json()["solutions"]).encode()).hexdigest()
+    assert digest == "5c2585f3d87ee232da06eddbdffdf5421c6cc5f9573a8937adc268dbf4e35ac2"
+
+
+@pytest.mark.nightly
+def test_ext_search_matches_the_per_pair_scan():
+    # every one of the 14 161 pairs through the scalar oracle (about 7 s)
+    p = 11
+    ctx = field(p, 2)
+    one = ctx.one
+    elems = [e for e in ctx.elements() if not (e == one or e == -one)]
+    counts = {"tested": 0, "excluded_uv": 480, "excluded_gcd": 0, "excluded_singular": 0}
+    solutions = []
+    for u, v in product(elems, repeat=2):
+        verdict = _verdict(ss5_check_pair(p, u, v))
+        if verdict in ("uv", "gcd", "singular"):
+            counts["excluded_" + verdict] += 1
+            continue
+        counts["tested"] += 1
+        if verdict == "solution":
+            solutions.append((str(u), str(v)))
+    r = ss5_sweep_ext(p, mode="all")
+    assert r.counts == counts
+    assert r.solutions == solutions
 
 
 def test_enumeration_char3_empty():
