@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import lru_cache
 
 from .cartier import HyperellipticModel, cartier_matrix
 from .covers import component_p_rank, kani_rosen_triple
@@ -38,6 +39,9 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+# built once per process: each build formats every argument to check it,
+# and in-process callers (tests, the benchmark) call main many times
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cmrank",

@@ -33,10 +33,11 @@ coefficients of f^((p-1)/2) forming the 2x2 Cartier-Manin matrix.
 The kernel (`_classify`), the scalar oracle (`ss5_check_pair`, through
 `_pair_polys`) and the superspecial recheck (`_quotient_rows`) all build the
 family from `_transport`: on FieldElements over GF(p) or GF(p^2) for the
-oracle, on int64 arrays mod p for the kernel and the recheck.  So they share the family's closed form; the tests pin it
-against the explicit Moebius transports, kept there as the oracle.  What
-stays independent of the kernel is its own logic: the resultant
-exclusions, the w reduction, the palindromic shortcut and the recurrence.
+oracle, on int64 arrays mod p for the kernel and the recheck.  So they
+share the family's closed form; the tests pin it against the explicit
+Moebius transports, kept there as the oracle.  What stays independent of
+the kernel is its own logic: the resultant exclusions, the w reduction and
+the elliptic split below.
 
 A palindromic quadratic a x^2 + c x + a stays palindromic under M_u: both
 ends of its transport are a u^2 + c u + a.  The three factors of f are
@@ -67,13 +68,46 @@ the (0, infinity) cover is the (0, 0) cover with D_v twisted by -1, with the
 same genus-2 quotient A B; superspeciality and the gcd and squarefree
 exclusions do not see twists, and w = infinity takes the verdict of w = 0.
 
+The orbits of w and -w share a verdict too: x -> -x fixes x^2 + 1 and swaps
+x^2 + x + 1 with x^2 - x + 1, so f for -w is f for w at -x.
+
 The sweep classifies the p - 2 representatives (0, w), w finite, in one
-numpy pass.  The two needed coefficients c and a sit within p of the low
-end of the coefficient range, so one linear recurrence gives them in O(p)
-vectorized steps instead of expanding f^((p-1)/2): O(p^2) work per prime.
-The orbits of the good w values are then expanded into sorted (u, v) pairs.
-The GF(p^2) scan (`ss5_sweep_ext`) uses the same rule: each of its pairs
-takes the scalar oracle's verdict on (0, w), checked once per w.
+numpy pass, without reading f^((p-1)/2) at all: the genus-2 quotient
+C: y^2 = f splits.  Being palindromic, f(x) = x^3 g(x + 1/x) for the cubic
+
+    g3 = f6,   g2 = f5,   g1 = f4 - 3 f6,   g0 = f3 - 2 f5,
+
+and C has the involution tau: (x, y) -> (1/x, y/x^3) besides the
+hyperelliptic one.  The quotients C/tau and C/(tau composed with it) are
+the elliptic curves
+
+    E+: Y^2 = (s + 2) g(s),   E-: Y^2 = (s - 2) g(s),
+
+with s = x + 1/x and Y = y (1 +- x) / x^2, and J(C) is (2,2)-isogenous to
+E+ x E- (Kuhn, "Curves of genus 2 with split Jacobian", 1988).  For odd p
+the isogeny has degree prime to p, so C has p-rank 0 -- the kernel's test,
+by the palindromic argument above -- exactly when E+ and E- are both
+supersingular.  On every live w, g(-+2) = -+f(-+1) != 0 and g is
+squarefree, so each quartic is squarefree with the rational root s = -+2;
+sending it to infinity gives a short Weierstrass model in closed form
+(`_split_models`).
+
+Most w are then pruned by a certificate.  An x-only Montgomery ladder
+computes [p+1] P from x(P) = x0, a fixed constant, on both models of every
+w at once (`_ladder_finite`).  If x0 != 0, x0 is not a root of the cubic
+and no point the ladder forms has Z = 0, every formula it used was valid,
+so [p+1] P != O for a point P on E+- or on its quadratic twist (which share
+the x-line).  A supersingular curve over GF(p), p >= 5, and its twist both
+have p + 1 points, so that curve is ordinary and w is not good.  Every
+other w survives and is decided exactly by the trace
+a_p = -sum_s chi(q(s)) - chi(lc q) of each quartic q (`_traces`), with
+a_p = 0 exactly for supersingular curves by the Hasse bound
+|a_p| <= 2 sqrt(p) < p.
+The pruning never changes a verdict, only which w reach the trace; the
+constant x0 keeps the runs reproducible.  The orbits of the good w values
+are then expanded into sorted (u, v) pairs.  The GF(p^2) scan
+(`ss5_sweep_ext`) uses the same rule: each of its pairs takes the scalar
+oracle's verdict on (0, w), checked once per w.
 
 Every reported pair is rechecked for the stronger claim, superspeciality of
 the genus-5 curve, on the pair itself rather than its w representative.  The
@@ -99,19 +133,18 @@ given; the family's closed form enters only through the rows of the third
 quotient, A B, which a coefficient identity certifies as
 E_u D_v / gcd^2 up to a constant (`_polynomial_checks`).
 
-Then all entries of all three matrices are read through the same
-vectorized recurrence as the kernel, `_power_coeffs_vec`, five rows per
-pair: E_u, D_v and the genus-2 quotient from their low ends, D_v and the
-genus-2 quotient again reversed for the entries near the top.  f(0) != 0
-for all three, since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and
-v^4 + v^2 + 1 != 0 (p = 2 mod 3), so no row needs full expansion.  The
-recheck thus shares its recurrence code and the family's closed form with
-the kernel; what keeps it independent is what it checks -- the pair's own
-three quotients and every matrix entry, with neither the w reduction nor
-the palindromic a = c = 0 shortcut -- and the tests, which hold the ranks
-against Euclid's gcd (`poly.poly_gcd`), the polynomial verdicts against
-the per-pair route, and the entries against `cartier`'s scalar recurrence
-and against full expansion (`poly.pow_coeffs`).
+Then all entries of all three matrices are read through a vectorized
+coefficient recurrence, `_power_coeffs_vec`, five rows per pair: E_u, D_v
+and the genus-2 quotient from their low ends, D_v and the genus-2 quotient
+again reversed for the entries near the top.  f(0) != 0 for all three,
+since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and v^4 + v^2 + 1 != 0
+(p = 2 mod 3), so no row needs full expansion.  The recheck shares only
+the family's closed form with the kernel, no decision code: it checks the
+pair's own three quotients and every matrix entry, with neither the w
+reduction, the palindromic a = c = 0 shortcut nor the elliptic split.  The
+tests hold the ranks against Euclid's gcd (`poly.poly_gcd`), the polynomial
+verdicts against the per-pair route, and the entries against `cartier`'s
+scalar recurrence and against full expansion (`poly.pow_coeffs`).
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -142,6 +175,9 @@ ENUM_GUARD = 1_200_000
 # family's rows stay below 2^42 (`_transport`) and 3 p^2 (`_rows_mul`)
 SWEEP_MAX_P = 1 << 20
 assert 6 * SWEEP_MAX_P**3 < 1 << 63
+# the kernel's models, ladder and traces reduce mod p after every product
+# of residues, so each of their values stays below 8 p^2 <= 2^43
+assert 8 * SWEEP_MAX_P**2 <= 1 << 43
 # pairs per pass of the superspecial recheck: a pass holds three quotient
 # polynomials, four 6 x 6 Bezout matrices and the recurrence's window, a few
 # hundred int64 values per pair, under 2 MB at 512 pairs whatever p, while
@@ -153,6 +189,15 @@ RECHECK_SLICE = 512
 # steps of six weights are 192 KB, where one table up to SWEEP_MAX_P would
 # be about 50 MB
 _WEIGHT_BLOCK = 4096
+# live w per pass of the kernel's ladder: its two curves make 2^16 columns,
+# 512 KB an int64 array, where all w at SWEEP_MAX_P take 16 MB an array
+_LADDER_BLOCK = 1 << 15
+# quartic values per pass of the traces: 512 KB of int64, so at census sizes
+# every survivor of a prime fits in one pass
+_TRACE_BLOCK = 1 << 16
+# the x(P) the ladder starts from on E+ and E-: a constant, so every run
+# prunes the same w
+_LADDER_X0 = 1
 
 
 @dataclass(frozen=True)
@@ -298,7 +343,7 @@ def ss5_check_pair(
     return CheckResult(status=status, entries=(a, b, c, d))
 
 
-# -- vectorized w-line kernel ----------------------------------------------------
+# -- vectorized coefficient recurrence, for the recheck ---------------------------
 
 
 def _powmod_vec(base, e: int, p: int):
@@ -314,15 +359,6 @@ def _powmod_vec(base, e: int, p: int):
 
 def _inverse_table(p: int):
     return np.frombuffer(inverse_table(p, p - 1), dtype=np.int64)
-
-
-def _res_quadratics(f, g, p):
-    """Resultant of the quadratics with coefficient rows f and g, low to high,
-    vectorized."""
-    t1 = (f[2] * g[0] - f[0] * g[2]) % p
-    t2 = (f[2] * g[1] - f[1] * g[2]) % p
-    t3 = (f[1] * g[0] - f[0] * g[1]) % p
-    return (t1 * t1 - t2 * t3) % p
 
 
 def _power_coeffs_vec(F, p: int, ks, inv_table):
@@ -527,6 +563,18 @@ def _polynomial_error(first, numbers, i):
     return error(msg.format(**{name: int(values[i]) for name, values in numbers.items()}))
 
 
+# -- the w-line kernel: the genus-2 quotient splits into E+ x E- -------------------
+
+
+def _res_quadratics(f, g, p):
+    """Resultant of the quadratics with coefficient rows f and g, low to high,
+    vectorized."""
+    t1 = (f[2] * g[0] - f[0] * g[2]) % p
+    t2 = (f[2] * g[1] - f[1] * g[2]) % p
+    t3 = (f[1] * g[0] - f[0] * g[1]) % p
+    return (t1 * t1 - t2 * t3) % p
+
+
 def _w_line(p: int):
     """The finite orbit labels w in GF(p) - {+-1}, ascending from w = 0, as an
     int64 array; w = infinity takes the verdict of w = 0 (module docstring)."""
@@ -549,9 +597,143 @@ def _orbit(p: int, w, inv_table):
     return list(zip(us.tolist(), vs.tolist()))
 
 
-def _classify(p: int, W, inv_table):
+def _split_models(F, p: int):
+    """E+ and E- of the genus-2 curve y^2 = f for every column f of F, a
+    (7, n) int64 array of palindromic sextics mod p < 2^20, low to high,
+    with g(-2) g(2) != 0 for the cubic g of f(x) = x^3 g(x + 1/x) (module
+    docstring).
+
+    Returns the quartics q = (s - r) g(s), r = -2 for E+ and 2 for E-, as a
+    (5, 2n) array of rows, E+ in the first n columns; and the coefficients
+    (a4, a6), each (2n,), of short Weierstrass models y^2 = x^3 + a4 x + a6
+    of the same curves.  Sending the root r to infinity, s = r + 1/t and
+    Y = V/t^2, gives V^2 = t^3 g(r + 1/t) = a t^3 + b t^2 + c t + d with
+    a = g(r), b = g'(r), c = g''(r)/2 = 3 g3 r + g2 and d = g3.  X = a t
+    takes it to (a V)^2 = X^3 + b X^2 + ac X + a^2 d, and x = 9 X + 3 b,
+    y = 27 a V to a4 = 27 (3ac - b^2) and a6 = 27 (27 a^2 d - 9abc + 2b^3)."""
+    g3, g2 = F[6], F[5]
+    g1, g0 = (F[4] - 3 * g3) % p, (F[3] - 2 * g2) % p
+    quartics, a4, a6 = [], [], []
+    for r in (-2, 2):  # small, so each Horner step stays below 15 p
+        quartics.append([-r * g0 % p, (g0 - r * g1) % p, (g1 - r * g2) % p,
+                         (g2 - r * g3) % p, g3])
+        a = (((g3 * r + g2) * r + g1) * r + g0) % p
+        b = ((3 * g3 * r + 2 * g2) * r + g1) % p
+        c = (3 * g3 * r + g2) % p
+        ac, bb = a * c % p, b * b % p
+        a4.append(27 * (3 * ac - bb) % p)
+        cube = (27 * a % p * (a * g3 % p) + (2 * bb - 9 * ac) % p * b) % p
+        a6.append(27 * cube % p)
+    return np.hstack([np.stack(q) for q in quartics]), np.hstack(a4), np.hstack(a6)
+
+
+def _ladder_finite(a4, a6, x0, n: int, p: int):
+    """Whether the x-only Montgomery ladder for [n] P, x(P) = x0, formed no
+    point with Z = 0 on y^2 = x^3 + a4[i] x + a6[i], for every column i; x0
+    is an int or an array like a4, residues mod p < 2^20.
+
+    The ladder keeps (X : Z) of [k] P and [k+1] P, which differ by P, and
+    steps by a doubling and a differential addition (Brier and Joye):
+
+        [2] (X : Z) = ((X^2 - a4 Z^2)^2 - 8 a6 X Z^3 : 4 Z (X^3 + a4 X Z^2 + a6 Z^3)),
+        (X : Z) = (X_m X_n - a4 Z_m Z_n)^2 - 4 a6 Z_m Z_n (X_m Z_n + X_n Z_m)
+                  : x0 (X_m Z_n - X_n Z_m)^2   for [m+n] P, [m-n] P = P.
+
+    Both are valid for finite inputs with x0 != 0 and give Z = 0 exactly for
+    the point at infinity: the doubling when the input is 2-torsion, the
+    addition when [m] P = -[n] P.  So where no Z vanished, one induction
+    shows every formula was applied to finite points and [n] P is finite,
+    on the curve or on its quadratic twist, which share the x-line.  x0 = 0
+    zeroes the Z of every addition and a root x0 of the cubic the Z of
+    [2] P, so neither is ever certified.  (Through the point at infinity the
+    ladder happens to stay right when x0 != 0, as an addition then meets
+    only +-P; checking every Z keeps the argument to the induction, at the
+    cost of a few survivors.)"""
+    x0 = np.broadcast_to(np.asarray(x0, dtype=np.int64) % p, a4.shape)
+    b4, b8 = 4 * a6 % p, 8 * a6 % p
+
+    def double(X, Z):
+        # X^3 + a4 X Z^2 = X (X^2 + a4 Z^2) and X^2 - a4 Z^2 share a4 Z^2
+        xx, zz = X * X % p, Z * Z % p
+        azz, zzz = a4 * zz % p, Z * zz % p
+        t = xx - azz
+        X2 = (t * t - b8 * (X * zzz % p)) % p
+        cubic = (X * (xx + azz) + a6 * zzz) % p
+        return X2, 4 * Z * cubic % p
+
+    def add(Xm, Zm, Xn, Zn):
+        xz, zx = Xm * Zn % p, Xn * Zm % p
+        zz = Zm * Zn % p
+        t = (Xm * Xn % p - a4 * zz) % p
+        d = xz - zx
+        return (t * t - b4 * (zz * (xz + zx) % p)) % p, x0 * (d * d % p) % p
+
+    X0, Z0 = x0, np.ones_like(x0)
+    X1, Z1 = double(X0, Z0)
+    finite = Z1 != 0
+    for bit in bin(n)[3:]:
+        if bit == "1":
+            (X0, Z0), (X1, Z1) = add(X0, Z0, X1, Z1), double(X1, Z1)
+        else:
+            (X0, Z0), (X1, Z1) = double(X0, Z0), add(X0, Z0, X1, Z1)
+        finite &= (Z0 != 0) & (Z1 != 0)
+    return finite
+
+
+def _traces(Q, p: int):
+    """The trace a_p = p + 1 - #E(GF(p)) of Y^2 = q(s) for every column q of
+    Q, a (5, n) int64 array of squarefree quartics mod p < 2^20, low to high,
+    with q4 != 0.  The smooth model has 1 + chi(q(s)) points over each s and
+    1 + chi(q4) at infinity, so a_p = -sum_s chi(q(s)) - chi(q4), for the
+    Legendre symbol chi.  The values q(s) are formed in passes of about
+    _TRACE_BLOCK."""
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    chi[0] = 0
+    out = -chi[Q[4]].astype(np.int64)
+    step = max(1, _TRACE_BLOCK // max(1, Q.shape[1]))
+    rows = Q[:, :, None]
+    for start in range(0, p, step):
+        s = np.arange(start, min(start + step, p), dtype=np.int64)
+        v = rows[4]
+        for k in (3, 2, 1, 0):
+            v = (v * s + rows[k]) % p
+        out -= chi[v].sum(axis=1, dtype=np.int64)
+    return out
+
+
+def _sextics(p: int, W):
+    """The genus-2 quotients f = A B of the representatives (0, W[i]), as
+    (7, n) rows mod p, low to high; with u = 0, A is x^2 + 1."""
+    B1, B2 = (_transport_rows(q, W, p) for q in _B_FACTORS)
+    return _rows_mul(_rows_mul(B1, B2, p), _transport_rows(_A_FACTOR, 0, p), p)
+
+
+def _split_supersingular(p: int, W):
+    """Whether E+ and E- of the representative (0, W[i]) are both
+    supersingular, for every live w in W, in passes of _LADDER_BLOCK: the
+    ladder prunes the w with a certificate of ordinarity and the traces
+    decide the rest (module docstring).  f(+-1) = 2 B(+-1) != 0 for
+    w != -+1, so g(+-2) != 0 for every w, as `_split_models` needs."""
+    survivors, plus, minus = [], [], []
+    for start in range(0, len(W), _LADDER_BLOCK):
+        Q, a4, a6 = _split_models(_sextics(p, W[start : start + _LADDER_BLOCK]), p)
+        n = Q.shape[1] // 2
+        pruned = _ladder_finite(a4, a6, _LADDER_X0, p + 1, p).reshape(2, n).any(axis=0)
+        kept = np.flatnonzero(~pruned)
+        survivors.append(start + kept)
+        plus.append(Q[:, kept])
+        minus.append(Q[:, kept + n])
+    good = np.zeros(len(W), dtype=bool)
+    traces = _traces(np.hstack(plus + minus), p).reshape(2, -1)
+    good[np.concatenate(survivors)] = ~traces.any(axis=0)
+    return good
+
+
+def _classify(p: int, W):
     """Classify the representatives (0, W[i]) at once.  With u = 0, A is
-    x^2 + 1 in every column, and f(0) = A(0) B(0) = w^4 + w^2 + 1.
+    x^2 + 1 in every column, and f = A B is a palindromic sextic whose ends
+    f0 = f6 = w^4 + w^2 + 1 do not vanish (p = 2 mod 3).
 
     Returns boolean arrays (excluded_gcd, excluded_singular, solution)."""
     A = _transport_rows(_A_FACTOR, 0, p)
@@ -566,24 +748,20 @@ def _classify(p: int, W, inv_table):
     excluded_singular = (~excluded_gcd) & (disc_a == 0)
 
     live = ~(excluded_gcd | excluded_singular)
-    f = _rows_mul(_rows_mul(B1, B2, p), A, p)
     solution = np.zeros_like(live)
-    idx = np.flatnonzero(live)
-    if idx.size:
-        # f is palindromic, so b = c, d = a and the entry equations reduce
-        # to a = c = 0 (module docstring).  The recurrence divides by
-        # f(0) = w^4 + w^2 + 1, which has no root since p = 2 (mod 3)
-        c, a = _power_coeffs_vec(f[:, idx], p, (p - 2, p - 1), inv_table)
-        solution[idx] = (a == 0) & (c == 0)
+    solution[live] = _split_supersingular(p, W[live])
     return excluded_gcd, excluded_singular, solution
 
 
-def _sweep_w_line(p: int, inv_table):
-    """Full-grid counts and the sorted solution pairs, before re-verification."""
+def _sweep_w_line(p: int, inv_table, mode: str = "all"):
+    """Full-grid counts and the sorted solution pairs, before re-verification;
+    in mode "first" only the least pair.  That is (0, least good w): (0, w)
+    lies in the orbit of every finite w with the least u, and w = infinity
+    takes the verdict of w = 0, whose pair (0, 0) is smaller."""
     W = _w_line(p)
     # w = infinity, appended last, takes the verdict of w = 0, the first
     excluded_gcd, excluded_singular, solution = (
-        np.append(verdict, verdict[0]) for verdict in _classify(p, W, inv_table)
+        np.append(verdict, verdict[0]) for verdict in _classify(p, W)
     )
     ws = W.tolist() + [None]
     sizes = np.full(len(ws), p - 3, dtype=np.int64)
@@ -594,10 +772,14 @@ def _sweep_w_line(p: int, inv_table):
         "excluded_gcd": int(sizes[excluded_gcd].sum()),
         "excluded_singular": int(sizes[excluded_singular].sum()),
     }
-    solutions = sorted(
-        pair for i in np.flatnonzero(solution) for pair in _orbit(p, ws[i], inv_table)
-    )
+    good = np.flatnonzero(solution)
+    if mode == "first":
+        return counts, [(0, ws[good[0]])] if good.size else []
+    solutions = sorted(pair for i in good for pair in _orbit(p, ws[i], inv_table))
     return counts, solutions
+
+
+# -- the superspecial recheck --------------------------------------------------------
 
 
 def verify_solution_story(p: int, u, v):
@@ -656,9 +838,7 @@ def ss5_sweep(cfg: SweepConfig) -> SearchResult:
     start = time.monotonic()
     p = cfg.p
     inv_table = _inverse_table(p)
-    counts, solutions = _sweep_w_line(p, inv_table)
-    if cfg.mode == "first":
-        solutions = solutions[:1]
+    counts, solutions = _sweep_w_line(p, inv_table, cfg.mode)
     if solutions:
         us, vs = map(np.array, zip(*solutions))
         _recheck(p, us, vs, inv_table)

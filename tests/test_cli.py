@@ -251,3 +251,34 @@ def test_ss5_ext_field_past_the_grid_guard_exits_2_before_listing(monkeypatch, c
     monkeypatch.setattr(ff.FieldCtx, "elements", refuse)
     code, _, err = run(capsys, "ss5", "--p", "1048571", "--ext-field", "--no-cache")
     assert code == 2 and "guard" in err
+
+
+def test_cached_parser_answers_like_fresh_ones(capsys):
+    # one parser serves a usage error, --help and a sweep in turn, with the
+    # outputs and exit codes of a parser built afresh for each call
+    argvs = [
+        ["ss5", "--p", "11", "--bogus"],
+        ["--help"],
+        ["ss5", "--p", "11", "--no-cache"],
+        ["ss5", "--p", "11", "--mode", "some"],
+    ]
+
+    def calls(fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code, stdout, stderr = run(capsys, *argv)
+            if argv[0] == "ss5" and code == 0:
+                stdout = {k: v for k, v in json.loads(stdout).items() if k != "elapsed_ms"}
+            out.append((code, stdout, stderr))
+        return out
+
+    cli._build_parser.cache_clear()
+    cached = calls(fresh=False)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+    assert [code for code, _, _ in cached] == [2, 0, 0, 2]
+    assert "unrecognized arguments: --bogus" in cached[0][2]
+    assert "usage: cmrank" in cached[1][1]
+    assert calls(fresh=True) == cached

@@ -412,5 +412,8 @@ def test_int64_bounds_of_the_constants():
     # a cartier expansion sums at most EXPANSION_CAP + 1 products per output,
     # so below p = 2^18 its convolutions take the float64 route
     assert poly._float_exact(poly.EXPANSION_CAP + 1, (1 << 18) - 1)
-    # the sweep kernel sums six recurrence terms, each below p^3
+    # the recheck's recurrence sums six terms, each below p^3
     assert 6 * search.SWEEP_MAX_P**3 < 2**63
+    # the sweep kernel's models, ladder and traces reduce after every
+    # product of residues, so their values stay below 8 p^2
+    assert 8 * search.SWEEP_MAX_P**2 <= 2**43 < 2**63

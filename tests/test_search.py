@@ -12,12 +12,15 @@ from cmrank.covers import kani_rosen_triple, prank_fiber_product
 from cmrank.ff import FieldCtx, field, inverse_table, is_prime
 from cmrank.poly import DensePoly, is_squarefree, poly_gcd, pow_coeffs
 from cmrank.search import (
+    _A_FACTOR,
+    _B_FACTORS,
     _POLYNOMIAL_CHECKS,
     SweepConfig,
     _cartier_entries_vec,
     _classify,
     _derivative,
     _gcd_degrees,
+    _ladder_finite,
     _monic_tails,
     _inverse_table,
     _orbit,
@@ -28,7 +31,12 @@ from cmrank.search import (
     _powmod_vec,
     _quotient_rows,
     _ranks_mod_p,
+    _res_quadratics,
+    _rows_mul,
+    _sextics,
+    _split_models,
     _sweep_w_line,
+    _transport_rows,
     _w_line,
     load_result,
     result_path,
@@ -281,26 +289,209 @@ def _recurrence_ends_vec(fs, m: int, p: int, inv_table):
     return out_pm2, c_prev[0]
 
 
-def test_kernel_recurrence_matches_per_term_oracle(monkeypatch):
-    # every census prime below 500: the kernel's (c_{p-2}, c_{p-1}) on the w
-    # line equal those of the per-term recurrence
-    seen = []
+def _classify_by_recurrence(p, W, inv_table):
+    """The kernel before the elliptic split, kept as its oracle: the same
+    exclusions, then a = c = 0 read off f^((p-1)/2) by the coefficient
+    recurrence."""
+    A = _transport_rows(_A_FACTOR, 0, p)
+    B1, B2 = (_transport_rows(q, W, p) for q in _B_FACTORS)
+    excluded_gcd = (_res_quadratics(A, B1, p) == 0) | (_res_quadratics(A, B2, p) == 0)
+    disc_a = (A[1] * A[1] - 4 * A[0] * A[2]) % p
+    excluded_singular = (~excluded_gcd) & (disc_a == 0)
+    live = ~(excluded_gcd | excluded_singular)
+    f = _rows_mul(_rows_mul(B1, B2, p), A, p)
+    solution = np.zeros_like(live)
+    idx = np.flatnonzero(live)
+    if idx.size:
+        c, a = _power_coeffs_vec(f[:, idx], p, (p - 2, p - 1), inv_table)
+        solution[idx] = (a == 0) & (c == 0)
+    return excluded_gcd, excluded_singular, solution
 
-    def spy(F, p, ks, inv_table):
-        out = _power_coeffs_vec(F, p, ks, inv_table)
-        seen.append((F, p, ks, inv_table, out))
-        return out
 
-    monkeypatch.setattr(search, "_power_coeffs_vec", spy)
+def test_kernel_recurrence_matches_per_term_oracle():
+    # every census prime below 500: the vectorized recurrence's
+    # (c_{p-2}, c_{p-1}) on the w line, which the kernel oracle reads, equal
+    # those of the per-term recurrence
     primes = [p for p in range(11, 500, 12) if is_prime(p)]
     assert len(primes) == 25
     for p in primes:
-        _classify(p, _w_line(p), _inverse_table(p))
-    assert [call[1] for call in seen] == primes
-    for F, p, ks, inv_table, out in seen:
-        assert ks == (p - 2, p - 1) and F.shape[0] == 7
+        F, inv_table = _sextics(p, _w_line(p)), _inverse_table(p)
+        out = _power_coeffs_vec(F, p, (p - 2, p - 1), inv_table)
         c, a = _recurrence_ends_vec(list(F), (p - 1) // 2, p, inv_table)
         assert (out[0] == c).all() and (out[1] == a).all(), p
+
+
+def _primes_11_mod_12(below):
+    return [p for p in range(11, below, 12) if is_prime(p)]
+
+
+def _check_split_against_recurrence(monkeypatch, p):
+    W, inv_table = _w_line(p), _inverse_table(p)
+    expected = _classify_by_recurrence(p, W, inv_table)
+    got = _classify(p, W)
+    for name, e, g in zip(("gcd", "singular", "solution"), expected, got):
+        assert (e == g).all(), (p, name)
+    split = _sweep_w_line(p, inv_table, "first")
+    with monkeypatch.context() as m:
+        m.setattr(search, "_classify", lambda p, W: expected)
+        assert _sweep_w_line(p, inv_table, "first") == split, p
+    return W[got[2]].tolist()
+
+
+def test_split_kernel_matches_recurrence_kernel(monkeypatch):
+    # the same exclusions, good set, counts and first solution as the
+    # recurrence kernel at every prime p = 11 (mod 12) below 1000
+    primes = _primes_11_mod_12(1000)
+    assert len(primes) == 42
+    solution_free = [p for p in primes if not _check_split_against_recurrence(monkeypatch, p)]
+    assert solution_free == [107, 443, 491, 827, 947]
+
+
+@pytest.mark.nightly
+def test_split_kernel_matches_recurrence_kernel_at_10007(monkeypatch):
+    # the recurrence kernel takes about 2.3 s here
+    good = _check_split_against_recurrence(monkeypatch, 10007)
+    assert good == [1219, 1609, 8398, 8788]
+
+
+def test_split_kernel_golden_at_100019():
+    # taken from the recurrence kernel, which ran 192 s here (2-core Xeon VM).
+    # An int64 overflow in the models certified garbage curves as ordinary
+    # and pruned all four, while every prime below 1000 still agreed
+    p = 100019
+    W = _w_line(p)
+    assert W[_classify(p, W)[2]].tolist() == [11576, 11863, 88156, 88443]
+
+
+def test_good_w_come_in_pairs_w_and_minus_w():
+    # x -> -x fixes x^2 + 1 and swaps x^2 + x + 1 with x^2 - x + 1, so w and
+    # -w share every verdict, exclusions included
+    for p in _primes_11_mod_12(1000):
+        verdicts = _w_verdicts(p)
+        for w in range(p):
+            if w not in (1, p - 1):
+                assert verdicts[w] == verdicts[-w % p], (p, w)
+
+
+def _live_models(p):
+    """The live w of the line and their split models."""
+    W = _w_line(p)
+    gcd, singular, solution = _classify(p, W)
+    live = ~(gcd | singular)
+    return W[live], solution[live], _split_models(_sextics(p, W[live]), p)
+
+
+def test_split_models_and_traces_match_p_rank():
+    # for p < 200 and every curve E+ and E- of every live w: the quartic and
+    # the Weierstrass model have the same p-rank by `cartier.p_rank`, the
+    # trace vanishes exactly when it is 0, and no curve of p-rank 0 is
+    # certified ordinary by the ladder
+    from cmrank.cartier import p_rank
+
+    pruned = live = 0
+    for p in _primes_11_mod_12(200):
+        ctx = field(p)
+        ws, good, (Q, a4, a6) = _live_models(p)
+        finite = _ladder_finite(a4, a6, search._LADDER_X0, p + 1, p)
+        traces = search._traces(Q, p)
+        ranks = []
+        for q, b4, b6, fin, trace in zip(Q.T.tolist(), a4, a6, finite, traces):
+            rank = p_rank(HyperellipticModel(ctx, DensePoly(ctx, q)))
+            cubic = DensePoly(ctx, [int(b6), int(b4), 0, 1])
+            assert p_rank(HyperellipticModel(ctx, cubic)) == rank, (p, q)
+            assert (trace == 0) == (rank == 0), (p, q)
+            assert not (fin and rank == 0), (p, q)
+            ranks.append(rank)
+        both_zero = ~np.array(ranks).reshape(2, -1).any(axis=0)
+        assert (both_zero == good).all(), p
+        pruned += finite.reshape(2, -1).any(axis=0).sum()
+        live += len(ws)
+        assert good.any() or p == 107
+    # the ladder prunes most live w even at these sizes (891 of 1003)
+    assert pruned > 0.8 * live
+
+
+def _division_roots(a4, a6, p):
+    """The x in GF(p) of the points of order 2, 3 and 4 of y^2 = x^3 + a4 x + a6
+    or its twist: the roots of the division polynomials psi_2, psi_3 and
+    psi_4 / psi_2 (up to constants)."""
+    orders = {2: [], 3: [], 4: []}
+    for x in range(p):
+        psi = {
+            2: x**3 + a4 * x + a6,
+            3: 3 * x**4 + 6 * a4 * x**2 + 12 * a6 * x - a4**2,
+            4: x**6 + 5 * a4 * x**4 + 20 * a6 * x**3 - 5 * a4**2 * x**2
+            - 4 * a4 * a6 * x - 8 * a6**2 - a4**3,
+        }
+        for order, value in psi.items():
+            if value % p == 0:
+                orders[order].append(x)
+    return orders
+
+
+def _ladder_meets_infinity(order, n):
+    """Whether the ladder for [n] P forms the point at infinity, P of the
+    given order: its registers hold [2] P, then [m] P and [m+1] P for every
+    leading part m of n in binary."""
+    m, multiples = 1, {2}
+    for bit in bin(n)[3:]:
+        m = 2 * m + int(bit)
+        multiples |= {m, m + 1}
+    return any(k % order == 0 for k in multiples)
+
+
+def test_ladder_reports_planted_degenerate_points():
+    # x0 = 0 and the x of points of order 2, 3 and 4 on every live curve.
+    # Their orders divide p + 1, so the kernel's ladder must not certify
+    # them; for other n it certifies exactly where no register met the point
+    # at infinity, whether or not [n] P is finite
+    for p in (23, 47, 71):
+        _, _, (_, a4, a6) = _live_models(p)
+        assert not _ladder_finite(a4, a6, 0, p + 1, p).any()
+        cols, x0s, orders = [], [], []
+        for i, (b4, b6) in enumerate(zip(a4.tolist(), a6.tolist())):
+            for order, xs in _division_roots(b4, b6, p).items():
+                cols += [i] * len(xs)
+                x0s += xs
+                orders += [order] * len(xs)
+        assert set(orders) == {2, 3, 4}, p
+        cols, x0s = np.array(cols), np.array(x0s)
+        for n in (p + 1, p - 1, p, p + 2, 2 * p + 3):
+            finite = _ladder_finite(a4[cols], a6[cols], x0s, n, p)
+            expected = [not _ladder_meets_infinity(order, n) for order in orders]
+            assert finite.tolist() == expected, (p, n)
+            if n == p + 1:
+                assert not any(expected)
+            else:
+                # some registers meet the point at infinity though [n] P is
+                # finite
+                assert any(n % k and not e for k, e in zip(orders, expected)), (p, n)
+
+
+def test_degenerate_start_passes_every_w_to_the_traces(monkeypatch):
+    # the traces see exactly the w that neither curve's ladder certifies;
+    # with x0 = 0 that is every live w, and the verdicts do not change
+    p = 131
+    W = _w_line(p)
+    expected = _classify(p, W)
+    ws, _, (_, a4, a6) = _live_models(p)
+    finite = _ladder_finite(a4, a6, search._LADDER_X0, p + 1, p).reshape(2, -1)
+    survivors = (~finite.any(axis=0)).sum()
+    assert 0 < survivors < len(ws)
+    traced, traces = [], search._traces
+
+    def spy(Q, p):
+        traced.append(Q.shape[1])
+        return traces(Q, p)
+
+    monkeypatch.setattr(search, "_traces", spy)
+    for x0, columns in ((search._LADDER_X0, 2 * survivors), (0, 2 * len(ws))):
+        monkeypatch.setattr(search, "_LADDER_X0", x0)
+        got = _classify(p, W)
+        for e, g in zip(expected, got):
+            assert (e == g).all(), x0
+        assert traced == [columns], x0
+        traced.clear()
 
 
 def test_batched_entries_match_scalar_route_and_expansion():
@@ -568,7 +759,7 @@ def _w_verdicts(p):
     """The kernel's verdict on each orbit, keyed by w (None for infinity,
     which takes the verdict of w = 0)."""
     ws = _w_line(p)
-    gcd, singular, solution = _classify(p, ws, _inverse_table(p))
+    gcd, singular, solution = _classify(p, ws)
     names = ["gcd" if g else "singular" if s else "solution" if h else "not_solution"
              for g, s, h in zip(gcd, singular, solution)]
     verdicts = dict(zip(ws.tolist(), names))
@@ -605,6 +796,12 @@ def _check_counts_invariant(p):
 
 
 def test_sweep_mode_first_is_first_of_mode_all():
+    # mode "first" reads (0, least good w) without expanding any orbit; the
+    # sorted expansion of mode "all" is its oracle, without the recheck
+    for p in _primes_11_mod_12(1000):
+        inv_table = _inverse_table(p)
+        counts, solutions = _sweep_w_line(p, inv_table, "all")
+        assert _sweep_w_line(p, inv_table, "first") == (counts, solutions[:1]), p
     for p in (23, 47):
         full = ss5_sweep(SweepConfig(p=p, mode="all"))
         first = ss5_sweep(SweepConfig(p=p, mode="first"))
