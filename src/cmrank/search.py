@@ -73,41 +73,46 @@ x^2 + x + 1 with x^2 - x + 1, so f for -w is f for w at -x.
 
 The sweep classifies the p - 2 representatives (0, w), w finite, in one
 numpy pass, without reading f^((p-1)/2) at all: the genus-2 quotient
-C: y^2 = f splits.  Being palindromic, f(x) = x^3 g(x + 1/x) for the cubic
+C: y^2 = f splits.  With s = x + 1/x, x^2 + 1 = x s, and each palindromic
+transport a x^2 + c x + a of x^2 +- x + 1 is x (a s + c), so
+f(x) = x^3 g(x + 1/x) for the cubic
 
-    g3 = f6,   g2 = f5,   g1 = f4 - 3 f6,   g0 = f3 - 2 f5,
+    g(s) = s (a1 s + c1)(a2 s + c2),
 
-and C has the involution tau: (x, y) -> (1/x, y/x^3) besides the
-hyperelliptic one.  The quotients C/tau and C/(tau composed with it) are
-the elliptic curves
+read straight off the transported factors.  C has the involution
+tau: (x, y) -> (1/x, y/x^3) besides the hyperelliptic one.  The quotients
+C/tau and C/(tau composed with it) are the elliptic curves
 
     E+: Y^2 = (s + 2) g(s),   E-: Y^2 = (s - 2) g(s),
 
-with s = x + 1/x and Y = y (1 +- x) / x^2, and J(C) is (2,2)-isogenous to
-E+ x E- (Kuhn, "Curves of genus 2 with split Jacobian", 1988).  For odd p
-the isogeny has degree prime to p, so C has p-rank 0 -- the kernel's test,
-by the palindromic argument above -- exactly when E+ and E- are both
-supersingular.  On every live w, g(-+2) = -+f(-+1) != 0 and g is
-squarefree, so each quartic is squarefree with the rational root s = -+2;
-sending it to infinity gives a short Weierstrass model in closed form
-(`_split_models`).
+with Y = y (1 +- x) / x^2, and J(C) is (2,2)-isogenous to E+ x E- (Kuhn,
+"Curves of genus 2 with split Jacobian", 1988).  For odd p the isogeny has
+degree prime to p, so C has p-rank 0 -- the kernel's test, by the
+palindromic argument above -- exactly when E+ and E- are both
+supersingular.  Only E+ is ever built: x -> -x sends f for w to f for -w,
+so g for -w is s -> -g(-s), and s -> -s maps E+ of -w onto E- of w.  So w
+is good exactly when E+ of w and E+ of -w are both supersingular.  On every
+live w, g(-2) = -f(-1) = -6 (1 - w)^4 != 0 and g is squarefree, so the
+quartic is squarefree with the rational root s = -2; sending it to infinity
+gives a short Weierstrass model in closed form (`_split_models`).
 
 Most w are then pruned by a certificate.  An x-only Montgomery ladder
-computes [p+1] P from x(P) = x0, a fixed constant, on both models of every
-w at once (`_ladder_finite`).  If x0 != 0, x0 is not a root of the cubic
-and no point the ladder forms has Z = 0, every formula it used was valid,
-so [p+1] P != O for a point P on E+- or on its quadratic twist (which share
-the x-line).  A supersingular curve over GF(p), p >= 5, and its twist both
-have p + 1 points, so that curve is ordinary and w is not good.  Every
-other w survives and is decided exactly by the trace
-a_p = -sum_s chi(q(s)) - chi(lc q) of each quartic q (`_traces`), with
+computes [p+1] P from x(P) = x0, a fixed constant, on the model of E+ of
+every w at once (`_ladder_finite`).  If x0 != 0, x0 is not a root of the
+cubic and no point the ladder forms has Z = 0, every formula it used was
+valid, so [p+1] P != O for a point P on E+ or on its quadratic twist (which
+share the x-line).  A supersingular curve over GF(p), p >= 5, and its twist
+both have p + 1 points, so that curve is ordinary, and neither w nor -w is
+good.  The w for which neither E+ of w nor E+ of -w is certified survive,
+and E+ of each is decided exactly by the trace
+a_p = -sum_s chi(q(s)) - chi(lc q) of its quartic q (`_traces`), with
 a_p = 0 exactly for supersingular curves by the Hasse bound
 |a_p| <= 2 sqrt(p) < p.
 The pruning never changes a verdict, only which w reach the trace; the
 constant x0 keeps the runs reproducible.  The orbits of the good w values
 are then expanded into sorted (u, v) pairs.  The GF(p^2) scan
-(`ss5_sweep_ext`) uses the same rule: each of its pairs takes the scalar
-oracle's verdict on (0, w), checked once per w.
+(`ss5_sweep_ext`) uses the same rules: each of its pairs takes the scalar
+oracle's verdict on (0, w), checked once per pair {w, -w}.
 
 Every reported pair is rechecked for the stronger claim, superspeciality of
 the genus-5 curve, on the pair itself rather than its w representative.  The
@@ -189,13 +194,13 @@ RECHECK_SLICE = 512
 # steps of six weights are 192 KB, where one table up to SWEEP_MAX_P would
 # be about 50 MB
 _WEIGHT_BLOCK = 4096
-# live w per pass of the kernel's ladder: its two curves make 2^16 columns,
-# 512 KB an int64 array, where all w at SWEEP_MAX_P take 16 MB an array
+# live w per pass of the kernel's ladder: 256 KB an int64 array, where all w
+# at SWEEP_MAX_P take 8 MB an array
 _LADDER_BLOCK = 1 << 15
 # quartic values per pass of the traces: 512 KB of int64, so at census sizes
 # every survivor of a prime fits in one pass
 _TRACE_BLOCK = 1 << 16
-# the x(P) the ladder starts from on E+ and E-: a constant, so every run
+# the x(P) the ladder starts from on E+: a constant, so every run
 # prunes the same w
 _LADDER_X0 = 1
 
@@ -578,7 +583,7 @@ def _res_quadratics(f, g, p):
 def _w_line(p: int):
     """The finite orbit labels w in GF(p) - {+-1}, ascending from w = 0, as an
     int64 array; w = infinity takes the verdict of w = 0 (module docstring)."""
-    return np.array([w for w in range(p) if w not in (1, p - 1)], dtype=np.int64)
+    return np.delete(np.arange(p, dtype=np.int64), [1, p - 1])
 
 
 def _orbit(p: int, w, inv_table):
@@ -597,34 +602,32 @@ def _orbit(p: int, w, inv_table):
     return list(zip(us.tolist(), vs.tolist()))
 
 
-def _split_models(F, p: int):
-    """E+ and E- of the genus-2 curve y^2 = f for every column f of F, a
-    (7, n) int64 array of palindromic sextics mod p < 2^20, low to high,
-    with g(-2) g(2) != 0 for the cubic g of f(x) = x^3 g(x + 1/x) (module
-    docstring).
+def _split_models(p: int, W):
+    """E+ of the genus-2 quotient y^2 = f of the representative (0, W[i]),
+    for every w in W, residues mod p < 2^20 with w != 1 (module docstring).
 
-    Returns the quartics q = (s - r) g(s), r = -2 for E+ and 2 for E-, as a
-    (5, 2n) array of rows, E+ in the first n columns; and the coefficients
-    (a4, a6), each (2n,), of short Weierstrass models y^2 = x^3 + a4 x + a6
-    of the same curves.  Sending the root r to infinity, s = r + 1/t and
-    Y = V/t^2, gives V^2 = t^3 g(r + 1/t) = a t^3 + b t^2 + c t + d with
-    a = g(r), b = g'(r), c = g''(r)/2 = 3 g3 r + g2 and d = g3.  X = a t
-    takes it to (a V)^2 = X^3 + b X^2 + ac X + a^2 d, and x = 9 X + 3 b,
-    y = 27 a V to a4 = 27 (3ac - b^2) and a6 = 27 (27 a^2 d - 9abc + 2b^3)."""
-    g3, g2 = F[6], F[5]
-    g1, g0 = (F[4] - 3 * g3) % p, (F[3] - 2 * g2) % p
-    quartics, a4, a6 = [], [], []
-    for r in (-2, 2):  # small, so each Horner step stays below 15 p
-        quartics.append([-r * g0 % p, (g0 - r * g1) % p, (g1 - r * g2) % p,
-                         (g2 - r * g3) % p, g3])
-        a = (((g3 * r + g2) * r + g1) * r + g0) % p
-        b = ((3 * g3 * r + 2 * g2) * r + g1) % p
-        c = (3 * g3 * r + g2) % p
-        ac, bb = a * c % p, b * b % p
-        a4.append(27 * (3 * ac - bb) % p)
-        cube = (27 * a % p * (a * g3 % p) + (2 * bb - 9 * ac) % p * b) % p
-        a6.append(27 * cube % p)
-    return np.hstack([np.stack(q) for q in quartics]), np.hstack(a4), np.hstack(a6)
+    With A = x s, s = x + 1/x, and the transports a_i x^2 + c_i x + a_i of
+    x^2 +- x + 1 equal to x (a_i s + c_i), f(x) = x^3 g(s) for
+    g(s) = s (a1 s + c1)(a2 s + c2): g3 = a1 a2, g2 = a1 c2 + a2 c1,
+    g1 = c1 c2 and g0 = 0.  Returns the quartic q = (s - r) g(s), r = -2, as a
+    (5, n) array of rows, low to high; and the coefficients (a4, a6), each
+    (n,), of a short Weierstrass model y^2 = x^3 + a4 x + a6 of the same
+    curve.  Sending the root r to infinity, s = r + 1/t and Y = V/t^2, gives
+    V^2 = t^3 g(r + 1/t) = a t^3 + b t^2 + c t + d with a = g(r), b = g'(r),
+    c = g''(r)/2 = 3 g3 r + g2 and d = g3.  X = a t takes it to
+    (a V)^2 = X^3 + b X^2 + ac X + a^2 d, and x = 9 X + 3 b, y = 27 a V to
+    a4 = 27 (3ac - b^2) and a6 = 27 (27 a^2 d - 9abc + 2b^3)."""
+    (a1, c1, _), (a2, c2, _) = (_transport_rows(q, W, p) for q in _B_FACTORS)
+    g3, g2, g1 = a1 * a2 % p, (a1 * c2 + a2 * c1) % p, c1 * c2 % p
+    r = -2  # small, so each Horner step stays below 15 p
+    quartic = np.stack([np.zeros_like(g1), -r * g1 % p, (g1 - r * g2) % p,
+                        (g2 - r * g3) % p, g3])
+    a = ((g3 * r + g2) * r + g1) * r % p
+    b = ((3 * g3 * r + 2 * g2) * r + g1) % p
+    c = (3 * g3 * r + g2) % p
+    ac, bb = a * c % p, b * b % p
+    cube = (27 * a % p * (a * g3 % p) + (2 * bb - 9 * ac) % p * b) % p
+    return quartic, 27 * (3 * ac - bb) % p, 27 * cube % p
 
 
 def _ladder_finite(a4, a6, x0, n: int, p: int):
@@ -702,38 +705,28 @@ def _traces(Q, p: int):
     return out
 
 
-def _sextics(p: int, W):
-    """The genus-2 quotients f = A B of the representatives (0, W[i]), as
-    (7, n) rows mod p, low to high; with u = 0, A is x^2 + 1."""
-    B1, B2 = (_transport_rows(q, W, p) for q in _B_FACTORS)
-    return _rows_mul(_rows_mul(B1, B2, p), _transport_rows(_A_FACTOR, 0, p), p)
-
-
 def _split_supersingular(p: int, W):
     """Whether E+ and E- of the representative (0, W[i]) are both
-    supersingular, for every live w in W, in passes of _LADDER_BLOCK: the
-    ladder prunes the w with a certificate of ordinarity and the traces
-    decide the rest (module docstring).  f(+-1) = 2 B(+-1) != 0 for
-    w != -+1, so g(+-2) != 0 for every w, as `_split_models` needs."""
-    survivors, plus, minus = [], [], []
+    supersingular, for every w in W, live w closed under w -> -w.  E- of w
+    is E+ of -w (module docstring), so only E+ is built.  The ladder marks,
+    in passes of _LADDER_BLOCK, the w whose E+ it certifies ordinary; the
+    traces decide E+ of every w for which neither w nor -w is marked."""
+    ordinary = np.zeros(p, dtype=bool)
     for start in range(0, len(W), _LADDER_BLOCK):
-        Q, a4, a6 = _split_models(_sextics(p, W[start : start + _LADDER_BLOCK]), p)
-        n = Q.shape[1] // 2
-        pruned = _ladder_finite(a4, a6, _LADDER_X0, p + 1, p).reshape(2, n).any(axis=0)
-        kept = np.flatnonzero(~pruned)
-        survivors.append(start + kept)
-        plus.append(Q[:, kept])
-        minus.append(Q[:, kept + n])
-    good = np.zeros(len(W), dtype=bool)
-    traces = _traces(np.hstack(plus + minus), p).reshape(2, -1)
-    good[np.concatenate(survivors)] = ~traces.any(axis=0)
-    return good
+        block = W[start : start + _LADDER_BLOCK]
+        _, a4, a6 = _split_models(p, block)
+        ordinary[block] = _ladder_finite(a4, a6, _LADDER_X0, p + 1, p)
+    kept = W[~(ordinary[W] | ordinary[-W % p])]
+    supersingular = np.zeros(p, dtype=bool)
+    supersingular[kept] = _traces(_split_models(p, kept)[0], p) == 0
+    return supersingular[W] & supersingular[-W % p]
 
 
 def _classify(p: int, W):
-    """Classify the representatives (0, W[i]) at once.  With u = 0, A is
-    x^2 + 1 in every column, and f = A B is a palindromic sextic whose ends
-    f0 = f6 = w^4 + w^2 + 1 do not vanish (p = 2 mod 3).
+    """Classify the representatives (0, W[i]) at once, W closed under
+    w -> -w as the w line is.  With u = 0, A is x^2 + 1 in every column, and
+    f = A B is a palindromic sextic whose ends f0 = f6 = w^4 + w^2 + 1 do not
+    vanish (p = 2 mod 3).
 
     Returns boolean arrays (excluded_gcd, excluded_singular, solution)."""
     A = _transport_rows(_A_FACTOR, 0, p)
@@ -872,10 +865,11 @@ def load_result(results_dir, p: int):
 
 
 def sweep_with_cache(cfg: SweepConfig, results_dir, force: bool = False):
-    """Returns (result, from_cache); persists fresh results atomically."""
+    """Returns (result, from_cache); a cached record is reused only when it
+    was swept in cfg's mode.  Persists fresh results atomically."""
     if not force:
         cached = load_result(results_dir, cfg.p)
-        if cached is not None:
+        if cached is not None and cached.mode == cfg.mode:
             return cached, True
     result = ss5_sweep(cfg)
     write_result(results_dir, result)
@@ -891,8 +885,9 @@ def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
 
     The grid is walked in order and counted pair by pair, but the scalar
     oracle runs once per orbit: (u, v) takes the verdict of (0, w),
-    w = (v-u)/(1-uv), and of (0, 0) when uv = 1 (module docstring).  That is
-    at most p^2 - 2 oracle calls for the (p^2 - 2)^2 pairs."""
+    w = (v-u)/(1-uv), and of (0, 0) when uv = 1, and -w shares the verdict of
+    w (module docstring).  That is at most (p^2 - 1)/2 oracle calls for the
+    (p^2 - 2)^2 pairs."""
     SweepConfig(p, mode)  # validates p and mode
     # u, v range over GF(p^2) without +-1; the size is checked before the
     # p^2 elements are listed
@@ -917,7 +912,7 @@ def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
         den = one - u * v
         w = zero if den.is_zero else (v - u) / den
         if w not in verdicts:
-            verdicts[w] = ss5_check_pair(p, zero, w)
+            verdicts[w] = verdicts[-w] = ss5_check_pair(p, zero, w)
         r = verdicts[w]
         if r.status == "excluded":
             counts["excluded_" + r.reason] += 1

@@ -165,6 +165,29 @@ def test_ss5_range_csv_and_cache(tmp_path, capsys):
         assert a.split(",")[:6] == b.split(",")[:6]
 
 
+def test_ss5_range_recomputes_records_cached_in_another_mode(tmp_path, capsys):
+    # a record is reused only in the mode it was swept in: after an ss5 run
+    # in the other mode, the range prints the rows of a fresh directory and
+    # leaves a record in its own mode
+    def rows(results_dir, mode):
+        code, out, _ = run(
+            capsys,
+            "ss5-range", "--from", "40", "--to", "60", "--mode", mode,
+            "--results-dir", str(results_dir),
+        )
+        assert code == 0
+        return [line.split(",")[:6] for line in out.splitlines()]
+
+    for cached, mode in (("first", "all"), ("all", "first")):
+        results_dir = tmp_path / cached
+        code, _, _ = run(
+            capsys, "ss5", "--p", "47", "--mode", cached, "--results-dir", str(results_dir)
+        )
+        assert code == 0
+        assert rows(results_dir, mode) == rows(tmp_path / f"fresh-{mode}", mode), cached
+        assert search.load_result(results_dir, 47).mode == mode
+
+
 def test_enumerate_ss_g2(capsys):
     code, out, _ = run(capsys, "enumerate-ss-g2", "--p", "5")
     assert code == 0

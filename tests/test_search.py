@@ -33,7 +33,6 @@ from cmrank.search import (
     _ranks_mod_p,
     _res_quadratics,
     _rows_mul,
-    _sextics,
     _split_models,
     _sweep_w_line,
     _transport_rows,
@@ -289,6 +288,20 @@ def _recurrence_ends_vec(fs, m: int, p: int, inv_table):
     return out_pm2, c_prev[0]
 
 
+def _sextics(p, W):
+    """The genus-2 quotients f = A B of the representatives (0, W[i]), as
+    (7, n) rows mod p, low to high; with u = 0, A is x^2 + 1."""
+    B1, B2 = (_transport_rows(q, W, p) for q in _B_FACTORS)
+    return _rows_mul(_rows_mul(B1, B2, p), _transport_rows(_A_FACTOR, 0, p), p)
+
+
+def _cubics(p, W):
+    """The cubic g of f(x) = x^3 g(x + 1/x), read off the palindromic sextic
+    f of each (0, W[i]): g3 = f6, g2 = f5, g1 = f4 - 3 f6, g0 = f3 - 2 f5."""
+    F = _sextics(p, W)
+    return [(F[3] - 2 * F[5]) % p, (F[4] - 3 * F[6]) % p, F[5], F[6]]
+
+
 def _classify_by_recurrence(p, W, inv_table):
     """The kernel before the elliptic split, kept as its oracle: the same
     exclusions, then a = c = 0 read off f^((p-1)/2) by the coefficient
@@ -374,18 +387,47 @@ def test_good_w_come_in_pairs_w_and_minus_w():
 
 
 def _live_models(p):
-    """The live w of the line and their split models."""
+    """The live w of the line, their verdicts and the models of their E+."""
     W = _w_line(p)
     gcd, singular, solution = _classify(p, W)
     live = ~(gcd | singular)
-    return W[live], solution[live], _split_models(_sextics(p, W[live]), p)
+    return W[live], solution[live], _split_models(p, W[live])
+
+
+def test_closed_form_cubic_matches_the_sextic():
+    # the kernel reads g = s (a1 s + c1)(a2 s + c2) off the transported
+    # factors; its quartic (s + 2) g equals that of g read off f = A B, for
+    # every finite w of the 25 census primes
+    primes = _primes_11_mod_12(500)
+    assert len(primes) == 25
+    for p in primes:
+        W = _w_line(p)
+        g = _cubics(p, W)
+        assert not g[0].any(), p
+        assert (_split_models(p, W)[0] == _rows_mul(g, (2, 1), p)).all(), p
+
+
+def test_e_minus_of_w_is_e_plus_of_minus_w():
+    # the identity that lets the kernel build E+ alone: for p < 200 and every
+    # live w, E-: Y^2 = (s - 2) g_w(s), with g_w read off the sextic, has the
+    # p-rank of the kernel's E+ of -w
+    from cmrank.cartier import p_rank
+
+    for p in _primes_11_mod_12(200):
+        ctx = field(p)
+        ws, _, _ = _live_models(p)
+        minus = _rows_mul(_cubics(p, ws), (-2, 1), p)
+        plus_of_minus_w = _split_models(p, -ws % p)[0]
+        for w, e_minus, e_plus in zip(ws.tolist(), minus.T.tolist(), plus_of_minus_w.T.tolist()):
+            rank = p_rank(HyperellipticModel(ctx, DensePoly(ctx, e_minus)))
+            assert rank == p_rank(HyperellipticModel(ctx, DensePoly(ctx, e_plus))), (p, w)
 
 
 def test_split_models_and_traces_match_p_rank():
-    # for p < 200 and every curve E+ and E- of every live w: the quartic and
-    # the Weierstrass model have the same p-rank by `cartier.p_rank`, the
-    # trace vanishes exactly when it is 0, and no curve of p-rank 0 is
-    # certified ordinary by the ladder
+    # for p < 200 and E+ of every live w: the quartic and the Weierstrass
+    # model have the same p-rank by `cartier.p_rank`, the trace vanishes
+    # exactly when it is 0, no curve of p-rank 0 is certified ordinary by the
+    # ladder, and w is good exactly when E+ of w and of -w have p-rank 0
     from cmrank.cartier import p_rank
 
     pruned = live = 0
@@ -394,20 +436,21 @@ def test_split_models_and_traces_match_p_rank():
         ws, good, (Q, a4, a6) = _live_models(p)
         finite = _ladder_finite(a4, a6, search._LADDER_X0, p + 1, p)
         traces = search._traces(Q, p)
-        ranks = []
-        for q, b4, b6, fin, trace in zip(Q.T.tolist(), a4, a6, finite, traces):
+        ranks = {}
+        for w, q, b4, b6, fin, trace in zip(ws.tolist(), Q.T.tolist(), a4, a6, finite, traces):
             rank = p_rank(HyperellipticModel(ctx, DensePoly(ctx, q)))
             cubic = DensePoly(ctx, [int(b6), int(b4), 0, 1])
             assert p_rank(HyperellipticModel(ctx, cubic)) == rank, (p, q)
             assert (trace == 0) == (rank == 0), (p, q)
             assert not (fin and rank == 0), (p, q)
-            ranks.append(rank)
-        both_zero = ~np.array(ranks).reshape(2, -1).any(axis=0)
-        assert (both_zero == good).all(), p
-        pruned += finite.reshape(2, -1).any(axis=0).sum()
+            ranks[w] = rank
+        both_zero = [ranks[w] == 0 and ranks[-w % p] == 0 for w in ws.tolist()]
+        assert both_zero == good.tolist(), p
+        certified = set(ws[finite].tolist())
+        pruned += sum(w in certified or -w % p in certified for w in ws.tolist())
         live += len(ws)
         assert good.any() or p == 107
-    # the ladder prunes most live w even at these sizes (891 of 1003)
+    # the ladder prunes most live w even at these sizes
     assert pruned > 0.8 * live
 
 
@@ -469,15 +512,16 @@ def test_ladder_reports_planted_degenerate_points():
 
 
 def test_degenerate_start_passes_every_w_to_the_traces(monkeypatch):
-    # the traces see exactly the w that neither curve's ladder certifies;
-    # with x0 = 0 that is every live w, and the verdicts do not change
+    # the traces see E+ of exactly the w for which the ladder certifies
+    # neither E+ of w nor E+ of -w; with x0 = 0 that is every live w, and the
+    # verdicts do not change
     p = 131
     W = _w_line(p)
     expected = _classify(p, W)
     ws, _, (_, a4, a6) = _live_models(p)
-    finite = _ladder_finite(a4, a6, search._LADDER_X0, p + 1, p).reshape(2, -1)
-    survivors = (~finite.any(axis=0)).sum()
-    assert 0 < survivors < len(ws)
+    certified = set(ws[_ladder_finite(a4, a6, search._LADDER_X0, p + 1, p)].tolist())
+    kept = [w for w in ws.tolist() if w not in certified and -w % p not in certified]
+    assert 0 < len(kept) < len(ws)
     traced, traces = [], search._traces
 
     def spy(Q, p):
@@ -485,7 +529,7 @@ def test_degenerate_start_passes_every_w_to_the_traces(monkeypatch):
         return traces(Q, p)
 
     monkeypatch.setattr(search, "_traces", spy)
-    for x0, columns in ((search._LADDER_X0, 2 * survivors), (0, 2 * len(ws))):
+    for x0, columns in ((search._LADDER_X0, len(kept)), (0, len(ws))):
         monkeypatch.setattr(search, "_LADDER_X0", x0)
         got = _classify(p, W)
         for e, g in zip(expected, got):
@@ -950,8 +994,11 @@ def test_ext_search_checks_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(search, "ss5_check_pair", spy)
     ss5_sweep_ext(11, mode="all")
-    assert len(calls) <= 11**2 - 2
-    assert len(set(calls)) == len(calls)
+    # one call per pair {w, -w}: 0 and 59 pairs of the other 118 w
+    assert len(calls) <= (11**2 - 1) // 2
+    ws = {w for _, w in calls}
+    assert len(ws) == len(calls)
+    assert not ws & {-w for w in ws if not w.is_zero}
     calls.clear()
     ss5_sweep_ext(11, mode="first")
     assert len(calls) <= 22
