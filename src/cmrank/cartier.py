@@ -32,7 +32,8 @@ since their middle entries are out of the recurrence's reach.
 
 The recurrence here (`_recurrence_block`) is the scalar one: it serves a
 single model, of any degree, over GF(p) or GF(p^2); `search._power_coeffs_vec`
-is its vectorized twin for batches of GF(p) models of degree at most 6.
+is its vectorized twin for batches of GF(p) models of degree 2 to 6, which
+reads c_{p-2} and c_{p-1} only and runs narrow batches in blocks of steps.
 It runs up to p steps and keeps about p values, so it is refused past
 `RECURRENCE_CAP` steps: a query that would need more falls back to full
 expansion under "auto", where `EXPANSION_CAP` refuses it (CLI exit 2).

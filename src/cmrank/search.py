@@ -143,13 +143,32 @@ coefficient recurrence, `_power_coeffs_vec`, five rows per pair: E_u, D_v
 and the genus-2 quotient from their low ends, D_v and the genus-2 quotient
 again reversed for the entries near the top.  f(0) != 0 for all three,
 since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and v^4 + v^2 + 1 != 0
-(p = 2 mod 3), so no row needs full expansion.  The recheck shares only
-the family's closed form with the kernel, no decision code: it checks the
-pair's own three quotients and every matrix entry, with neither the w
-reduction, the palindromic a = c = 0 shortcut nor the elliptic split.  The
-tests hold the ranks against Euclid's gcd (`poly.poly_gcd`), the polynomial
-verdicts against the per-pair route, and the entries against `cartier`'s
-scalar recurrence and against full expansion (`poly.pow_coeffs`).
+(p = 2 mod 3), so no row needs full expansion.
+
+Each step of that recurrence acts linearly on its window of the last d
+coefficients, so the p - 1 steps need not run one at a time.  They run as
+T blocks of B steps that advance in lockstep, each from the d unit windows,
+which leaves each block's step matrix; a product tree multiplies the T
+matrices, and the product is applied to the window after the R = p - 1 - T B
+steps run on it first.  This is the cheap form of Bostan, Gaudry and Schost,
+"Linear recurrences with polynomial coefficients and application to integer
+factorization and Cartier-Manin operator" (2007): about T + (p-1)/T numpy
+steps instead of p - 1, at d times the arithmetic, with every product exact
+in int64.  T is near sqrt(1.5 p), but bounded by a budget on the blocks'
+window values (`_BLOCK_BUDGET`): the five columns of one pair run at most
+91 blocks, about 11 600 steps at p = 1 048 559.  Blocks run only when more
+than d fit: a pass of more than 13 pairs, as mode "all" runs, takes every
+step on its window, where a step over many columns is already vectorized
+and a blocked one would cost d times more.
+
+The recheck shares only the family's closed form with the kernel, no
+decision code: it checks the pair's own three quotients and every matrix
+entry, with neither the w reduction, the palindromic a = c = 0 shortcut nor
+the elliptic split.  The tests hold the ranks against Euclid's gcd
+(`poly.poly_gcd`), the polynomial verdicts against the per-pair route, and
+the entries against `cartier`'s scalar recurrence, against full expansion
+(`poly.pow_coeffs`) and, for every count of blocks, against a per-term
+recurrence.
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -165,6 +184,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -176,13 +196,23 @@ from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 EXT_GRID_GUARD = 40000
 ENUM_GUARD = 1_200_000
 # keeps every int64 accumulation of `_power_coeffs_vec` exact: each recurrence
-# term weight * f_j * c_{k-j} is below p^3 and at most six are summed; the
+# term weight * f_j * c_{k-j}, on the window or in a block, is below p^3 and
+# at most six are summed; the
 # family's rows stay below 2^42 (`_transport`) and 3 p^2 (`_rows_mul`)
 SWEEP_MAX_P = 1 << 20
 assert 6 * SWEEP_MAX_P**3 < 1 << 63
+# `_power_coeffs_vec` multiplies its blocks' step matrices, entries below p,
+# and applies the product to the window: each entry sums d products below p^2
+assert 6 * SWEEP_MAX_P**2 < 1 << 63
 # the kernel's models, ladder and traces reduce mod p after every product
 # of residues, so each of their values stays below 8 p^2 <= 2^43
 assert 8 * SWEEP_MAX_P**2 <= 1 << 43
+# the recheck costs O(p) per reported pair: mode "all" at p = 10 007 reports
+# 40 016 pairs, pairs x p = 4.0e8, and rechecks them in 29-33 s (2-core Xeon
+# VM).  Mode "all" refuses a prime whose pairs x p exceed this before
+# listing any pair: at p = 43 607 that is 348 832 pairs, 1.5e10, about 35
+# minutes
+RECHECK_GUARD = 1 << 32
 # pairs per pass of the superspecial recheck: a pass holds three quotient
 # polynomials, four 6 x 6 Bezout matrices and the recurrence's window, a few
 # hundred int64 values per pair, under 2 MB at 512 pairs whatever p, while
@@ -190,10 +220,18 @@ assert 8 * SWEEP_MAX_P**2 <= 1 << 43
 # Larger passes gain little: at p = 10 007 a pass of 1024 pairs is 20 %
 # faster per pair and one of 4096 no faster still
 RECHECK_SLICE = 512
-# recurrence steps whose weights `_power_coeffs_vec` tabulates at once: 4096
-# steps of six weights are 192 KB, where one table up to SWEEP_MAX_P would
-# be about 50 MB
+# step weights `_power_coeffs_vec` tabulates at once, six per step and block:
+# 192 KB, where one table up to SWEEP_MAX_P would be about 50 MB
 _WEIGHT_BLOCK = 4096
+# window values the blocks of `_power_coeffs_vec` hold at once, d^2 per
+# column and block: 128 KB of int64, twice that with the window's copy.  A
+# blocked step does d times the arithmetic of a plain one per column, so
+# blocks run only when more than d fit: at p = 100 019, d = 6, 5 columns take
+# 79 ms in 91 blocks against 750 ms on the window alone, 45 columns 490
+# against 590 ms in 10 blocks, and 75 columns would take 740 against 610 ms
+# in 6.  So one pair of the recheck, five columns, runs 91 blocks, and a
+# slice of more than 13 pairs runs on its window alone
+_BLOCK_BUDGET = 1 << 14
 # live w per pass of the kernel's ladder: 256 KB an int64 array, where all w
 # at SWEEP_MAX_P take 8 MB an array
 _LADDER_BLOCK = 1 << 15
@@ -366,21 +404,30 @@ def _inverse_table(p: int):
     return np.frombuffer(inverse_table(p, p - 1), dtype=np.int64)
 
 
-def _power_coeffs_vec(F, p: int, ks, inv_table):
-    """The coefficients c_k, k in ks, of f^((p-1)/2) for every column f of F.
+def _power_coeffs_vec(F, p: int, inv_table):
+    """c_{p-2} and c_{p-1} of f^((p-1)/2) for every column f of F, as a
+    (2, n) array.
 
-    F is a (d+1, n) int64 array of residues mod p with 1 <= d <= 6: column i
+    F is a (d+1, n) int64 array of residues mod p with 2 <= d <= 6: column i
     holds f_0..f_d of one polynomial, zero-padded above its degree.  Every
-    f_0 must be nonzero, every k in ks in 1..p-1, and p at most SWEEP_MAX_P.
-    Returns a (len(ks), n) array.  The recurrence
+    f_0 must be nonzero and p at most SWEEP_MAX_P.  The recurrence
 
         k f_0 c_k = sum_{j=1..d} ((m+1) j - k) f_j c_{k-j},   m = (p-1)/2,
 
-    runs for all columns at once, one product and sum per step, and keeps
-    only the window c_{k-d}..c_{k-1}: O(p d n) work in O(d n) memory."""
-    d = F.shape[0] - 1
-    if not 1 <= d <= 6 or p > SWEEP_MAX_P or not all(0 < k < p for k in ks):
-        raise ValueError(f"need 1 <= d <= 6, p <= {SWEEP_MAX_P} and 0 < k < p")
+    keeps only the window c_{k-d}..c_{k-1}, on which step k acts linearly.
+    Its p - 1 steps are split as R + T B: the first R run on the window
+    itself, one product and sum per step for all columns at once; the other
+    T B run as T blocks of B steps, in lockstep.  Each block starts from the
+    d unit windows, so after its B steps it holds its step matrix, a d x d
+    matrix per column; the T matrices are multiplied by a product tree and
+    applied to the window.  That is R + B + log2 T numpy steps, below
+    T + (p-1)/T + log2 T, at d times the arithmetic.  T is near
+    sqrt(1.5 (p-1)) when the blocks' windows fit in _BLOCK_BUDGET values,
+    else the most that fit; when no more than d fit, all p - 1 steps run on
+    the window, O(p d n) work in O(d n) memory."""
+    d, n = F.shape[0] - 1, F.shape[1]
+    if not 2 <= d <= 6 or p > SWEEP_MAX_P:
+        raise ValueError(f"need 2 <= d <= 6 and p <= {SWEEP_MAX_P}")
     f0 = F[0]
     if not f0.all():
         # the recurrence divides by f_0: a zero would read every c_k as 0
@@ -388,24 +435,53 @@ def _power_coeffs_vec(F, p: int, ks, inv_table):
     m = (p - 1) // 2
     fs = F[:0:-1] * _powmod_vec(f0, p - 2, p) % p  # f_d .. f_1, each over f_0
     weights = (m + 1) * np.arange(d, 0, -1, dtype=np.int64)
-    # c_t sits in rows t mod d and t mod d + d, so for r = k mod d the rows
-    # r .. r+d-1 hold c_{k-d} .. c_{k-1}, in the order of fs
-    window = np.zeros((2 * d, F.shape[1]), dtype=np.int64)
-    window[0] = window[d] = _powmod_vec(f0, m, p)
-    out = np.empty((len(ks), F.shape[1]), dtype=np.int64)
-    at = {k: i for i, k in enumerate(ks)}
-    top = max(ks)
-    for start in range(1, top + 1, _WEIGHT_BLOCK):
-        steps = np.arange(start, min(start + _WEIGHT_BLOCK, top + 1))
-        # the step weights ((m+1) j - k) / k of a block of steps, one row each
-        table = (weights - steps[:, None]) * inv_table[steps, None] % p
-        for k, w in zip(steps.tolist(), table):
-            r = k % d
-            ck = np.einsum("i,in,in->n", w, fs, window[r : r + d]) % p
-            window[r] = window[r + d] = ck
-            if k in at:
-                out[at[k]] = ck
-    return out
+
+    def steps(starts, count):
+        # (t, w) for the steps t = 1..count of windows whose step t is
+        # k = starts + t, w the weights ((m+1) j - k) / k, j = d..1, of each
+        # window, tabulated a chunk of steps at a time
+        chunk = max(1, _WEIGHT_BLOCK // np.size(starts))
+        for first in range(1, count + 1, chunk):
+            ts = np.arange(first, min(first + chunk, count + 1))
+            ks = np.add.outer(ts, starts)
+            yield from zip(ts.tolist(), (weights - ks[..., None]) * inv_table[ks][..., None] % p)
+
+    blocks = min(isqrt(6 * (p - 1)) // 2, _BLOCK_BUDGET // (d * d * n))
+    length = (p - 1) // blocks if blocks > d else 0
+    rest = p - 1 - blocks * length
+    # c_t sits in rows t mod d and t mod d + d of a window, so for r = t mod d
+    # the rows r .. r+d-1 hold c_{t-d} .. c_{t-1}, in the order of fs
+    window = np.zeros((2 * d, n), dtype=np.int64)
+    window[0] = window[d] = _powmod_vec(f0, m, p)  # c_0; c_{-1} .. c_{1-d} = 0
+    for k, w in steps(0, rest):
+        r = k % d
+        window[r] = window[r + d] = np.einsum("i,in,in->n", w, fs, window[r : r + d]) % p
+    r = (rest + 1) % d
+    state = window[r : r + d]  # c_{R+1-d} .. c_R
+    if length:
+        # the blocks' windows, indexed by the local step t, with axes (row,
+        # block and column, unit): unit window i is c_{i+1-d} = 1
+        units = np.zeros((2 * d, blocks * n, d), dtype=np.int64)
+        for i in range(d):
+            units[(i + 1) % d, :, i] = units[(i + 1) % d + d, :, i] = 1
+        for t, w in steps(rest + length * np.arange(blocks), length):
+            r = t % d
+            # weight * f_j of every block and column, below p^2, times the
+            # rows of every unit window
+            coef = (w[:, None, :] * fs.T).reshape(-1, 1, d)
+            ck = (coef @ units[r : r + d].transpose(1, 0, 2))[:, 0] % p
+            units[r] = units[r + d] = ck
+        r = (length + 1) % d
+        # the step matrix of block b and column c at [b, c]: its row is the
+        # window position after the block, its column the unit it started from
+        chain = units[r : r + d].reshape(d, blocks, n, d).transpose(1, 2, 0, 3)
+        while len(chain) > 1:
+            # the later block of each pair multiplies from the left
+            pairs = len(chain) // 2 * 2
+            joined = chain[1:pairs:2] @ chain[0:pairs:2] % p
+            chain = np.concatenate([joined, chain[pairs:]])
+        state = np.einsum("nij,jn->in", chain[0], state) % p
+    return state[-2:]
 
 
 def _cartier_entries_vec(p: int, models, inv_table):
@@ -425,9 +501,7 @@ def _cartier_entries_vec(p: int, models, inv_table):
         raise ValueError(f"expected degree 4 or 6 over GF({p}), got {f!r}")
     two = degree == 6  # genus 2; the reverses of these follow the n models
     n = len(degree)
-    pm2, pm1 = _power_coeffs_vec(
-        np.hstack([models, models[::-1, two]]), p, (p - 2, p - 1), inv_table
-    )
+    pm2, pm1 = _power_coeffs_vec(np.hstack([models, models[::-1, two]]), p, inv_table)
     out = np.zeros((n, 2, 2), dtype=np.int64)
     out[:, 0, 0] = pm1[:n]
     out[two, 1, 0] = pm2[:n][two]
@@ -750,7 +824,9 @@ def _sweep_w_line(p: int, inv_table, mode: str = "all"):
     """Full-grid counts and the sorted solution pairs, before re-verification;
     in mode "first" only the least pair.  That is (0, least good w): (0, w)
     lies in the orbit of every finite w with the least u, and w = infinity
-    takes the verdict of w = 0, whose pair (0, 0) is smaller."""
+    takes the verdict of w = 0, whose pair (0, 0) is smaller.  Mode "all"
+    counts its pairs first, and refuses a prime whose recheck would exceed
+    RECHECK_GUARD."""
     W = _w_line(p)
     # w = infinity, appended last, takes the verdict of w = 0, the first
     excluded_gcd, excluded_singular, solution = (
@@ -768,6 +844,12 @@ def _sweep_w_line(p: int, inv_table, mode: str = "all"):
     good = np.flatnonzero(solution)
     if mode == "first":
         return counts, [(0, ws[good[0]])] if good.size else []
+    pairs = int(sizes[good].sum())
+    if pairs * p > RECHECK_GUARD:
+        raise ValueError(
+            f"mode 'all' at p = {p} reports {pairs} pairs: their recheck, "
+            f"pairs x p = {pairs * p}, exceeds the guard {RECHECK_GUARD}"
+        )
     solutions = sorted(pair for i in good for pair in _orbit(p, ws[i], inv_table))
     return counts, solutions
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -316,7 +317,7 @@ def _classify_by_recurrence(p, W, inv_table):
     solution = np.zeros_like(live)
     idx = np.flatnonzero(live)
     if idx.size:
-        c, a = _power_coeffs_vec(f[:, idx], p, (p - 2, p - 1), inv_table)
+        c, a = _power_coeffs_vec(f[:, idx], p, inv_table)
         solution[idx] = (a == 0) & (c == 0)
     return excluded_gcd, excluded_singular, solution
 
@@ -329,9 +330,47 @@ def test_kernel_recurrence_matches_per_term_oracle():
     assert len(primes) == 25
     for p in primes:
         F, inv_table = _sextics(p, _w_line(p)), _inverse_table(p)
-        out = _power_coeffs_vec(F, p, (p - 2, p - 1), inv_table)
+        out = _power_coeffs_vec(F, p, inv_table)
         c, a = _recurrence_ends_vec(list(F), (p - 1) // 2, p, inv_table)
         assert (out[0] == c).all() and (out[1] == a).all(), p
+
+
+def _ends_with_blocks(monkeypatch, F, p, inv_table, blocks):
+    """`_power_coeffs_vec` forced to `blocks` blocks through its budget; one
+    block means all steps on the window."""
+    d, n = F.shape[0] - 1, F.shape[1]
+    assert blocks == 1 or d < blocks <= isqrt(6 * (p - 1)) // 2
+    monkeypatch.setattr(search, "_BLOCK_BUDGET", blocks * d * d * n)
+    return _power_coeffs_vec(F, p, inv_table)
+
+
+def test_blocked_recurrence_matches_per_term_oracle(monkeypatch):
+    # random columns of degree 2, 4 and 6: at every census prime all p - 1
+    # steps on the window (T = 1) and every T the blocks allow, so both
+    # blocks that cover all steps (T divides p - 1) and R > 0 steps before
+    # them; at every census prime and at p = 100 019 the T the budget picks.
+    # The oracle takes every degree at once, zero-padded
+    rng = np.random.default_rng(17)
+    exact = set()
+    for p in _primes_11_mod_12(500) + [100019]:
+        n, inv_table = 5, _inverse_table(p)
+        cols = {}
+        for d in (2, 4, 6):
+            cols[d] = rng.integers(0, p, size=(d + 1, n))
+            cols[d][0] = rng.integers(1, p, size=n)
+        padded = np.hstack([np.vstack([F, np.zeros((6 - d, n), np.int64)])
+                            for d, F in cols.items()])
+        ends = np.stack(_recurrence_ends_vec(list(padded), (p - 1) // 2, p, inv_table))
+        for (d, F), expected in zip(cols.items(), np.split(ends, 3, axis=1)):
+            assert (_power_coeffs_vec(F, p, inv_table) == expected).all(), (p, d)
+            if p > 500:
+                continue
+            for blocks in [1, *range(d + 1, isqrt(6 * (p - 1)) // 2 + 1)]:
+                got = _ends_with_blocks(monkeypatch, F, p, inv_table, blocks)
+                assert (got == expected).all(), (p, d, blocks)
+                exact.add((p - 1) % blocks == 0 if blocks > 1 else None)
+            monkeypatch.undo()
+    assert exact == {None, True, False}
 
 
 def _primes_11_mod_12(below):
@@ -689,9 +728,26 @@ def test_vectorized_recurrence_refuses_zero_constant():
     p = 23
     F = np.array([[1, 3, 0], [2, 2, 2], [1, 0, 5]], dtype=np.int64)  # f_0 = 0 in column 2
     with pytest.raises(ValueError, match="f\\(0\\) = 0"):
-        _power_coeffs_vec(F, p, (p - 2, p - 1), _inverse_table(p))
+        _power_coeffs_vec(F, p, _inverse_table(p))
     # without the zero column the same rows run
-    assert _power_coeffs_vec(F[:, :2], p, (p - 2, p - 1), _inverse_table(p)).shape == (2, 2)
+    assert _power_coeffs_vec(F[:, :2], p, _inverse_table(p)).shape == (2, 2)
+
+
+def test_recheck_golden_at_a_large_prime():
+    # the first solution at p = 100 019, and a pair of its orbit with u = 2,
+    # are superspecial; moving v by one leaves the genus-2 quotient ordinary
+    p, w = 100019, 11576
+    v = (2 + w) * pow(1 + 2 * w, -1, p) % p
+    verify_solution_story(p, [0, 2], [w, v])
+    with pytest.raises(RuntimeError, match=r"\(0, 11577\) is not superspecial: .* genus-2 quotient"):
+        verify_solution_story(p, [0, 0], [w, w + 1])
+
+
+def test_recheck_guard_admits_every_prime_below_1000_and_10007():
+    # the guard refuses 43 607 (tests/test_cli.py), not these
+    for p in _primes_11_mod_12(1000) + [10007]:
+        solutions = _sweep_w_line(p, _inverse_table(p))[1]
+        assert len(solutions) * p <= search.RECHECK_GUARD, p
 
 
 def test_recheck_batch_names_the_first_failing_pair():
