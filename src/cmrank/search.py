@@ -115,7 +115,8 @@ are then expanded into sorted (u, v) pairs.  The GF(p^2) scan
 oracle's verdict on (0, w), checked once per pair {w, -w}.
 
 Every reported pair is rechecked for the stronger claim, superspeciality of
-the genus-5 curve, on the pair itself rather than its w representative.  The
+the genus-5 curve, from the pair's own rows rather than its w
+representative.  The
 Cartier operator commutes with the (Z/2)^2 action, so on the regular
 differentials, which split into the pullbacks from the three quotients E_u,
 D_v and the genus-2 curve (Kani-Rosen), it is the direct sum of their
@@ -138,12 +139,40 @@ given; the family's closed form enters only through the rows of the third
 quotient, A B, which a coefficient identity certifies as
 E_u D_v / gcd^2 up to a constant (`_polynomial_checks`).
 
-Then all entries of all three matrices are read through a vectorized
-coefficient recurrence, `_power_coeffs_vec`, five rows per pair: E_u, D_v
-and the genus-2 quotient from their low ends, D_v and the genus-2 quotient
-again reversed for the entries near the top.  f(0) != 0 for all three,
-since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and v^4 + v^2 + 1 != 0
-(p = 2 mod 3), so no row needs full expansion.
+Then the three matrices.  The pairs of one w class have isomorphic
+quotients, so the recheck computes their entries once per class, for its
+first pair in the batch, the leader, and certifies every later pair of the
+class against it (`_certified`).  The substitution x = M_(-u)(y) pulls a
+quotient Q of (u, v), of degree n, back to
+(1 - u y)^n Q(M_(-u) y) = sum_k q_k (y - u)^k (1 - u y)^(n-k), which for
+the family is a constant times the same quotient of (0, w):
+
+    E_u (n = 4):            (1 - u^2)^4,
+    D_v (n = 6):            (1 - uv)^6,             or -(v - u)^6 if uv = 1,
+    A B (n = 6):            (1 - u^2)^2 (1 - uv)^4, or (1 - u^2)^2 (v - u)^4,
+
+with w = 0 for uv = 1, whose (0, infinity) quotients are those of (0, 0)
+with D_v twisted by -1.  The certificate does not take that on trust: it
+pulls back the pair's own rows and its leader's, each through one product
+with a fixed integer tensor in the powers of u (`_pull_back`, whose sums
+stay below 140 p < 2^28), and checks by cross-multiplying that they
+are proportional with a nonzero constant, with 1 - u^2 != 0 for both, so
+that M_(-u) is invertible.  Then each quotient of the pair is isomorphic to
+a twist of its leader's, and one matrix vanishes exactly when the other
+does: O(d^2) arithmetic per pair instead of O(p).  The leader comes first,
+so when a certified pair fails, its leader has failed first and is named;
+a pair whose certificate fails has its entries computed from its own rows,
+and the messages and their order are those of computing every pair's
+entries.  A batch whose pairs all have distinct w, as mode "first"'s single
+pair, pulls nothing back.  The class of 1/w would be certified too (M_(1/w)
+is M_w followed by x -> 1/x), but the recheck groups pairs by w alone.
+
+Each entry computed is read through a vectorized coefficient recurrence,
+`_power_coeffs_vec`, five rows per pair: E_u, D_v and the genus-2 quotient
+from their low ends, D_v and the genus-2 quotient again reversed for the
+entries near the top.  f(0) != 0 for all three, since 1 - u^2 != 0,
+u^2 + 1 != 0 (p = 3 mod 4) and v^4 + v^2 + 1 != 0 (p = 2 mod 3), so no row
+needs full expansion.
 
 Each step of that recurrence acts linearly on its window of the last d
 coefficients, so the p - 1 steps need not run one at a time.  They run as
@@ -157,18 +186,23 @@ steps instead of p - 1, at d times the arithmetic, with every product exact
 in int64.  T is near sqrt(1.5 p), but bounded by a budget on the blocks'
 window values (`_BLOCK_BUDGET`): the five columns of one pair run at most
 91 blocks, about 11 600 steps at p = 1 048 559.  Blocks run only when more
-than d fit: a pass of more than 13 pairs, as mode "all" runs, takes every
-step on its window, where a step over many columns is already vectorized
-and a blocked one would cost d times more.
+than d fit: a pass of more than 13 pairs with entries to compute takes
+every step on its window, where a step over many columns is already
+vectorized and a blocked one would cost d times more.  Mode "all" computes
+entries for the leaders of its few good w classes (4 at p = 10 007, 8 at
+43 607) and so runs blocks.
 
 The recheck shares only the family's closed form with the kernel, no
-decision code: it checks the pair's own three quotients and every matrix
-entry, with neither the w reduction, the palindromic a = c = 0 shortcut nor
-the elliptic split.  The tests hold the ranks against Euclid's gcd
-(`poly.poly_gcd`), the polynomial verdicts against the per-pair route, and
-the entries against `cartier`'s scalar recurrence, against full expansion
-(`poly.pow_coeffs`) and, for every count of blocks, against a per-term
-recurrence.
+decision code: it checks every pair's own three quotients, through their
+entries or a certificate proved from their rows, without the palindromic
+a = c = 0 shortcut or the elliptic split; w only groups the pairs, and a
+wrong grouping would only send pairs to their own entries.  The tests hold
+the ranks against Euclid's gcd (`poly.poly_gcd`), the polynomial verdicts
+against the per-pair route, the entries against `cartier`'s scalar
+recurrence, against full expansion (`poly.pow_coeffs`) and, for every
+count of blocks, against a per-term recurrence, the pull-back against
+`DensePoly` products, and the certified recheck at p = 10 007 against every
+pair's own entries (nightly).
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -184,7 +218,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import comb, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -204,21 +238,27 @@ assert 6 * SWEEP_MAX_P**3 < 1 << 63
 # `_power_coeffs_vec` multiplies its blocks' step matrices, entries below p,
 # and applies the product to the window: each entry sums d products below p^2
 assert 6 * SWEEP_MAX_P**2 < 1 << 63
+# `_pull_back` sums, for each coefficient, residues times the entries of a
+# row of its tensor, whose absolute values sum to at most 7 C(6, 3) = 140
+assert 7 * comb(6, 3) * SWEEP_MAX_P < 1 << 63
 # the kernel's models, ladder and traces reduce mod p after every product
 # of residues, so each of their values stays below 8 p^2 <= 2^43
 assert 8 * SWEEP_MAX_P**2 <= 1 << 43
-# the recheck costs O(p) per reported pair: mode "all" at p = 10 007 reports
-# 40 016 pairs, pairs x p = 4.0e8, and rechecks them in 29-33 s (2-core Xeon
-# VM).  Mode "all" refuses a prime whose pairs x p exceed this before
-# listing any pair: at p = 43 607 that is 348 832 pairs, 1.5e10, about 35
-# minutes
-RECHECK_GUARD = 1 << 32
+# pairs mode "all" may report: it refuses a prime with more before listing
+# any.  The recheck computes entries once per w class and certifies every
+# other pair by O(d^2) arithmetic, batched (module docstring), so its cost,
+# and that of listing and writing the pairs, grows with their count.  As a
+# command, p = 43 607 (348 832 pairs) takes 8.8-10 s and 209 MB peak RSS,
+# and p = 83 243 (998 880 pairs) 30 s and 518 MB, 19 s of it in the sweep
+# and its recheck (2-core Xeon VM); p = 126 839 (2 536 720 pairs) is refused
+RECHECK_GUARD = 1 << 20
 # pairs per pass of the superspecial recheck: a pass holds three quotient
-# polynomials, four 6 x 6 Bezout matrices and the recurrence's window, a few
-# hundred int64 values per pair, under 2 MB at 512 pairs whatever p, while
-# mode "all" reports 40 016 pairs at p = 10 007 and 348 832 at p = 43 607.
-# Larger passes gain little: at p = 10 007 a pass of 1024 pairs is 20 %
-# faster per pair and one of 4096 no faster still
+# polynomials, their pull-backs, four 6 x 6 Bezout matrices and the
+# recurrence's window, a few hundred int64 values per pair, under 2 MB at
+# 512 pairs whatever p, while mode "all" reports 40 016 pairs at p = 10 007
+# and 348 832 at p = 43 607.  The pairs of a w class share one entry
+# computation, so a pass costs mostly its Bezout ranks, about 7 ms at 512
+# pairs (2-core Xeon VM)
 RECHECK_SLICE = 512
 # step weights `_power_coeffs_vec` tabulates at once, six per step and block:
 # 192 KB, where one table up to SWEEP_MAX_P would be about 50 MB
@@ -229,8 +269,9 @@ _WEIGHT_BLOCK = 4096
 # blocks run only when more than d fit: at p = 100 019, d = 6, 5 columns take
 # 79 ms in 91 blocks against 750 ms on the window alone, 45 columns 490
 # against 590 ms in 10 blocks, and 75 columns would take 740 against 610 ms
-# in 6.  So one pair of the recheck, five columns, runs 91 blocks, and a
-# slice of more than 13 pairs runs on its window alone
+# in 6.  So one pair of the recheck, five columns, runs 91 blocks, and so
+# do mode "all"'s leaders, one pair per good w class; more than 13 pairs
+# with entries to compute run on the window alone
 _BLOCK_BUDGET = 1 << 14
 # live w per pass of the kernel's ladder: 256 KB an int64 array, where all w
 # at SWEEP_MAX_P take 8 MB an array
@@ -642,6 +683,90 @@ def _polynomial_error(first, numbers, i):
     return error(msg.format(**{name: int(values[i]) for name, values in numbers.items()}))
 
 
+# -- Moebius certificates: one entry pass per w class ------------------------------
+
+
+def _leaders(p: int, us, vs, inv_table):
+    """For every pair (us[i], vs[i]) of a batch, the index of the first pair
+    of its w class, w = (v-u)/(1-uv); the pairs with uv = 1 join w = 0,
+    whose quotients they share up to twists (module docstring)."""
+    if us.size < 2:
+        return np.arange(us.size)
+    u, v = us % p, vs % p
+    # inv_table[0] = 0 puts uv = 1 at w = 0
+    w = (v - u) * inv_table[(1 - u * v) % p] % p
+    first = np.full(p, us.size)
+    np.minimum.at(first, w, np.arange(us.size))
+    return first[w]
+
+
+@lru_cache(maxsize=None)
+def _pull_back_tensor(n: int):
+    """The coefficient of u^i y^j in (y - u)^k (1 - u y)^(n-k) at
+    [j, k (n+1) + i].  Row j holds, for each k, the terms of
+    sum_a C(k, a) C(n-k, j-a) = C(n, j) up to sign, so its absolute values
+    sum to (n+1) C(n, j)."""
+    C = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
+    for k in range(n + 1):
+        for a, b in product(range(k + 1), range(n - k + 1)):
+            # y^a (-u)^(k-a) of (y - u)^k times (-u y)^b of (1 - u y)^(n-k)
+            C[a + b, k, k - a + b] += (-1) ** (k - a + b) * comb(k, a) * comb(n - k, b)
+    C = C.reshape(n + 1, -1)
+    C.flags.writeable = False  # cached: every caller gets this array
+    return C
+
+
+def _pull_back(Q, U, p: int):
+    """(1 - u y)^n Q((y - u)/(1 - u y)) = sum_k q_k (y - u)^k (1 - u y)^(n-k)
+    for every column q of Q, (n+1, N) coefficient rows mod p < 2^20 low to
+    high, and u of U, as (n+1, N) rows: one product of the fixed tensor with
+    the residues q_k u^i mod p.  A row of the tensor sums to at most
+    (n+1) C(n, n/2) = 140 in absolute value for n <= 6, so every sum stays
+    below 140 p < 2^28."""
+    n = len(Q) - 1
+    powers = np.empty_like(Q)
+    powers[0] = 1
+    for i in range(1, n + 1):
+        powers[i] = powers[i - 1] * U % p
+    terms = (Q[:, None] * powers).reshape((n + 1) ** 2, -1) % p
+    return np.einsum("jt,tn->jn", _pull_back_tensor(n), terms) % p
+
+
+def _pulled_back(p: int, U, rows):
+    """The pull-backs by M_(-u) of the quotient rows (E, D, F) of the pairs
+    with u in U, zero where 1 - u^2 = 0 and M_(-u) is not invertible."""
+    invertible = (1 - U * U) % p != 0
+    return [_pull_back(Q, U, p) * invertible for Q in rows]
+
+
+_QUOTIENT_DEGREES = (4, 6, 6)  # E_u, D_v and the genus-2 quotient
+
+
+def _certified(p: int, U, rows, leads):
+    """Whether each pair, with u in U and quotient rows (E, D, F), is
+    certified against its leader, given the leader's `_pulled_back` rows in
+    leads: each quotient pulled back by M_(-u) is a nonzero multiple of the
+    leader's.  Then each quotient is isomorphic to a twist of the leader's,
+    and its Cartier-Manin matrix vanishes exactly when the leader's does
+    (module docstring).
+
+    The proportionality is checked by cross-multiplying at the first nonzero
+    coefficient of the leader's pull-back, which must be nonzero in the
+    pair's too.  E_u of degree other than 4, D_v or the genus-2 quotient of
+    degree other than 6, and a quotient with constant term 0 are never
+    certified: `_cartier_entries_vec` refuses them, and so they still reach
+    that refusal."""
+    ok = (1 - U * U) % p != 0
+    at = np.arange(U.size)
+    for Q, L, n in zip(rows, leads, _QUOTIENT_DEGREES):
+        P = _pull_back(Q, U, p)
+        r = (L != 0).argmax(axis=0)
+        ref, ref_lead = P[r, at], L[r, at]
+        ok &= (_degrees(Q) == n) & (Q[0] != 0) & (ref != 0) & (ref_lead != 0)
+        ok &= (P * ref_lead % p == L * ref % p).all(axis=0)
+    return ok
+
+
 # -- the w-line kernel: the genus-2 quotient splits into E+ x E- -------------------
 
 
@@ -825,8 +950,8 @@ def _sweep_w_line(p: int, inv_table, mode: str = "all"):
     in mode "first" only the least pair.  That is (0, least good w): (0, w)
     lies in the orbit of every finite w with the least u, and w = infinity
     takes the verdict of w = 0, whose pair (0, 0) is smaller.  Mode "all"
-    counts its pairs first, and refuses a prime whose recheck would exceed
-    RECHECK_GUARD."""
+    counts its pairs first, and refuses a prime with more than RECHECK_GUARD
+    of them."""
     W = _w_line(p)
     # w = infinity, appended last, takes the verdict of w = 0, the first
     excluded_gcd, excluded_singular, solution = (
@@ -845,10 +970,10 @@ def _sweep_w_line(p: int, inv_table, mode: str = "all"):
     if mode == "first":
         return counts, [(0, ws[good[0]])] if good.size else []
     pairs = int(sizes[good].sum())
-    if pairs * p > RECHECK_GUARD:
+    if pairs > RECHECK_GUARD:
         raise ValueError(
-            f"mode 'all' at p = {p} reports {pairs} pairs: their recheck, "
-            f"pairs x p = {pairs * p}, exceeds the guard {RECHECK_GUARD}"
+            f"mode 'all' at p = {p} reports {pairs} pairs, beyond the recheck "
+            f"guard {RECHECK_GUARD}"
         )
     solutions = sorted(pair for i in good for pair in _orbit(p, ws[i], inv_table))
     return counts, solutions
@@ -877,29 +1002,54 @@ def verify_solution_story(p: int, u, v):
 
 def _recheck(p: int, us, vs, inv_table):
     """`verify_solution_story` on validated arrays, in slices of RECHECK_SLICE
-    pairs, with the inverse table of p built by the caller."""
+    pairs, with the inverse table of p built by the caller.  The first pair
+    of each w class in the batch leads it: its entries come from its own
+    rows, and every later pair of the class is certified against it
+    (`_certified`), against the leaders' pull-backs formed once here."""
+    lead = _leaders(p, us, vs, inv_table)
+    follows = np.flatnonzero(lead != np.arange(us.size))
+    # the column of its leader's pull-back for each follower, -1 for a leader
+    at = np.full(us.size, -1)
+    pulled = None
+    if follows.size:
+        head = np.zeros(us.size, dtype=bool)
+        head[lead[follows]] = True
+        at[follows] = (np.cumsum(head) - 1)[lead[follows]]
+        heads = np.flatnonzero(head)
+        U, V = us[heads] % p, vs[heads] % p
+        pulled = _pulled_back(p, U, _quotient_rows(U, V, p))
     for start in range(0, us.size, RECHECK_SLICE):
         part = slice(start, start + RECHECK_SLICE)
-        _recheck_slice(p, us[part], vs[part], inv_table)
+        _recheck_slice(p, us[part], vs[part], inv_table, pulled, at[part])
 
 
 _QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
 
 
-def _recheck_slice(p: int, us, vs, inv_table):
+def _recheck_slice(p: int, us, vs, inv_table, pulled, at):
     E, D, F = _quotient_rows(us % p, vs % p, p)
     first, numbers = _polynomial_checks(p, us, vs, E, D, F)
     failed = np.flatnonzero(first < len(_POLYNOMIAL_CHECKS))
     # the matrices of the pairs before the first polynomial failure are
     # checked first, so the first failing pair is named
     n = failed[0] if failed.size else len(us)
-    if n:
+    # a certified pair passes exactly when its leader, checked before it,
+    # passes: only the leaders and the pairs not certified need their entries
+    own = at[:n] < 0
+    follows = np.flatnonzero(~own)
+    if follows.size:
+        rows = [Q[:, follows] for Q in (E, D, F)]
+        leads = [P[:, at[follows]] for P in pulled]
+        own[follows] = ~_certified(p, us[follows] % p, rows, leads)
+    own = np.flatnonzero(own)
+    if own.size:
         E = np.vstack([E, np.zeros_like(E[:2])])
-        models = np.stack([E[:, :n], D[:, :n], F[:, :n]], axis=2).reshape(7, 3 * n)
+        models = np.stack([E[:, own], D[:, own], F[:, own]], axis=2).reshape(7, 3 * own.size)
         entries = _cartier_entries_vec(p, models, inv_table)
         nonzero = entries.reshape(-1, 3, 4).any(axis=2)
         if nonzero.any():
             i, q = np.argwhere(nonzero)[0]
+            i = own[i]
             msg = f"the Cartier-Manin matrix of {_QUOTIENT_NAMES[q]} is nonzero"
             raise RuntimeError(f"solution ({us[i]}, {vs[i]}) is not superspecial: {msg}")
     if failed.size:

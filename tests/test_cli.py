@@ -268,24 +268,24 @@ def test_ss5_past_the_sweep_bound_exits_2_before_sweeping(monkeypatch, tmp_path,
 
 
 def test_ss5_all_past_the_recheck_guard_exits_2_before_listing(monkeypatch, tmp_path, capsys):
-    # p = 43 607 reports 348 832 pairs, whose recheck would take about 35
-    # minutes: refused after the kernel, before any pair is listed
+    # p = 126 839 reports 2 536 720 pairs, past the guard on the pair count:
+    # refused after the kernel, before any pair is listed or rechecked
     def refuse(*args):
         raise AssertionError("listed or rechecked pairs past the recheck guard")
 
     monkeypatch.setattr(search, "_orbit", refuse)
     monkeypatch.setattr(search, "_recheck", refuse)
     code, _, err = run(
-        capsys, "ss5", "--p", "43607", "--mode", "all", "--results-dir", str(tmp_path)
+        capsys, "ss5", "--p", "126839", "--mode", "all", "--results-dir", str(tmp_path)
     )
-    assert code == 2 and "348832 pairs" in err and "guard" in err
+    assert code == 2 and "2536720 pairs" in err and "guard" in err
     assert not (tmp_path / "ss5").exists()
 
 
 def test_ss5_range_all_stops_at_a_refused_prime(monkeypatch, tmp_path, capsys):
-    # with the guard just below the 89 pairs x 47 of p = 47, the range prints
-    # and records 11 and 23, then exits 2 at 47 without a record
-    monkeypatch.setattr(search, "RECHECK_GUARD", 89 * 47 - 1)
+    # with the guard just below the 89 pairs of p = 47, the range prints and
+    # records 11 and 23 (32 and 80 pairs), then exits 2 at 47 without a record
+    monkeypatch.setattr(search, "RECHECK_GUARD", 88)
     code, out, err = run(
         capsys, "ss5-range", "--from", "11", "--to", "60", "--mode", "all",
         "--results-dir", str(tmp_path),

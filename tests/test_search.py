@@ -743,11 +743,15 @@ def test_recheck_golden_at_a_large_prime():
         verify_solution_story(p, [0, 0], [w, w + 1])
 
 
-def test_recheck_guard_admits_every_prime_below_1000_and_10007():
-    # the guard refuses 43 607 (tests/test_cli.py), not these
+def test_recheck_guard_admits_every_prime_below_1000_and_10007(monkeypatch):
+    # the guard bounds the pair count; it refuses 126 839 (tests/test_cli.py),
+    # not these
     for p in _primes_11_mod_12(1000) + [10007]:
         solutions = _sweep_w_line(p, _inverse_table(p))[1]
-        assert len(solutions) * p <= search.RECHECK_GUARD, p
+        assert len(solutions) <= search.RECHECK_GUARD, p
+    # nor 43 607, whose 348 832 pairs are counted before any is listed
+    monkeypatch.setattr(search, "_orbit", lambda *args: [])
+    _sweep_w_line(43607, _inverse_table(43607))
 
 
 def test_recheck_batch_names_the_first_failing_pair():
@@ -791,39 +795,262 @@ def test_sweep_builds_one_inverse_table(monkeypatch):
         calls.clear()
 
 
-def test_recheck_slices_match_unsliced(monkeypatch):
-    p = 47
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
-    us, vs = zip(*solutions)
-    passes = []
+def _recheck_outcome(p, pairs):
+    """The message of the error the recheck of pairs raises, None if it
+    passes."""
+    us, vs = zip(*pairs)
+    try:
+        verify_solution_story(p, us, vs)
+    except (RuntimeError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+    return None
 
-    def spy(*args):
-        out = _cartier_entries_vec(*args)
-        passes.append(out)
-        return out
 
-    monkeypatch.setattr(search, "_cartier_entries_vec", spy)
-    verify_solution_story(p, us, vs)
-    assert len(passes) == 1
-    unsliced = passes.pop()
-    monkeypatch.setattr(search, "RECHECK_SLICE", 7)
-    verify_solution_story(p, us, vs)
-    assert len(passes) == -(-len(solutions) // 7) > 2
-    assert (np.concatenate(passes) == unsliced).all()
-    # a non-solution, and a pair that fails a polynomial check, in the third
-    # slice are still named
+def _gcd_excluded_pair(p):
     ctx = field(p)
-    assert ss5_check_pair(p, ctx.elem(4), ctx.elem(18)).status == "not_solution"
-    gcd_pair = next(
+    return next(
         (u, v) for u in range(2, p - 1) for v in range(2, p - 1)
         if ss5_check_pair(p, ctx.elem(u), ctx.elem(v)).reason == "gcd"
     )
-    for (u, v), error in (((4, 18), r"is not superspecial"), (gcd_pair, r"has genus")):
-        bad = (list(us[:15]) + [u] + list(us[15:]), list(vs[:15]) + [v] + list(vs[15:]))
-        for size in (7, search.RECHECK_SLICE):
-            monkeypatch.setattr(search, "RECHECK_SLICE", size)
-            with pytest.raises(RuntimeError, match=rf"\({u}, {v}\) {error}"):
-                verify_solution_story(p, *bad)
+
+
+def test_recheck_slices_match_unsliced(monkeypatch):
+    # the verdict and the message of a batch do not depend on the slice size:
+    # a passing batch, a non-solution and a pair that fails a polynomial check
+    # in the third slice of 7
+    p = 47
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    ctx = field(p)
+    assert ss5_check_pair(p, ctx.elem(4), ctx.elem(18)).status == "not_solution"
+    gcd_pair = _gcd_excluded_pair(p)
+    batches = [solutions] + [solutions[:15] + [bad] + solutions[15:] for bad in ((4, 18), gcd_pair)]
+    expected = [_recheck_outcome(p, batch) for batch in batches]
+    assert expected[0] is None
+    assert "(4, 18) is not superspecial" in expected[1]
+    assert "({}, {}) has genus".format(*gcd_pair) in expected[2]
+    slices = []
+
+    def spy(p, us, *args):
+        slices.append(len(us))
+        return recheck_slice(p, us, *args)
+
+    recheck_slice = search._recheck_slice
+    monkeypatch.setattr(search, "_recheck_slice", spy)
+    for size in (1, 7, 40):
+        monkeypatch.setattr(search, "RECHECK_SLICE", size)
+        assert [_recheck_outcome(p, batch) for batch in batches] == expected, size
+        assert slices[0] == size and len(slices) > 2
+        slices.clear()
+
+
+# -- Moebius certificates ----------------------------------------------------------
+
+
+def test_pull_back_matches_the_substitution():
+    # the batched pull-back by M_(-u) against sum_k q_k (y - u)^k (1 - u y)^(n-k)
+    # formed with DensePoly products, for random rows of degree at most n
+    rng = random.Random(5151)
+    for p in (11, 23, 47, 1009):
+        ctx = field(p)
+        for n in (4, 6):
+            Q = np.array([[rng.randrange(p) for _ in range(25)] for _ in range(n + 1)])
+            U = np.array([rng.randrange(p) for _ in range(25)])
+            got = search._pull_back(Q, U, p)
+            assert got.dtype == np.int64 and got.shape == Q.shape
+            for i, u in enumerate(U.tolist()):
+                y_u, one_uy = DensePoly(ctx, [-u, 1]), DensePoly(ctx, [1, -u])
+                total = DensePoly(ctx, [0])
+                for k, q in enumerate(Q[:, i].tolist()):
+                    total = total + DensePoly(ctx, [q]) * y_u**k * one_uy ** (n - k)
+                expected = [total.coeff(j).coords[0] for j in range(n + 1)]
+                assert got[:, i].tolist() == expected, (p, n, u)
+
+
+def test_family_pulls_back_to_its_w_representative():
+    # (1 - u y)^n Q_(u,v)(M_(-u) y) is Q_(0,w)(y) times a power of 1 - u^2,
+    # 1 - uv or v - u, for every pair of the GF(23) grid minus +-1; the pairs
+    # with uv = 1 pull back to (0, 0) with D_v twisted by -1
+    p = 23
+    values = [0, *range(2, p - 1)]
+    us, vs = np.array(list(product(values, repeat=2))).T
+    pulled = search._pulled_back(p, us, _quotient_rows(us, vs, p))
+    dual = (us * vs) % p == 1
+    ws = np.where(dual, 0, (vs - us) * _inverse_table(p)[(1 - us * vs) % p] % p)
+    rep = _quotient_rows(np.zeros_like(ws), ws, p)
+    s, t = (1 - us * us) % p, np.where(dual, vs - us, 1 - us * vs) % p
+    sign = np.where(dual, -1, 1)
+    scales = (s**4, sign * t**6, s**2 * t**4)
+    for P, R, scale in zip(pulled, rep, scales):
+        assert (P == R * (scale % p) % p).all()
+
+
+def test_certificate_refuses_what_it_cannot_prove():
+    # a follower of the class of (0, 4) at p = 23 is certified against it; the
+    # rows of another class, perturbed rows and non-invertible maps are not.
+    # The class of 1/4 = 6 would be certified too: M_(1/w) is M_w followed
+    # by x -> 1/x, which fixes the palindromic factors and x^2 - 1 up to sign
+    p = 23
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    lead = (0, 4)
+    (u, v), other = (
+        next(s for s in solutions if s != lead and _w_of(p, *s) == 4),
+        next(s for s in solutions if _w_of(p, *s) not in (4, 6) and s[0] != 0),
+    )
+
+    def rows_of(u, v):
+        return _quotient_rows(np.array([u]), np.array([v]), p)
+
+    def certified(rows, u=u, lead_u=lead[0]):
+        leads = search._pulled_back(p, np.array([lead_u]), rows_of(*lead))
+        return bool(search._certified(p, np.array([u]), rows, leads)[0])
+
+    rows = rows_of(u, v)
+    assert certified(rows)
+    inverse = next(s for s in solutions if _w_of(p, *s) == 6)
+    assert certified(rows_of(*inverse), u=inverse[0])
+    assert not certified(rows_of(*other))
+    assert not certified(rows_of(*other), u=other[0])
+    # a changed coefficient, a zero constant term and a lower degree
+    for q, k in ((0, 2), (1, 3), (2, 5), (1, 0), (2, 6)):
+        bad = [R.copy() for R in rows]
+        bad[q][k] = 0 if k in (0, 6) else (bad[q][k] + 1) % p
+        assert not certified(bad), (q, k)
+    # M_(-u) with 1 - u^2 = 0 is not invertible, for the pair or the leader
+    assert not certified(rows, u=1)
+    assert not certified(rows, lead_u=p - 1)
+
+
+def _w_of(p, u, v):
+    """The w class of (u, v), uv = 1 joining w = 0, by Python's inverse."""
+    den = (1 - u * v) % p
+    return 0 if den == 0 else (v - u) * pow(den, -1, p) % p
+
+
+def _spy(monkeypatch, name, record):
+    original = getattr(search, name)
+
+    def spy(*args):
+        out = original(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(search, name, spy)
+
+
+def test_every_mode_all_pair_is_certified_against_its_leader(monkeypatch):
+    # at the primes up to 167 and at 10 007, only the first pair of each w
+    # class has its entries computed; every other pair is certified
+    certified, computed = [], []
+    _spy(monkeypatch, "_certified", lambda args, out: certified.append(out))
+    _spy(monkeypatch, "_cartier_entries_vec", lambda args, out: computed.append(len(out) // 3))
+    for p in _primes_11_mod_12(168) + [10007]:
+        solutions = ss5_sweep(SweepConfig(p=p, mode="all")).solutions
+        classes = len({_w_of(p, u, v) for u, v in solutions})
+        assert sum(computed) == classes, p
+        assert sum(c.size for c in certified) == len(solutions) - classes, p
+        assert all(c.all() for c in certified), p
+        certified.clear()
+        computed.clear()
+
+
+def test_failed_certificates_take_their_own_rows(monkeypatch):
+    # a pair whose certificate fails has its entries computed from its own
+    # rows, and every message of the batch test stays the same, also when
+    # every certificate fails
+    p = 23
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    gcd_pair = _gcd_excluded_pair(p)
+    same_class = [s for s in solutions if _w_of(p, *s) == _w_of(p, 4, 18)]
+    assert not same_class  # (4, 18) leads its class; add a follower of it
+    follower = next((u, v) for u in range(2, p - 1) for v in range(2, p - 1)
+                    if (u, v) != (4, 18) and _w_of(p, u, v) == _w_of(p, 4, 18))
+    batches = [
+        solutions,
+        solutions[:40] + [(4, 18)] + solutions[40:],
+        solutions[:5] + [(4, 18)] + solutions[5:9] + [gcd_pair],
+        solutions[:5] + [gcd_pair] + [(4, 18)],
+        solutions[:5] + [follower, (4, 18)],
+        solutions[:5] + [(4, 18), follower],
+    ]
+    expected = [_recheck_outcome(p, batch) for batch in batches]
+    assert expected[0] is None and "(4, 18) is not superspecial" in expected[1]
+    assert "({}, {}) is not superspecial".format(*follower) in expected[4]
+    # one follower refused: its three quotients join the computed columns
+    target = solutions[7]
+    rows = [R[:, 0] for R in _quotient_rows(np.array([target[0]]), np.array([target[1]]), p)]
+    models = []
+    certified = search._certified
+
+    def refuse_target(p, U, rows_, leads):
+        ok = certified(p, U, rows_, leads)
+        hit = np.all([(R == r[:, None]).all(axis=0) for R, r in zip(rows_, rows)], axis=0)
+        return ok & ~hit
+
+    monkeypatch.setattr(search, "_certified", refuse_target)
+    _spy(monkeypatch, "_cartier_entries_vec", lambda args, out: models.append(args[1]))
+    assert _recheck_outcome(p, solutions) is None
+    columns = np.hstack(models).T.tolist()
+    assert rows[2].tolist() in columns  # the genus-2 quotient of the target
+    assert len(columns) == 3 * (len({_w_of(p, *s) for s in solutions}) + 1)
+    monkeypatch.setattr(search, "_certified", lambda p, U, *args: np.zeros(U.size, dtype=bool))
+    assert [_recheck_outcome(p, batch) for batch in batches] == expected
+
+
+def test_perturbed_follower_rows_are_named(monkeypatch):
+    # a follower whose rows are those of the non-solution (4, 18) is not
+    # certified, and is named with its own (u, v), as without certificates
+    p = 23
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    target = solutions[30]
+    quotient_rows = search._quotient_rows
+
+    def planted(U, V, p):
+        rows = quotient_rows(U, V, p)
+        hit = (U == target[0]) & (V == target[1])
+        for R, r in zip(rows, quotient_rows(np.array([4]), np.array([18]), p)):
+            R[:, hit] = r
+        return rows
+
+    monkeypatch.setattr(search, "_quotient_rows", planted)
+    message = _recheck_outcome(p, solutions)
+    assert message == "RuntimeError: solution ({}, {}) is not superspecial: the Cartier-Manin " \
+        "matrix of the genus-2 quotient is nonzero".format(*target)
+    monkeypatch.setattr(search, "_certified", lambda p, U, *args: np.zeros(U.size, dtype=bool))
+    assert _recheck_outcome(p, solutions) == message
+
+
+def test_batches_of_distinct_w_pull_nothing_back(monkeypatch):
+    # mode "first"'s one pair, and a batch of one pair per w class, compute
+    # every pair's entries: no pull-back, no certificate
+    calls = []
+    _spy(monkeypatch, "_pull_back", lambda args, out: calls.append(args))
+    p = 167
+    solutions = ss5_sweep(SweepConfig(p=p, mode="first")).solutions
+    assert len(solutions) == 1
+    verify_solution_story(p, *solutions[0])
+    leaders = sorted({_w_of(p, u, v): (u, v) for u, v in reversed(
+        _sweep_w_line(p, _inverse_table(p))[1])}.values())
+    assert len(leaders) > 1
+    verify_solution_story(p, *zip(*leaders))
+    assert calls == []
+
+
+@pytest.mark.nightly
+def test_certified_recheck_matches_own_rows_at_10007():
+    # about 35 s: the entries of all 40 016 mode-"all" pairs at 10 007,
+    # computed from their own rows, vanish, as the certified recheck, which
+    # computes them for the leaders alone, says
+    p = 10007
+    inv_table = _inverse_table(p)
+    solutions = _sweep_w_line(p, inv_table)[1]
+    assert len(solutions) == 40016
+    us, vs = np.array(solutions).T
+    for start in range(0, us.size, 512):
+        E, D, F = _quotient_rows(us[start : start + 512], vs[start : start + 512], p)
+        E = np.vstack([E, np.zeros_like(E[:2])])
+        models = np.stack([E, D, F], axis=2).reshape(7, -1)
+        assert not _cartier_entries_vec(p, models, inv_table).any(), start
+    verify_solution_story(p, us, vs)
 
 
 def test_sweep_p11_solutions_sound():
