@@ -20,6 +20,7 @@ from .ff import field, is_prime
 from .poly import parse_poly
 from .search import (
     SweepConfig,
+    result_text,
     ss5_sweep,
     ss5_sweep_ext,
     superspecial_g2_enumeration,
@@ -160,9 +161,11 @@ def _cmd_ss5(args) -> int:
         result = ss5_sweep_ext(args.p, mode=args.mode)
     else:
         result = ss5_sweep(SweepConfig(p=args.p, mode=args.mode, threads=args.threads))
-        if not args.no_cache:
-            write_result(args.results_dir, result)
-    _emit(result.to_json())
+    # one serialisation serves the record and stdout
+    text = result_text(result)
+    if not (args.ext_field or args.no_cache):
+        write_result(args.results_dir, result, text)
+    sys.stdout.write(text)
     return 0
 
 

@@ -132,18 +132,19 @@ genus 5, and its third quotient E_u D_v / gcd(E_u, D_v)^2 is squarefree.
 Each is a gcd degree -- f is squarefree iff gcd(f, f') = 1 -- read off a
 rank mod p: the Bezout matrix of f and g has rank max(deg f, deg g) -
 deg gcd(f, g), and one batched elimination ranks the four Bezout matrices
-of every pair of the pass (`_gcd_degrees`).  The ranks are taken on the
+of every pair it is given (`_gcd_degrees`).  The ranks are taken on the
 quotients' own rows, not on resultants of the family's quadratic factors
 as the kernel's exclusions are, so the check holds for any rows it is
 given; the family's closed form enters only through the rows of the third
 quotient, A B, which a coefficient identity certifies as
-E_u D_v / gcd^2 up to a constant (`_polynomial_checks`).
+E_u D_v / gcd^2 up to a constant (`_polynomial_checks`).  Then the three
+matrices, whose entries are computed for the pairs that pass.
 
-Then the three matrices.  The pairs of one w class have isomorphic
-quotients, so the recheck computes their entries once per class, for its
-first pair in the batch, the leader, and certifies every later pair of the
-class against it (`_certified`).  The substitution x = M_(-u)(y) pulls a
-quotient Q of (u, v), of degree n, back to
+The pairs of one w class have isomorphic quotients, so the recheck ranks
+and computes entries once per class, for its first pair in the batch, the
+leader, and certifies every later pair of the class against it
+(`_certified`).  The substitution x = M_(-u)(y) pulls a quotient Q of
+(u, v), of degree n, back to
 (1 - u y)^n Q(M_(-u) y) = sum_k q_k (y - u)^k (1 - u y)^(n-k), which for
 the family is a constant times the same quotient of (0, w):
 
@@ -157,15 +158,36 @@ pulls back the pair's own rows and its leader's, each through one product
 with a fixed integer tensor in the powers of u (`_pull_back`, whose sums
 stay below 140 p < 2^28), and checks by cross-multiplying that they
 are proportional with a nonzero constant, with 1 - u^2 != 0 for both, so
-that M_(-u) is invertible.  Then each quotient of the pair is isomorphic to
-a twist of its leader's, and one matrix vanishes exactly when the other
-does: O(d^2) arithmetic per pair instead of O(p).  The leader comes first,
-so when a certified pair fails, its leader has failed first and is named;
-a pair whose certificate fails has its entries computed from its own rows,
-and the messages and their order are those of computing every pair's
-entries.  A batch whose pairs all have distinct w, as mode "first"'s single
-pair, pulls nothing back.  The class of 1/w would be certified too (M_(1/w)
-is M_w followed by x -> 1/x), but the recheck groups pairs by w alone.
+that M_(-u) is invertible, and with the degrees of the three quotients
+exactly (4, 6, 6) for both.  Read as binary forms of those degrees, each
+quotient of the pair is then its leader's under an invertible linear
+substitution, the composite of two maps M_a, times a nonzero constant, and
+every fact the recheck derives is the same for the two:
+
+- the degrees, equal by that condition;
+- squarefreeness and the degree of gcd(E_u, D_v), which an invertible
+  substitution preserves on binary forms, and which on forms of exact
+  degree are those of the polynomials.  A lower degree is a root at
+  infinity that the polynomials' gcds do not see, so a leader of lower
+  degree certifies nobody: a shared root there would count for its
+  followers and not for it;
+- the genus, read off those degrees and that gcd;
+- the identity E_u D_v lc(F) = lc(E_u) lc(D_v) (x^2 - 1)^2 F: the maps
+  M_a fix +-1, so the substitution sends x^2 - 1 to a multiple of itself,
+  and lc is the forms' value at infinity, nonzero on both sides;
+- whether each Cartier-Manin matrix vanishes, since each quotient is
+  isomorphic to a twist of its leader's.
+
+So a certified pair fails exactly when its leader does, and the leader
+comes first: a certified pair passes, and only the leaders and the pairs
+whose certificate fails take ranks and entries from their own rows, which
+costs O(d^2) arithmetic per certified pair instead of a rank and O(p).  A
+failing leader is named before its followers, and a pair whose certificate
+fails is checked as every pair once was, so the messages and their order
+are those of checking every pair on its own rows.  A batch whose pairs all
+have distinct w, as mode "first"'s single pair, pulls nothing back.  The
+class of 1/w would be certified too (M_(1/w) is M_w followed by x -> 1/x),
+but the recheck groups pairs by w alone.
 
 Each entry computed is read through a vectorized coefficient recurrence,
 `_power_coeffs_vec`, five rows per pair: E_u, D_v and the genus-2 quotient
@@ -194,15 +216,15 @@ entries for the leaders of its few good w classes (4 at p = 10 007, 8 at
 
 The recheck shares only the family's closed form with the kernel, no
 decision code: it checks every pair's own three quotients, through their
-entries or a certificate proved from their rows, without the palindromic
-a = c = 0 shortcut or the elliptic split; w only groups the pairs, and a
-wrong grouping would only send pairs to their own entries.  The tests hold
-the ranks against Euclid's gcd (`poly.poly_gcd`), the polynomial verdicts
-against the per-pair route, the entries against `cartier`'s scalar
-recurrence, against full expansion (`poly.pow_coeffs`) and, for every
-count of blocks, against a per-term recurrence, the pull-back against
-`DensePoly` products, and the certified recheck at p = 10 007 against every
-pair's own entries (nightly).
+ranks and entries or a certificate proved from their rows, without the
+palindromic a = c = 0 shortcut or the elliptic split; w only groups the
+pairs, and a wrong grouping would only send pairs to their own ranks and
+entries.  The tests hold the ranks against Euclid's gcd (`poly.poly_gcd`),
+the polynomial verdicts against the per-pair route, the entries against
+`cartier`'s scalar recurrence, against full expansion (`poly.pow_coeffs`)
+and, for every count of blocks, against a per-term recurrence, the
+pull-back against `DensePoly` products, and the certified recheck at
+p = 10 007 against every pair's own ranks and entries (nightly).
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -245,20 +267,21 @@ assert 7 * comb(6, 3) * SWEEP_MAX_P < 1 << 63
 # of residues, so each of their values stays below 8 p^2 <= 2^43
 assert 8 * SWEEP_MAX_P**2 <= 1 << 43
 # pairs mode "all" may report: it refuses a prime with more before listing
-# any.  The recheck computes entries once per w class and certifies every
-# other pair by O(d^2) arithmetic, batched (module docstring), so its cost,
-# and that of listing and writing the pairs, grows with their count.  As a
-# command, p = 43 607 (348 832 pairs) takes 8.8-10 s and 209 MB peak RSS,
-# and p = 83 243 (998 880 pairs) 30 s and 518 MB, 19 s of it in the sweep
-# and its recheck (2-core Xeon VM); p = 126 839 (2 536 720 pairs) is refused
+# any.  The recheck ranks and computes entries once per w class and
+# certifies every other pair by O(d^2) arithmetic, batched (module
+# docstring), so its cost, and that of listing and writing the pairs, grows
+# with their count.  As a command, p = 43 607 (348 832 pairs) takes 3.0-3.7 s
+# and 210 MB peak RSS, and p = 83 243 (998 880 pairs) 11 s and 513-539 MB,
+# 5.7-6.1 s of it in the sweep and its recheck (2-core Xeon VM);
+# p = 126 839 (2 536 720 pairs) is refused
 RECHECK_GUARD = 1 << 20
 # pairs per pass of the superspecial recheck: a pass holds three quotient
 # polynomials, their pull-backs, four 6 x 6 Bezout matrices and the
 # recurrence's window, a few hundred int64 values per pair, under 2 MB at
 # 512 pairs whatever p, while mode "all" reports 40 016 pairs at p = 10 007
-# and 348 832 at p = 43 607.  The pairs of a w class share one entry
-# computation, so a pass costs mostly its Bezout ranks, about 7 ms at 512
-# pairs (2-core Xeon VM)
+# and 348 832 at p = 43 607.  The pairs of a w class share one rank and
+# entry computation, so a pass of certified pairs costs their quotient rows
+# and certificates, about 1.9 ms at 512 pairs (2-core Xeon VM)
 RECHECK_SLICE = 512
 # step weights `_power_coeffs_vec` tabulates at once, six per step and block:
 # 192 KB, where one table up to SWEEP_MAX_P would be about 50 MB
@@ -732,23 +755,32 @@ def _pull_back(Q, U, p: int):
     return np.einsum("jt,tn->jn", _pull_back_tensor(n), terms) % p
 
 
+_QUOTIENT_DEGREES = (4, 6, 6)  # E_u, D_v and the genus-2 quotient
+
+
 def _pulled_back(p: int, U, rows):
     """The pull-backs by M_(-u) of the quotient rows (E, D, F) of the pairs
-    with u in U, zero where 1 - u^2 = 0 and M_(-u) is not invertible."""
-    invertible = (1 - U * U) % p != 0
-    return [_pull_back(Q, U, p) * invertible for Q in rows]
-
-
-_QUOTIENT_DEGREES = (4, 6, 6)  # E_u, D_v and the genus-2 quotient
+    with u in U, zero where they can certify nothing: where 1 - u^2 = 0 and
+    M_(-u) is not invertible, and where the quotients' degrees are not
+    exactly _QUOTIENT_DEGREES.  A quotient of lower degree has a root at
+    infinity as a binary form, which its gcds and squarefreeness tests do not
+    see, though those of a certified pair would see its image."""
+    ok = (1 - U * U) % p != 0
+    for Q, n in zip(rows, _QUOTIENT_DEGREES):
+        ok &= _degrees(Q) == n
+    return [_pull_back(Q, U, p) * ok for Q in rows]
 
 
 def _certified(p: int, U, rows, leads):
     """Whether each pair, with u in U and quotient rows (E, D, F), is
     certified against its leader, given the leader's `_pulled_back` rows in
     leads: each quotient pulled back by M_(-u) is a nonzero multiple of the
-    leader's.  Then each quotient is isomorphic to a twist of the leader's,
-    and its Cartier-Manin matrix vanishes exactly when the leader's does
-    (module docstring).
+    leader's, and both have degrees exactly (4, 6, 6), the leader's through
+    `_pulled_back`.  Then each quotient is, as a binary form, the leader's
+    under an invertible substitution fixing +-1, times a constant: the pair
+    passes `_polynomial_checks` exactly when the leader does, and each of its
+    Cartier-Manin matrices vanishes exactly when the leader's does (module
+    docstring).
 
     The proportionality is checked by cross-multiplying at the first nonzero
     coefficient of the leader's pull-back, which must be nonzero in the
@@ -1003,8 +1035,8 @@ def verify_solution_story(p: int, u, v):
 def _recheck(p: int, us, vs, inv_table):
     """`verify_solution_story` on validated arrays, in slices of RECHECK_SLICE
     pairs, with the inverse table of p built by the caller.  The first pair
-    of each w class in the batch leads it: its entries come from its own
-    rows, and every later pair of the class is certified against it
+    of each w class in the batch leads it: its ranks and entries come from
+    its own rows, and every later pair of the class is certified against it
     (`_certified`), against the leaders' pull-backs formed once here."""
     lead = _leaders(p, us, vs, inv_table)
     follows = np.flatnonzero(lead != np.arange(us.size))
@@ -1027,29 +1059,38 @@ _QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
 
 
 def _recheck_slice(p: int, us, vs, inv_table, pulled, at):
+    """Recheck the pairs (us[i], vs[i]) of one slice, given the leaders'
+    `_pulled_back` rows and the column of each pair's leader in them, -1 for
+    a leader.  A pair certified against its leader, which comes before it in
+    the batch, takes the leader's verdict on every check, so it passes: a
+    failing leader has been named first.  The leaders and the pairs whose
+    certificate fails are checked on their own rows, their polynomial facts
+    before their matrices; the first of them that fails is named, with the
+    first check it fails."""
     E, D, F = _quotient_rows(us % p, vs % p, p)
-    first, numbers = _polynomial_checks(p, us, vs, E, D, F)
-    failed = np.flatnonzero(first < len(_POLYNOMIAL_CHECKS))
-    # the matrices of the pairs before the first polynomial failure are
-    # checked first, so the first failing pair is named
-    n = failed[0] if failed.size else len(us)
-    # a certified pair passes exactly when its leader, checked before it,
-    # passes: only the leaders and the pairs not certified need their entries
-    own = at[:n] < 0
+    own = at < 0
     follows = np.flatnonzero(~own)
     if follows.size:
         rows = [Q[:, follows] for Q in (E, D, F)]
         leads = [P[:, at[follows]] for P in pulled]
         own[follows] = ~_certified(p, us[follows] % p, rows, leads)
     own = np.flatnonzero(own)
-    if own.size:
-        E = np.vstack([E, np.zeros_like(E[:2])])
-        models = np.stack([E[:, own], D[:, own], F[:, own]], axis=2).reshape(7, 3 * own.size)
+    if not own.size:
+        return
+    us, vs = us[own], vs[own]
+    E, D, F = (Q[:, own] for Q in (E, D, F))
+    first, numbers = _polynomial_checks(p, us, vs, E, D, F)
+    failed = np.flatnonzero(first < len(_POLYNOMIAL_CHECKS))
+    # the matrices of the pairs before the first polynomial failure are
+    # checked first, so the first failing pair is named
+    n = failed[0] if failed.size else len(us)
+    if n:
+        E = np.vstack([E[:, :n], np.zeros_like(E[:2, :n])])
+        models = np.stack([E, D[:, :n], F[:, :n]], axis=2).reshape(7, 3 * n)
         entries = _cartier_entries_vec(p, models, inv_table)
         nonzero = entries.reshape(-1, 3, 4).any(axis=2)
         if nonzero.any():
             i, q = np.argwhere(nonzero)[0]
-            i = own[i]
             msg = f"the Cartier-Manin matrix of {_QUOTIENT_NAMES[q]} is nonzero"
             raise RuntimeError(f"solution ({us[i]}, {vs[i]}) is not superspecial: {msg}")
     if failed.size:
@@ -1080,11 +1121,20 @@ def result_path(results_dir, p: int) -> Path:
     return Path(results_dir) / "ss5" / f"p={p}.json"
 
 
-def write_result(results_dir, result: SearchResult) -> Path:
+def result_text(result: SearchResult) -> str:
+    """The record of a result as `write_result` stores it and `cmrank ss5`
+    prints it.  `indent` makes `json` use its pure-Python encoder, about
+    1.3 s for the 348 832 pairs of p = 43 607, so callers that need the text
+    twice build it once."""
+    return json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def write_result(results_dir, result: SearchResult, text: str | None = None) -> Path:
+    """Persist result atomically; text, if given, is its `result_text`."""
     path = result_path(results_dir, result.p)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n")
+    tmp.write_text(result_text(result) if text is None else text)
     os.replace(tmp, path)
     return path
 

@@ -145,6 +145,28 @@ def test_ss5_writes_cache(tmp_path, capsys):
     assert (tmp_path / "ss5" / "p=11.json").exists()
 
 
+def test_ss5_prints_the_record_it_writes(monkeypatch, tmp_path, capsys):
+    # one indented serialisation serves stdout and the record file, whose
+    # bytes are those of json.dumps with sort_keys and indent 2
+    dumps, indented = json.dumps, []
+
+    def spy(obj, **kwargs):
+        indented.append(kwargs.get("indent"))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    for p, mode in ((47, "all"), (167, "first")):
+        code, out, _ = run(
+            capsys, "ss5", "--p", str(p), "--mode", mode, "--results-dir", str(tmp_path)
+        )
+        assert code == 0 and indented == [2]
+        result = search.load_result(tmp_path, p)
+        assert result.mode == mode and result.solutions
+        record = search.result_path(tmp_path, p).read_text()
+        assert out == record == dumps(result.to_json(), sort_keys=True, indent=2) + "\n"
+        indented.clear()
+
+
 def test_ss5_range_csv_and_cache(tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -939,17 +939,21 @@ def _spy(monkeypatch, name, record):
 
 def test_every_mode_all_pair_is_certified_against_its_leader(monkeypatch):
     # at the primes up to 167 and at 10 007, only the first pair of each w
-    # class has its entries computed; every other pair is certified
-    certified, computed = [], []
+    # class has its Bezout ranks and entries computed; every other pair is
+    # certified
+    certified, ranked, computed = [], [], []
     _spy(monkeypatch, "_certified", lambda args, out: certified.append(out))
+    _spy(monkeypatch, "_gcd_degrees", lambda args, out: ranked.append(args[0][0][0].shape[1]))
     _spy(monkeypatch, "_cartier_entries_vec", lambda args, out: computed.append(len(out) // 3))
     for p in _primes_11_mod_12(168) + [10007]:
         solutions = ss5_sweep(SweepConfig(p=p, mode="all")).solutions
         classes = len({_w_of(p, u, v) for u, v in solutions})
+        assert sum(ranked) == classes, p
         assert sum(computed) == classes, p
         assert sum(c.size for c in certified) == len(solutions) - classes, p
         assert all(c.all() for c in certified), p
         certified.clear()
+        ranked.clear()
         computed.clear()
 
 
@@ -1019,6 +1023,94 @@ def test_perturbed_follower_rows_are_named(monkeypatch):
     assert _recheck_outcome(p, solutions) == message
 
 
+def _plant_rows(monkeypatch, plants):
+    """Make `_quotient_rows` return plants[(u, v)], a list of three rows, for
+    the pairs it names."""
+    quotient_rows = search._quotient_rows
+
+    def planted(U, V, p):
+        rows = quotient_rows(U, V, p)
+        for (u, v), new in plants.items():
+            hit = (U == u) & (V == v)
+            for R, r in zip(rows, new):
+                R[:, hit] = r[:, None]
+        return rows
+
+    monkeypatch.setattr(search, "_quotient_rows", planted)
+
+
+def _refuse_every_certificate(monkeypatch):
+    monkeypatch.setattr(search, "_certified", lambda p, U, *args: np.zeros(U.size, dtype=bool))
+
+
+def test_follower_with_gcd_excluded_rows_takes_its_own_ranks(monkeypatch):
+    # a follower whose rows are those of a gcd-excluded pair is refused by its
+    # certificate and named with its own polynomial error, whose numbers are
+    # those of the planted rows, as without certificates
+    p = 23
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    target = solutions[30]
+    assert any(_w_of(p, *s) == _w_of(p, *target) for s in solutions[:30])
+    gcd_pair = _gcd_excluded_pair(p)
+    expected = _recheck_outcome(p, [gcd_pair])
+    assert expected == "RuntimeError: solution ({}, {}) has genus 3, not 5".format(*gcd_pair)
+    rows = [R[:, 0] for R in _quotient_rows(np.array([gcd_pair[0]]), np.array([gcd_pair[1]]), p)]
+    _plant_rows(monkeypatch, {target: rows})
+    refused, ranked = [], []
+
+    def record(args, out):
+        hit = np.all([(R == r[:, None]).all(axis=0) for R, r in zip(args[2], rows)], axis=0)
+        refused.extend((~out[hit]).tolist())
+
+    _spy(monkeypatch, "_certified", record)
+    _spy(monkeypatch, "_gcd_degrees", lambda args, out: ranked.append(args[0][0][0]))
+    message = _recheck_outcome(p, solutions)
+    assert message == expected.replace("({}, {})".format(*gcd_pair), "({}, {})".format(*target))
+    assert refused == [True]
+    assert any((E == rows[0][:, None]).all(axis=0).any() for E in ranked)
+    _refuse_every_certificate(monkeypatch)
+    assert _recheck_outcome(p, solutions) == message
+
+
+def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
+    # a leader whose E_u has degree 3, with a follower whose E_u is the image
+    # of the leader's under M_u, so that their pull-backs are proportional:
+    # the follower is refused, takes its own ranks, and the message is the
+    # one with every certificate refused
+    p = 23
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    leader = solutions[0]
+    follower = next(s for s in solutions if s[0] != 0 and _w_of(p, *s) == _w_of(p, *leader))
+    lead_rows, follow_rows = (
+        [R[:, 0] for R in _quotient_rows(np.array([u]), np.array([v]), p)]
+        for u, v in (leader, follower)
+    )
+    lead_rows[0][3:] = 1, 0  # x^4 - 1 becomes x^3 - 1
+    follow_rows[0] = search._pull_back(lead_rows[0][:, None], np.array([-follower[0] % p]), p)[:, 0]
+    assert search._degrees(follow_rows[0][:, None])[0] == 4
+    # without the degree condition the pull-backs would certify the follower
+    pulled = [search._pull_back(R[:, None], np.array([u]), p) for R, u in
+              zip((lead_rows[0], follow_rows[0]), (leader[0], follower[0]))]
+    assert (pulled[1] * pulled[0][0] % p == pulled[0] * pulled[1][0] % p).all()
+    assert pulled[0][0, 0] != 0
+    _plant_rows(monkeypatch, {leader: lead_rows, follower: follow_rows})
+    refused, ranked = [], []
+
+    def record(args, out):
+        hit = (args[2][0] == follow_rows[0][:, None]).all(axis=0)
+        refused.extend((~out[hit]).tolist())
+
+    _spy(monkeypatch, "_certified", record)
+    _spy(monkeypatch, "_gcd_degrees", lambda args, out: ranked.append(args[0][0][0]))
+    batch = [leader, follower]
+    message = _recheck_outcome(p, batch)
+    assert message == "RuntimeError: solution ({}, {}) has genus 6, not 5".format(*leader)
+    assert refused == [True]
+    assert (np.hstack(ranked) == follow_rows[0][:, None]).all(axis=0).any()
+    _refuse_every_certificate(monkeypatch)
+    assert _recheck_outcome(p, batch) == message
+
+
 def test_batches_of_distinct_w_pull_nothing_back(monkeypatch):
     # mode "first"'s one pair, and a batch of one pair per w class, compute
     # every pair's entries: no pull-back, no certificate
@@ -1038,15 +1130,20 @@ def test_batches_of_distinct_w_pull_nothing_back(monkeypatch):
 @pytest.mark.nightly
 def test_certified_recheck_matches_own_rows_at_10007():
     # about 35 s: the entries of all 40 016 mode-"all" pairs at 10 007,
-    # computed from their own rows, vanish, as the certified recheck, which
-    # computes them for the leaders alone, says
+    # computed from their own rows, vanish, and their own Bezout ranks pass,
+    # as the certified recheck, which computes both for the leaders alone,
+    # says
     p = 10007
     inv_table = _inverse_table(p)
     solutions = _sweep_w_line(p, inv_table)[1]
     assert len(solutions) == 40016
     us, vs = np.array(solutions).T
     for start in range(0, us.size, 512):
-        E, D, F = _quotient_rows(us[start : start + 512], vs[start : start + 512], p)
+        part = slice(start, start + 512)
+        E, D, F = _quotient_rows(us[part], vs[part], p)
+        # and every pair passes the polynomial checks, as inherited
+        first, _ = _polynomial_checks(p, us[part], vs[part], E, D, F)
+        assert (first == len(_POLYNOMIAL_CHECKS)).all(), start
         E = np.vstack([E, np.zeros_like(E[:2])])
         models = np.stack([E, D, F], axis=2).reshape(7, -1)
         assert not _cartier_entries_vec(p, models, inv_table).any(), start
