@@ -157,10 +157,9 @@ def _cmd_ss_lambdas(args) -> int:
 
 
 def _cmd_ss5(args) -> int:
-    if args.ext_field:
-        result = ss5_sweep_ext(args.p, mode=args.mode)
-    else:
-        result = ss5_sweep(SweepConfig(p=args.p, mode=args.mode, threads=args.threads))
+    # validated before the branch, so --ext-field checks --threads too
+    cfg = SweepConfig(p=args.p, mode=args.mode, threads=args.threads)
+    result = ss5_sweep_ext(cfg.p, mode=cfg.mode) if args.ext_field else ss5_sweep(cfg)
     # one serialisation serves the record and stdout
     text = result_text(result)
     if not (args.ext_field or args.no_cache):

@@ -125,25 +125,21 @@ quotient Cartier-Manin matrices vanish.  The recheck runs in passes of at
 most `RECHECK_SLICE` pairs, on the int64 coefficient rows of the three
 quotients of every pair of the pass (`_quotient_rows`).
 
-First the polynomial facts that split rests on, the same ones
-`covers.kani_rosen_triple` and `cartier.HyperellipticModel` establish for
-one pair: E_u and D_v are squarefree curve models, the fiber product has
-genus 5, and its third quotient E_u D_v / gcd(E_u, D_v)^2 is squarefree.
-Each is a gcd degree -- f is squarefree iff gcd(f, f') = 1 -- read off a
-rank mod p: the Bezout matrix of f and g has rank max(deg f, deg g) -
-deg gcd(f, g), and one batched elimination ranks the four Bezout matrices
-of every pair it is given (`_gcd_degrees`).  The ranks are taken on the
-quotients' own rows, not on resultants of the family's quadratic factors
-as the kernel's exclusions are, so the check holds for any rows it is
-given; the family's closed form enters only through the rows of the third
-quotient, A B, which a coefficient identity certifies as
-E_u D_v / gcd^2 up to a constant (`_polynomial_checks`).  Then the three
-matrices, whose entries are computed for the pairs that pass.
+First the polynomial facts that split rests on: E_u and D_v are squarefree
+curve models, the fiber product has genus 5, and its third quotient
+E_u D_v / gcd(E_u, D_v)^2 is squarefree.  They come from the per-pair
+route, `covers.kani_rosen_triple` and then `cartier.HyperellipticModel`,
+run on the quotients' own rows (`_polynomial_facts`), not on resultants of
+the family's quadratic factors as the kernel's exclusions are, so the check
+holds for any rows it is given; the family's closed form enters only
+through the rows of the third quotient, A B, which must be a constant times
+E_u D_v / gcd^2.  Then the three matrices, whose entries are computed for
+the pairs that pass.
 
-The pairs of one w class have isomorphic quotients, so the recheck ranks
-and computes entries once per class, for its first pair in the batch, the
-leader, and certifies every later pair of the class against it
-(`_certified`).  The substitution x = M_(-u)(y) pulls a quotient Q of
+The pairs of one w class have isomorphic quotients, so the recheck checks
+polynomial facts and computes entries once per class, for its first pair
+in the batch, the leader, and certifies every later pair of the class
+against it (`_certified`).  The substitution x = M_(-u)(y) pulls a quotient Q of
 (u, v), of degree n, back to
 (1 - u y)^n Q(M_(-u) y) = sum_k q_k (y - u)^k (1 - u y)^(n-k), which for
 the family is a constant times the same quotient of (0, w):
@@ -172,16 +168,16 @@ every fact the recheck derives is the same for the two:
   degree certifies nobody: a shared root there would count for its
   followers and not for it;
 - the genus, read off those degrees and that gcd;
-- the identity E_u D_v lc(F) = lc(E_u) lc(D_v) (x^2 - 1)^2 F: the maps
-  M_a fix +-1, so the substitution sends x^2 - 1 to a multiple of itself,
-  and lc is the forms' value at infinity, nonzero on both sides;
+- that F is a constant times E_u D_v / gcd(E_u, D_v)^2, since the
+  substitution maps the gcd of the forms to the gcd of their images;
 - whether each Cartier-Manin matrix vanishes, since each quotient is
   isomorphic to a twist of its leader's.
 
 So a certified pair fails exactly when its leader does, and the leader
 comes first: a certified pair passes, and only the leaders and the pairs
-whose certificate fails take ranks and entries from their own rows, which
-costs O(d^2) arithmetic per certified pair instead of a rank and O(p).  A
+whose certificate fails take the per-pair route and entries from their own
+rows, which costs O(d^2) arithmetic per certified pair instead of that route
+and O(p).  A
 failing leader is named before its followers, and a pair whose certificate
 fails is checked as every pair once was, so the messages and their order
 are those of checking every pair on its own rows.  A batch whose pairs all
@@ -215,16 +211,16 @@ entries for the leaders of its few good w classes (4 at p = 10 007, 8 at
 43 607) and so runs blocks.
 
 The recheck shares only the family's closed form with the kernel, no
-decision code: it checks every pair's own three quotients, through their
-ranks and entries or a certificate proved from their rows, without the
-palindromic a = c = 0 shortcut or the elliptic split; w only groups the
-pairs, and a wrong grouping would only send pairs to their own ranks and
-entries.  The tests hold the ranks against Euclid's gcd (`poly.poly_gcd`),
-the polynomial verdicts against the per-pair route, the entries against
+decision code: it checks every pair's own three quotients, through the
+per-pair route and their entries or a certificate proved from their rows,
+without the palindromic a = c = 0 shortcut or the elliptic split; w only
+groups the pairs, and a wrong grouping would only send pairs to their own
+route and entries.  The tests hold the polynomial verdicts against the
+per-pair route on the explicit Moebius transports, the entries against
 `cartier`'s scalar recurrence, against full expansion (`poly.pow_coeffs`)
 and, for every count of blocks, against a per-term recurrence, the
 pull-back against `DensePoly` products, and the certified recheck at
-p = 10 007 against every pair's own ranks and entries (nightly).
+p = 10 007 against every pair's own polynomial facts and entries (nightly).
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -246,6 +242,7 @@ from pathlib import Path
 import numpy as np
 
 from .cartier import HyperellipticModel, power_coeffs
+from .covers import kani_rosen_triple
 from .ff import FieldElement, field, inverse_table, is_prime
 from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
 
@@ -267,20 +264,20 @@ assert 7 * comb(6, 3) * SWEEP_MAX_P < 1 << 63
 # of residues, so each of their values stays below 8 p^2 <= 2^43
 assert 8 * SWEEP_MAX_P**2 <= 1 << 43
 # pairs mode "all" may report: it refuses a prime with more before listing
-# any.  The recheck ranks and computes entries once per w class and
-# certifies every other pair by O(d^2) arithmetic, batched (module
-# docstring), so its cost, and that of listing and writing the pairs, grows
-# with their count.  As a command, p = 43 607 (348 832 pairs) takes 3.0-3.7 s
-# and 210 MB peak RSS, and p = 83 243 (998 880 pairs) 11 s and 513-539 MB,
-# 5.7-6.1 s of it in the sweep and its recheck (2-core Xeon VM);
-# p = 126 839 (2 536 720 pairs) is refused
+# any.  The recheck checks polynomial facts and computes entries once per
+# w class and certifies every other pair by O(d^2) arithmetic, batched
+# (module docstring), so its cost, and that of listing and writing the
+# pairs, grows with their count.  As a command, p = 43 607 (348 832 pairs)
+# takes 3.0-3.7 s and 210 MB peak RSS, and p = 83 243 (998 880 pairs)
+# 11 s and 513-539 MB, 5.7-6.1 s of it in the sweep and its recheck (2-core
+# Xeon VM); p = 126 839 (2 536 720 pairs) is refused
 RECHECK_GUARD = 1 << 20
 # pairs per pass of the superspecial recheck: a pass holds three quotient
-# polynomials, their pull-backs, four 6 x 6 Bezout matrices and the
-# recurrence's window, a few hundred int64 values per pair, under 2 MB at
-# 512 pairs whatever p, while mode "all" reports 40 016 pairs at p = 10 007
-# and 348 832 at p = 43 607.  The pairs of a w class share one rank and
-# entry computation, so a pass of certified pairs costs their quotient rows
+# polynomials, their pull-backs and the recurrence's window, a few hundred
+# int64 values per pair, under 2 MB at 512 pairs whatever p, while mode
+# "all" reports 40 016 pairs at p = 10 007 and 348 832 at p = 43 607.  The
+# pairs of a w class share one check of the polynomial facts and one entry
+# computation, so a pass of certified pairs costs their quotient rows
 # and certificates, about 1.9 ms at 512 pairs (2-core Xeon VM)
 RECHECK_SLICE = 512
 # step weights `_power_coeffs_vec` tabulates at once, six per step and block:
@@ -574,7 +571,7 @@ def _cartier_entries_vec(p: int, models, inv_table):
     return out
 
 
-# -- polynomial checks by Bezout ranks ----------------------------------------------
+# -- polynomial checks, pair by pair -----------------------------------------------
 
 
 def _degrees(R):
@@ -583,127 +580,26 @@ def _degrees(R):
     return np.where(nonzero.any(axis=0), len(R) - 1 - nonzero[::-1].argmax(axis=0), -1)
 
 
-def _derivative(R, p: int):
-    return R[1:] * np.arange(1, len(R), dtype=np.int64)[:, None] % p
-
-
-@lru_cache(maxsize=None)
-def _bezout_layout(n: int):
-    """Where the n x n Bezout matrix of f and g of degree at most n takes its
-    entries from.  (f(x) g(y) - f(y) g(x)) / (x - y) has the coefficient
-    sum_b W[i+j+1-b, b], W[a, b] = f_a g_b - f_b g_a, at x^i y^j, over
-    max(0, i+j+1-n) <= b <= min(i, j): at most (n+1) // 2 terms, given as
-    indices into W flattened and padded with that of W[0, 0] = 0."""
-    layout = np.zeros((n, n, (n + 1) // 2), dtype=np.intp)
-    for i, j in product(range(n), repeat=2):
-        bs = range(max(0, i + j + 1 - n), min(i, j) + 1)
-        layout[i, j, : len(bs)] = [(i + j + 1 - b) * (n + 1) + b for b in bs]
-    layout.flags.writeable = False  # cached: every caller gets this array
-    return layout
-
-
-def _ranks_mod_p(S, p: int):
-    """The rank mod p of every matrix S[:, :, i], by fraction-free elimination
-    of all of them at once, one column per step: every row is scaled by the
-    pivot entry, then the pivot row times a row's own entry is subtracted
-    from each row not yet used as a pivot.  Entries are residues mod
-    p < 2^20, so every product stays below 2^40."""
-    at = np.arange(S.shape[2])
-    used = np.zeros((S.shape[0], S.shape[2]), dtype=bool)
-    for c in range(S.shape[1]):
-        col = np.where(used, 0, S[:, c])
-        row = col.argmax(axis=0)  # a nonzero entry, if the column has one
-        lead = col[row, at]
-        used[row, at] |= lead != 0
-        rest = S[:, c + 1 :]
-        pivot = rest[row, :, at].T
-        rest *= np.where(lead != 0, lead, 1)
-        rest -= col[:, None] * pivot
-        rest %= p
-    return used.sum(axis=0)
-
-
-def _gcd_degrees(pairs, p: int):
-    """deg gcd(f, g) for every column pair (f, g) of each (F, G) in pairs,
-    coefficient rows mod p < 2^20, low to high, f and g not both zero.
-
-    One elimination ranks all their Bezout matrices, each embedded in an
-    identity of the largest size.  The Bezout matrix of f and g has rank
-    max(deg f, deg g) - deg gcd(f, g) over any field (with n = deg f >= deg g
-    it is an invertible triangular Hankel matrix times g(C_f), C_f the
-    companion matrix of f), and zero rows and columns beyond that degree."""
-    dims = [max(len(F), len(G)) - 1 for F, G in pairs]
-    size = max(dims)
-    ends = np.cumsum([F.shape[1] for F, _ in pairs])
-    S = np.zeros((size, size, ends[-1]), dtype=np.int64)
-    for (F, G), n, end in zip(pairs, dims, ends):
-        f, g = (np.vstack([R, np.zeros((n + 1 - len(R), R.shape[1]), np.int64)])
-                for R in (F, G))
-        W = (f[:, None] * g - g[:, None] * f).reshape((n + 1) ** 2, -1)  # below 2^40
-        block = S[:, :, end - F.shape[1] : end]
-        block[:n, :n] = W[_bezout_layout(n)].sum(axis=2) % p
-        block[range(n, size), range(n, size)] = 1
-    ranks = np.split(_ranks_mod_p(S, p), ends[:-1])
-    return [
-        np.maximum(_degrees(F), _degrees(G)) - (rank - (size - n))
-        for (F, G), n, rank in zip(pairs, dims, ranks)
-    ]
-
-
-# The polynomial checks of a recheck pair, in the order the generic route
-# (`covers.kani_rosen_triple`, then `cartier.HyperellipticModel` on the
-# genus-2 quotient) makes them, each with its exception and message there
-_POLYNOMIAL_CHECKS = (
-    (ValueError, "deg {deg_e} < 3: quotient would not be a curve model"),
-    (ValueError, "singular input model"),
-    (ValueError, "deg {deg_d} < 3: quotient would not be a curve model"),
-    (ValueError, "singular input model"),
-    (ValueError, "f1*f2 is a perfect square: the cover is disconnected"),
-    (RuntimeError, "solution ({u}, {v}) has genus {genus}, not 5"),
-    (RuntimeError, "solution ({u}, {v}): the genus-2 quotient is not E_u D_v / gcd^2"),
-    (ValueError, "singular model: f is not squarefree"),
-)
-_X2_MINUS_1_SQUARED = (1, 0, -2, 0, 1)  # (x^2 - 1)^2, low to high
-
-
-def _polynomial_checks(p: int, us, vs, E, D, F):
-    """The first of `_POLYNOMIAL_CHECKS` that each pair (us[i], vs[i]) fails,
-    len of it if none, and the numbers its message takes, given the quotient
-    rows E, D and F of `_quotient_rows`.
-
-    E_u and D_v must be curve models, squarefree, and make a cover of genus
-    5; the genus-2 quotient is then E_u D_v / gcd^2, which must be
-    squarefree.  F is A B, not that quotient, so it is certified as one:
-    E_u D_v lc(F) = lc(E_u) lc(D_v) (x^2 - 1)^2 F with F != 0 puts each of
-    x +- 1 into both squarefree E_u and D_v, so with deg gcd = 2 the gcd is
-    x^2 - 1 and F is E_u D_v / gcd^2 up to a constant, which changes neither
-    its squarefreeness nor whether its Cartier-Manin matrix vanishes."""
-    deg_e, deg_d, deg_f = _degrees(E), _degrees(D), _degrees(F)
-    sq_e, sq_d, gcd_ed, sq_f = _gcd_degrees(
-        [(E, _derivative(E, p)), (D, _derivative(D, p)), (E, D), (F, _derivative(F, p))], p
-    )
-    deg_f3 = deg_e + deg_d - 2 * gcd_ed
-    genus = sum((d + 1) // 2 - 1 for d in (deg_e, deg_d, deg_f3))
-    at = np.arange(E.shape[1])
-    lc_e, lc_d, lc_f = E[deg_e, at], D[deg_d, at], F[deg_f, at]
-    proportional = (
-        _rows_mul(E, D, p) * lc_f % p
-        == _rows_mul(F, _X2_MINUS_1_SQUARED, p) * (lc_e * lc_d % p) % p
-    ).all(axis=0)
-    same = proportional & (lc_f != 0) & (gcd_ed == 2)
-    # genus 5 leaves the genus-2 quotient degree 5 or 6, so
-    # HyperellipticModel's degree check cannot fail after it
-    fails = np.stack(
-        [deg_e < 3, sq_e > 0, deg_d < 3, sq_d > 0, deg_f3 == 0, genus != 5, ~same, sq_f > 0]
-    )
-    first = np.where(fails.any(axis=0), fails.argmax(axis=0), len(fails))
-    return first, {"u": us, "v": vs, "deg_e": deg_e, "deg_d": deg_d, "genus": genus}
-
-
-def _polynomial_error(first, numbers, i):
-    """The exception of the first polynomial check that pair i fails."""
-    error, msg = _POLYNOMIAL_CHECKS[first[i]]
-    return error(msg.format(**{name: int(values[i]) for name, values in numbers.items()}))
+def _polynomial_facts(ctx, u, v, e, d, f):
+    """Check the polynomial facts of the pair (u, v), given the coefficient
+    rows e, d and f of its quotients E_u, D_v and the genus-2 curve, low to
+    high, by the per-pair route: `covers.kani_rosen_triple` refuses E_u and
+    D_v unless they are squarefree curve models whose product is not a
+    square, the cover must have genus 5, and `cartier.HyperellipticModel`
+    refuses the genus-2 quotient unless it is squarefree.  F is A B, not
+    that quotient, so it must be one: a constant times E_u D_v / gcd^2,
+    which changes neither its squarefreeness nor whether its Cartier-Manin
+    matrix vanishes.  Raises the error of the first fact that fails."""
+    t = kani_rosen_triple(DensePoly(ctx, e.tolist()), DensePoly(ctx, d.tolist()))
+    if t.genus_total != 5:
+        raise RuntimeError(f"solution ({u}, {v}) has genus {t.genus_total}, not 5")
+    F = DensePoly(ctx, f.tolist())
+    # then F has the degree of that quotient, at least 5 at genus 5 as
+    # deg E_u <= 4 and deg D_v <= 6: HyperellipticModel's degree check
+    # cannot fail
+    if F.is_zero or F.scale(t.f3.coeff(t.f3.degree)) != t.f3.scale(F.coeff(F.degree)):
+        raise RuntimeError(f"solution ({u}, {v}): the genus-2 quotient is not E_u D_v / gcd^2")
+    HyperellipticModel(ctx, F)
 
 
 # -- Moebius certificates: one entry pass per w class ------------------------------
@@ -778,7 +674,7 @@ def _certified(p: int, U, rows, leads):
     leader's, and both have degrees exactly (4, 6, 6), the leader's through
     `_pulled_back`.  Then each quotient is, as a binary form, the leader's
     under an invertible substitution fixing +-1, times a constant: the pair
-    passes `_polynomial_checks` exactly when the leader does, and each of its
+    passes `_polynomial_facts` exactly when the leader does, and each of its
     Cartier-Manin matrices vanishes exactly when the leader's does (module
     docstring).
 
@@ -1035,9 +931,10 @@ def verify_solution_story(p: int, u, v):
 def _recheck(p: int, us, vs, inv_table):
     """`verify_solution_story` on validated arrays, in slices of RECHECK_SLICE
     pairs, with the inverse table of p built by the caller.  The first pair
-    of each w class in the batch leads it: its ranks and entries come from
-    its own rows, and every later pair of the class is certified against it
-    (`_certified`), against the leaders' pull-backs formed once here."""
+    of each w class in the batch leads it: its polynomial facts and entries
+    come from its own rows, and every later pair of the class is certified
+    against it (`_certified`), against the leaders' pull-backs formed once
+    here."""
     lead = _leaders(p, us, vs, inv_table)
     follows = np.flatnonzero(lead != np.arange(us.size))
     # the column of its leader's pull-back for each follower, -1 for a leader
@@ -1064,9 +961,10 @@ def _recheck_slice(p: int, us, vs, inv_table, pulled, at):
     a leader.  A pair certified against its leader, which comes before it in
     the batch, takes the leader's verdict on every check, so it passes: a
     failing leader has been named first.  The leaders and the pairs whose
-    certificate fails are checked on their own rows, their polynomial facts
-    before their matrices; the first of them that fails is named, with the
-    first check it fails."""
+    certificate fails are checked on their own rows, in batch order, their
+    polynomial facts by the per-pair route (`_polynomial_facts`) until one
+    fails, then the matrices of the pairs before it; the first of them that
+    fails is named, with the first check it fails."""
     E, D, F = _quotient_rows(us % p, vs % p, p)
     own = at < 0
     follows = np.flatnonzero(~own)
@@ -1079,11 +977,15 @@ def _recheck_slice(p: int, us, vs, inv_table, pulled, at):
         return
     us, vs = us[own], vs[own]
     E, D, F = (Q[:, own] for Q in (E, D, F))
-    first, numbers = _polynomial_checks(p, us, vs, E, D, F)
-    failed = np.flatnonzero(first < len(_POLYNOMIAL_CHECKS))
+    ctx, n, failure = field(p), len(us), None
+    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        try:
+            _polynomial_facts(ctx, u, v, E[:, i], D[:, i], F[:, i])
+        except (ValueError, RuntimeError) as err:
+            n, failure = i, err
+            break
     # the matrices of the pairs before the first polynomial failure are
     # checked first, so the first failing pair is named
-    n = failed[0] if failed.size else len(us)
     if n:
         E = np.vstack([E[:, :n], np.zeros_like(E[:2, :n])])
         models = np.stack([E, D[:, :n], F[:, :n]], axis=2).reshape(7, 3 * n)
@@ -1093,8 +995,8 @@ def _recheck_slice(p: int, us, vs, inv_table, pulled, at):
             i, q = np.argwhere(nonzero)[0]
             msg = f"the Cartier-Manin matrix of {_QUOTIENT_NAMES[q]} is nonzero"
             raise RuntimeError(f"solution ({us[i]}, {vs[i]}) is not superspecial: {msg}")
-    if failed.size:
-        raise _polynomial_error(first, numbers, n)
+    if failure is not None:
+        raise failure
 
 
 def ss5_sweep(cfg: SweepConfig) -> SearchResult:

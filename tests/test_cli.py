@@ -269,6 +269,13 @@ def test_ss5_no_cache_writes_nothing(tmp_path, capsys):
     assert not results.exists()
 
 
+def test_ss5_threads_are_validated_on_both_paths(capsys):
+    for extra in ([], ["--ext-field"]):
+        code, out, err = run(capsys, "ss5", "--p", "11", "--threads", "0", "--no-cache", *extra)
+        assert (code, out) == (2, ""), extra
+        assert "threads must be positive" in err, extra
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 

@@ -11,27 +11,21 @@ from cmrank import search
 from cmrank.cartier import HyperellipticModel, _raw_matrix, cartier_matrix, is_superspecial
 from cmrank.covers import kani_rosen_triple, prank_fiber_product
 from cmrank.ff import FieldCtx, field, inverse_table, is_prime
-from cmrank.poly import DensePoly, is_squarefree, poly_gcd, pow_coeffs
+from cmrank.poly import DensePoly, is_squarefree, pow_coeffs
 from cmrank.search import (
     _A_FACTOR,
     _B_FACTORS,
-    _POLYNOMIAL_CHECKS,
     SweepConfig,
     _cartier_entries_vec,
     _classify,
-    _derivative,
-    _gcd_degrees,
     _ladder_finite,
     _monic_tails,
     _inverse_table,
     _orbit,
     _pair_polys,
-    _polynomial_checks,
-    _polynomial_error,
     _power_coeffs_vec,
     _powmod_vec,
     _quotient_rows,
-    _ranks_mod_p,
     _res_quadratics,
     _rows_mul,
     _split_models,
@@ -48,7 +42,7 @@ from cmrank.search import (
     verify_solution_story,
 )
 
-from helpers import random_poly, random_squarefree
+from helpers import random_squarefree
 
 
 def test_config_validation():
@@ -614,114 +608,48 @@ def test_batched_entries_match_scalar_route_and_expansion():
         )
 
 
-def _with_roots(rng, ctx, deg, roots):
-    """A random polynomial of degree deg divisible by the x - r, r in roots."""
-    rest = random_poly(rng, ctx, deg - len(roots))
-    return DensePoly.from_roots(ctx, [ctx.elem(r) for r in roots]) * rest
-
-
-def test_gcd_degrees_match_euclid():
-    # random pairs over GF(p) of every formal degree pair up to 6, with forced
-    # shared and repeated roots, some of lower true degree than their rows
-    rng = random.Random(4242)
-    for p in (11, 23, 47):
-        ctx = field(p)
-        for m, n in product(range(1, 7), repeat=2):
-            fs, gs = [], []
-            for _ in range(8):
-                shared = [rng.randrange(p) for _ in range(rng.randint(0, min(m, n)))]
-                pair = []
-                for top in (m, n):
-                    deg = top if rng.random() < 0.7 else rng.randint(len(shared), top)
-                    roots = list(shared)
-                    if deg - len(roots) >= 2 and rng.random() < 0.4:
-                        roots += [rng.randrange(p)] * 2
-                    pair.append(_with_roots(rng, ctx, deg, roots))
-                fs.append(pair[0])
-                gs.append(pair[1])
-            F, G = _model_rows(fs)[: m + 1], _model_rows(gs)[: n + 1]
-            expected = [poly_gcd(f, g).degree for f, g in zip(fs, gs)]
-            assert _gcd_degrees([(F, G)], p)[0].tolist() == expected, (p, m, n)
-            # f is squarefree iff gcd(f, f') = 1
-            squarefree = _gcd_degrees([(F, _derivative(F, p))], p)[0] == 0
-            expected = [f.degree < 1 or is_squarefree(f) for f in fs]
-            assert squarefree.tolist() == expected, (p, m)
-
-
-def _rank_mod_p(rows, p):
-    """Rank of a matrix mod p by row reduction with inverses, one at a time."""
-    rows, rank = [list(r) for r in rows], 0
-    for c in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        for r in range(rank + 1, len(rows)):
-            k = rows[r][c] * inv
-            rows[r] = [(a - k * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def test_batched_ranks_match_row_reduction():
-    # square matrices of planted rank r <= n, as products of n x r and r x n
-    # factors, eliminated together
-    rng = np.random.default_rng(77)
-    for p in (11, 23, 1048573):
-        mats = [
-            rng.integers(0, p, (n, r)) @ rng.integers(0, p, (r, n)) % p
-            for n in range(1, 7) for r in range(n + 1) for _ in range(3)
-        ]
-        S = np.zeros((6, 6, len(mats)), dtype=np.int64)
-        for i, M in enumerate(mats):
-            n = len(M)
-            S[:n, :n, i] = M
-            S[range(n, 6), range(n, 6), i] = 1
-        expected = [_rank_mod_p(M.tolist(), p) + 6 - len(M) for M in mats]
-        assert _ranks_mod_p(S, p).tolist() == expected, p
-
-
 def _generic_verdict(ctx, u, v):
-    """The genus total (None if refused before it) and the error, if any, of
-    the per-pair route: kani_rosen_triple, then HyperellipticModel on the
-    genus-2 quotient."""
-    f_eu, f_dv, _ = _quotients(ctx, u, v)
+    """The error, if any, of the per-pair route on the pair (u, v), with E_u
+    and D_v by explicit Moebius arithmetic: kani_rosen_triple, then
+    HyperellipticModel on the genus-2 quotient."""
+    f_eu, f_dv = _moebius_family(ctx.elem(u), ctx.elem(v))[2:]
     try:
         t = kani_rosen_triple(f_eu, f_dv)
-    except ValueError as err:
-        return None, (ValueError, str(err))
-    if t.genus_total != 5:
-        msg = f"solution ({u}, {v}) has genus {t.genus_total}, not 5"
-        return t.genus_total, (RuntimeError, msg)
-    try:
+        if t.genus_total != 5:
+            return f"RuntimeError: solution ({u}, {v}) has genus {t.genus_total}, not 5"
         HyperellipticModel(ctx, t.f3)
     except ValueError as err:
-        return 5, (ValueError, str(err))
-    return 5, None
+        return f"ValueError: {err}"
+    return None
 
 
 def test_batched_polynomial_checks_match_generic_route():
     # every pair of the GF(23) grid minus +-1, gcd-excluded ones included; and
     # the whole GF(13) grid, where u = +-1 zeroes E_u and u^4 = 1 or v^6 = 1
-    # lowers a degree
+    # lowers a degree.  A pair the generic route refuses is refused with its
+    # error; one it passes passes, or fails at a matrix, or has a degree the
+    # entries refuse
     for p, values in ((23, [0, *range(2, 22)]), (13, range(13))):
         ctx = field(p)
-        pairs = list(product(values, repeat=2))
-        us, vs = np.array(pairs, dtype=np.int64).T
-        first, numbers = _polynomial_checks(p, us, vs, *_quotient_rows(us, vs, p))
-        for i, (u, v) in enumerate(pairs):
-            genus, expected = _generic_verdict(ctx, u, v)
-            got = None
-            if first[i] < len(_POLYNOMIAL_CHECKS):
-                err = _polynomial_error(first, numbers, i)
-                got = (type(err), str(err))
-            assert got == expected, (p, u, v)
-            if genus is not None:
-                assert numbers["genus"][i] == genus, (p, u, v)
+        seen = set()
+        for u, v in product(values, repeat=2):
+            expected = _generic_verdict(ctx, u, v)
+            got = _recheck_outcome(p, [(u, v)])
+            if expected is None:
+                refusals = ("is not superspecial", "degree 4 or 6")
+                assert got is None or any(r in got for r in refusals), (p, u, v)
+                seen.add("pass")
+            elif "would not be a curve model" in expected:
+                assert got == expected, (p, u, v)
+                f_eu = _moebius_family(ctx.elem(u), ctx.elem(v))[2]
+                seen.add("degree of " + ("E_u" if f_eu.degree < 3 else "D_v"))
+            else:
+                assert got == expected, (p, u, v)
+                seen.add("genus" if "has genus" in expected else expected)
         # genus failures and passes on both grids; degree failures of E_u and
         # D_v on GF(13)
-        assert set(first.tolist()) == ({5, 8} if p == 23 else {0, 2, 5, 8})
+        degrees = {"degree of E_u", "degree of D_v"} if p == 13 else set()
+        assert seen == {"genus", "pass"} | degrees, p
 
 
 def test_vectorized_recurrence_refuses_zero_constant():
@@ -939,21 +867,21 @@ def _spy(monkeypatch, name, record):
 
 def test_every_mode_all_pair_is_certified_against_its_leader(monkeypatch):
     # at the primes up to 167 and at 10 007, only the first pair of each w
-    # class has its Bezout ranks and entries computed; every other pair is
-    # certified
-    certified, ranked, computed = [], [], []
+    # class has its polynomial facts checked and its entries computed; every
+    # other pair is certified
+    certified, routed, computed = [], [], []
     _spy(monkeypatch, "_certified", lambda args, out: certified.append(out))
-    _spy(monkeypatch, "_gcd_degrees", lambda args, out: ranked.append(args[0][0][0].shape[1]))
+    _spy(monkeypatch, "kani_rosen_triple", lambda args, out: routed.append(args[0]))
     _spy(monkeypatch, "_cartier_entries_vec", lambda args, out: computed.append(len(out) // 3))
     for p in _primes_11_mod_12(168) + [10007]:
         solutions = ss5_sweep(SweepConfig(p=p, mode="all")).solutions
         classes = len({_w_of(p, u, v) for u, v in solutions})
-        assert sum(ranked) == classes, p
+        assert len(routed) == classes, p
         assert sum(computed) == classes, p
         assert sum(c.size for c in certified) == len(solutions) - classes, p
         assert all(c.all() for c in certified), p
         certified.clear()
-        ranked.clear()
+        routed.clear()
         computed.clear()
 
 
@@ -1056,57 +984,81 @@ def test_follower_with_gcd_excluded_rows_takes_its_own_ranks(monkeypatch):
     assert expected == "RuntimeError: solution ({}, {}) has genus 3, not 5".format(*gcd_pair)
     rows = [R[:, 0] for R in _quotient_rows(np.array([gcd_pair[0]]), np.array([gcd_pair[1]]), p)]
     _plant_rows(monkeypatch, {target: rows})
-    refused, ranked = [], []
+    refused, routed = [], []
 
     def record(args, out):
         hit = np.all([(R == r[:, None]).all(axis=0) for R, r in zip(args[2], rows)], axis=0)
         refused.extend((~out[hit]).tolist())
 
     _spy(monkeypatch, "_certified", record)
-    _spy(monkeypatch, "_gcd_degrees", lambda args, out: ranked.append(args[0][0][0]))
+    _spy(monkeypatch, "kani_rosen_triple", lambda args, out: routed.append(args[0]))
     message = _recheck_outcome(p, solutions)
     assert message == expected.replace("({}, {})".format(*gcd_pair), "({}, {})".format(*target))
     assert refused == [True]
-    assert any((E == rows[0][:, None]).all(axis=0).any() for E in ranked)
+    assert DensePoly(field(p), rows[0].tolist()) in routed
+    _refuse_every_certificate(monkeypatch)
+    assert _recheck_outcome(p, solutions) == message
+
+
+def test_genus_2_rows_of_another_class_are_named(monkeypatch):
+    # a pair whose genus-2 rows are those of a pair of another w class has
+    # E_u and D_v of genus 5 but a third quotient that is not E_u D_v / gcd^2:
+    # it is refused by its certificate and named with that check, also when
+    # every certificate is refused
+    p = 23
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    target = solutions[30]
+    other = next(s for s in solutions if _w_of(p, *s) != _w_of(p, *target) and s[0] != target[0])
+    rows = [R[:, 0] for R in _quotient_rows(np.array([target[0]]), np.array([target[1]]), p)]
+    rows[2] = _quotient_rows(np.array([other[0]]), np.array([other[1]]), p)[2][:, 0]
+    _plant_rows(monkeypatch, {target: rows})
+    message = _recheck_outcome(p, solutions)
+    assert message == "RuntimeError: solution ({}, {}): the genus-2 quotient is not " \
+        "E_u D_v / gcd^2".format(*target)
     _refuse_every_certificate(monkeypatch)
     assert _recheck_outcome(p, solutions) == message
 
 
 def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
-    # a leader whose E_u has degree 3, with a follower whose E_u is the image
-    # of the leader's under M_u, so that their pull-backs are proportional:
-    # the follower is refused, takes its own ranks, and the message is the
-    # one with every certificate refused
+    # a leader whose E_u = (x^2 - 1)(x - 3) has degree 3 and whose genus-2
+    # quotient (x - 3) B matches it, so that it passes the polynomial facts,
+    # with a follower whose quotients are the images of the leader's under
+    # M_u, so that their pull-backs are proportional: the follower is
+    # refused and takes the per-pair route on its own rows, the entries
+    # refuse the leader's degree, and the message is the one with every
+    # certificate refused
     p = 23
+    ctx = field(p)
     solutions = _sweep_w_line(p, _inverse_table(p))[1]
     leader = solutions[0]
     follower = next(s for s in solutions if s[0] != 0 and _w_of(p, *s) == _w_of(p, *leader))
-    lead_rows, follow_rows = (
-        [R[:, 0] for R in _quotient_rows(np.array([u]), np.array([v]), p)]
-        for u, v in (leader, follower)
-    )
-    lead_rows[0][3:] = 1, 0  # x^4 - 1 becomes x^3 - 1
-    follow_rows[0] = search._pull_back(lead_rows[0][:, None], np.array([-follower[0] % p]), p)[:, 0]
-    assert search._degrees(follow_rows[0][:, None])[0] == 4
-    # without the degree condition the pull-backs would certify the follower
-    pulled = [search._pull_back(R[:, None], np.array([u]), p) for R, u in
-              zip((lead_rows[0], follow_rows[0]), (leader[0], follower[0]))]
-    assert (pulled[1] * pulled[0][0] % p == pulled[0] * pulled[1][0] % p).all()
-    assert pulled[0][0, 0] != 0
+    lead_rows = [R[:, 0] for R in _quotient_rows(np.array([leader[0]]), np.array([leader[1]]), p)]
+    lead_rows[0] = np.array([3, -1, -3, 1, 0]) % p
+    b = DensePoly(ctx, lead_rows[2].tolist()) // DensePoly(ctx, [1, 0, 1])
+    lead_rows[2] = _model_rows([b * DensePoly(ctx, [-3, 1])])[:, 0]
+    follow_rows = [search._pull_back(R[:, None], np.array([-follower[0] % p]), p)[:, 0]
+                   for R in lead_rows]
+    assert [search._degrees(R[:, None])[0] for R in follow_rows] == [4, 6, 6]
+    # without the degree condition on the leader its pull-backs would certify
+    # the follower
+    unchecked = [search._pull_back(R[:, None], np.array([leader[0]]), p) for R in lead_rows]
+    follow_cols = [R[:, None] for R in follow_rows]
+    assert search._certified(p, np.array([follower[0]]), follow_cols, unchecked).all()
     _plant_rows(monkeypatch, {leader: lead_rows, follower: follow_rows})
-    refused, ranked = [], []
+    refused, routed = [], []
 
     def record(args, out):
         hit = (args[2][0] == follow_rows[0][:, None]).all(axis=0)
         refused.extend((~out[hit]).tolist())
 
     _spy(monkeypatch, "_certified", record)
-    _spy(monkeypatch, "_gcd_degrees", lambda args, out: ranked.append(args[0][0][0]))
+    _spy(monkeypatch, "kani_rosen_triple", lambda args, out: routed.append(args[0]))
     batch = [leader, follower]
     message = _recheck_outcome(p, batch)
-    assert message == "RuntimeError: solution ({}, {}) has genus 6, not 5".format(*leader)
+    lead_e = DensePoly(ctx, lead_rows[0].tolist())
+    assert message == f"ValueError: expected degree 4 or 6 over GF({p}), got {lead_e!r}"
     assert refused == [True]
-    assert (np.hstack(ranked) == follow_rows[0][:, None]).all(axis=0).any()
+    assert routed == [lead_e, DensePoly(ctx, follow_rows[0].tolist())]
     _refuse_every_certificate(monkeypatch)
     assert _recheck_outcome(p, batch) == message
 
@@ -1129,11 +1081,12 @@ def test_batches_of_distinct_w_pull_nothing_back(monkeypatch):
 
 @pytest.mark.nightly
 def test_certified_recheck_matches_own_rows_at_10007():
-    # about 35 s: the entries of all 40 016 mode-"all" pairs at 10 007,
-    # computed from their own rows, vanish, and their own Bezout ranks pass,
-    # as the certified recheck, which computes both for the leaders alone,
-    # says
+    # about 40 s: the entries of all 40 016 mode-"all" pairs at 10 007,
+    # computed from their own rows, vanish, and their own polynomial facts
+    # pass the per-pair route, as the certified recheck, which checks both
+    # for the leaders alone, says
     p = 10007
+    ctx = field(p)
     inv_table = _inverse_table(p)
     solutions = _sweep_w_line(p, inv_table)[1]
     assert len(solutions) == 40016
@@ -1142,8 +1095,8 @@ def test_certified_recheck_matches_own_rows_at_10007():
         part = slice(start, start + 512)
         E, D, F = _quotient_rows(us[part], vs[part], p)
         # and every pair passes the polynomial checks, as inherited
-        first, _ = _polynomial_checks(p, us[part], vs[part], E, D, F)
-        assert (first == len(_POLYNOMIAL_CHECKS)).all(), start
+        for i, (u, v) in enumerate(zip(us[part].tolist(), vs[part].tolist())):
+            search._polynomial_facts(ctx, u, v, E[:, i], D[:, i], F[:, i])
         E = np.vstack([E, np.zeros_like(E[:2])])
         models = np.stack([E, D, F], axis=2).reshape(7, -1)
         assert not _cartier_entries_vec(p, models, inv_table).any(), start
