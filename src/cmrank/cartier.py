@@ -329,13 +329,6 @@ def _raw_iterate(ctx: FieldCtx, M):
     return M if g == 1 else _raw_mat_mul(ctx, M, _raw_mat_pow(ctx, N, g // 2))
 
 
-def semilinear_iterate(M) -> tuple:
-    """The product M^(sigma^(g-1)) ... M^(sigma) M for a g x g matrix, with
-    sigma the entrywise p-power map, formed on raw residues."""
-    ctx = M[0][0].ctx
-    return _elem_matrix(ctx, _raw_iterate(ctx, _raw_matrix(M)))
-
-
 # -- the Cartier-Manin matrix ---------------------------------------------------
 
 

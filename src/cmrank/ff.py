@@ -85,13 +85,6 @@ class FieldCtx:
     def order(self) -> int:
         return self.p ** self.ext_degree
 
-    @property
-    def modulus_poly(self):
-        """Coefficients (c0, c1, c2) of the monic defining quadratic, or None."""
-        if self.ext_degree == 1:
-            return None
-        return ((-self.nu) % self.p, 0, 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldCtx)
@@ -274,14 +267,6 @@ class FieldElement:
             return self
         a, b = self.coords
         return FieldElement(self.ctx, (a, (-b) % self.ctx.p))
-
-    def legendre(self) -> int:
-        """Quadratic character: 0 on zero, +1 on nonzero squares, -1 otherwise."""
-        if self.is_zero:
-            return 0
-        q = self.ctx.order
-        v = self ** ((q - 1) // 2)
-        return 1 if v == self.ctx.one else -1
 
     def __eq__(self, other):
         return (

@@ -136,11 +136,12 @@ through the rows of the third quotient, A B, which must be a constant times
 E_u D_v / gcd^2.  Then the three matrices, whose entries are computed for
 the pairs that pass.
 
-The pairs of one w class have isomorphic quotients, so the recheck checks
-polynomial facts and computes entries once per class, for its first pair
-in the batch, the leader, and certifies every later pair of the class
-against it (`_certified`).  The substitution x = M_(-u)(y) pulls a quotient Q of
-(u, v), of degree n, back to
+The pairs of one w class have isomorphic quotients, and so do the classes
+of w and 1/w: M_(1/w) is M_w followed by x -> 1/x, which fixes the
+palindromic factors and x^2 - 1 up to sign.  The recheck computes no w.  It
+gives every pair a normal form read from its own rows (`_normal_forms`).
+The substitution x = M_(-u)(y) pulls a quotient Q of (u, v), of degree n,
+back to
 (1 - u y)^n Q(M_(-u) y) = sum_k q_k (y - u)^k (1 - u y)^(n-k), which for
 the family is a constant times the same quotient of (0, w):
 
@@ -149,41 +150,43 @@ the family is a constant times the same quotient of (0, w):
     A B (n = 6):            (1 - u^2)^2 (1 - uv)^4, or (1 - u^2)^2 (v - u)^4,
 
 with w = 0 for uv = 1, whose (0, infinity) quotients are those of (0, 0)
-with D_v twisted by -1.  The certificate does not take that on trust: it
-pulls back the pair's own rows and its leader's, each through one product
-with a fixed integer tensor in the powers of u (`_pull_back`, whose sums
-stay below 140 p < 2^28), and checks by cross-multiplying that they
-are proportional with a nonzero constant, with 1 - u^2 != 0 for both, so
-that M_(-u) is invertible, and with the degrees of the three quotients
-exactly (4, 6, 6) for both.  Read as binary forms of those degrees, each
-quotient of the pair is then its leader's under an invertible linear
-substitution, the composite of two maps M_a, times a nonzero constant, and
-every fact the recheck derives is the same for the two:
+with D_v twisted by -1.  Each pull-back is one product with a fixed integer
+tensor in the powers of u (`_pull_back`, whose sums stay below
+140 p < 2^28), scaled to 1 at its first nonzero coefficient, and the normal
+form stacks the three.  It is zero, and proves nothing, unless
+1 - u^2 != 0, so that M_(-u) is invertible, the degrees of the three
+quotients are exactly (4, 6, 6) and their constant terms are nonzero.  The
+recheck takes nothing on trust: two pairs with the same nonzero form have
+pulled-back quotients equal up to nonzero constants.  Read as binary forms
+of those degrees, each quotient of the one is then the other's under an
+invertible linear substitution, the composite of two maps M_a, times a
+nonzero constant, and every fact the recheck derives is the same for the
+two:
 
 - the degrees, equal by that condition;
 - squarefreeness and the degree of gcd(E_u, D_v), which an invertible
   substitution preserves on binary forms, and which on forms of exact
   degree are those of the polynomials.  A lower degree is a root at
-  infinity that the polynomials' gcds do not see, so a leader of lower
-  degree certifies nobody: a shared root there would count for its
-  followers and not for it;
+  infinity that the polynomials' gcds do not see, so a pair of lower
+  degree has no form: a shared root there would count for the other pairs
+  of its form and not for it;
 - the genus, read off those degrees and that gcd;
 - that F is a constant times E_u D_v / gcd(E_u, D_v)^2, since the
   substitution maps the gcd of the forms to the gcd of their images;
 - whether each Cartier-Manin matrix vanishes, since each quotient is
-  isomorphic to a twist of its leader's.
+  isomorphic to a twist of the other's.
 
-So a certified pair fails exactly when its leader does, and the leader
-comes first: a certified pair passes, and only the leaders and the pairs
-whose certificate fails take the per-pair route and entries from their own
-rows, which costs O(d^2) arithmetic per certified pair instead of that route
-and O(p).  A
-failing leader is named before its followers, and a pair whose certificate
-fails is checked as every pair once was, so the messages and their order
-are those of checking every pair on its own rows.  A batch whose pairs all
-have distinct w, as mode "first"'s single pair, pulls nothing back.  The
-class of 1/w would be certified too (M_(1/w) is M_w followed by x -> 1/x),
-but the recheck groups pairs by w alone.
+So the pairs of one normal form share every verdict.  The first pair of
+each form in the batch leads it: its polynomial facts and entries come
+from its own rows, and every later pair of the form is certified and
+passes, at O(d^2) arithmetic for its form instead of the per-pair route
+and O(p).  A failing leader is named before the rest of its form, and a
+pair whose form is zero is checked as every pair once was, so the messages
+and their order are those of checking every pair on its own rows.  Each
+slice sorts its pairs by their forms with one stable `np.lexsort`, which
+keeps the pairs of a form in batch order, and the forms that have led
+carry from slice to slice.  A batch of one pair, as mode "first"'s, forms
+nothing.
 
 Each entry computed is read through a vectorized coefficient recurrence,
 `_power_coeffs_vec`, five rows per pair: E_u, D_v and the genus-2 quotient
@@ -207,20 +210,19 @@ window values (`_BLOCK_BUDGET`): the five columns of one pair run at most
 than d fit: a pass of more than 13 pairs with entries to compute takes
 every step on its window, where a step over many columns is already
 vectorized and a blocked one would cost d times more.  Mode "all" computes
-entries for the leaders of its few good w classes (4 at p = 10 007, 8 at
+entries for the leaders of its few normal forms (2 at p = 10 007, 4 at
 43 607) and so runs blocks.
 
 The recheck shares only the family's closed form with the kernel, no
 decision code: it checks every pair's own three quotients, through the
-per-pair route and their entries or a certificate proved from their rows,
-without the palindromic a = c = 0 shortcut or the elliptic split; w only
-groups the pairs, and a wrong grouping would only send pairs to their own
-route and entries.  The tests hold the polynomial verdicts against the
-per-pair route on the explicit Moebius transports, the entries against
-`cartier`'s scalar recurrence, against full expansion (`poly.pow_coeffs`)
-and, for every count of blocks, against a per-term recurrence, the
-pull-back against `DensePoly` products, and the certified recheck at
-p = 10 007 against every pair's own polynomial facts and entries (nightly).
+per-pair route and their entries or a normal form read from their rows,
+without the palindromic a = c = 0 shortcut or the elliptic split.  The
+tests hold the polynomial verdicts against the per-pair route on the
+explicit Moebius transports, the entries against `cartier`'s scalar
+recurrence, against full expansion (`poly.pow_coeffs`) and, for every
+count of blocks, against a per-term recurrence, the pull-back against
+`DensePoly` products, and the certified recheck at p = 10 007 against
+every pair's own polynomial facts and entries (nightly).
 
 `ss5_check_pair` stays as the scalar oracle: it classifies any single pair
 directly, from all four entries and all three equations, without the w
@@ -265,10 +267,10 @@ assert 7 * comb(6, 3) * SWEEP_MAX_P < 1 << 63
 assert 8 * SWEEP_MAX_P**2 <= 1 << 43
 # pairs mode "all" may report: it refuses a prime with more before listing
 # any.  The recheck checks polynomial facts and computes entries once per
-# w class and certifies every other pair by O(d^2) arithmetic, batched
+# normal form and certifies every other pair by O(d^2) arithmetic, batched
 # (module docstring), so its cost, and that of listing and writing the
 # pairs, grows with their count.  As a command, p = 43 607 (348 832 pairs)
-# takes 3.0-3.7 s and 210 MB peak RSS, and p = 83 243 (998 880 pairs)
+# takes 2.6-3.6 s and 200 MB peak RSS, and p = 83 243 (998 880 pairs)
 # 11 s and 513-539 MB, 5.7-6.1 s of it in the sweep and its recheck (2-core
 # Xeon VM); p = 126 839 (2 536 720 pairs) is refused
 RECHECK_GUARD = 1 << 20
@@ -276,9 +278,9 @@ RECHECK_GUARD = 1 << 20
 # polynomials, their pull-backs and the recurrence's window, a few hundred
 # int64 values per pair, under 2 MB at 512 pairs whatever p, while mode
 # "all" reports 40 016 pairs at p = 10 007 and 348 832 at p = 43 607.  The
-# pairs of a w class share one check of the polynomial facts and one entry
-# computation, so a pass of certified pairs costs their quotient rows
-# and certificates, about 1.9 ms at 512 pairs (2-core Xeon VM)
+# pairs of a normal form share one check of the polynomial facts and one
+# entry computation, so a pass of certified pairs costs their quotient rows
+# and normal forms, about 1.3 ms at 512 pairs (2-core Xeon VM)
 RECHECK_SLICE = 512
 # step weights `_power_coeffs_vec` tabulates at once, six per step and block:
 # 192 KB, where one table up to SWEEP_MAX_P would be about 50 MB
@@ -290,7 +292,7 @@ _WEIGHT_BLOCK = 4096
 # 79 ms in 91 blocks against 750 ms on the window alone, 45 columns 490
 # against 590 ms in 10 blocks, and 75 columns would take 740 against 610 ms
 # in 6.  So one pair of the recheck, five columns, runs 91 blocks, and so
-# do mode "all"'s leaders, one pair per good w class; more than 13 pairs
+# do mode "all"'s leaders, one pair per normal form; more than 13 pairs
 # with entries to compute run on the window alone
 _BLOCK_BUDGET = 1 << 14
 # live w per pass of the kernel's ladder: 256 KB an int64 array, where all w
@@ -602,21 +604,7 @@ def _polynomial_facts(ctx, u, v, e, d, f):
     HyperellipticModel(ctx, F)
 
 
-# -- Moebius certificates: one entry pass per w class ------------------------------
-
-
-def _leaders(p: int, us, vs, inv_table):
-    """For every pair (us[i], vs[i]) of a batch, the index of the first pair
-    of its w class, w = (v-u)/(1-uv); the pairs with uv = 1 join w = 0,
-    whose quotients they share up to twists (module docstring)."""
-    if us.size < 2:
-        return np.arange(us.size)
-    u, v = us % p, vs % p
-    # inv_table[0] = 0 puts uv = 1 at w = 0
-    w = (v - u) * inv_table[(1 - u * v) % p] % p
-    first = np.full(p, us.size)
-    np.minimum.at(first, w, np.arange(us.size))
-    return first[w]
+# -- Moebius normal forms: one entry pass per form ---------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -654,45 +642,28 @@ def _pull_back(Q, U, p: int):
 _QUOTIENT_DEGREES = (4, 6, 6)  # E_u, D_v and the genus-2 quotient
 
 
-def _pulled_back(p: int, U, rows):
-    """The pull-backs by M_(-u) of the quotient rows (E, D, F) of the pairs
-    with u in U, zero where they can certify nothing: where 1 - u^2 = 0 and
-    M_(-u) is not invertible, and where the quotients' degrees are not
-    exactly _QUOTIENT_DEGREES.  A quotient of lower degree has a root at
-    infinity as a binary form, which its gcds and squarefreeness tests do not
-    see, though those of a certified pair would see its image."""
-    ok = (1 - U * U) % p != 0
-    for Q, n in zip(rows, _QUOTIENT_DEGREES):
-        ok &= _degrees(Q) == n
-    return [_pull_back(Q, U, p) * ok for Q in rows]
+def _normal_forms(p: int, U, rows, inv_table):
+    """The normal form of every pair with u in U and quotient rows
+    (E, D, F): each quotient pulled back by M_(-u) and scaled to 1 at its
+    first nonzero coefficient, stacked into one (19, N) array.  Two pairs
+    with the same nonzero form have quotients that are, as binary forms, each
+    other's under an invertible substitution fixing +-1, times constants, so
+    they share every verdict of the recheck (module docstring).
 
-
-def _certified(p: int, U, rows, leads):
-    """Whether each pair, with u in U and quotient rows (E, D, F), is
-    certified against its leader, given the leader's `_pulled_back` rows in
-    leads: each quotient pulled back by M_(-u) is a nonzero multiple of the
-    leader's, and both have degrees exactly (4, 6, 6), the leader's through
-    `_pulled_back`.  Then each quotient is, as a binary form, the leader's
-    under an invertible substitution fixing +-1, times a constant: the pair
-    passes `_polynomial_facts` exactly when the leader does, and each of its
-    Cartier-Manin matrices vanishes exactly when the leader's does (module
-    docstring).
-
-    The proportionality is checked by cross-multiplying at the first nonzero
-    coefficient of the leader's pull-back, which must be nonzero in the
-    pair's too.  E_u of degree other than 4, D_v or the genus-2 quotient of
-    degree other than 6, and a quotient with constant term 0 are never
-    certified: `_cartier_entries_vec` refuses them, and so they still reach
+    The form is zero where it proves nothing: where 1 - u^2 = 0 and M_(-u)
+    is not invertible; where a degree is not exactly _QUOTIENT_DEGREES, since
+    a lower degree is a root at infinity that the gcds and squarefreeness
+    tests of the polynomials do not see; and where a constant term is 0,
+    which `_cartier_entries_vec` refuses, so that such a pair still reaches
     that refusal."""
     ok = (1 - U * U) % p != 0
-    at = np.arange(U.size)
-    for Q, L, n in zip(rows, leads, _QUOTIENT_DEGREES):
+    forms = []
+    for Q, n in zip(rows, _QUOTIENT_DEGREES):
+        ok &= (_degrees(Q) == n) & (Q[0] != 0)
         P = _pull_back(Q, U, p)
-        r = (L != 0).argmax(axis=0)
-        ref, ref_lead = P[r, at], L[r, at]
-        ok &= (_degrees(Q) == n) & (Q[0] != 0) & (ref != 0) & (ref_lead != 0)
-        ok &= (P * ref_lead % p == L * ref % p).all(axis=0)
-    return ok
+        first = P[(P != 0).argmax(axis=0), np.arange(U.size)]
+        forms.append(P * inv_table[first] % p)
+    return np.vstack(forms) * ok
 
 
 # -- the w-line kernel: the genus-2 quotient splits into E+ x E- -------------------
@@ -915,13 +886,16 @@ def verify_solution_story(p: int, u, v):
     superspecial, so the Cartier-Manin matrices of its quotients E_u, D_v
     and the genus-2 curve all vanish (module docstring).
 
-    u and v are ints naming one pair, or equal-length sequences naming the
-    pairs (u[i], v[i]) of one batch.  The error names the first pair that
-    fails and, within it, the first of E_u, D_v and the genus-2 quotient
+    u and v are integers naming one pair, or equal-length integer sequences
+    naming the pairs (u[i], v[i]) of one batch; they are reduced mod p, and
+    anything else is refused.  The error names the first pair that fails, as
+    given, and, within it, the first of E_u, D_v and the genus-2 quotient
     whose matrix does not vanish."""
     us, vs = np.atleast_1d(u), np.atleast_1d(v)
     if us.shape != vs.shape:
         raise ValueError(f"{us.size} values of u but {vs.size} of v")
+    if us.dtype.kind not in "iu" or vs.dtype.kind not in "iu":
+        raise ValueError(f"u and v must be integers, got {us.dtype} and {vs.dtype}")
     if p > SWEEP_MAX_P:
         raise ValueError(f"p = {p} exceeds the kernel bound {SWEEP_MAX_P}")
     field(p)  # refuses p that is not an odd prime
@@ -929,49 +903,51 @@ def verify_solution_story(p: int, u, v):
 
 
 def _recheck(p: int, us, vs, inv_table):
-    """`verify_solution_story` on validated arrays, in slices of RECHECK_SLICE
-    pairs, with the inverse table of p built by the caller.  The first pair
-    of each w class in the batch leads it: its polynomial facts and entries
-    come from its own rows, and every later pair of the class is certified
-    against it (`_certified`), against the leaders' pull-backs formed once
-    here."""
-    lead = _leaders(p, us, vs, inv_table)
-    follows = np.flatnonzero(lead != np.arange(us.size))
-    # the column of its leader's pull-back for each follower, -1 for a leader
-    at = np.full(us.size, -1)
-    pulled = None
-    if follows.size:
-        head = np.zeros(us.size, dtype=bool)
-        head[lead[follows]] = True
-        at[follows] = (np.cumsum(head) - 1)[lead[follows]]
-        heads = np.flatnonzero(head)
-        U, V = us[heads] % p, vs[heads] % p
-        pulled = _pulled_back(p, U, _quotient_rows(U, V, p))
+    """`verify_solution_story` on validated integer arrays, in slices of
+    RECHECK_SLICE pairs, with the inverse table of p built by the caller.
+    The normal forms that have led, carried from slice to slice, are those
+    whose later pairs are certified."""
+    seen = set()
     for start in range(0, us.size, RECHECK_SLICE):
         part = slice(start, start + RECHECK_SLICE)
-        _recheck_slice(p, us[part], vs[part], inv_table, pulled, at[part])
+        _recheck_slice(p, us[part], vs[part], inv_table, seen)
 
 
 _QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
 
 
-def _recheck_slice(p: int, us, vs, inv_table, pulled, at):
-    """Recheck the pairs (us[i], vs[i]) of one slice, given the leaders'
-    `_pulled_back` rows and the column of each pair's leader in them, -1 for
-    a leader.  A pair certified against its leader, which comes before it in
-    the batch, takes the leader's verdict on every check, so it passes: a
-    failing leader has been named first.  The leaders and the pairs whose
-    certificate fails are checked on their own rows, in batch order, their
-    polynomial facts by the per-pair route (`_polynomial_facts`) until one
-    fails, then the matrices of the pairs before it; the first of them that
-    fails is named, with the first check it fails."""
-    E, D, F = _quotient_rows(us % p, vs % p, p)
-    own = at < 0
-    follows = np.flatnonzero(~own)
-    if follows.size:
-        rows = [Q[:, follows] for Q in (E, D, F)]
-        leads = [P[:, at[follows]] for P in pulled]
-        own[follows] = ~_certified(p, us[follows] % p, rows, leads)
+def _recheck_slice(p: int, us, vs, inv_table, seen):
+    """Recheck the pairs (us[i], vs[i]) of one slice, given the set of the
+    nonzero normal forms whose first pair came in an earlier slice, which it
+    extends.  The first pair of each nonzero form leads it; every later pair
+    of the form takes the leader's verdict on every check, so it passes: a
+    failing leader has been named first.  A batch of one pair forms
+    nothing.  The leaders and the pairs whose form is zero are checked on
+    their own rows, in batch order, their polynomial facts by the per-pair
+    route (`_polynomial_facts`) until one fails, then the matrices of the
+    pairs before it; the first of them that fails is named, with the first
+    check it fails."""
+    # reduced before the cast, unsigned as uint64, so that no value wraps
+    U, V = (
+        (x % np.array(p, np.uint64 if x.dtype.kind == "u" else np.int64)).astype(np.int64)
+        for x in (us, vs)
+    )
+    E, D, F = _quotient_rows(U, V, p)
+    own = np.ones(us.size, dtype=bool)
+    if us.size > 1 or seen:
+        forms = _normal_forms(p, U, (E, D, F), inv_table)
+        # a stable sort: the pairs of one form stay in batch order
+        order = np.lexsort(forms)
+        forms = forms[:, order]
+        formed = forms.any(axis=0)
+        own[order] = ~formed
+        first = formed.copy()
+        first[1:] &= (forms[:, 1:] != forms[:, :-1]).any(axis=0)
+        for i in np.flatnonzero(first):
+            key = forms[:, i].tobytes()
+            if key not in seen:
+                seen.add(key)
+                own[order[i]] = True
     own = np.flatnonzero(own)
     if not own.size:
         return

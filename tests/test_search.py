@@ -669,6 +669,14 @@ def test_recheck_golden_at_a_large_prime():
     verify_solution_story(p, [0, 2], [w, v])
     with pytest.raises(RuntimeError, match=r"\(0, 11577\) is not superspecial: .* genus-2 quotient"):
         verify_solution_story(p, [0, 0], [w, w + 1])
+    # any integer dtype is reduced mod p as int64, where u u would overflow
+    # int32, and the pair is named as given; anything else is refused
+    for dtype in (np.int32, np.uint32, np.uint64):
+        verify_solution_story(p, np.array([0, 2], dtype), np.array([w, v], dtype))
+    with pytest.raises(RuntimeError, match=r"\(0, -88442\) is not superspecial"):
+        verify_solution_story(p, np.int32([0, 0]), np.int32([w, w + 1 - p]))
+    with pytest.raises(ValueError, match="must be integers"):
+        verify_solution_story(p, np.float64([0, 2]), np.float64([w, v]))
 
 
 def test_recheck_guard_admits_every_prime_below_1000_and_10007(monkeypatch):
@@ -794,64 +802,69 @@ def test_pull_back_matches_the_substitution():
                 assert got[:, i].tolist() == expected, (p, n, u)
 
 
+def _w_of(p, u, v):
+    """The w class of (u, v), uv = 1 joining w = 0, by Python's inverse."""
+    den = (1 - u * v) % p
+    return 0 if den == 0 else (v - u) * pow(den, -1, p) % p
+
+
+def _forms_of(p, U, V):
+    return search._normal_forms(p, U, _quotient_rows(U, V, p), _inverse_table(p))
+
+
 def test_family_pulls_back_to_its_w_representative():
-    # (1 - u y)^n Q_(u,v)(M_(-u) y) is Q_(0,w)(y) times a power of 1 - u^2,
-    # 1 - uv or v - u, for every pair of the GF(23) grid minus +-1; the pairs
-    # with uv = 1 pull back to (0, 0) with D_v twisted by -1
+    # every pair of the GF(23) grid minus +-1 has the normal form of (0, w)
+    # and of (0, 1/w): (1 - u y)^n Q_(u,v)(M_(-u) y) is Q_(0,w)(y) times a
+    # power of 1 - u^2, 1 - uv or v - u, the pairs with uv = 1 pulling back to
+    # (0, 0) with D_v twisted by -1; and M_(1/w) is M_w followed by
+    # x -> 1/x, which fixes the palindromic factors and x^2 - 1 up to sign
     p = 23
     values = [0, *range(2, p - 1)]
     us, vs = np.array(list(product(values, repeat=2))).T
-    pulled = search._pulled_back(p, us, _quotient_rows(us, vs, p))
-    dual = (us * vs) % p == 1
-    ws = np.where(dual, 0, (vs - us) * _inverse_table(p)[(1 - us * vs) % p] % p)
-    rep = _quotient_rows(np.zeros_like(ws), ws, p)
-    s, t = (1 - us * us) % p, np.where(dual, vs - us, 1 - us * vs) % p
-    sign = np.where(dual, -1, 1)
-    scales = (s**4, sign * t**6, s**2 * t**4)
-    for P, R, scale in zip(pulled, rep, scales):
-        assert (P == R * (scale % p) % p).all()
+    forms = _forms_of(p, us, vs)
+    assert forms.shape == (19, us.size) and forms.any(axis=0).all()
+    ws = np.array([_w_of(p, u, v) for u, v in zip(us.tolist(), vs.tolist())])
+    zero = np.zeros_like(ws)
+    assert (forms == _forms_of(p, zero, ws)).all()
+    assert (forms == _forms_of(p, zero, _inverse_table(p)[ws])).all()
+    # and no more: the 21 finite w fall into 11 forms, {w, 1/w} each
+    assert len({col.tobytes() for col in forms.T}) == 11
 
 
 def test_certificate_refuses_what_it_cannot_prove():
-    # a follower of the class of (0, 4) at p = 23 is certified against it; the
-    # rows of another class, perturbed rows and non-invertible maps are not.
-    # The class of 1/4 = 6 would be certified too: M_(1/w) is M_w followed
-    # by x -> 1/x, which fixes the palindromic factors and x^2 - 1 up to sign
+    # a pair of the class of (0, 4) at p = 23 has the normal form of (0, 4);
+    # the rows of another class, perturbed rows and non-invertible maps give
+    # another form, or none
     p = 23
     solutions = _sweep_w_line(p, _inverse_table(p))[1]
-    lead = (0, 4)
     (u, v), other = (
-        next(s for s in solutions if s != lead and _w_of(p, *s) == 4),
+        next(s for s in solutions if s != (0, 4) and _w_of(p, *s) == 4),
         next(s for s in solutions if _w_of(p, *s) not in (4, 6) and s[0] != 0),
     )
 
     def rows_of(u, v):
         return _quotient_rows(np.array([u]), np.array([v]), p)
 
-    def certified(rows, u=u, lead_u=lead[0]):
-        leads = search._pulled_back(p, np.array([lead_u]), rows_of(*lead))
-        return bool(search._certified(p, np.array([u]), rows, leads)[0])
+    def form(rows, u=u):
+        return search._normal_forms(p, np.array([u]), rows, _inverse_table(p))[:, 0]
 
+    target = form(rows_of(0, 4), u=0)
+    assert target.any()
     rows = rows_of(u, v)
-    assert certified(rows)
-    inverse = next(s for s in solutions if _w_of(p, *s) == 6)
-    assert certified(rows_of(*inverse), u=inverse[0])
-    assert not certified(rows_of(*other))
-    assert not certified(rows_of(*other), u=other[0])
-    # a changed coefficient, a zero constant term and a lower degree
+    assert (form(rows) == target).all()
+    assert (form(rows_of(*other)) != target).any()
+    assert (form(rows_of(*other), u=other[0]) != target).any()
+    # a changed coefficient gives another form; a zero constant term and a
+    # lower degree give none
     for q, k in ((0, 2), (1, 3), (2, 5), (1, 0), (2, 6)):
         bad = [R.copy() for R in rows]
         bad[q][k] = 0 if k in (0, 6) else (bad[q][k] + 1) % p
-        assert not certified(bad), (q, k)
-    # M_(-u) with 1 - u^2 = 0 is not invertible, for the pair or the leader
-    assert not certified(rows, u=1)
-    assert not certified(rows, lead_u=p - 1)
-
-
-def _w_of(p, u, v):
-    """The w class of (u, v), uv = 1 joining w = 0, by Python's inverse."""
-    den = (1 - u * v) % p
-    return 0 if den == 0 else (v - u) * pow(den, -1, p) % p
+        got = form(bad)
+        assert (got != target).any(), (q, k)
+        assert got.any() == (k not in (0, 6)), (q, k)
+    # M_(-u) with 1 - u^2 = 0 is not invertible
+    for unit in (1, p - 1):
+        assert not form(rows, u=unit).any()
 
 
 def _spy(monkeypatch, name, record):
@@ -866,29 +879,38 @@ def _spy(monkeypatch, name, record):
 
 
 def test_every_mode_all_pair_is_certified_against_its_leader(monkeypatch):
-    # at the primes up to 167 and at 10 007, only the first pair of each w
-    # class has its polynomial facts checked and its entries computed; every
-    # other pair is certified
-    certified, routed, computed = [], [], []
-    _spy(monkeypatch, "_certified", lambda args, out: certified.append(out))
+    # at the primes up to 167 and at 10 007, only the first pair of each
+    # normal form, one per class {w, 1/w}, has its polynomial facts checked
+    # and its entries computed; every other pair is certified
+    formed, routed, computed = [], [], []
+    _spy(monkeypatch, "_normal_forms", lambda args, out: formed.append(out))
     _spy(monkeypatch, "kani_rosen_triple", lambda args, out: routed.append(args[0]))
     _spy(monkeypatch, "_cartier_entries_vec", lambda args, out: computed.append(len(out) // 3))
-    for p in _primes_11_mod_12(168) + [10007]:
+    primes = _primes_11_mod_12(168) + [10007]
+    for p, own in zip(primes, (2, 2, 1, 2, 2, 2, 0, 4, 4, 2), strict=True):
         solutions = ss5_sweep(SweepConfig(p=p, mode="all")).solutions
-        classes = len({_w_of(p, u, v) for u, v in solutions})
-        assert len(routed) == classes, p
-        assert sum(computed) == classes, p
-        assert sum(c.size for c in certified) == len(solutions) - classes, p
-        assert all(c.all() for c in certified), p
-        certified.clear()
+        inv = _inverse_table(p)
+        assert len({min(w, inv[w]) for w in (_w_of(p, u, v) for u, v in solutions)}) == own, p
+        assert len(routed) == own, p
+        assert sum(computed) == own, p
+        forms = np.hstack(formed) if formed else np.zeros((19, 0))
+        assert forms.shape[1] == len(solutions) and forms.any(axis=0).all(), p
+        assert len({col.tobytes() for col in forms.T}) == own, p
+        formed.clear()
         routed.clear()
         computed.clear()
 
 
+def _refuse_every_certificate(monkeypatch):
+    monkeypatch.setattr(
+        search, "_normal_forms", lambda p, U, *args: np.zeros((19, U.size), dtype=np.int64)
+    )
+
+
 def test_failed_certificates_take_their_own_rows(monkeypatch):
-    # a pair whose certificate fails has its entries computed from its own
-    # rows, and every message of the batch test stays the same, also when
-    # every certificate fails
+    # a pair whose normal form is refused has its entries computed from its
+    # own rows, and every message of the batch test stays the same, also when
+    # every form is refused
     p = 23
     solutions = _sweep_w_line(p, _inverse_table(p))[1]
     gcd_pair = _gcd_excluded_pair(p)
@@ -911,26 +933,27 @@ def test_failed_certificates_take_their_own_rows(monkeypatch):
     target = solutions[7]
     rows = [R[:, 0] for R in _quotient_rows(np.array([target[0]]), np.array([target[1]]), p)]
     models = []
-    certified = search._certified
+    forms = len({col.tobytes() for col in _forms_of(p, *np.array(solutions).T).T})
+    normal_forms = search._normal_forms
 
-    def refuse_target(p, U, rows_, leads):
-        ok = certified(p, U, rows_, leads)
+    def refuse_target(p, U, rows_, inv_table):
+        forms = normal_forms(p, U, rows_, inv_table)
         hit = np.all([(R == r[:, None]).all(axis=0) for R, r in zip(rows_, rows)], axis=0)
-        return ok & ~hit
+        return forms * ~hit
 
-    monkeypatch.setattr(search, "_certified", refuse_target)
+    monkeypatch.setattr(search, "_normal_forms", refuse_target)
     _spy(monkeypatch, "_cartier_entries_vec", lambda args, out: models.append(args[1]))
     assert _recheck_outcome(p, solutions) is None
     columns = np.hstack(models).T.tolist()
     assert rows[2].tolist() in columns  # the genus-2 quotient of the target
-    assert len(columns) == 3 * (len({_w_of(p, *s) for s in solutions}) + 1)
-    monkeypatch.setattr(search, "_certified", lambda p, U, *args: np.zeros(U.size, dtype=bool))
+    assert len(columns) == 3 * (forms + 1)
+    _refuse_every_certificate(monkeypatch)
     assert [_recheck_outcome(p, batch) for batch in batches] == expected
 
 
 def test_perturbed_follower_rows_are_named(monkeypatch):
-    # a follower whose rows are those of the non-solution (4, 18) is not
-    # certified, and is named with its own (u, v), as without certificates
+    # a follower whose rows are those of the non-solution (4, 18) has another
+    # normal form, and is named with its own (u, v), as without forms
     p = 23
     solutions = _sweep_w_line(p, _inverse_table(p))[1]
     target = solutions[30]
@@ -947,7 +970,7 @@ def test_perturbed_follower_rows_are_named(monkeypatch):
     message = _recheck_outcome(p, solutions)
     assert message == "RuntimeError: solution ({}, {}) is not superspecial: the Cartier-Manin " \
         "matrix of the genus-2 quotient is nonzero".format(*target)
-    monkeypatch.setattr(search, "_certified", lambda p, U, *args: np.zeros(U.size, dtype=bool))
+    _refuse_every_certificate(monkeypatch)
     assert _recheck_outcome(p, solutions) == message
 
 
@@ -967,34 +990,28 @@ def _plant_rows(monkeypatch, plants):
     monkeypatch.setattr(search, "_quotient_rows", planted)
 
 
-def _refuse_every_certificate(monkeypatch):
-    monkeypatch.setattr(search, "_certified", lambda p, U, *args: np.zeros(U.size, dtype=bool))
-
-
 def test_follower_with_gcd_excluded_rows_takes_its_own_ranks(monkeypatch):
-    # a follower whose rows are those of a gcd-excluded pair is refused by its
-    # certificate and named with its own polynomial error, whose numbers are
-    # those of the planted rows, as without certificates
+    # a follower whose rows are those of a gcd-excluded pair has a normal
+    # form no earlier pair has, and is named with its own polynomial error,
+    # whose numbers are those of the planted rows, as without forms
     p = 23
     solutions = _sweep_w_line(p, _inverse_table(p))[1]
-    target = solutions[30]
-    assert any(_w_of(p, *s) == _w_of(p, *target) for s in solutions[:30])
+    at = 30
+    target = solutions[at]
+    assert any(_w_of(p, *s) == _w_of(p, *target) for s in solutions[:at])
     gcd_pair = _gcd_excluded_pair(p)
     expected = _recheck_outcome(p, [gcd_pair])
     assert expected == "RuntimeError: solution ({}, {}) has genus 3, not 5".format(*gcd_pair)
     rows = [R[:, 0] for R in _quotient_rows(np.array([gcd_pair[0]]), np.array([gcd_pair[1]]), p)]
     _plant_rows(monkeypatch, {target: rows})
-    refused, routed = [], []
-
-    def record(args, out):
-        hit = np.all([(R == r[:, None]).all(axis=0) for R, r in zip(args[2], rows)], axis=0)
-        refused.extend((~out[hit]).tolist())
-
-    _spy(monkeypatch, "_certified", record)
+    formed, routed = [], []
+    _spy(monkeypatch, "_normal_forms", lambda args, out: formed.append(out))
     _spy(monkeypatch, "kani_rosen_triple", lambda args, out: routed.append(args[0]))
     message = _recheck_outcome(p, solutions)
     assert message == expected.replace("({}, {})".format(*gcd_pair), "({}, {})".format(*target))
-    assert refused == [True]
+    (forms,) = formed  # one slice, in batch order
+    assert forms[:, at].any()
+    assert (forms[:, :at] != forms[:, at : at + 1]).any(axis=0).all()
     assert DensePoly(field(p), rows[0].tolist()) in routed
     _refuse_every_certificate(monkeypatch)
     assert _recheck_outcome(p, solutions) == message
@@ -1003,8 +1020,8 @@ def test_follower_with_gcd_excluded_rows_takes_its_own_ranks(monkeypatch):
 def test_genus_2_rows_of_another_class_are_named(monkeypatch):
     # a pair whose genus-2 rows are those of a pair of another w class has
     # E_u and D_v of genus 5 but a third quotient that is not E_u D_v / gcd^2:
-    # it is refused by its certificate and named with that check, also when
-    # every certificate is refused
+    # its normal form is not its class's, and it is named with that check,
+    # also when every form is refused
     p = 23
     solutions = _sweep_w_line(p, _inverse_table(p))[1]
     target = solutions[30]
@@ -1023,13 +1040,14 @@ def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
     # a leader whose E_u = (x^2 - 1)(x - 3) has degree 3 and whose genus-2
     # quotient (x - 3) B matches it, so that it passes the polynomial facts,
     # with a follower whose quotients are the images of the leader's under
-    # M_u, so that their pull-backs are proportional: the follower is
-    # refused and takes the per-pair route on its own rows, the entries
-    # refuse the leader's degree, and the message is the one with every
-    # certificate refused
+    # M_u, so that their pull-backs are proportional: the leader has no
+    # normal form, the follower takes the per-pair route on its own rows, the
+    # entries refuse the leader's degree, and the message is the one with
+    # every form refused
     p = 23
     ctx = field(p)
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    inv = _inverse_table(p)
+    solutions = _sweep_w_line(p, inv)[1]
     leader = solutions[0]
     follower = next(s for s in solutions if s[0] != 0 and _w_of(p, *s) == _w_of(p, *leader))
     lead_rows = [R[:, 0] for R in _quotient_rows(np.array([leader[0]]), np.array([leader[1]]), p)]
@@ -1039,44 +1057,81 @@ def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
     follow_rows = [search._pull_back(R[:, None], np.array([-follower[0] % p]), p)[:, 0]
                    for R in lead_rows]
     assert [search._degrees(R[:, None])[0] for R in follow_rows] == [4, 6, 6]
-    # without the degree condition on the leader its pull-backs would certify
-    # the follower
-    unchecked = [search._pull_back(R[:, None], np.array([leader[0]]), p) for R in lead_rows]
-    follow_cols = [R[:, None] for R in follow_rows]
-    assert search._certified(p, np.array([follower[0]]), follow_cols, unchecked).all()
+    # without the degree condition the two would share a form: their
+    # pull-backs are proportional
+    for L, R in zip(lead_rows, follow_rows):
+        a = search._pull_back(L[:, None], np.array([leader[0]]), p)[:, 0]
+        c = search._pull_back(R[:, None], np.array([follower[0]]), p)[:, 0]
+        assert a[0] and c[0] and (a * c[0] % p == c * a[0] % p).all()
+    us = np.array([leader[0], follower[0]])
+    rows = [np.stack(R, axis=1) for R in zip(lead_rows, follow_rows)]
+    forms = search._normal_forms(p, us, rows, inv)
+    assert not forms[:, 0].any() and forms[:, 1].any()
     _plant_rows(monkeypatch, {leader: lead_rows, follower: follow_rows})
-    refused, routed = [], []
-
-    def record(args, out):
-        hit = (args[2][0] == follow_rows[0][:, None]).all(axis=0)
-        refused.extend((~out[hit]).tolist())
-
-    _spy(monkeypatch, "_certified", record)
+    routed = []
     _spy(monkeypatch, "kani_rosen_triple", lambda args, out: routed.append(args[0]))
     batch = [leader, follower]
     message = _recheck_outcome(p, batch)
     lead_e = DensePoly(ctx, lead_rows[0].tolist())
     assert message == f"ValueError: expected degree 4 or 6 over GF({p}), got {lead_e!r}"
-    assert refused == [True]
     assert routed == [lead_e, DensePoly(ctx, follow_rows[0].tolist())]
     _refuse_every_certificate(monkeypatch)
     assert _recheck_outcome(p, batch) == message
 
 
-def test_batches_of_distinct_w_pull_nothing_back(monkeypatch):
-    # mode "first"'s one pair, and a batch of one pair per w class, compute
-    # every pair's entries: no pull-back, no certificate
-    calls = []
-    _spy(monkeypatch, "_pull_back", lambda args, out: calls.append(args))
+def test_one_pair_batch_pulls_nothing_back(monkeypatch):
+    # mode "first"'s one pair is checked on its own rows, with no pull-back
+    # and no form; a batch of one pair per normal form forms, but certifies
+    # nobody: every pair takes the per-pair route
+    pulled, routed = [], []
+    _spy(monkeypatch, "_pull_back", lambda args, out: pulled.append(args))
     p = 167
     solutions = ss5_sweep(SweepConfig(p=p, mode="first")).solutions
     assert len(solutions) == 1
     verify_solution_story(p, *solutions[0])
-    leaders = sorted({_w_of(p, u, v): (u, v) for u, v in reversed(
-        _sweep_w_line(p, _inverse_table(p))[1])}.values())
+    assert pulled == []
+    inv = _inverse_table(p)
+    by_form = {}
+    for u, v in reversed(_sweep_w_line(p, inv)[1]):
+        w = _w_of(p, u, v)
+        by_form[min(w, inv[w])] = (u, v)
+    leaders = sorted(by_form.values())
     assert len(leaders) > 1
+    _spy(monkeypatch, "kani_rosen_triple", lambda args, out: routed.append(args[0]))
     verify_solution_story(p, *zip(*leaders))
-    assert calls == []
+    assert pulled and len(routed) == len(leaders)
+
+
+def test_shuffled_batches_name_what_own_rows_name(monkeypatch):
+    # the p = 23 pairs with the w class of the non-solution (4, 18) and a
+    # gcd-excluded pair planted, shuffled so that followers come before their
+    # class's first pair of the sorted order, in slices of 7: the recheck
+    # names the pair, with the message, that it names with every form
+    # refused, and a passing shuffle routes one pair per form, its leaders
+    # carried across slices
+    p = 23
+    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    values = [0, *range(2, p - 1)]
+    planted = [s for s in product(values, repeat=2) if _w_of(p, *s) == _w_of(p, 4, 18)]
+    planted.append(_gcd_excluded_pair(p))
+    rng = random.Random(2323)
+    batches = []
+    for _ in range(8):
+        batch = solutions + planted
+        rng.shuffle(batch)
+        batches.append(batch)
+    passing = solutions[:]
+    rng.shuffle(passing)
+    assert passing[0] != solutions[0] and passing[-1] != solutions[-1]
+    monkeypatch.setattr(search, "RECHECK_SLICE", 7)
+    got = [_recheck_outcome(p, batch) for batch in batches]
+    assert len(set(got)) > 2 and None not in got
+    routed = []
+    _spy(monkeypatch, "kani_rosen_triple", lambda args, out: routed.append(args[0]))
+    assert _recheck_outcome(p, passing) is None
+    assert len(routed) == 2
+    _refuse_every_certificate(monkeypatch)
+    assert [_recheck_outcome(p, batch) for batch in batches] == got
 
 
 @pytest.mark.nightly
