@@ -122,13 +122,6 @@ class FieldCtx:
     def one(self) -> "FieldElement":
         return self.elem(1)
 
-    @property
-    def gen(self) -> "FieldElement":
-        """The adjoined root w for GF(p^2)."""
-        if self.ext_degree != 2:
-            raise ValueError("GF(p) has no adjoined generator")
-        return FieldElement(self, (0, 1))
-
     def elements(self):
         """All field elements, in the deterministic (a, b) lexicographic order."""
         if self.ext_degree == 1:

@@ -35,9 +35,14 @@ The kernel (`_classify`), the scalar oracle (`ss5_check_pair`, through
 family from `_transport`: on FieldElements over GF(p) or GF(p^2) for the
 oracle, on int64 arrays mod p for the kernel and the recheck.  So they
 share the family's closed form; the tests pin it against the explicit
-Moebius transports, kept there as the oracle.  What stays independent of
-the kernel is its own logic: the resultant exclusions, the w reduction and
-the elliptic split below.
+Moebius transports, kept there as the oracle.  The kernel reads every
+verdict off one cubic g built from that closed form (below): its
+exclusions, its one elliptic model and the traces on it.  What stays
+independent of that reading are the scalar oracle's exclusions, by
+`poly_gcd` and `is_squarefree` on A and B, the recheck's polynomial facts,
+by the per-pair route on every pair's own rows, and the tests' kernel
+oracle, which keeps the resultant exclusions and the coefficient
+recurrence.
 
 A palindromic quadratic a x^2 + c x + a stays palindromic under M_u: both
 ends of its transport are a u^2 + c u + a.  The three factors of f are
@@ -79,7 +84,11 @@ f(x) = x^3 g(x + 1/x) for the cubic
 
     g(s) = s (a1 s + c1)(a2 s + c2),
 
-read straight off the transported factors.  C has the involution
+read straight off the transported factors.  The exclusions are read off g
+too: A = x s vanishes only where s = 0, and there each B_i = x (a_i s + c_i)
+is x c_i, so gcd(A, B) != 1 exactly when g1 = c1 c2 = 0; and f is never
+singular on the w line, as A and the B_i are squarefree and pairwise
+coprime (`_classify`).  C has the involution
 tau: (x, y) -> (1/x, y/x^3) besides the hyperelliptic one.  The quotients
 C/tau and C/(tau composed with it) are the elliptic curves
 
@@ -94,7 +103,9 @@ so g for -w is s -> -g(-s), and s -> -s maps E+ of -w onto E- of w.  So w
 is good exactly when E+ of w and E+ of -w are both supersingular.  On every
 live w, g(-2) = -f(-1) = -6 (1 - w)^4 != 0 and g is squarefree, so the
 quartic is squarefree with the rational root s = -2; sending it to infinity
-gives a short Weierstrass model in closed form (`_split_models`).
+gives a short Weierstrass model in closed form (`_split_models`),
+isomorphic to E+ over GF(p).  The kernel builds it once per w, and both the
+ladder and the traces below run on it.
 
 Most w are then pruned by a certificate.  An x-only Montgomery ladder
 computes [p+1] P from x(P) = x0, a fixed constant, on the model of E+ of
@@ -105,9 +116,8 @@ share the x-line).  A supersingular curve over GF(p), p >= 5, and its twist
 both have p + 1 points, so that curve is ordinary, and neither w nor -w is
 good.  The w for which neither E+ of w nor E+ of -w is certified survive,
 and E+ of each is decided exactly by the trace
-a_p = -sum_s chi(q(s)) - chi(lc q) of its quartic q (`_traces`), with
-a_p = 0 exactly for supersingular curves by the Hasse bound
-|a_p| <= 2 sqrt(p) < p.
+a_p = -sum_x chi(x^3 + a4 x + a6) of its model (`_traces`), with a_p = 0
+exactly for supersingular curves by the Hasse bound |a_p| <= 2 sqrt(p) < p.
 The pruning never changes a verdict, only which w reach the trace; the
 constant x0 keeps the runs reproducible.  The orbits of the good w values
 are then expanded into sorted (u, v) pairs.  The GF(p^2) scan
@@ -129,9 +139,9 @@ First the polynomial facts that split rests on: E_u and D_v are squarefree
 curve models, the fiber product has genus 5, and its third quotient
 E_u D_v / gcd(E_u, D_v)^2 is squarefree.  They come from the per-pair
 route, `covers.kani_rosen_triple` and then `cartier.HyperellipticModel`,
-run on the quotients' own rows (`_polynomial_facts`), not on resultants of
-the family's quadratic factors as the kernel's exclusions are, so the check
-holds for any rows it is given; the family's closed form enters only
+run on the quotients' own rows (`_polynomial_facts`), not on the
+coefficient g1 of the family's cubic as the kernel's exclusion is, so the
+check holds for any rows it is given; the family's closed form enters only
 through the rows of the third quotient, A B, which must be a constant times
 E_u D_v / gcd^2.  Then the three matrices, whose entries are computed for
 the pairs that pass.
@@ -216,7 +226,8 @@ entries for the leaders of its few normal forms (2 at p = 10 007, 4 at
 The recheck shares only the family's closed form with the kernel, no
 decision code: it checks every pair's own three quotients, through the
 per-pair route and their entries or a normal form read from their rows,
-without the palindromic a = c = 0 shortcut or the elliptic split.  The
+without the palindromic a = c = 0 shortcut, the g1 exclusion or the
+elliptic split.  The
 tests hold the polynomial verdicts against the per-pair route on the
 explicit Moebius transports, the entries against `cartier`'s scalar
 recurrence, against full expansion (`poly.pow_coeffs`) and, for every
@@ -263,7 +274,8 @@ assert 6 * SWEEP_MAX_P**2 < 1 << 63
 # row of its tensor, whose absolute values sum to at most 7 C(6, 3) = 140
 assert 7 * comb(6, 3) * SWEEP_MAX_P < 1 << 63
 # the kernel's models, ladder and traces reduce mod p after every product
-# of residues, so each of their values stays below 8 p^2 <= 2^43
+# of residues, so each of their values stays below 8 p^2 <= 2^43; the
+# traces' Horner step (x^2 mod p + a4) x + a6 stays below 3 p^2
 assert 8 * SWEEP_MAX_P**2 <= 1 << 43
 # pairs mode "all" may report: it refuses a prime with more before listing
 # any.  The recheck checks polynomial facts and computes entries once per
@@ -295,10 +307,10 @@ _WEIGHT_BLOCK = 4096
 # do mode "all"'s leaders, one pair per normal form; more than 13 pairs
 # with entries to compute run on the window alone
 _BLOCK_BUDGET = 1 << 14
-# live w per pass of the kernel's ladder: 256 KB an int64 array, where all w
-# at SWEEP_MAX_P take 8 MB an array
+# w per pass of the kernel's models and ladder: 256 KB an int64 array, where
+# all w at SWEEP_MAX_P take 8 MB an array; g1, a4 and a6 are kept for every w
 _LADDER_BLOCK = 1 << 15
-# quartic values per pass of the traces: 512 KB of int64, so at census sizes
+# cubic values per pass of the traces: 512 KB of int64, so at census sizes
 # every survivor of a prime fits in one pass
 _TRACE_BLOCK = 1 << 16
 # the x(P) the ladder starts from on E+: a constant, so every run
@@ -669,15 +681,6 @@ def _normal_forms(p: int, U, rows, inv_table):
 # -- the w-line kernel: the genus-2 quotient splits into E+ x E- -------------------
 
 
-def _res_quadratics(f, g, p):
-    """Resultant of the quadratics with coefficient rows f and g, low to high,
-    vectorized."""
-    t1 = (f[2] * g[0] - f[0] * g[2]) % p
-    t2 = (f[2] * g[1] - f[1] * g[2]) % p
-    t3 = (f[1] * g[0] - f[0] * g[1]) % p
-    return (t1 * t1 - t2 * t3) % p
-
-
 def _w_line(p: int):
     """The finite orbit labels w in GF(p) - {+-1}, ascending from w = 0, as an
     int64 array; w = infinity takes the verdict of w = 0 (module docstring)."""
@@ -701,31 +704,32 @@ def _orbit(p: int, w, inv_table):
 
 
 def _split_models(p: int, W):
-    """E+ of the genus-2 quotient y^2 = f of the representative (0, W[i]),
-    for every w in W, residues mod p < 2^20 with w != 1 (module docstring).
+    """The cubic g and E+ of the genus-2 quotient y^2 = f of the
+    representative (0, W[i]), for every w in W, residues mod p < 2^20 with
+    w != 1 (module docstring).
 
     With A = x s, s = x + 1/x, and the transports a_i x^2 + c_i x + a_i of
     x^2 +- x + 1 equal to x (a_i s + c_i), f(x) = x^3 g(s) for
     g(s) = s (a1 s + c1)(a2 s + c2): g3 = a1 a2, g2 = a1 c2 + a2 c1,
-    g1 = c1 c2 and g0 = 0.  Returns the quartic q = (s - r) g(s), r = -2, as a
-    (5, n) array of rows, low to high; and the coefficients (a4, a6), each
-    (n,), of a short Weierstrass model y^2 = x^3 + a4 x + a6 of the same
-    curve.  Sending the root r to infinity, s = r + 1/t and Y = V/t^2, gives
+    g1 = c1 c2 and g0 = 0.  Returns g1, which vanishes exactly on the w the
+    gcd exclusion removes (`_classify`), and the coefficients (a4, a6), each
+    (n,), of a short Weierstrass model y^2 = x^3 + a4 x + a6 of
+    E+: Y^2 = (s - r) g(s), r = -2, isomorphic to it over GF(p) on every live
+    w.  Sending the root r to infinity, s = r + 1/t and Y = V/t^2, gives
     V^2 = t^3 g(r + 1/t) = a t^3 + b t^2 + c t + d with a = g(r), b = g'(r),
-    c = g''(r)/2 = 3 g3 r + g2 and d = g3.  X = a t takes it to
-    (a V)^2 = X^3 + b X^2 + ac X + a^2 d, and x = 9 X + 3 b, y = 27 a V to
-    a4 = 27 (3ac - b^2) and a6 = 27 (27 a^2 d - 9abc + 2b^3)."""
+    c = g''(r)/2 = 3 g3 r + g2 and d = g3; a = -f(-1) != 0 for every w != 1.
+    X = a t takes it to (a V)^2 = X^3 + b X^2 + ac X + a^2 d, and
+    x = 9 X + 3 b, y = 27 a V to a4 = 27 (3ac - b^2) and
+    a6 = 27 (27 a^2 d - 9abc + 2b^3)."""
     (a1, c1, _), (a2, c2, _) = (_transport_rows(q, W, p) for q in _B_FACTORS)
     g3, g2, g1 = a1 * a2 % p, (a1 * c2 + a2 * c1) % p, c1 * c2 % p
     r = -2  # small, so each Horner step stays below 15 p
-    quartic = np.stack([np.zeros_like(g1), -r * g1 % p, (g1 - r * g2) % p,
-                        (g2 - r * g3) % p, g3])
     a = ((g3 * r + g2) * r + g1) * r % p
     b = ((3 * g3 * r + 2 * g2) * r + g1) % p
     c = (3 * g3 * r + g2) % p
     ac, bb = a * c % p, b * b % p
     cube = (27 * a % p * (a * g3 % p) + (2 * bb - 9 * ac) % p * b) % p
-    return quartic, 27 * (3 * ac - bb) % p, 27 * cube % p
+    return g1, 27 * (3 * ac - bb) % p, 27 * cube % p
 
 
 def _ladder_finite(a4, a6, x0, n: int, p: int):
@@ -781,67 +785,56 @@ def _ladder_finite(a4, a6, x0, n: int, p: int):
     return finite
 
 
-def _traces(Q, p: int):
-    """The trace a_p = p + 1 - #E(GF(p)) of Y^2 = q(s) for every column q of
-    Q, a (5, n) int64 array of squarefree quartics mod p < 2^20, low to high,
-    with q4 != 0.  The smooth model has 1 + chi(q(s)) points over each s and
-    1 + chi(q4) at infinity, so a_p = -sum_s chi(q(s)) - chi(q4), for the
-    Legendre symbol chi.  The values q(s) are formed in passes of about
-    _TRACE_BLOCK."""
+def _traces(a4, a6, p: int):
+    """The trace a_p = p + 1 - #E(GF(p)) of y^2 = x^3 + a4[i] x + a6[i] for
+    every i, residues mod p < 2^20 of nonsingular curves.  The curve has
+    1 + chi(x^3 + a4 x + a6) points over each x and one at infinity, so
+    a_p = -sum_x chi(x^3 + a4 x + a6), for the Legendre symbol chi.  The
+    values are formed in passes of about _TRACE_BLOCK, by Horner's rule
+    below 3 p^2."""
     chi = np.full(p, -1, dtype=np.int8)
     chi[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
     chi[0] = 0
-    out = -chi[Q[4]].astype(np.int64)
-    step = max(1, _TRACE_BLOCK // max(1, Q.shape[1]))
-    rows = Q[:, :, None]
+    out = np.zeros(len(a4), dtype=np.int64)
+    step = max(1, _TRACE_BLOCK // max(1, len(a4)))
+    a4, a6 = a4[:, None], a6[:, None]
     for start in range(0, p, step):
-        s = np.arange(start, min(start + step, p), dtype=np.int64)
-        v = rows[4]
-        for k in (3, 2, 1, 0):
-            v = (v * s + rows[k]) % p
-        out -= chi[v].sum(axis=1, dtype=np.int64)
+        x = np.arange(start, min(start + step, p), dtype=np.int64)
+        out -= chi[((x * x % p + a4) * x + a6) % p].sum(axis=1, dtype=np.int64)
     return out
-
-
-def _split_supersingular(p: int, W):
-    """Whether E+ and E- of the representative (0, W[i]) are both
-    supersingular, for every w in W, live w closed under w -> -w.  E- of w
-    is E+ of -w (module docstring), so only E+ is built.  The ladder marks,
-    in passes of _LADDER_BLOCK, the w whose E+ it certifies ordinary; the
-    traces decide E+ of every w for which neither w nor -w is marked."""
-    ordinary = np.zeros(p, dtype=bool)
-    for start in range(0, len(W), _LADDER_BLOCK):
-        block = W[start : start + _LADDER_BLOCK]
-        _, a4, a6 = _split_models(p, block)
-        ordinary[block] = _ladder_finite(a4, a6, _LADDER_X0, p + 1, p)
-    kept = W[~(ordinary[W] | ordinary[-W % p])]
-    supersingular = np.zeros(p, dtype=bool)
-    supersingular[kept] = _traces(_split_models(p, kept)[0], p) == 0
-    return supersingular[W] & supersingular[-W % p]
 
 
 def _classify(p: int, W):
     """Classify the representatives (0, W[i]) at once, W closed under
-    w -> -w as the w line is.  With u = 0, A is x^2 + 1 in every column, and
-    f = A B is a palindromic sextic whose ends f0 = f6 = w^4 + w^2 + 1 do not
-    vanish (p = 2 mod 3).
+    w -> -w as the w line is, from the cubic g of each (`_split_models`).
 
-    Returns boolean arrays (excluded_gcd, excluded_singular, solution)."""
-    A = _transport_rows(_A_FACTOR, 0, p)
-    B1, B2 = (_transport_rows(q, W, p) for q in _B_FACTORS)
-    # gcd(A, B) != 1 iff A shares a root with a factor of B
-    excluded_gcd = (_res_quadratics(A, B1, p) == 0) | (_res_quadratics(A, B2, p) == 0)
+    With u = 0, A = x^2 + 1 = x s vanishes only at x = +-i, where s = 0,
+    and there B_i = x (a_i s + c_i) is +-i c_i: so gcd(A, B) != 1 exactly
+    when g1 = c1 c2 = 0.  No w is singular: x^2 + 1 and x^2 +- x + 1 are
+    squarefree and pairwise coprime for p > 3, so the transports B_i of
+    x^2 +- x + 1 by M_w, invertible for w != +-1, are too as binary forms;
+    they keep their degree 2, as a_i = w^2 +- w + 1 never vanishes for
+    p = 2 (mod 3).  So f = A B is squarefree exactly when gcd(A, B) = 1,
+    and `_sweep_w_line` counts no singular exclusion.
 
-    # with gcd(A, B) = 1, f = A*B is squarefree iff A and B are; B is always
-    # squarefree (p > 3) and so is A = x^2 + 1 (p > 2) -- recorded anyway
-    # for honesty
-    disc_a = (A[1] * A[1] - 4 * A[0] * A[2]) % p
-    excluded_singular = (~excluded_gcd) & (disc_a == 0)
-
-    live = ~(excluded_gcd | excluded_singular)
-    solution = np.zeros_like(live)
-    solution[live] = _split_supersingular(p, W[live])
-    return excluded_gcd, excluded_singular, solution
+    The models are built and laddered in passes of _LADDER_BLOCK, which
+    mark the w whose E+ the ladder certifies ordinary; the ladder's verdict
+    on an excluded w is never read, as the exclusion is closed under
+    w -> -w (c1 for -w is -c2 for w).  The traces decide E+ of every live
+    w for which neither w nor -w is marked, and w is good exactly when E+
+    of w and of -w are supersingular.  Returns boolean arrays
+    (excluded_gcd, solution)."""
+    g1, a4, a6 = (np.empty_like(W) for _ in range(3))
+    ordinary = np.zeros(p, dtype=bool)
+    for start in range(0, len(W), _LADDER_BLOCK):
+        part = slice(start, start + _LADDER_BLOCK)
+        g1[part], a4[part], a6[part] = _split_models(p, W[part])
+        ordinary[W[part]] = _ladder_finite(a4[part], a6[part], _LADDER_X0, p + 1, p)
+    excluded_gcd = g1 == 0
+    kept = ~(excluded_gcd | ordinary[W] | ordinary[-W % p])
+    supersingular = np.zeros(p, dtype=bool)
+    supersingular[W[kept]] = _traces(a4[kept], a6[kept], p) == 0
+    return excluded_gcd, supersingular[W] & supersingular[-W % p]
 
 
 def _sweep_w_line(p: int, inv_table, mode: str = "all"):
@@ -853,17 +846,16 @@ def _sweep_w_line(p: int, inv_table, mode: str = "all"):
     of them."""
     W = _w_line(p)
     # w = infinity, appended last, takes the verdict of w = 0, the first
-    excluded_gcd, excluded_singular, solution = (
-        np.append(verdict, verdict[0]) for verdict in _classify(p, W)
-    )
+    excluded_gcd, solution = (np.append(verdict, verdict[0]) for verdict in _classify(p, W))
     ws = W.tolist() + [None]
     sizes = np.full(len(ws), p - 3, dtype=np.int64)
     sizes[0] = p - 2
     counts = {
-        "tested": int(sizes[~(excluded_gcd | excluded_singular)].sum()),
+        "tested": int(sizes[~excluded_gcd].sum()),
         "excluded_uv": p * p - (p - 2) ** 2,
         "excluded_gcd": int(sizes[excluded_gcd].sum()),
-        "excluded_singular": int(sizes[excluded_singular].sum()),
+        # none on the w line (`_classify`)
+        "excluded_singular": 0,
     }
     good = np.flatnonzero(solution)
     if mode == "first":
@@ -887,19 +879,29 @@ def verify_solution_story(p: int, u, v):
     and the genus-2 curve all vanish (module docstring).
 
     u and v are integers naming one pair, or equal-length integer sequences
-    naming the pairs (u[i], v[i]) of one batch; they are reduced mod p, and
-    anything else is refused.  The error names the first pair that fails, as
-    given, and, within it, the first of E_u, D_v and the genus-2 quotient
+    naming the pairs (u[i], v[i]) of one batch, numpy integers or Python ints
+    of any size; they are reduced mod p, and anything else is refused.  An
+    empty batch checks nothing.  The error names the first pair that fails,
+    as given, and, within it, the first of E_u, D_v and the genus-2 quotient
     whose matrix does not vanish."""
     us, vs = np.atleast_1d(u), np.atleast_1d(v)
     if us.shape != vs.shape:
         raise ValueError(f"{us.size} values of u but {vs.size} of v")
-    if us.dtype.kind not in "iu" or vs.dtype.kind not in "iu":
+    if us.size and not (_integers(us) and _integers(vs)):
         raise ValueError(f"u and v must be integers, got {us.dtype} and {vs.dtype}")
     if p > SWEEP_MAX_P:
         raise ValueError(f"p = {p} exceeds the kernel bound {SWEEP_MAX_P}")
     field(p)  # refuses p that is not an odd prime
-    _recheck(p, us, vs, _inverse_table(p))
+    if us.size:
+        _recheck(p, us, vs, _inverse_table(p))
+
+
+def _integers(x) -> bool:
+    """Whether the array x holds integers: of an integer dtype, or of dtype
+    object, as numpy holds Python ints past int64, with only integers."""
+    if x.dtype.kind in "iu":
+        return True
+    return x.dtype == object and all(isinstance(e, (int, np.integer)) for e in x.flat)
 
 
 def _recheck(p: int, us, vs, inv_table):
@@ -927,10 +929,11 @@ def _recheck_slice(p: int, us, vs, inv_table, seen):
     route (`_polynomial_facts`) until one fails, then the matrices of the
     pairs before it; the first of them that fails is named, with the first
     check it fails."""
-    # reduced before the cast, unsigned as uint64, so that no value wraps
+    # reduced before the cast, so that no value wraps: unsigned as uint64,
+    # Python ints past int64 (dtype object) as Python ints
+    kinds = {"u": np.uint64, "O": object}
     U, V = (
-        (x % np.array(p, np.uint64 if x.dtype.kind == "u" else np.int64)).astype(np.int64)
-        for x in (us, vs)
+        (x % np.array(p, kinds.get(x.dtype.kind, np.int64))).astype(np.int64) for x in (us, vs)
     )
     E, D, F = _quotient_rows(U, V, p)
     own = np.ones(us.size, dtype=bool)

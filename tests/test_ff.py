@@ -53,7 +53,7 @@ def test_modulus_choice_p1mod4():
     # 13 = 1 mod 4: smallest non-residue is 2
     k = field(13, 2)
     assert k.nu == 2
-    assert k.gen * k.gen == k.embed(field(13).elem(2))
+    assert k.from_coords((0, 1)) ** 2 == k.embed(field(13).elem(2))
 
 
 def test_is_prime_small():
@@ -75,7 +75,7 @@ def test_basic_arith_gf7():
 
 def test_gf9_i_squared():
     k = field(3, 2)
-    i = k.gen
+    i = k.from_coords((0, 1))
     assert i * i == k.elem(-1) == k.elem(2)
 
 
@@ -102,7 +102,7 @@ def test_frobenius_fixed_on_prime_field():
 
 def test_frobenius_on_gf9():
     k = field(3, 2)
-    i = k.gen
+    i = k.from_coords((0, 1))
     assert i.frobenius() == -i
     for a in k.elements():
         assert a.frobenius().frobenius() == a
@@ -181,7 +181,7 @@ def test_embed():
     assert k2.embed(a) == k2.elem(3)
     assert kp.embed(k2.elem(4)) == kp.elem(4)
     with pytest.raises(ValueError):
-        kp.embed(k2.gen)
+        kp.embed(k2.from_coords((0, 1)))
 
 
 def test_elements_order_is_deterministic():

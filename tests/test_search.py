@@ -26,7 +26,6 @@ from cmrank.search import (
     _power_coeffs_vec,
     _powmod_vec,
     _quotient_rows,
-    _res_quadratics,
     _rows_mul,
     _split_models,
     _sweep_w_line,
@@ -297,17 +296,35 @@ def _cubics(p, W):
     return [(F[3] - 2 * F[5]) % p, (F[4] - 3 * F[6]) % p, F[5], F[6]]
 
 
-def _classify_by_recurrence(p, W, inv_table):
-    """The kernel before the elliptic split, kept as its oracle: the same
-    exclusions, then a = c = 0 read off f^((p-1)/2) by the coefficient
-    recurrence."""
+def _res_quadratics(f, g, p):
+    """Resultant of the quadratics with coefficient rows f and g, low to high,
+    vectorized."""
+    t1 = (f[2] * g[0] - f[0] * g[2]) % p
+    t2 = (f[2] * g[1] - f[1] * g[2]) % p
+    t3 = (f[1] * g[0] - f[0] * g[1]) % p
+    return (t1 * t1 - t2 * t3) % p
+
+
+def _exclusions_by_resultants(p, W):
+    """The exclusions of the representatives (0, W[i]) as the kernel once
+    computed them, kept as the oracle of its reading off g1: gcd(A, B) != 1
+    where A = x^2 + 1 and a factor of B have a zero resultant, and f = A B
+    singular where, with gcd(A, B) = 1, A has a zero discriminant."""
     A = _transport_rows(_A_FACTOR, 0, p)
     B1, B2 = (_transport_rows(q, W, p) for q in _B_FACTORS)
     excluded_gcd = (_res_quadratics(A, B1, p) == 0) | (_res_quadratics(A, B2, p) == 0)
     disc_a = (A[1] * A[1] - 4 * A[0] * A[2]) % p
-    excluded_singular = (~excluded_gcd) & (disc_a == 0)
+    return excluded_gcd, (~excluded_gcd) & (disc_a == 0)
+
+
+def _classify_by_recurrence(p, W, inv_table):
+    """The kernel before the elliptic split, kept as its oracle: the
+    resultant exclusions, then a = c = 0 read off f^((p-1)/2) by the
+    coefficient recurrence.  Returns (excluded_gcd, excluded_singular,
+    solution)."""
+    excluded_gcd, excluded_singular = _exclusions_by_resultants(p, W)
     live = ~(excluded_gcd | excluded_singular)
-    f = _rows_mul(_rows_mul(B1, B2, p), A, p)
+    f = _sextics(p, W)
     solution = np.zeros_like(live)
     idx = np.flatnonzero(live)
     if idx.size:
@@ -373,15 +390,18 @@ def _primes_11_mod_12(below):
 
 def _check_split_against_recurrence(monkeypatch, p):
     W, inv_table = _w_line(p), _inverse_table(p)
-    expected = _classify_by_recurrence(p, W, inv_table)
+    gcd, singular, solution = _classify_by_recurrence(p, W, inv_table)
+    # the kernel writes no singular exclusion
+    assert not singular.any(), p
+    expected = gcd, solution
     got = _classify(p, W)
-    for name, e, g in zip(("gcd", "singular", "solution"), expected, got):
+    for name, e, g in zip(("gcd", "solution"), expected, got):
         assert (e == g).all(), (p, name)
     split = _sweep_w_line(p, inv_table, "first")
     with monkeypatch.context() as m:
         m.setattr(search, "_classify", lambda p, W: expected)
         assert _sweep_w_line(p, inv_table, "first") == split, p
-    return W[got[2]].tolist()
+    return W[got[1]].tolist()
 
 
 def test_split_kernel_matches_recurrence_kernel(monkeypatch):
@@ -406,7 +426,7 @@ def test_split_kernel_golden_at_100019():
     # and pruned all four, while every prime below 1000 still agreed
     p = 100019
     W = _w_line(p)
-    assert W[_classify(p, W)[2]].tolist() == [11576, 11863, 88156, 88443]
+    assert W[_classify(p, W)[1]].tolist() == [11576, 11863, 88156, 88443]
 
 
 def test_good_w_come_in_pairs_w_and_minus_w():
@@ -419,56 +439,97 @@ def test_good_w_come_in_pairs_w_and_minus_w():
                 assert verdicts[w] == verdicts[-w % p], (p, w)
 
 
+def test_kernel_verdicts_agree_on_w_and_its_inverse():
+    # M_(1/w) is M_w followed by x -> 1/x, which fixes x^2 + 1 and
+    # x^2 +- x + 1 and sends x^2 - 1 to -(x^2 - 1), so w and 1/w share every
+    # verdict, exclusions included
+    for p in _primes_11_mod_12(1000):
+        verdicts = _w_verdicts(p)
+        for w in range(2, p - 1):
+            assert verdicts[w] == verdicts[pow(w, -1, p)], (p, w)
+
+
 def _live_models(p):
-    """The live w of the line, their verdicts and the models of their E+."""
+    """The live w of the line, their verdicts and the kernel's Weierstrass
+    models (a4, a6) of their E+."""
     W = _w_line(p)
-    gcd, singular, solution = _classify(p, W)
-    live = ~(gcd | singular)
-    return W[live], solution[live], _split_models(p, W[live])
+    gcd, solution = _classify(p, W)
+    live = ~gcd
+    _, a4, a6 = _split_models(p, W[live])
+    return W[live], solution[live], (a4, a6)
+
+
+def _quartic_traces(Q, p):
+    """The trace a_p = p + 1 - #E(GF(p)) of Y^2 = q(s) for every column q of
+    Q, (5, n) squarefree quartics mod p, low to high, with q4 != 0, counted
+    on the quartic: 1 + chi(q(s)) points over each s and 1 + chi(q4) at
+    infinity, so a_p = -sum_s chi(q(s)) - chi(q4).  The oracle of the
+    kernel's traces on its Weierstrass model."""
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    chi[0] = 0
+    s, v = np.arange(p, dtype=np.int64), Q[4][:, None]
+    for k in (3, 2, 1, 0):
+        v = (v * s + Q[k][:, None]) % p
+    return -chi[v].sum(axis=1) - chi[Q[4]]
 
 
 def test_closed_form_cubic_matches_the_sextic():
     # the kernel reads g = s (a1 s + c1)(a2 s + c2) off the transported
-    # factors; its quartic (s + 2) g equals that of g read off f = A B, for
-    # every finite w of the 25 census primes
+    # factors.  For every finite w of the 25 census primes its g1 is that of
+    # g read off f = A B, g1 vanishes exactly where the resultants exclude w
+    # and the discriminant excludes none, and on every live w its
+    # Weierstrass model has the trace of the quartic (s + 2) g
     primes = _primes_11_mod_12(500)
     assert len(primes) == 25
     for p in primes:
         W = _w_line(p)
         g = _cubics(p, W)
         assert not g[0].any(), p
-        assert (_split_models(p, W)[0] == _rows_mul(g, (2, 1), p)).all(), p
+        g1, a4, a6 = _split_models(p, W)
+        assert (g1 == g[1]).all(), p
+        gcd, singular = _exclusions_by_resultants(p, W)
+        assert gcd.any() and not singular.any(), p
+        assert ((g1 == 0) == gcd).all(), p
+        live = ~gcd
+        quartics = _rows_mul(g, (2, 1), p)[:, live]
+        assert (search._traces(a4[live], a6[live], p) == _quartic_traces(quartics, p)).all(), p
 
 
 def test_e_minus_of_w_is_e_plus_of_minus_w():
     # the identity that lets the kernel build E+ alone: for p < 200 and every
     # live w, E-: Y^2 = (s - 2) g_w(s), with g_w read off the sextic, has the
-    # p-rank of the kernel's E+ of -w
+    # p-rank of the kernel's model of E+ of -w
     from cmrank.cartier import p_rank
 
     for p in _primes_11_mod_12(200):
         ctx = field(p)
         ws, _, _ = _live_models(p)
         minus = _rows_mul(_cubics(p, ws), (-2, 1), p)
-        plus_of_minus_w = _split_models(p, -ws % p)[0]
-        for w, e_minus, e_plus in zip(ws.tolist(), minus.T.tolist(), plus_of_minus_w.T.tolist()):
+        _, a4, a6 = _split_models(p, -ws % p)
+        for w, e_minus, b4, b6 in zip(ws.tolist(), minus.T.tolist(), a4.tolist(), a6.tolist()):
             rank = p_rank(HyperellipticModel(ctx, DensePoly(ctx, e_minus)))
-            assert rank == p_rank(HyperellipticModel(ctx, DensePoly(ctx, e_plus))), (p, w)
+            e_plus = DensePoly(ctx, [b6, b4, 0, 1])
+            assert rank == p_rank(HyperellipticModel(ctx, e_plus)), (p, w)
 
 
 def test_split_models_and_traces_match_p_rank():
-    # for p < 200 and E+ of every live w: the quartic and the Weierstrass
-    # model have the same p-rank by `cartier.p_rank`, the trace vanishes
-    # exactly when it is 0, no curve of p-rank 0 is certified ordinary by the
-    # ladder, and w is good exactly when E+ of w and of -w have p-rank 0
+    # for p < 200 and E+ of every live w: the quartic (s + 2) g, built here
+    # from g read off the sextic, and the kernel's Weierstrass model have the
+    # same p-rank by `cartier.p_rank` and the same trace, the trace vanishes
+    # exactly when the p-rank is 0, no curve of p-rank 0 is certified
+    # ordinary by the ladder, and w is good exactly when E+ of w and of -w
+    # have p-rank 0
     from cmrank.cartier import p_rank
 
     pruned = live = 0
     for p in _primes_11_mod_12(200):
         ctx = field(p)
-        ws, good, (Q, a4, a6) = _live_models(p)
+        ws, good, (a4, a6) = _live_models(p)
+        Q = _rows_mul(_cubics(p, ws), (2, 1), p)
         finite = _ladder_finite(a4, a6, search._LADDER_X0, p + 1, p)
-        traces = search._traces(Q, p)
+        traces = search._traces(a4, a6, p)
+        assert (traces == _quartic_traces(Q, p)).all(), p
         ranks = {}
         for w, q, b4, b6, fin, trace in zip(ws.tolist(), Q.T.tolist(), a4, a6, finite, traces):
             rank = p_rank(HyperellipticModel(ctx, DensePoly(ctx, q)))
@@ -522,7 +583,7 @@ def test_ladder_reports_planted_degenerate_points():
     # them; for other n it certifies exactly where no register met the point
     # at infinity, whether or not [n] P is finite
     for p in (23, 47, 71):
-        _, _, (_, a4, a6) = _live_models(p)
+        _, _, (a4, a6) = _live_models(p)
         assert not _ladder_finite(a4, a6, 0, p + 1, p).any()
         cols, x0s, orders = [], [], []
         for i, (b4, b6) in enumerate(zip(a4.tolist(), a6.tolist())):
@@ -551,15 +612,15 @@ def test_degenerate_start_passes_every_w_to_the_traces(monkeypatch):
     p = 131
     W = _w_line(p)
     expected = _classify(p, W)
-    ws, _, (_, a4, a6) = _live_models(p)
+    ws, _, (a4, a6) = _live_models(p)
     certified = set(ws[_ladder_finite(a4, a6, search._LADDER_X0, p + 1, p)].tolist())
     kept = [w for w in ws.tolist() if w not in certified and -w % p not in certified]
     assert 0 < len(kept) < len(ws)
     traced, traces = [], search._traces
 
-    def spy(Q, p):
-        traced.append(Q.shape[1])
-        return traces(Q, p)
+    def spy(a4, a6, p):
+        traced.append(len(a4))
+        return traces(a4, a6, p)
 
     monkeypatch.setattr(search, "_traces", spy)
     for x0, columns in ((search._LADDER_X0, len(kept)), (0, len(ws))):
@@ -677,6 +738,16 @@ def test_recheck_golden_at_a_large_prime():
         verify_solution_story(p, np.int32([0, 0]), np.int32([w, w + 1 - p]))
     with pytest.raises(ValueError, match="must be integers"):
         verify_solution_story(p, np.float64([0, 2]), np.float64([w, v]))
+    # Python ints past int64 are reduced mod p too, and named as given
+    big = 2**70 * p
+    verify_solution_story(p, big - w, 0)
+    verify_solution_story(p, [0, big + 2], [w, big + v])
+    with pytest.raises(RuntimeError, match=rf"\({2**70}, 0\) is not superspecial"):
+        verify_solution_story(p, 2**70, 0)
+    with pytest.raises(ValueError, match="must be integers"):
+        verify_solution_story(p, [big, 2.5], [w, v])
+    # an empty batch checks nothing
+    verify_solution_story(23, [], [])
 
 
 def test_recheck_guard_admits_every_prime_below_1000_and_10007(monkeypatch):
@@ -1191,9 +1262,8 @@ def _w_verdicts(p):
     """The kernel's verdict on each orbit, keyed by w (None for infinity,
     which takes the verdict of w = 0)."""
     ws = _w_line(p)
-    gcd, singular, solution = _classify(p, ws)
-    names = ["gcd" if g else "singular" if s else "solution" if h else "not_solution"
-             for g, s, h in zip(gcd, singular, solution)]
+    gcd, solution = _classify(p, ws)
+    names = ["gcd" if g else "solution" if h else "not_solution" for g, h in zip(gcd, solution)]
     verdicts = dict(zip(ws.tolist(), names))
     verdicts[None] = verdicts[0]
     return verdicts
