@@ -4,11 +4,11 @@ The matrix entry M[i][j] (1-indexed) is the coefficient c_{p*j - i} of
 f^((p-1)/2); the p-rank is the rank of the g-fold semilinear iterate
 M^(sigma^(g-1)) ... M^(sigma) M, with sigma the entrywise p-power map.
 The iterate is formed by squaring and ranked by one elimination
-(`_raw_rank`), both on raw residues; FieldElements are built only for the
-returned `CartierData`.  Coefficient extraction has two routes: full
-expansion of f^((p-1)/2) (naive) and a linear recurrence that reaches any
-index within p of either end of the coefficient range in O(p) field
-operations.  When f(0) = 0 the recurrence writes f = x^v h with h(0) != 0
+(`_raw_rank`), both on raw residues by `ff`'s formulas; a FieldElement
+holds its raw residue, so the returned `CartierData` wraps them with no
+conversion.  Coefficient extraction has two routes: full expansion of
+f^((p-1)/2) (naive) and a linear recurrence that reaches any index within
+p of either end of the coefficient range in O(p) field operations.  When f(0) = 0 the recurrence writes f = x^v h with h(0) != 0
 and reads the low end from h^m, whose coefficients are those of f^m
 shifted by v*m.  An independent zeta-function oracle computes the p-rank
 from point counts so the two routes can be checked against each other.
@@ -45,18 +45,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ff import FieldCtx, FieldElement, inverse_table
-from .poly import (
-    DensePoly,
-    _float_exact,
-    _is_rzero,
-    _rdot,
-    _rinv,
-    _rmul,
-    _rsub,
-    is_squarefree,
-    pow_coeffs,
-)
+from .ff import FieldCtx, FieldElement, _is_rzero, _rdot, _rinv, _rmul, _rsub, inverse_table
+from .poly import DensePoly, _float_exact, is_squarefree, pow_coeffs
 
 ORACLE_MAX_GENUS = 3
 ORACLE_MAX_P = 31
@@ -151,9 +141,9 @@ def _recurrence_block(f: DensePoly, m: int, upto: int, inv) -> list:
     # (weight at k = 0, f_j / f_0) for j = 1..d; c is padded with d zeros
     # below c_0, so every step runs over all j
     terms = [((m + 1) * j % p, _rmul(p, nu, ext, raw[j], f0_inv)) for j in range(1, d + 1)]
-    c0 = (f.coeff(0) ** m).coords  # (c_0,) over GF(p), (x0, x1) over GF(p^2)
+    c0 = (f.coeff(0) ** m).raw
     if ext == 1:
-        c = [0] * d + [c0[0]]
+        c = [0] * d + [c0]
         for k in range(1, upto + 1):
             top = d + k  # c[top - j] is c_{k-j}
             acc = 0
@@ -173,10 +163,6 @@ def _recurrence_block(f: DensePoly, m: int, upto: int, inv) -> list:
         kinv = inv[k]
         c.append((a0 % p * kinv % p, a1 % p * kinv % p))
     return c[d:]
-
-
-def _raw_to_elem(ctx: FieldCtx, raw) -> FieldElement:
-    return ctx.from_coords((raw,) if ctx.ext_degree == 1 else raw)
 
 
 def _recurrence_obstacle(p: int, low: int, top: int, indices) -> str | None:
@@ -240,11 +226,11 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coeff
         h = DensePoly(ctx, f.raw()[v:])
         block = _recurrence_block(h, m, forward[-1] - low, inv)
         for k in forward:
-            out[k] = _raw_to_elem(ctx, block[k - low])
+            out[k] = FieldElement(ctx, block[k - low])
     if backward:
         block = _recurrence_block(f.reverse(), m, top - backward[0], inv)
         for k in backward:
-            out[k] = _raw_to_elem(ctx, block[top - k])
+            out[k] = FieldElement(ctx, block[top - k])
     return Coefficients(out, "recurrence")
 
 
@@ -253,13 +239,7 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coeff
 
 def _raw_matrix(M) -> list:
     """The raw residues of a matrix of FieldElements."""
-    if M[0][0].ctx.ext_degree == 1:
-        return [[x.coords[0] for x in row] for row in M]
-    return [[x.coords for x in row] for row in M]
-
-
-def _elem_matrix(ctx: FieldCtx, T) -> tuple:
-    return tuple(tuple(_raw_to_elem(ctx, x) for x in row) for row in T)
+    return [[x.raw for x in row] for row in M]
 
 
 def _raw_rank(ctx: FieldCtx, rows) -> int:
@@ -354,9 +334,8 @@ def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData
     M, used = _matrix_entries(C, strategy)
     ctx = C.ctx
     T = _raw_iterate(ctx, _raw_matrix(M))
-    return CartierData(
-        M=M, p=ctx.p, iterate=_elem_matrix(ctx, T), p_rank=_raw_rank(ctx, T), strategy=used
-    )
+    iterate = tuple(tuple(FieldElement(ctx, x) for x in row) for row in T)
+    return CartierData(M=M, p=ctx.p, iterate=iterate, p_rank=_raw_rank(ctx, T), strategy=used)
 
 
 def p_rank(C: HyperellipticModel) -> int:

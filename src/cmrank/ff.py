@@ -1,13 +1,21 @@
 """Exact arithmetic in GF(p) and its quadratic extension GF(p^2), p an odd prime.
 
-Elements are immutable; a context (FieldCtx) fixes the modulus and, for the
-quadratic extension, the defining polynomial w^2 = nu.  The modulus is chosen
-deterministically so that results are byte-reproducible: w^2 = -1 when
-p = 3 (mod 4), otherwise w^2 = nu with nu the smallest non-residue.
+A scalar has one form, its raw residue: an int in [0, p) for GF(p), and a
+pair (a, b) of them for a + b w in GF(p^2).  The formulas on raw residues,
+`_radd`, `_rsub`, `_rneg`, `_rmul`, `_rdot`, `_rinv`, `_rsmall` and
+`_is_rzero`, live here once: `poly`, `cartier` and `search` call them on raw
+coefficient lists and matrices, and FieldElement, an immutable raw residue
+with its context, implements its operators with them.
+
+A context (FieldCtx) fixes the modulus and, for the quadratic extension, the
+defining polynomial w^2 = nu.  The modulus is chosen deterministically so
+that results are byte-reproducible: w^2 = -1 when p = 3 (mod 4), otherwise
+w^2 = nu with nu the smallest non-residue.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from array import array
 
@@ -50,6 +58,70 @@ def inverse_table(p: int, upto: int) -> array:
     for k in range(2, upto + 1):
         inv.append(-(p // k) * inv[p % k] % p)
     return inv
+
+
+# -- formulas on raw residues: x, y are ints for ext = 1, (a, b) pairs for ext = 2
+
+
+def _rzero(ext):
+    return 0 if ext == 1 else (0, 0)
+
+
+def _is_rzero(ext, x):
+    return x == 0 if ext == 1 else x == (0, 0)
+
+
+def _rsmall(p, ext, n):
+    """The raw image of the integer n."""
+    return n % p if ext == 1 else (n % p, 0)
+
+
+def _radd(p, ext, x, y):
+    if ext == 1:
+        return (x + y) % p
+    return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
+
+
+def _rsub(p, ext, x, y):
+    if ext == 1:
+        return (x - y) % p
+    return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
+
+
+def _rneg(p, ext, x):
+    if ext == 1:
+        return (-x) % p
+    return ((-x[0]) % p, (-x[1]) % p)
+
+
+def _rmul(p, nu, ext, x, y):
+    if ext == 1:
+        return x * y % p
+    a, b = x
+    c, d = y
+    return ((a * c + nu * b * d) % p, (a * d + b * c) % p)
+
+
+def _rdot(p, nu, ext, xs, ys):
+    """The sum of x*y over paired raw residues, reduced once."""
+    if ext == 1:
+        return sum(map(operator.mul, xs, ys)) % p
+    real = imag = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        real += a * c + nu * b * d
+        imag += a * d + b * c
+    return (real % p, imag % p)
+
+
+def _rinv(p, nu, ext, x):
+    """1/x for nonzero x: x^(p-2) over GF(p), and over GF(p^2) the conjugate
+    a - b w divided by the norm a^2 - nu b^2."""
+    if ext == 1:
+        return pow(x, p - 2, p)
+    a, b = x
+    n = (a * a - nu * b * b) % p
+    ninv = pow(n, p - 2, p)
+    return (a * ninv % p, (-b) * ninv % p)
 
 
 def _smallest_nonresidue(p: int) -> int:
@@ -104,15 +176,15 @@ class FieldCtx:
 
     def elem(self, value: int) -> "FieldElement":
         """The image of an integer in this field."""
-        v = value % self.p
-        coords = (v,) if self.ext_degree == 1 else (v, 0)
-        return FieldElement(self, coords)
+        return FieldElement(self, _rsmall(self.p, self.ext_degree, value))
 
     def from_coords(self, coords) -> "FieldElement":
+        """The element with these coordinates, (a,) for GF(p) or (a, b) for
+        a + b w in GF(p^2), reduced mod p."""
         coords = tuple(c % self.p for c in coords)
         if len(coords) != self.ext_degree:
             raise ValueError("coordinate count does not match extension degree")
-        return FieldElement(self, coords)
+        return FieldElement(self, coords[0] if self.ext_degree == 1 else coords)
 
     @property
     def zero(self) -> "FieldElement":
@@ -126,7 +198,7 @@ class FieldCtx:
         """All field elements, in the deterministic (a, b) lexicographic order."""
         if self.ext_degree == 1:
             for a in range(self.p):
-                yield FieldElement(self, (a,))
+                yield FieldElement(self, a)
         else:
             for a in range(self.p):
                 for b in range(self.p):
@@ -139,11 +211,11 @@ class FieldCtx:
         if a.ctx.p != self.p:
             raise ValueError("incompatible characteristics")
         if a.ctx.ext_degree == 1 and self.ext_degree == 2:
-            return FieldElement(self, (a.coords[0], 0))
+            return FieldElement(self, (a.raw, 0))
         if a.ctx.ext_degree == 2 and self.ext_degree == 1:
-            if a.coords[1] != 0:
+            if a.raw[1] != 0:
                 raise ValueError(f"{a} does not lie in the prime field")
-            return FieldElement(self, (a.coords[0],))
+            return FieldElement(self, a.raw[0])
         return a
 
     def parse(self, text: str) -> "FieldElement":
@@ -172,13 +244,13 @@ def field(p: int, ext_degree: int = 1) -> FieldCtx:
 
 
 class FieldElement:
-    """An element of GF(p) or GF(p^2); coords are reduced residues."""
+    """An element of GF(p) or GF(p^2): its raw residue with its context."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "raw")
 
-    def __init__(self, ctx: FieldCtx, coords: tuple):
+    def __init__(self, ctx: FieldCtx, raw):
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "raw", raw)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -190,51 +262,41 @@ class FieldElement:
             raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
 
     @property
+    def coords(self) -> tuple:
+        """(a,) over GF(p), (a, b) for a + b w over GF(p^2)."""
+        return (self.raw,) if self.ctx.ext_degree == 1 else self.raw
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return _is_rzero(self.ctx.ext_degree, self.raw)
 
     def __bool__(self):
         return not self.is_zero
 
     def __add__(self, other):
         self._check(other)
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
-        )
+        ctx = self.ctx
+        return FieldElement(ctx, _radd(ctx.p, ctx.ext_degree, self.raw, other.raw))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
-        )
+        ctx = self.ctx
+        return FieldElement(ctx, _rsub(ctx.p, ctx.ext_degree, self.raw, other.raw))
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coords))
+        ctx = self.ctx
+        return FieldElement(ctx, _rneg(ctx.p, ctx.ext_degree, self.raw))
 
     def __mul__(self, other):
         self._check(other)
-        p = self.ctx.p
-        if self.ctx.ext_degree == 1:
-            return FieldElement(self.ctx, (self.coords[0] * other.coords[0] % p,))
-        a, b = self.coords
-        c, d = other.coords
-        nu = self.ctx.nu
-        return FieldElement(self.ctx, ((a * c + nu * b * d) % p, (a * d + b * c) % p))
+        ctx = self.ctx
+        return FieldElement(ctx, _rmul(ctx.p, ctx.nu, ctx.ext_degree, self.raw, other.raw))
 
     def inverse(self) -> "FieldElement":
-        p = self.ctx.p
         if self.is_zero:
             raise ZeroDivisionError("division by zero in " + repr(self.ctx))
-        if self.ctx.ext_degree == 1:
-            return FieldElement(self.ctx, (pow(self.coords[0], p - 2, p),))
-        a, b = self.coords
-        nu = self.ctx.nu
-        n = (a * a - nu * b * b) % p
-        ninv = pow(n, p - 2, p)
-        return FieldElement(self.ctx, (a * ninv % p, (-b) * ninv % p))
+        ctx = self.ctx
+        return FieldElement(ctx, _rinv(ctx.p, ctx.nu, ctx.ext_degree, self.raw))
 
     def __truediv__(self, other):
         self._check(other)
@@ -243,38 +305,39 @@ class FieldElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        if self.ctx.ext_degree == 1:
-            return FieldElement(self.ctx, (pow(self.coords[0], e, self.ctx.p),))
-        result = self.ctx.one
-        base = self
+        ctx = self.ctx
+        p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
+        if ext == 1:
+            return FieldElement(ctx, pow(self.raw, e, p))
+        result, base = _rsmall(p, ext, 1), self.raw
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _rmul(p, nu, ext, result, base)
+            base = _rmul(p, nu, ext, base, base)
             e >>= 1
-        return result
+        return FieldElement(ctx, result)
 
     def frobenius(self) -> "FieldElement":
         """The p-power map: identity on GF(p), the conjugation a+bw -> a-bw on GF(p^2)."""
         if self.ctx.ext_degree == 1:
             return self
-        a, b = self.coords
+        a, b = self.raw
         return FieldElement(self.ctx, (a, (-b) % self.ctx.p))
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
             and self.ctx == other.ctx
-            and self.coords == other.coords
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.coords))
+        return hash((self.ctx, self.raw))
 
     def __str__(self):
         if self.ctx.ext_degree == 1:
-            return str(self.coords[0])
-        return f"{self.coords[0]}+{self.coords[1]}*w"
+            return str(self.raw)
+        return "{}+{}*w".format(*self.raw)
 
     def __repr__(self):
         return f"{self} in {self.ctx!r}"

@@ -1,9 +1,11 @@
 """Dense univariate polynomials over a FieldCtx.
 
 Coefficients are stored low-to-high as raw residues (an int for GF(p), an
-(a, b) pair for GF(p^2)) in canonical form: the top coefficient is nonzero
-and the zero polynomial is the empty tuple.  Products switch to an exact
-numpy convolution once operands are long enough for it to pay.
+(a, b) pair for GF(p^2)), the form a FieldElement holds, in canonical form:
+the top coefficient is nonzero and the zero polynomial is the empty tuple.
+Scalar arithmetic on them uses `ff`'s formulas, and `coeff` wraps one as a
+FieldElement without conversion.  Products switch to an exact numpy
+convolution once operands are long enough for it to pay.
 
 `pow_coeffs` reads single coefficients of a power without forming it: it
 keeps the polynomial as int64 coordinate arrays and squares up to f^(m//2).
@@ -20,11 +22,20 @@ refuses the power.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .ff import FieldCtx, FieldElement
+from .ff import (
+    FieldCtx,
+    FieldElement,
+    _is_rzero,
+    _radd,
+    _rinv,
+    _rmul,
+    _rneg,
+    _rsmall,
+    _rsub,
+    _rzero,
+)
 
 DEGREE_CAP = 1 << 24
 # cost guard of `pow_coeffs`: its last squaring is about (n/2)^2 multiply-adds
@@ -56,65 +67,6 @@ def _convolve(a, b):
     """np.convolve of int64 residue arrays, not reduced, run in float64;
     callers keep it exact by `_float_exact`.  The result is int64."""
     return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-
-
-def _rzero(ext):
-    return 0 if ext == 1 else (0, 0)
-
-
-def _is_rzero(ext, x):
-    return x == 0 if ext == 1 else x == (0, 0)
-
-
-def _radd(p, ext, x, y):
-    if ext == 1:
-        return (x + y) % p
-    return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-
-def _rsub(p, ext, x, y):
-    if ext == 1:
-        return (x - y) % p
-    return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
-
-
-def _rneg(p, ext, x):
-    if ext == 1:
-        return (-x) % p
-    return ((-x[0]) % p, (-x[1]) % p)
-
-
-def _rmul(p, nu, ext, x, y):
-    if ext == 1:
-        return x * y % p
-    a, b = x
-    c, d = y
-    return ((a * c + nu * b * d) % p, (a * d + b * c) % p)
-
-
-def _rdot(p, nu, ext, xs, ys):
-    """The sum of x*y over paired raw residues, reduced once."""
-    if ext == 1:
-        return sum(map(operator.mul, xs, ys)) % p
-    re = im = 0
-    for (a, b), (c, d) in zip(xs, ys):
-        re += a * c + nu * b * d
-        im += a * d + b * c
-    return (re % p, im % p)
-
-
-def _rinv(p, nu, ext, x):
-    if ext == 1:
-        return pow(x, p - 2, p)
-    a, b = x
-    n = (a * a - nu * b * b) % p
-    ninv = pow(n, p - 2, p)
-    return (a * ninv % p, (-b) * ninv % p)
-
-
-def _rsmall(p, ext, n):
-    """The raw image of the integer n."""
-    return n % p if ext == 1 else (n % p, 0)
 
 
 def _conv_int(a, b, p):
@@ -176,11 +128,7 @@ class DensePoly:
 
     @classmethod
     def from_elements(cls, ctx: FieldCtx, elems) -> "DensePoly":
-        raw = []
-        for e in elems:
-            e = ctx.embed(e)
-            raw.append(e.coords[0] if ctx.ext_degree == 1 else e.coords)
-        return cls(ctx, raw)
+        return cls(ctx, [ctx.embed(e).raw for e in elems])
 
     @classmethod
     def from_roots(cls, ctx: FieldCtx, roots) -> "DensePoly":
@@ -216,8 +164,7 @@ class DensePoly:
 
     def coeff(self, i: int) -> FieldElement:
         if 0 <= i < len(self._c):
-            raw = self._c[i]
-            return self.ctx.from_coords((raw,) if self.ctx.ext_degree == 1 else raw)
+            return FieldElement(self.ctx, self._c[i])
         return self.ctx.zero
 
     @property
@@ -277,8 +224,7 @@ class DensePoly:
         return DensePoly(self.ctx, _raw_mul(self.ctx, self._c, other._c))
 
     def scale(self, c: FieldElement) -> "DensePoly":
-        c = self.ctx.embed(c)
-        raw = c.coords[0] if self.ctx.ext_degree == 1 else c.coords
+        raw = self.ctx.embed(c).raw
         p, nu, ext = self.ctx.p, self.ctx.nu, self.ctx.ext_degree
         return DensePoly(self.ctx, [_rmul(p, nu, ext, x, raw) for x in self._c])
 
@@ -327,15 +273,11 @@ class DensePoly:
         return DensePoly(self.ctx, [_rmul(p, nu, ext, x, inv) for x in self._c])
 
     def derivative(self) -> "DensePoly":
-        p, ext = self.ctx.p, self.ctx.ext_degree
-        out = []
-        for i in range(1, len(self._c)):
-            x = self._c[i]
-            if ext == 1:
-                out.append(i * x % p)
-            else:
-                out.append((i * x[0] % p, i * x[1] % p))
-        return DensePoly(self.ctx, out)
+        p, nu, ext = self.ctx.p, self.ctx.nu, self.ctx.ext_degree
+        c = self._c
+        return DensePoly(
+            self.ctx, [_rmul(p, nu, ext, _rsmall(p, ext, i), c[i]) for i in range(1, len(c))]
+        )
 
     def reverse(self) -> "DensePoly":
         """x^deg * f(1/x); used for coefficient extraction near the top degree."""
@@ -446,8 +388,8 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
             out[k] = ctx.zero
             continue
         d = [int(np.dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1])) for a, b in zip(A, B)]
-        c = (d[0] % p,) if ext == 1 else ((d[0] + nu * d[1]) % p, (d[2] - d[0] - d[1]) % p)
-        out[k] = ctx.from_coords(c)
+        c = d[0] % p if ext == 1 else ((d[0] + nu * d[1]) % p, (d[2] - d[0] - d[1]) % p)
+        out[k] = FieldElement(ctx, c)
     return out
 
 

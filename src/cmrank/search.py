@@ -137,7 +137,8 @@ quotients of every pair of the pass (`_quotient_rows`).
 
 First the polynomial facts that split rests on: E_u and D_v are squarefree
 curve models, the fiber product has genus 5, and its third quotient
-E_u D_v / gcd(E_u, D_v)^2 is squarefree.  They come from the per-pair
+E_u D_v / gcd(E_u, D_v)^2 is squarefree; and each quotient has degree 4 or
+6, the degrees the matrices are read for.  They come from the per-pair
 route, `covers.kani_rosen_triple` and then `cartier.HyperellipticModel`,
 run on the quotients' own rows (`_polynomial_facts`), not on the
 coefficient g1 of the family's cubic as the kernel's exclusion is, so the
@@ -256,8 +257,8 @@ import numpy as np
 
 from .cartier import HyperellipticModel, power_coeffs
 from .covers import kani_rosen_triple
-from .ff import FieldElement, field, inverse_table, is_prime
-from .poly import DensePoly, _rsmall, _rzero, is_squarefree, poly_gcd
+from .ff import FieldElement, _rsmall, _rzero, field, inverse_table, is_prime
+from .poly import DensePoly, is_squarefree, poly_gcd
 
 EXT_GRID_GUARD = 40000
 ENUM_GUARD = 1_200_000
@@ -594,6 +595,9 @@ def _degrees(R):
     return np.where(nonzero.any(axis=0), len(R) - 1 - nonzero[::-1].argmax(axis=0), -1)
 
 
+_QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
+
+
 def _polynomial_facts(ctx, u, v, e, d, f):
     """Check the polynomial facts of the pair (u, v), given the coefficient
     rows e, d and f of its quotients E_u, D_v and the genus-2 curve, low to
@@ -603,17 +607,29 @@ def _polynomial_facts(ctx, u, v, e, d, f):
     refuses the genus-2 quotient unless it is squarefree.  F is A B, not
     that quotient, so it must be one: a constant times E_u D_v / gcd^2,
     which changes neither its squarefreeness nor whether its Cartier-Manin
-    matrix vanishes.  Raises the error of the first fact that fails."""
-    t = kani_rosen_triple(DensePoly(ctx, e.tolist()), DensePoly(ctx, d.tolist()))
-    if t.genus_total != 5:
-        raise RuntimeError(f"solution ({u}, {v}) has genus {t.genus_total}, not 5")
-    F = DensePoly(ctx, f.tolist())
-    # then F has the degree of that quotient, at least 5 at genus 5 as
-    # deg E_u <= 4 and deg D_v <= 6: HyperellipticModel's degree check
-    # cannot fail
-    if F.is_zero or F.scale(t.f3.coeff(t.f3.degree)) != t.f3.scale(F.coeff(F.degree)):
-        raise RuntimeError(f"solution ({u}, {v}): the genus-2 quotient is not E_u D_v / gcd^2")
-    HyperellipticModel(ctx, F)
+    matrix vanishes.  Last, each quotient must have degree 4 or 6, the
+    degrees whose matrices `_cartier_entries_vec` reads.  Raises the error
+    of the first fact that fails, naming the pair."""
+    E, D, F = (DensePoly(ctx, r.tolist()) for r in (e, d, f))
+    try:
+        t = kani_rosen_triple(E, D)
+        if t.genus_total != 5:
+            raise RuntimeError(f"solution ({u}, {v}) has genus {t.genus_total}, not 5")
+        # then F has the degree of that quotient, at least 5 at genus 5 as
+        # deg E_u <= 4 and deg D_v <= 6: HyperellipticModel's degree check
+        # cannot fail
+        if F.is_zero or F.scale(t.f3.coeff(t.f3.degree)) != t.f3.scale(F.coeff(F.degree)):
+            raise RuntimeError(
+                f"solution ({u}, {v}): the genus-2 quotient is not E_u D_v / gcd^2"
+            )
+        HyperellipticModel(ctx, F)
+        for name, Q in zip(_QUOTIENT_NAMES, (E, D, F)):
+            if Q.degree not in (4, 6):
+                raise ValueError(
+                    f"{name} has degree {Q.degree}; the recheck reads degree 4 or 6 only"
+                )
+    except ValueError as err:
+        raise ValueError(f"solution ({u}, {v}): {err}") from None
 
 
 # -- Moebius normal forms: one entry pass per form ---------------------------------
@@ -915,9 +931,6 @@ def _recheck(p: int, us, vs, inv_table):
         _recheck_slice(p, us[part], vs[part], inv_table, seen)
 
 
-_QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
-
-
 def _recheck_slice(p: int, us, vs, inv_table, seen):
     """Recheck the pairs (us[i], vs[i]) of one slice, given the set of the
     nonzero normal forms whose first pair came in an earlier slice, which it
@@ -1134,10 +1147,9 @@ def _monic_tails(ctx, d: int, zeros):
     if d in zeros:
         return
     ext = ctx.ext_degree
-    raw_elems = [e.coords[0] if ext == 1 else e.coords for e in ctx.elements()]
     free = [k for k in range(d) if k not in zeros]
     coeffs = [_rzero(ext)] * d + [_rsmall(ctx.p, ext, 1)]
-    for values in product(raw_elems, repeat=len(free)):
+    for values in product([e.raw for e in ctx.elements()], repeat=len(free)):
         for k, v in zip(free, values):
             coeffs[k] = v
         yield list(coeffs)

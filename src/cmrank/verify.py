@@ -155,11 +155,11 @@ def verify_genus2_ss(seed=None):
     return rep.done()
 
 
-def _candidate_lambdas(p, count=2):
-    """A few supersingular lambdas plus one ordinary one, over GF(p^2)."""
+def _candidate_lambdas(p):
+    """The first supersingular lambda plus the first ordinary one, over GF(p^2)."""
     ctx = field(p, 2)
     ss = supersingular_lambdas(p)
-    picked = list(ss[:count])
+    picked = ss[:1]
     ss_set = set(ss)
     for lam in ctx.elements():
         if lam.is_zero or lam == ctx.one or lam in ss_set:
@@ -179,7 +179,7 @@ def verify_prop44(seed=None):
         for p in PRIMES_TO_50:
             if n % p == 0 or p % n == 1:
                 continue
-            ctx, lams, ss_set = _candidate_lambdas(p, count=1)
+            ctx, lams, ss_set = _candidate_lambdas(p)
             for lam in lams:
                 tval = None
                 for c in ctx.elements():
@@ -266,7 +266,7 @@ def verify_prop45(seed=None):
             r = p % modulus
             if r in (1, (n - 2) % modulus):
                 continue
-            ctx, lams, ss_set = _candidate_lambdas(p, count=1)
+            ctx, lams, ss_set = _candidate_lambdas(p)
             for lam in lams:
                 if lam ** (n - 1) == ctx.one:
                     continue

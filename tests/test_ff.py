@@ -3,7 +3,9 @@ import random
 import pytest
 
 from cmrank import ff
+from cmrank.cartier import power_coeffs
 from cmrank.ff import field, inverse_table, is_prime
+from cmrank.poly import DensePoly
 
 # the first prime past MAX_PRIME = 2^31
 P_PAST_MAX = 2147483659
@@ -188,3 +190,56 @@ def test_elements_order_is_deterministic():
     k = field(3, 2)
     listed = [a.coords for a in k.elements()]
     assert listed == [(a, b) for a in range(3) for b in range(3)]
+
+
+def _w_mul(x, y, p, nu):
+    """(a + b w)(c + d w) for integer pairs, multiplied as polynomials in w
+    and reduced by w^2 = nu mod p."""
+    prod = [0, 0, 0]
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    return ((prod[0] + nu * prod[2]) % p, prod[1] % p)
+
+
+def test_gf_p2_arithmetic_matches_an_independent_oracle():
+    # w^2 = -1 at p = 3 and 7, w^2 = 2, the smallest non-residue, at 5 and 13:
+    # every product, inverse, power up to p + 1 and Frobenius image, against
+    # integer pairs multiplied in the test, with inverses found by search
+    for p, nu in ((3, 2), (5, 2), (7, 6), (13, 2)):
+        ctx = field(p, 2)
+        assert ctx.nu == nu
+        pairs = [(a, b) for a in range(p) for b in range(p)]
+        for x in pairs:
+            a = ctx.from_coords(x)
+            assert [(a * ctx.from_coords(y)).coords for y in pairs] == [
+                _w_mul(x, y, p, nu) for y in pairs
+            ]
+            powers = [(1, 0)]
+            for _ in range(p + 1):
+                powers.append(_w_mul(powers[-1], x, p, nu))
+            assert [(a**e).coords for e in range(p + 2)] == powers
+            assert a.frobenius().coords == powers[p]
+            if x != (0, 0):
+                inv = next(y for y in pairs if _w_mul(x, y, p, nu) == (1, 0))
+                assert a.inverse().coords == (a**-1).coords == inv
+
+
+def test_every_route_to_a_value_gives_one_element():
+    # the constructors, DensePoly.coeff and power_coeffs give equal elements
+    # with equal hashes, so that a set built by one route answers lookups by
+    # another, as verify's ss_set of supersingular lambdas does
+    for p in (3, 5, 7, 13):
+        for ext in (1, 2):
+            ctx = field(p, ext)
+            for a in ctx.elements():
+                f = DensePoly.from_elements(ctx, [a, ctx.one])
+                routes = [ctx.from_coords(a.coords), ctx.parse(str(a)), f.coeff(0)]
+                if ext == 1 or a.coords[1] == 0:
+                    routes.append(ctx.elem(a.coords[0] - p))
+                for strategy in ("naive", "recurrence"):
+                    routes.append(power_coeffs(f, 1, [0], strategy)[0])
+                    square = power_coeffs(f, 2, [0], strategy)[0]
+                    assert square == a * a and hash(square) == hash(a * a)
+                assert all(r == a and hash(r) == hash(a) for r in routes), (p, ext, a)
+                assert set(routes) == {a}

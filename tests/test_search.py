@@ -680,7 +680,7 @@ def _generic_verdict(ctx, u, v):
             return f"RuntimeError: solution ({u}, {v}) has genus {t.genus_total}, not 5"
         HyperellipticModel(ctx, t.f3)
     except ValueError as err:
-        return f"ValueError: {err}"
+        return f"ValueError: solution ({u}, {v}): {err}"
     return None
 
 
@@ -688,8 +688,8 @@ def test_batched_polynomial_checks_match_generic_route():
     # every pair of the GF(23) grid minus +-1, gcd-excluded ones included; and
     # the whole GF(13) grid, where u = +-1 zeroes E_u and u^4 = 1 or v^6 = 1
     # lowers a degree.  A pair the generic route refuses is refused with its
-    # error; one it passes passes, or fails at a matrix, or has a degree the
-    # entries refuse
+    # error, named; one it passes passes, or fails at a matrix, or has a
+    # degree the recheck does not read
     for p, values in ((23, [0, *range(2, 22)]), (13, range(13))):
         ctx = field(p)
         seen = set()
@@ -785,6 +785,19 @@ def test_recheck_batch_names_the_first_failing_pair():
     u, v = gcd_pair
     with pytest.raises(RuntimeError, match=rf"\({u}, {v}\) has genus"):
         recheck(solutions[:5] + [gcd_pair] + [(4, 18)])
+    # a refusal of the per-pair route, here E_u = 0 at u = 1, names the pair
+    with pytest.raises(ValueError, match=r"^solution \(1, 2\): deg -1 < 3"):
+        verify_solution_story(11, [0, 1], [2, 2])
+    # and so does a degree the matrices are not read for: v = 3 is a root of
+    # 1 - v + v^2 mod 7 and of 1 + v + v^2 mod 13, the top coefficients of the
+    # transports of x^2 - x + 1 and x^2 + x + 1, so D_v has degree 5
+    with pytest.raises(ValueError, match=r"^solution \(0, 3\): D_v has degree 5"):
+        verify_solution_story(7, 0, 3)
+    with pytest.raises(ValueError, match=r"^solution \(2, 3\): D_v has degree 5"):
+        verify_solution_story(13, [2, 0], [3, 5])
+    # which does not hide an earlier pair's nonzero matrix
+    with pytest.raises(RuntimeError, match=r"^solution \(0, 5\) is not superspecial: .* E_u"):
+        verify_solution_story(13, [0, 2], [5, 3])
 
 
 def test_sweep_builds_one_inverse_table(monkeypatch):
@@ -1113,8 +1126,8 @@ def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
     # with a follower whose quotients are the images of the leader's under
     # M_u, so that their pull-backs are proportional: the leader has no
     # normal form, the follower takes the per-pair route on its own rows, the
-    # entries refuse the leader's degree, and the message is the one with
-    # every form refused
+    # polynomial facts refuse the leader's degree, naming it, and the message
+    # is the one with every form refused
     p = 23
     ctx = field(p)
     inv = _inverse_table(p)
@@ -1144,8 +1157,15 @@ def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
     batch = [leader, follower]
     message = _recheck_outcome(p, batch)
     lead_e = DensePoly(ctx, lead_rows[0].tolist())
-    assert message == f"ValueError: expected degree 4 or 6 over GF({p}), got {lead_e!r}"
-    assert routed == [lead_e, DensePoly(ctx, follow_rows[0].tolist())]
+    assert message == "ValueError: solution {}: E_u has degree 3; the recheck " \
+        "reads degree 4 or 6 only".format(leader)
+    assert routed == [lead_e]
+    # put first, the follower is routed too, and its own genus-2 rows fail
+    routed.clear()
+    assert _recheck_outcome(p, [follower, leader]) == "RuntimeError: solution {} is not " \
+        "superspecial: the Cartier-Manin matrix of the genus-2 quotient is " \
+        "nonzero".format(follower)
+    assert routed == [DensePoly(ctx, follow_rows[0].tolist()), lead_e]
     _refuse_every_certificate(monkeypatch)
     assert _recheck_outcome(p, batch) == message
 
