@@ -12,7 +12,7 @@ supersingular genus-2 pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from math import gcd
 
 from .cartier import HyperellipticModel, p_rank
 from .curves import supersingular_lambdas
@@ -95,20 +95,23 @@ def family_xn_tn(n: int, t: FieldElement) -> HyperellipticModel:
     return HyperellipticModel(ctx, f)
 
 
-@lru_cache(maxsize=256)
 def primitive_root_of_unity(ctx: FieldCtx, order: int) -> FieldElement:
-    """First element of exact multiplicative order `order`, scanning the
-    deterministic element ordering: a^order = 1 and a^(order/r) != 1 for
-    every prime r dividing order."""
-    if (ctx.order - 1) % order != 0:
+    """The first element of exact multiplicative order `order` in the
+    `ctx.elements()` ordering, in closed form: z = a^((q-1)/order) for the
+    first nonzero a with z^(order/r) != 1 for every prime r dividing
+    `order`.  The elements of exact order `order` are the z^k with k
+    coprime to `order`; the least of them by coordinates is returned."""
+    q1 = ctx.order - 1
+    if q1 % order != 0:
         raise ValueError(f"GF({ctx.order}) has no element of order {order}")
     cofactors = [order // r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
     one = ctx.one
     for a in ctx.elements():
         if a.is_zero:
             continue
-        if a**order == one and all(a**e != one for e in cofactors):
-            return a
+        z = a ** (q1 // order)
+        if all(z**e != one for e in cofactors):
+            return min((z**k for k in range(order) if gcd(k, order) == 1), key=lambda r: r.coords)
     raise ValueError(f"no element of order {order} found")  # unreachable
 
 

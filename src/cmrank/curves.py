@@ -1,8 +1,15 @@
 """Elliptic-curve layer: Legendre models, the Hasse invariant, enumeration of
-supersingular lambda values in GF(p^2), and the characteristic-3 quartic test."""
+supersingular lambda values in GF(p^2), and the characteristic-3 quartic test.
+
+The supersingular lambdas of a prime are scanned once per process: the scan
+is memoised per p, and every call of `supersingular_lambdas` returns a fresh
+list copied from the memo.  The memo holds at most (p-1)/2 lambdas for each
+prime p <= SS_LAMBDAS_MAX_P that was asked for; larger p is refused before
+anything is built or cached."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -62,10 +69,17 @@ def _hasse_poly_in_lambda(p: int) -> DensePoly:
 
 def supersingular_lambdas(p: int) -> list:
     """All lambda in GF(p^2) - {0, 1} with vanishing Hasse invariant, ordered
-    lexicographically by coordinates.  Exhaustive scan of the extension,
-    guarded to p <= SS_LAMBDAS_MAX_P."""
+    lexicographically by coordinates, as a new list on every call.  The
+    exhaustive scan of the extension runs once per p in a process and is
+    guarded to p <= SS_LAMBDAS_MAX_P; the memo keeps at most (p-1)/2
+    lambdas per prime, the degree of the Hasse polynomial."""
     if p > SS_LAMBDAS_MAX_P:
         raise ValueError(f"p = {p} exceeds the supersingular scan bound {SS_LAMBDAS_MAX_P}")
+    return list(_scan_supersingular(p))
+
+
+@lru_cache(maxsize=None)
+def _scan_supersingular(p: int) -> tuple:
     ctx2 = field(p, 2)
     H = _hasse_poly_in_lambda(p)
     # vectorized Horner over the (a, b) grid of GF(p^2)
@@ -86,7 +100,7 @@ def supersingular_lambdas(p: int) -> list:
         if lam.is_zero or lam == ctx2.one:
             continue
         out.append(lam)
-    return out
+    return tuple(out)
 
 
 def quartic_hasse_char3(f: DensePoly) -> FieldElement:

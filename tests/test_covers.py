@@ -300,6 +300,17 @@ def test_primitive_root_matches_order_scan():
         assert primitive_root_of_unity(ctx, order) == first, (n, p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("ext", [1, 2])
+def test_primitive_root_is_first_in_element_order_for_every_order(p, ext):
+    ctx = field(p, ext)
+    for order in range(1, ctx.order):
+        if (ctx.order - 1) % order:
+            continue
+        first = next(a for a in ctx.elements() if not a.is_zero and _scan_order(a, order) == order)
+        assert primitive_root_of_unity(ctx, order) == first, order
+
+
 @pytest.mark.parametrize("n, p", [(3, 11), (5, 7)])
 def test_prop44_case2_rejects_exactly_n_lambdas(n, p):
     rejected = _rejected_lambdas(n, field(p, 2))

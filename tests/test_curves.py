@@ -155,6 +155,32 @@ def test_supersingular_lambdas_size_guard(monkeypatch):
         supersingular_lambdas(2053)
 
 
+def test_supersingular_lambdas_refused_p_leaves_memo_unchanged():
+    before = curves._scan_supersingular.cache_info()
+    with pytest.raises(ValueError, match="bound"):
+        supersingular_lambdas(2053)
+    assert curves._scan_supersingular.cache_info() == before
+
+
+def test_supersingular_lambdas_returns_a_fresh_list_per_call():
+    first = supersingular_lambdas(13)
+    second = supersingular_lambdas(13)
+    assert first == second
+    assert first is not second
+    first.clear()
+    first.append(field(13, 2).one)
+    assert supersingular_lambdas(13) == second
+    assert len(second) == 6
+
+
+def test_supersingular_lambdas_memo_equals_uncached_scan():
+    primes = (3, 5, 7, 11, 13, 41)
+    memoised = {p: supersingular_lambdas(p) for p in primes}
+    for p in primes:
+        assert memoised[p] == list(curves._scan_supersingular.__wrapped__(p)), p
+        assert supersingular_lambdas(p) == memoised[p], p
+
+
 def test_quartic_criterion_examples():
     k9 = field(3, 2)
     assert quartic_hasse_char3(DensePoly.from_ints(k9, [0, 1, 0, 1, 1])).is_zero

@@ -1,6 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from cmrank import cartier
 from cmrank.verify import DEFAULT_SEED, SUITES, run_suite
+
+# `cmrank verify all --format json` at the default seed, elapsed_ms removed
+VERIFY_ALL_REPORT = Path(__file__).parent / "data" / "verify_all.json"
 
 
 def _strip_timing(report):
@@ -53,3 +60,23 @@ def test_genus2_ss_passes():
         "p11_genus2_prank0",
         "p13_genus2_prank0",
     ]
+
+
+def test_verify_all_report_matches_checked_in_copy():
+    expected = json.loads(VERIFY_ALL_REPORT.read_text())
+    assert _strip_timing(run_suite("all", seed=DEFAULT_SEED)) == expected
+
+
+@pytest.mark.parametrize("suite, distinct_models", [("prop45", 68), ("prop44", 215)])
+def test_suite_builds_one_cartier_matrix_per_distinct_model(monkeypatch, suite, distinct_models):
+    built = []
+    matrix = cartier.cartier_matrix
+
+    def spy(C, *args, **kwargs):
+        built.append(C.f)
+        return matrix(C, *args, **kwargs)
+
+    monkeypatch.setattr(cartier, "cartier_matrix", spy)
+    assert run_suite(suite)["passed"]
+    assert len(set(built)) == distinct_models
+    assert len(built) == distinct_models
