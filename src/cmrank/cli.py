@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ss5.add_argument(
         "--ext-field",
         action="store_true",
-        help="scan (u, v) over GF(p^2) instead (exploratory; small p only)",
+        help="sweep (u, v) over GF(p^2) instead (exploratory; refused past "
+        "search.EXT_ORACLE_GUARD oracle calls, every p < 512 admitted)",
     )
 
     p_range = sub.add_parser("ss5-range", help="sweep all p = 11 (mod 12) in a range, CSV summary")

@@ -120,9 +120,9 @@ a_p = -sum_x chi(x^3 + a4 x + a6) of its model (`_traces`), with a_p = 0
 exactly for supersingular curves by the Hasse bound |a_p| <= 2 sqrt(p) < p.
 The pruning never changes a verdict, only which w reach the trace; the
 constant x0 keeps the runs reproducible.  The orbits of the good w values
-are then expanded into sorted (u, v) pairs.  The GF(p^2) scan
-(`ss5_sweep_ext`) uses the same rules: each of its pairs takes the scalar
-oracle's verdict on (0, w), checked once per pair {w, -w}.
+are then expanded into sorted (u, v) pairs.  The GF(p^2) sweep
+(`ss5_sweep_ext`) walks the same line, with p^2 for p in the orbit sizes,
+but takes the scalar oracle's verdict on (0, w), once per pair {w, -w}.
 
 Every reported pair is rechecked for the stronger claim, superspeciality of
 the genus-5 curve, from the pair's own rows rather than its w
@@ -260,7 +260,11 @@ from .covers import kani_rosen_triple
 from .ff import FieldElement, _rsmall, _rzero, field, inverse_table, is_prime
 from .poly import DensePoly, is_squarefree, poly_gcd
 
-EXT_GRID_GUARD = 40000
+# oracle calls `ss5_sweep_ext` may make, (p^2 - 1)/2, checked before it lists
+# GF(p^2).  A call takes 0.6 ms at p = 107 and 0.85 ms at 491: p = 491
+# (120 540 calls) takes 102 s as a command (2-core Xeon VM).  2^17 admits
+# every p < 512
+EXT_ORACLE_GUARD = 1 << 17
 ENUM_GUARD = 1_200_000
 # keeps every int64 accumulation of `_power_coeffs_vec` exact: each recurrence
 # term weight * f_j * c_{k-j}, on the window or in a block, is below p^3 and
@@ -853,6 +857,29 @@ def _classify(p: int, W):
     return excluded_gcd, supersingular[W] & supersingular[-W % p]
 
 
+def _grid_counts(p: int, q: int, excluded: dict, solution, mode: str, sizes=None):
+    """The counts of the grid over GF(q), q = p or p^2, and the indices of
+    the good orbits, from boolean arrays over the w line, w = 0 first and
+    infinity last: excluded maps "gcd" and "singular" to one each.  Orbit i
+    holds sizes[i] pairs, by default q - 2 for w = 0 and q - 3 for the
+    others (module docstring).  Mode "all" refuses more than RECHECK_GUARD
+    good pairs, before any is listed."""
+    if sizes is None:
+        sizes = np.full(len(solution), q - 3, dtype=np.int64)
+        sizes[0] = q - 2
+    counts = {"excluded_" + reason: int(sizes[mask].sum()) for reason, mask in excluded.items()}
+    counts["tested"] = int(sizes.sum()) - sum(counts.values())
+    counts["excluded_uv"] = q * q - (q - 2) ** 2
+    good = np.flatnonzero(solution)
+    pairs = int(sizes[good].sum())
+    if mode == "all" and pairs > RECHECK_GUARD:
+        raise ValueError(
+            f"mode 'all' at p = {p} reports {pairs} pairs, beyond the recheck "
+            f"guard {RECHECK_GUARD}"
+        )
+    return counts, good
+
+
 def _sweep_w_line(p: int, inv_table, mode: str = "all"):
     """Full-grid counts and the sorted solution pairs, before re-verification;
     in mode "first" only the least pair.  That is (0, least good w): (0, w)
@@ -863,25 +890,12 @@ def _sweep_w_line(p: int, inv_table, mode: str = "all"):
     W = _w_line(p)
     # w = infinity, appended last, takes the verdict of w = 0, the first
     excluded_gcd, solution = (np.append(verdict, verdict[0]) for verdict in _classify(p, W))
+    # no w of the line is singular (`_classify`)
+    excluded = {"gcd": excluded_gcd, "singular": np.zeros_like(excluded_gcd)}
+    counts, good = _grid_counts(p, p, excluded, solution, mode)
     ws = W.tolist() + [None]
-    sizes = np.full(len(ws), p - 3, dtype=np.int64)
-    sizes[0] = p - 2
-    counts = {
-        "tested": int(sizes[~excluded_gcd].sum()),
-        "excluded_uv": p * p - (p - 2) ** 2,
-        "excluded_gcd": int(sizes[excluded_gcd].sum()),
-        # none on the w line (`_classify`)
-        "excluded_singular": 0,
-    }
-    good = np.flatnonzero(solution)
     if mode == "first":
         return counts, [(0, ws[good[0]])] if good.size else []
-    pairs = int(sizes[good].sum())
-    if pairs > RECHECK_GUARD:
-        raise ValueError(
-            f"mode 'all' at p = {p} reports {pairs} pairs, beyond the recheck "
-            f"guard {RECHECK_GUARD}"
-        )
     solutions = sorted(pair for i in good for pair in _orbit(p, ws[i], inv_table))
     return counts, solutions
 
@@ -1055,49 +1069,57 @@ def sweep_with_cache(cfg: SweepConfig, results_dir, force: bool = False):
 # -- flagged extension-field search (no reproduction claim) ------------------------
 
 
-def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
-    """Exploratory sweep with (u, v) over GF(p^2); guarded to small grids.
-    No expected outcome is attached to these findings.
+def _ext_orbit(elems, w):
+    """`_orbit` over GF(p^2), with u over elems, the field without +-1."""
+    if w is None:
+        return [(u, u.inverse()) for u in elems if not u.is_zero]
+    one = w.ctx.one
+    return [(u, (u + w) / den) for u in elems if not (den := one + u * w).is_zero]
 
-    The grid is walked in order and counted pair by pair, but the scalar
-    oracle runs once per orbit: (u, v) takes the verdict of (0, w),
-    w = (v-u)/(1-uv), and of (0, 0) when uv = 1, and -w shares the verdict of
-    w (module docstring).  That is at most (p^2 - 1)/2 oracle calls for the
-    (p^2 - 2)^2 pairs."""
+
+def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
+    """Exploratory sweep with (u, v) over GF(p^2), refused past
+    EXT_ORACLE_GUARD.  No expected outcome is attached to these findings.
+
+    It walks the w line of `ss5_sweep` in element order, with the scalar
+    oracle on (0, w) once per pair {w, -w}, and counts orbits in closed form
+    (module docstring).  The grid's first row, u = 0, is (0, w) for w
+    ascending: mode "first" stops at the first good w and counts that row up
+    to it.  Mode "all" lists the good orbits' pairs in the grid's order."""
     SweepConfig(p, mode)  # validates p and mode
-    # u, v range over GF(p^2) without +-1; the size is checked before the
-    # p^2 elements are listed
-    grid_size = (p * p - 2) ** 2
-    if grid_size > EXT_GRID_GUARD:
-        raise ValueError(
-            f"extension grid has {grid_size} pairs, beyond the guard {EXT_GRID_GUARD}"
-        )
+    # checked before the p^2 elements are listed
+    calls = (p * p - 1) // 2
+    if calls > EXT_ORACLE_GUARD:
+        raise ValueError(f"GF({p}^2) takes {calls} oracle calls, past the guard {EXT_ORACLE_GUARD}")
+    start = time.monotonic()
     ctx = field(p, 2)
     one, zero = ctx.one, ctx.zero
-    elems = [e for e in ctx.elements() if not (e == one or e == -one)]
-    start = time.monotonic()
-    counts = {
-        "tested": 0,
-        "excluded_uv": ctx.order**2 - grid_size,
-        "excluded_gcd": 0,
-        "excluded_singular": 0,
-    }
-    solutions = []
-    verdicts = {}  # w -> the oracle's verdict on (0, w)
-    for u, v in product(elems, repeat=2):
-        den = one - u * v
-        w = zero if den.is_zero else (v - u) / den
+    ws, verdicts, sizes = [], {}, None  # w -> the oracle's verdict on (0, w)
+    for w in ctx.elements():
+        if w == one or w == -one:
+            continue
         if w not in verdicts:
             verdicts[w] = verdicts[-w] = ss5_check_pair(p, zero, w)
-        r = verdicts[w]
-        if r.status == "excluded":
-            counts["excluded_" + r.reason] += 1
-            continue
-        counts["tested"] += 1
-        if r.status == "solution":
-            solutions.append((str(u), str(v)))
-            if mode == "first":
-                break
+        ws.append(w)
+        if mode == "first" and verdicts[w].status == "solution":
+            # one pair (0, w) of the first row per w
+            sizes = np.ones(len(ws), dtype=np.int64)
+            break
+    else:
+        ws.append(None)  # w = infinity, with the verdict of w = 0
+        verdicts[None] = verdicts[zero]
+    # "gcd" or "singular" for an excluded w, else "solution" or "not_solution"
+    found = np.array([verdicts[w].reason or verdicts[w].status for w in ws])
+    excluded = {reason: found == reason for reason in ("gcd", "singular")}
+    counts, good = _grid_counts(p, ctx.order, excluded, found == "solution", mode, sizes)
+    if mode == "first":
+        pairs = [(zero, ws[i]) for i in good]
+    else:
+        pairs = sorted(
+            (pair for i in good for pair in _ext_orbit(ws[:-1], ws[i])),
+            key=lambda pair: (pair[0].coords, pair[1].coords),
+        )
+    solutions = [(str(u), str(v)) for u, v in pairs]
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return SearchResult(
         p=p, mode=f"ext-{mode}", solutions=solutions, counts=counts, elapsed_ms=elapsed_ms

@@ -328,13 +328,23 @@ def test_ss5_range_all_stops_at_a_refused_prime(monkeypatch, tmp_path, capsys):
     ]
 
 
-def test_ss5_ext_field_past_the_grid_guard_exits_2_before_listing(monkeypatch, capsys):
+def test_ss5_ext_field_past_the_oracle_guard_exits_2_before_listing(monkeypatch, capsys):
     def refuse(self):
-        raise AssertionError("listed GF(p^2) past the grid guard")
+        raise AssertionError("listed GF(p^2) past the oracle guard")
 
     monkeypatch.setattr(ff.FieldCtx, "elements", refuse)
-    code, _, err = run(capsys, "ss5", "--p", "1048571", "--ext-field", "--no-cache")
-    assert code == 2 and "guard" in err
+    for p in ("563", "1048571"):
+        code, _, err = run(capsys, "ss5", "--p", p, "--ext-field", "--no-cache")
+        assert code == 2 and "guard" in err, p
+
+
+def test_ss5_ext_field_all_past_the_recheck_guard_exits_2(monkeypatch, capsys):
+    argv = ("ss5", "--p", "23", "--ext-field", "--mode", "all", "--no-cache")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["solutions"]) == 3156
+    monkeypatch.setattr(search, "RECHECK_GUARD", 3155)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "3156 pairs" in err
 
 
 def test_cached_parser_answers_like_fresh_ones(capsys):

@@ -1395,6 +1395,13 @@ def test_load_missing_returns_none(tmp_path):
     assert load_result(tmp_path, 11) is None
 
 
+def _first_prime_past_the_ext_guard():
+    return next(
+        p for p in range(11, 1 << 20, 12)
+        if is_prime(p) and (p * p - 1) // 2 > search.EXT_ORACLE_GUARD
+    )
+
+
 def test_ext_search_small():
     r = ss5_sweep_ext(11, mode="first")
     assert r.mode == "ext-first"
@@ -1403,7 +1410,7 @@ def test_ext_search_small():
         "tested": 22, "excluded_uv": 480, "excluded_gcd": 0, "excluded_singular": 0,
     }
     with pytest.raises(ValueError):
-        ss5_sweep_ext(107)
+        ss5_sweep_ext(_first_prime_past_the_ext_guard())
 
 
 def test_ext_search_guards_fire_before_listing_the_field(monkeypatch):
@@ -1411,12 +1418,57 @@ def test_ext_search_guards_fire_before_listing_the_field(monkeypatch):
         raise AssertionError("listed GF(p^2) past a guard")
 
     monkeypatch.setattr(FieldCtx, "elements", refuse)
-    # (23^2 - 2)^2 = 277 729 pairs, so p = 11 is the only prime admitted
-    assert (23**2 - 2) ** 2 > search.EXT_GRID_GUARD >= (11**2 - 2) ** 2
+    # the guard bounds the (p^2 - 1)/2 oracle calls of the line: it admits
+    # every p < 512, the solution-free 107, 443 and 491 among them, and
+    # refuses 563, the next prime p = 11 (mod 12)
+    past = _first_prime_past_the_ext_guard()
+    assert past == 563
+    assert (past**2 - 1) // 2 > search.EXT_ORACLE_GUARD >= (511**2 - 1) // 2
     with pytest.raises(ValueError, match="guard"):
-        ss5_sweep_ext(23)
+        ss5_sweep_ext(past)
     with pytest.raises(ValueError, match="mode"):
         ss5_sweep_ext(11, mode="some")
+
+
+def test_ext_search_all_refuses_before_expanding_an_orbit(monkeypatch):
+    # p = 23 has 3156 solution pairs over GF(p^2): with the recheck guard
+    # below them, mode "all" refuses, as the GF(p) sweep does, before any
+    # good orbit is expanded
+    def refuse(*args):
+        raise AssertionError("expanded an orbit past the guard")
+
+    monkeypatch.setattr(search, "_ext_orbit", refuse)
+    monkeypatch.setattr(search, "RECHECK_GUARD", 3155)
+    with pytest.raises(ValueError, match="p = 23 reports 3156 pairs, beyond the recheck guard"):
+        ss5_sweep_ext(23, mode="all")
+    # mode "first" expands nothing, so the guard does not apply
+    assert ss5_sweep_ext(23, mode="first").solutions
+
+
+@pytest.mark.parametrize("p", [23, 47])
+def test_ext_search_agrees_with_the_gf_p_sweep_on_gf_p(p):
+    # the scalar oracle over GF(p^2) against the ladder and the traces over
+    # GF(p): the two share no decision code, and the GF(p)-rational pairs
+    # of the ext record are the GF(p) sweep's, in the same order
+    ext = ss5_sweep_ext(p, mode="all")
+    rational = [
+        pair for pair in ext.solutions if all(x.endswith("+0*w") for x in pair)
+    ]
+    expected = ss5_sweep(SweepConfig(p, mode="all")).solutions
+    assert rational == [(f"{u}+0*w", f"{v}+0*w") for u, v in expected]
+    if p == 23:
+        assert len(rational) == 80 and len(ext.solutions) == 3156
+        # mode "all" counts the whole grid; mode "first" counts the first
+        # row, (0, w) for w ascending, up to the pair it reports, and the
+        # pairs with u or v = +-1
+        q = p * p
+        assert sum(ext.counts.values()) == q * q
+        first = ss5_sweep_ext(p, mode="first")
+        (u, v), = first.solutions
+        row = [str(w) for w in field(p, 2).elements() if w.coords not in {(1, 0), (p - 1, 0)}]
+        assert u == "0+0*w" and (u, v) == ext.solutions[0]
+        assert first.counts["excluded_uv"] == ext.counts["excluded_uv"] == q * q - (q - 2) ** 2
+        assert sum(first.counts.values()) - first.counts["excluded_uv"] == row.index(v) + 1
 
 
 def _verdict(r):
