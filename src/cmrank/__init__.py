@@ -17,16 +17,10 @@ from .covers import (
     family_xn_tn,
     genus2_supersingular_pair,
     kani_rosen_triple,
-    prank_fiber_product,
     prop44_case2_points,
     prop45_models,
 )
-from .curves import (
-    LegendreCurve,
-    hasse_invariant,
-    quartic_hasse_char3,
-    supersingular_lambdas,
-)
+from .curves import quartic_hasse_char3, supersingular_lambdas
 from .ff import FieldCtx, FieldElement, field
 from .poly import DensePoly, is_squarefree, poly_gcd, poly_pow_naive
 from .search import (
@@ -61,13 +55,10 @@ __all__ = [
     "p_rank",
     "is_superspecial",
     "prank_oracle",
-    "LegendreCurve",
-    "hasse_invariant",
     "supersingular_lambdas",
     "quartic_hasse_char3",
     "QuotientTriple",
     "kani_rosen_triple",
-    "prank_fiber_product",
     "family_xn_tn",
     "prop44_case2_points",
     "prop45_models",

@@ -105,10 +105,6 @@ class HyperellipticModel:
     def __setattr__(self, name, value):
         raise AttributeError("HyperellipticModel is immutable")
 
-    @classmethod
-    def from_ints(cls, ctx: FieldCtx, ints) -> "HyperellipticModel":
-        return cls(ctx, DensePoly.from_ints(ctx, ints))
-
     def __repr__(self):
         return f"y^2 = [{self.f}] over {self.ctx!r} (genus {self.genus})"
 

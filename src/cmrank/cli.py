@@ -232,11 +232,10 @@ def _cmd_strata(args) -> int:
         else:
             _emit({"g": args.g, "components": rows})
         return 0
-    if args.strata_cmd == "exists":
-        value = smooth_cover_exists(args.p, args.g, args.f, args.f_e)
-        _emit({"p": args.p, "g": args.g, "f": args.f, "f_E": args.f_e, "exists": value})
-        return 0
-    raise ValueError(f"unknown strata subcommand {args.strata_cmd!r}")
+    # argparse requires one of dim, boundary and exists
+    value = smooth_cover_exists(args.p, args.g, args.f, args.f_e)
+    _emit({"p": args.p, "g": args.g, "f": args.f, "f_E": args.f_e, "exists": value})
+    return 0
 
 
 def _cmd_verify(args) -> int:

@@ -2,7 +2,8 @@
 
 A (Z/2)^2-cover built from two hyperelliptic right-hand sides f1, f2 has
 three intermediate quotients, with model polynomials f1, f2 and the
-squarefree part f3 of f1*f2; genus and p-rank add across the quotients.
+squarefree part f3 of f1*f2; genus and p-rank add across the quotients
+(`kani_rosen_triple`, and `triple_with_pranks` for the p-ranks).
 This module also builds the explicit families with controlled p-rank:
 z^2 = x^n - t^n, the Moebius-transported branch configurations, the
 x(x^{n-1}-1) family, the characteristic-3 genus-3 witness, and the
@@ -69,12 +70,6 @@ def component_p_rank(f: DensePoly) -> int:
 def triple_with_pranks(f1: DensePoly, f2: DensePoly) -> QuotientTriple:
     t = kani_rosen_triple(f1, f2)
     return replace(t, prank_total=sum(component_p_rank(f) for f in (t.fE, t.f2, t.f3)))
-
-
-def prank_fiber_product(f1: DensePoly, f2: DensePoly):
-    """(genus, p-rank) of the normalized fiber product, via the quotients."""
-    t = triple_with_pranks(f1, f2)
-    return t.genus_total, t.prank_total
 
 
 # -- the explicit families -------------------------------------------------------

@@ -1,5 +1,10 @@
-"""Elliptic-curve layer: Legendre models, the Hasse invariant, enumeration of
-supersingular lambda values in GF(p^2), and the characteristic-3 quartic test.
+"""Elliptic-curve layer: enumeration of the supersingular Legendre parameters
+lambda in GF(p^2), and the characteristic-3 quartic test.
+
+The Legendre curve y^2 = x(x-1)(x-lambda) is supersingular iff its Hasse
+invariant, the x^(p-1) coefficient of (x(x-1)(x-lambda))^((p-1)/2), vanishes;
+`_hasse_poly_in_lambda` gives that coefficient in closed form as a
+polynomial in lambda, and the scan evaluates it over all of GF(p^2).
 
 The supersingular lambdas of a prime are scanned once per process: the scan
 is memoised per p, and every call of `supersingular_lambdas` returns a fresh
@@ -14,45 +19,12 @@ from math import comb
 
 import numpy as np
 
-from .cartier import HyperellipticModel, power_coeffs
 from .ff import FieldElement, field
 from .poly import DensePoly, is_squarefree
 
 # the vectorized scan keeps about ten int64 arrays of p^2 entries alive at
 # once, about 330 MB at p = 2^11; larger p is refused before allocating
 SS_LAMBDAS_MAX_P = 1 << 11
-
-
-class LegendreCurve:
-    """y^2 = x(x-1)(x-lambda) with lambda outside {0, 1}."""
-
-    __slots__ = ("ctx", "lam")
-
-    def __init__(self, lam: FieldElement):
-        if lam.is_zero or lam == lam.ctx.one:
-            raise ValueError("lambda must avoid 0 and 1")
-        object.__setattr__(self, "ctx", lam.ctx)
-        object.__setattr__(self, "lam", lam)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LegendreCurve is immutable")
-
-    @property
-    def rhs(self) -> DensePoly:
-        ctx = self.ctx
-        return DensePoly.from_roots(ctx, [ctx.zero, ctx.one, self.lam])
-
-    def model(self) -> HyperellipticModel:
-        return HyperellipticModel(self.ctx, self.rhs)
-
-    def __repr__(self):
-        return f"y^2 = x(x-1)(x-{self.lam}) over {self.ctx!r}"
-
-
-def hasse_invariant(E: LegendreCurve) -> FieldElement:
-    """Coefficient c_{p-1} of (x(x-1)(x-lambda))^((p-1)/2); zero iff supersingular."""
-    p = E.ctx.p
-    return power_coeffs(E.rhs, (p - 1) // 2, {p - 1})[p - 1]
 
 
 def _hasse_poly_in_lambda(p: int) -> DensePoly:

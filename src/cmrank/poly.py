@@ -147,10 +147,6 @@ class DensePoly:
     def one(cls, ctx: FieldCtx) -> "DensePoly":
         return cls(ctx, [_rsmall(ctx.p, ctx.ext_degree, 1)])
 
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "DensePoly":
-        return cls.from_ints(ctx, [0, 1])
-
     # -- inspection ------------------------------------------------------------
 
     @property
@@ -166,10 +162,6 @@ class DensePoly:
         if 0 <= i < len(self._c):
             return FieldElement(self.ctx, self._c[i])
         return self.ctx.zero
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(self.coeff(i) for i in range(len(self._c)))
 
     def raw(self) -> tuple:
         return self._c
@@ -261,9 +253,6 @@ class DensePoly:
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def monic(self) -> "DensePoly":
         if self.is_zero:
@@ -433,8 +422,10 @@ def is_squarefree(f: DensePoly) -> bool:
 
 
 def parse_poly(ctx: FieldCtx, text: str) -> DensePoly:
-    """Parse the CLI coefficient list c0,c1,...,cd."""
-    parts = [s for s in text.split(",") if s.strip()]
-    if not parts:
-        return DensePoly.zero(ctx)
+    """Parse the CLI coefficient list c0,c1,...,cd.  An empty or blank slot
+    is refused: dropping it would move every later coefficient down a degree."""
+    parts = text.split(",")
+    for i, s in enumerate(parts):
+        if not s.strip():
+            raise ValueError(f"coefficient c{i} of {text!r} is empty")
     return DensePoly.from_elements(ctx, [ctx.parse(s) for s in parts])

@@ -875,7 +875,7 @@ def _grid_counts(p: int, q: int, excluded: dict, solution, mode: str, sizes=None
     if mode == "all" and pairs > RECHECK_GUARD:
         raise ValueError(
             f"mode 'all' at p = {p} reports {pairs} pairs, beyond the recheck "
-            f"guard {RECHECK_GUARD}"
+            f"guard {RECHECK_GUARD} ({good.size} good orbits)"
         )
     return counts, good
 

@@ -14,10 +14,12 @@ respective spaces.  Boundary components of the reduced double-cover space
 come in two families, unramified (Xi) and ramified (Delta) clutchings, all
 of codimension one; the g1 = 1 unramified case splits into a compact-type
 branch (two elliptic tails) and a non-compact-type branch (an etale double
-cover glued to a hyperelliptic curve), whose p-rank strata behave
-differently.  At g = 2 both branches are finite: exactly three curves of
-the non-compact kind (one per nontrivial 2-torsion point of the base,
-indexing its etale double covers) and one of the compact kind.
+cover glued to a hyperelliptic curve).  At g = 2 both branches are finite:
+exactly three curves of the non-compact kind (one per nontrivial 2-torsion
+point of the base, indexing its etale double covers) and one of the compact
+kind.  `boundary_components` lists the components with their dimension and
+the divisor holding them; the dimensions of their p-rank strata are not
+computed here.
 
 For reference, the reported Newton polygons of p-rank-0 double covers in
 low genus (slopes with multiplicity); these are recorded facts, nothing
@@ -137,29 +139,6 @@ def boundary_components(g: int) -> list:
             )
         )
     return out
-
-
-def boundary_stratum_dim(comp: BoundaryComponent, f: int, f_E: int) -> int:
-    """Dimension of the p-rank <= f stratum of a boundary component."""
-    g = comp.g1 + comp.g2 + (1 if comp.kind in ("Xi", "delta_ct", "xi_nct") else 0)
-    _check_g(g)
-    _check_fe(f_E)
-    if comp.kind == "delta_ct":
-        lo, hi = 2 * f_E, g - 2 + 2 * f_E
-        if not lo <= f <= hi:
-            raise ValueError(f"f = {f} outside [{lo}, {hi}] for {comp.label}")
-        return g - 2 + f - 2 * f_E
-    if comp.kind == "xi_nct":
-        lo, hi = f_E + 1, g - 1 + f_E
-        if not lo <= f <= hi:
-            raise ValueError(f"f = {f} outside [{lo}, {hi}] for {comp.label}")
-        return g - 3 + f - f_E
-    if comp.kind in ("Xi", "Delta"):
-        lo, hi = f_E, g - 1 + f_E
-        if not lo <= f <= hi:
-            raise ValueError(f"f = {f} outside [{lo}, {hi}] for {comp.label}")
-        return g - 3 + f - f_E
-    raise ValueError(f"unknown component kind {comp.kind!r}")
 
 
 def smooth_cover_exists(p: int, g: int, f: int, f_E: int) -> bool:

@@ -28,6 +28,14 @@ def test_prank_nonprime_exits_2(capsys):
     assert "not prime" in err
 
 
+def test_empty_coefficient_slot_exits_2(capsys):
+    # dropping the empty slot would read x^3 + 1 for the superspecial x^4 + 1
+    code, out, err = run(capsys, "prank", "--p", "7", "--poly", "1,,0,0,1")
+    assert (code, out) == (2, "") and "coefficient c1" in err and "empty" in err
+    code, out, err = run(capsys, "fiber", "--p", "7", "--f1", "0,6,,5,1", "--f2", "0,3,3,1")
+    assert (code, out) == (2, "") and "coefficient c2" in err and "empty" in err
+
+
 def test_prank_singular_exits_2(capsys):
     code, _, err = run(capsys, "prank", "--p", "7", "--poly", "0,0,1,1")
     assert code == 2
@@ -308,6 +316,8 @@ def test_ss5_all_past_the_recheck_guard_exits_2_before_listing(monkeypatch, tmp_
         capsys, "ss5", "--p", "126839", "--mode", "all", "--results-dir", str(tmp_path)
     )
     assert code == 2 and "2536720 pairs" in err and "guard" in err
+    # 2 536 720 = 20 (p - 3): the refusal names the good orbits too
+    assert "(20 good orbits)" in err
     assert not (tmp_path / "ss5").exists()
 
 

@@ -4,14 +4,11 @@ import pytest
 
 from cmrank import curves
 from cmrank.cartier import HyperellipticModel, p_rank, power_coeffs
-from cmrank.curves import (
-    LegendreCurve,
-    hasse_invariant,
-    quartic_hasse_char3,
-    supersingular_lambdas,
-)
+from cmrank.curves import quartic_hasse_char3, supersingular_lambdas
 from cmrank.ff import field, is_prime
 from cmrank.poly import DensePoly, is_squarefree, poly_pow_naive
+
+from helpers import LegendreCurve, hasse_invariant
 
 
 def test_legendre_rejects_degenerate_lambda():

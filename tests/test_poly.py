@@ -181,6 +181,10 @@ def test_parse_poly():
     f = parse_poly(k2, "1+2*w,0,1")
     assert f.coeff(0) == k2.from_coords((1, 2))
     assert f.degree == 2
+    # an empty or blank slot is refused, not dropped with its degree
+    for text, slot in (("1,,0,0,1", "c1"), ("1,0, ", "c2"), ("", "c0")):
+        with pytest.raises(ValueError, match=f"coefficient {slot} of .* is empty"):
+            parse_poly(k, text)
 
 
 def test_degree_cap():
@@ -317,7 +321,7 @@ def test_products_past_the_float_bound_use_the_schoolbook_loop(monkeypatch):
             sum((a.coeff(i) * b.coeff(k - i) for i in range(k + 1)), ctx.zero)
             for k in range(2 * n + 1)
         ]
-        assert (a * b).coeffs == tuple(expected)
+        assert a * b == DensePoly.from_elements(ctx, expected)
 
 
 def _float_boundary_primes(terms):

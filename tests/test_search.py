@@ -9,7 +9,7 @@ import pytest
 
 from cmrank import search
 from cmrank.cartier import HyperellipticModel, _raw_matrix, cartier_matrix, is_superspecial
-from cmrank.covers import kani_rosen_triple, prank_fiber_product
+from cmrank.covers import kani_rosen_triple, triple_with_pranks
 from cmrank.ff import FieldCtx, field, inverse_table, is_prime
 from cmrank.poly import DensePoly, is_squarefree, pow_coeffs
 from cmrank.search import (
@@ -64,7 +64,7 @@ def _moebius_family(u, v):
     x^4 + x^2 + 1 to X^4 + X^2 Z^2 + Z^4 (A and B as `search` built them
     before the closed form)."""
     ctx = u.ctx
-    x, one = DensePoly.x(ctx), DensePoly.one(ctx)
+    x, one = DensePoly.from_ints(ctx, [0, 1]), DensePoly.one(ctx)
     xu, ux1 = x + DensePoly.from_elements(ctx, [u]), x.scale(u) + one
     xv, vx1 = x + DensePoly.from_elements(ctx, [v]), x.scale(v) + one
     a = xu * xu + ux1 * ux1
@@ -1261,7 +1261,8 @@ def test_sweep_p11_solutions_sound():
         a_poly, b_poly = _pair_polys(ctx.elem(u), ctx.elem(v))
         assert is_superspecial(HyperellipticModel(ctx, a_poly * b_poly))
         f_eu, f_dv, _ = _quotients(ctx, u, v)
-        assert prank_fiber_product(f_eu, f_dv) == (5, 0)
+        t = triple_with_pranks(f_eu, f_dv)
+        assert (t.genus_total, t.prank_total) == (5, 0)
 
 
 def test_sweep_solutions_verified_by_zeta_oracle():
@@ -1439,8 +1440,10 @@ def test_ext_search_all_refuses_before_expanding_an_orbit(monkeypatch):
 
     monkeypatch.setattr(search, "_ext_orbit", refuse)
     monkeypatch.setattr(search, "RECHECK_GUARD", 3155)
-    with pytest.raises(ValueError, match="p = 23 reports 3156 pairs, beyond the recheck guard"):
+    with pytest.raises(ValueError, match="p = 23 reports 3156 pairs, beyond the recheck guard") as e:
         ss5_sweep_ext(23, mode="all")
+    # 3156 = 6 (q - 3): six good orbits of the w line, none of them w = 0
+    assert str(e.value).endswith("guard 3155 (6 good orbits)")
     # mode "first" expands nothing, so the guard does not apply
     assert ss5_sweep_ext(23, mode="first").solutions
 

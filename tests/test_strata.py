@@ -3,7 +3,6 @@ import pytest
 from cmrank.strata import (
     StratumQuery,
     boundary_components,
-    boundary_stratum_dim,
     smooth_cover_exists,
     stratum_dim,
 )
@@ -94,48 +93,6 @@ def test_boundary_containments():
     assert by_label["delta_{1,3}"].contained_in == "Delta_1"
     assert by_label["Delta_{4,1}"].contained_in == "Delta_1"
     assert by_label["Delta_{2,3}"].contained_in == "Delta_2"
-
-
-def test_boundary_stratum_dims_delta21_g3():
-    comps = boundary_components(3)
-    delta = [c for c in comps if c.label == "Delta_{2,1}"][0]
-    for f in range(0, 3):
-        assert boundary_stratum_dim(delta, f, 0) == 3 - 3 + f
-
-
-def test_boundary_stratum_windows():
-    comps = boundary_components(4)
-    delta_ct = comps[0]
-    # compact-type window at f_E = 1 is [2, 4]
-    with pytest.raises(ValueError):
-        boundary_stratum_dim(delta_ct, 1, 1)
-    with pytest.raises(ValueError):
-        boundary_stratum_dim(delta_ct, 5, 1)
-    assert boundary_stratum_dim(delta_ct, 2, 1) == 4 - 2 + 2 - 2
-    xi = comps[1]
-    with pytest.raises(ValueError):
-        boundary_stratum_dim(xi, 0, 0)  # xi needs f >= f_E + 1
-
-
-def test_boundary_dims_one_below_stratum_except_compact_type():
-    # the boundary p-rank strata sit one dimension below the interior stratum,
-    # except the compact-type branch at f_E = 0 where they agree
-    for g in range(2, 13):
-        for f_E in (0, 1):
-            for f in range(f_E, g + f_E):
-                try:
-                    interior = stratum_dim(StratumQuery(g, f, f_E, "B_Eg"))
-                except ValueError:
-                    continue
-                for comp in boundary_components(g):
-                    try:
-                        b = boundary_stratum_dim(comp, f, f_E)
-                    except ValueError:
-                        continue
-                    if comp.kind == "delta_ct" and f_E == 0:
-                        assert b == interior
-                    else:
-                        assert b == interior - 1, (g, f, f_E, comp.label)
 
 
 def test_smooth_cover_exists():
