@@ -11,7 +11,8 @@ f^((p-1)/2) (naive) and a linear recurrence that reaches any index within
 p of either end of the coefficient range in O(p) field operations.  When f(0) = 0 the recurrence writes f = x^v h with h(0) != 0
 and reads the low end from h^m, whose coefficients are those of f^m
 shifted by v*m.  An independent zeta-function oracle computes the p-rank
-from point counts so the two routes can be checked against each other.
+from point counts so the two routes can be checked against each other; it
+counts on whole arrays of GF(p^k), with numpy and its own modulus only.
 
 "auto" chooses by cost.  A power of degree n = m*deg(f) at most
 `EXPAND_MAX_DEGREE` = 2^15, the measured crossover, whose sums are exact in
@@ -45,11 +46,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .ff import FieldCtx, FieldElement, _is_rzero, _rdot, _rinv, _rmul, _rsub, inverse_table
 from .poly import DensePoly, _float_exact, is_squarefree, pow_coeffs
 
+# guard of `prank_oracle`, which counts points over GF(p^k), k <= genus, on
+# (k, q) int64 coordinate arrays (`_count_points`).  Coordinates are below
+# ORACLE_MAX_P = 31, each product of two below 31^2, and a coordinate of a
+# product sums at most 2k - 1 of them (k from the schoolbook product, k - 1
+# from reducing x^(2k-2) .. x^k) before it is reduced mod p.  The largest
+# table is p = 31, k = 3: q = 29 791 elements, 0.7 MB per (3, q) array.  One
+# genus-3 oracle call there takes 0.018-0.025 s on a 2-core Xeon VM (five
+# runs each at degree 7 and 8)
 ORACLE_MAX_GENUS = 3
 ORACLE_MAX_P = 31
+assert (2 * ORACLE_MAX_GENUS - 1) * (ORACLE_MAX_P - 1) ** 2 < 2**63
 # cost guard of `_recurrence_block`, the partner of `poly.EXPANSION_CAP`: a
 # query of k steps builds two Python lists of k + 1 entries (the inverse
 # table and the coefficients).  For genus 2 at p = 1 048 573, on a 2-core
@@ -71,6 +83,12 @@ RECURRENCE_CAP = 1 << 20
 # Expansion takes at most about half the time up to n = 2^15, the two are
 # within 10 % from n ~ 40 000, and past that the recurrence's O(p) steps win
 EXPAND_MAX_DEGREE = 1 << 15
+# cost guard of a model, checked before its O(deg^2) squarefree gcd: the
+# g-fold iterate of `cartier_matrix` costs about g^3 Python products.  One
+# `cmrank prank` of a random squarefree degree-257 model (genus 128) on a
+# 2-core Xeon VM: 0.96 s at p = 3, 1.3 s at p = 101, and 2.3 s / 3.7 s over
+# GF(3^2) / GF(101^2).  Genus 200 at p = 3 takes 3.3 s and genus 400 29 s
+MODEL_MAX_GENUS = 128
 
 
 class RecurrenceUnavailable(ValueError):
@@ -87,7 +105,8 @@ class Coefficients(dict):
 
 
 class HyperellipticModel:
-    """A smooth affine model y^2 = f(x) with squarefree f of degree >= 3."""
+    """A smooth affine model y^2 = f(x) with squarefree f of degree >= 3 and
+    genus at most MODEL_MAX_GENUS."""
 
     __slots__ = ("ctx", "f", "genus")
 
@@ -96,11 +115,14 @@ class HyperellipticModel:
             raise ValueError("polynomial context does not match the model context")
         if f.degree < 3:
             raise ValueError(f"deg f = {f.degree} < 3")
+        genus = (f.degree + 1) // 2 - 1
+        if genus > MODEL_MAX_GENUS:
+            raise ValueError(f"genus {genus} > MODEL_MAX_GENUS = {MODEL_MAX_GENUS}")
         if not is_squarefree(f):
             raise ValueError("singular model: f is not squarefree")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "genus", (f.degree + 1) // 2 - 1)
+        object.__setattr__(self, "genus", genus)
 
     def __setattr__(self, name, value):
         raise AttributeError("HyperellipticModel is immutable")
@@ -350,87 +372,56 @@ def is_superspecial(C: HyperellipticModel) -> bool:
 # -- independent zeta-function oracle -------------------------------------------
 
 
-class _SmallExt:
-    """Throwaway GF(p^k) arithmetic for the point-counting oracle, k <= 3."""
-
-    def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        if k > 1:
-            self.red = self._find_irreducible()
-
-    def _find_irreducible(self):
-        # monic degree-k polynomial with no splitting; for k in {2, 3} a
-        # root-free scan suffices (any factor would be linear)
-        p, k = self.p, self.k
-        for tail in itertools.product(range(p), repeat=k):
-            coeffs = list(tail)
-            if all(
-                sum(c * pow(x, i, p) for i, c in enumerate(coeffs + [1])) % p
-                for x in range(p)
-            ):
-                return tuple(coeffs)
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-    def elements(self):
-        if self.k == 1:
-            yield from range(self.p)
-        else:
-            for t in itertools.product(range(self.p), repeat=self.k):
-                yield t
-
-    def embed(self, n: int):
-        if self.k == 1:
-            return n % self.p
-        return (n % self.p,) + (0,) * (self.k - 1)
-
-    def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return a * b % p
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(k):
-                    prod[i - k + j] -= c * self.red[j]
-            prod[i] = 0
-        return tuple(v % p for v in prod[:k])
-
-    def squares(self):
-        seen = set()
-        for a in self.elements():
-            seen.add(self.mul(a, a))
-        return seen
+def _find_irreducible(p: int, k: int) -> tuple:
+    """Low coefficients of the first monic degree-k polynomial over GF(p), in
+    `itertools.product` order of its tails, with no root in GF(p); for k in
+    {2, 3} it is irreducible, since any factor would be linear."""
+    for tail in itertools.product(range(p), repeat=k):
+        coeffs = tail + (1,)
+        if all(
+            sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p for x in range(p)
+        ):
+            return tail
+    raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-def _count_points(f: DensePoly, ext: _SmallExt) -> int:
-    coeffs = [ext.embed(c) for c in f.raw()]  # raw() yields ints over GF(p)
-    squares = ext.squares()
-    zero = ext.embed(0)
-    total = 0
-    for x in ext.elements():
-        acc = zero
-        for c in reversed(coeffs):
-            acc = ext.add(ext.mul(acc, x), c)
-        if acc == zero:
-            total += 1
-        elif acc in squares:
-            total += 2
+def _ext_mul(a: np.ndarray, b: np.ndarray, p: int, neg_red: np.ndarray) -> np.ndarray:
+    """Products of GF(p^k) elements held as (k, n) coordinate arrays, column
+    by column, modulo the monic modulus whose low coefficients are -neg_red."""
+    k = len(a)
+    prod = np.zeros((2 * k - 1, a.shape[1]), dtype=np.int64)
+    for i in range(k):
+        prod[i : i + k] += a[i] * b
+    # x^i = x^(i-k) x^k, and x^k = sum_j neg_red[j] x^j
+    for i in range(2 * k - 2, k - 1, -1):
+        prod[i - k : i] += np.multiply.outer(neg_red, prod[i] % p)
+    return prod[:k] % p
+
+
+def _count_points(f: DensePoly, k: int) -> int:
+    """Points of y^2 = f(x) over GF(p^k), the points at infinity included,
+    for f over GF(p): f is evaluated at every element of GF(p^k) at once, by
+    Horner's rule on coordinate arrays, and each value is looked up by its
+    base-p code in a table of the squares."""
+    p = f.ctx.p
+    q = p**k
+    digits = p ** np.arange(k, dtype=np.int64)  # element n has coordinates n // p^j % p
+    X = np.arange(q, dtype=np.int64) // digits[:, None] % p
+    neg_red = (-np.array(_find_irreducible(p, k) if k > 1 else (), dtype=np.int64)) % p
+    is_square = np.zeros(q, dtype=bool)
+    is_square[digits @ _ext_mul(X, X, p, neg_red)] = True
+    is_square[0] = False
+    coeffs = f.raw()  # ints over GF(p), embedded as the first coordinate
+    acc = np.zeros((k, q), dtype=np.int64)
+    acc[0] = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = _ext_mul(acc, X, p, neg_red)
+        acc[0] = (acc[0] + c) % p
+    values = digits @ acc
+    total = int(np.count_nonzero(values == 0)) + 2 * int(np.count_nonzero(is_square[values]))
     if f.degree % 2 == 1:
-        total += 1
-    else:
-        total += 2 if coeffs[-1] in squares else 0
-    return total
+        return total + 1
+    return total + (2 if is_square[coeffs[-1]] else 0)
 
 
 def prank_oracle(C: HyperellipticModel) -> int:
@@ -446,7 +437,7 @@ def prank_oracle(C: HyperellipticModel) -> int:
         )
     power_sums = []
     for k in range(1, g + 1):
-        n_k = _count_points(C.f, _SmallExt(p, k))
+        n_k = _count_points(C.f, k)
         power_sums.append(p**k + 1 - n_k)
     sigma = [Fraction(1)]
     for k in range(1, g + 1):

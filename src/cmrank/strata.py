@@ -17,9 +17,9 @@ branch (two elliptic tails) and a non-compact-type branch (an etale double
 cover glued to a hyperelliptic curve).  At g = 2 both branches are finite:
 exactly three curves of the non-compact kind (one per nontrivial 2-torsion
 point of the base, indexing its etale double covers) and one of the compact
-kind.  `boundary_components` lists the components with their dimension and
-the divisor holding them; the dimensions of their p-rank strata are not
-computed here.
+kind.  `boundary_components` lists the 2g - 2 components with their
+dimension and the divisor holding them, for g up to `BOUNDARY_MAX_G`; the
+dimensions of their p-rank strata are not computed here.
 
 For reference, the reported Newton polygons of p-rank-0 double covers in
 low genus (slopes with multiplicity); these are recorded facts, nothing
@@ -37,6 +37,11 @@ from dataclasses import dataclass
 from .ff import is_prime
 
 SPACES = ("B_Eg", "B_g", "H_g")
+# cost guard of `boundary_components`, whose list and output grow with g:
+# `cmrank strata boundary --g 10000` takes 0.44 s and 71 MB peak RSS and
+# prints 3.5 MB of JSON on a 2-core Xeon VM (a bare CLI start: 0.22 s,
+# 30 MB); g = 100 000 took 2.8 s, 442 MB and 36 MB
+BOUNDARY_MAX_G = 10_000
 
 @dataclass(frozen=True)
 class StratumQuery:
@@ -108,8 +113,10 @@ class BoundaryComponent:
 def boundary_components(g: int) -> list:
     """All boundary components: Xi_{g1, g-1-g1} for g1 = 1..g-1 (the g1 = 1
     entry split into its compact-type and non-compact-type branches) and
-    Delta_{g1, g-g1} for g1 = 2..g-1."""
+    Delta_{g1, g-g1} for g1 = 2..g-1; g past BOUNDARY_MAX_G is refused."""
     _check_g(g)
+    if g > BOUNDARY_MAX_G:
+        raise ValueError(f"g = {g} > BOUNDARY_MAX_G = {BOUNDARY_MAX_G}")
     dim = 2 * g - 4
     out = []
     note = "contained in Delta_2 as well" if g == 4 else ""

@@ -17,7 +17,7 @@ from cmrank.cartier import (
 from cmrank.ff import field, inverse_table
 from cmrank.poly import DensePoly
 
-from helpers import random_model, random_poly, random_squarefree
+from helpers import count_points_scalar, random_model, random_poly, random_squarefree
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 PRIMES_TO_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -350,6 +350,48 @@ def test_oracle_genus_guard_fires_before_counting_points(monkeypatch):
     assert C.genus == cartier.ORACLE_MAX_GENUS + 1
     with pytest.raises(ValueError, match="oracle guard"):
         prank_oracle(C)
+
+
+def _nonsquare(p):
+    squares = {x * x % p for x in range(1, p)}
+    return next(a for a in range(2, p) if a not in squares)
+
+
+def test_count_points_matches_scalar_reference(monkeypatch):
+    # every prime p <= 31 and k = 1, 2, 3, on squarefree f of odd degree and
+    # of even degree with a square and a non-square leading coefficient (the
+    # points at infinity).  The scalar count takes up to 1.4 s per f at
+    # q = 31^3, so past 13^3 k = 3 checks one of the three shapes per prime,
+    # in turn, at its lowest degree.  The oracle is run on the reference
+    # counts as well
+    rng = random.Random(2029)
+    for n, p in enumerate(PRIMES_TO_50[:10]):
+        ctx = field(p)
+        shapes = [((3, 5, 7), 1), ((4, 6, 8), 1), ((4, 6, 8), _nonsquare(p))]
+        for i, (degrees, lead) in enumerate(shapes):
+            ks = (1, 2, 3) if p <= 13 or i == n % 3 else (1, 2)
+            deg = degrees[0] if p > 13 and 3 in ks else rng.choice(degrees)
+            raw = random_squarefree(rng, ctx, deg).raw()
+            scale = lead * pow(raw[-1], -1, p)
+            f = DensePoly.from_ints(ctx, [c * scale % p for c in raw])
+            ref = {k: count_points_scalar(f, k) for k in ks}
+            assert {k: cartier._count_points(f, k) for k in ks} == ref, f"{p} {f}"
+            C = HyperellipticModel(ctx, f)
+            if C.genus <= max(ks):
+                expected = prank_oracle(C)
+                with monkeypatch.context() as m:
+                    m.setattr(cartier, "_count_points", lambda f, k: ref[k])
+                    assert prank_oracle(C) == expected, f"{p} {f}"
+
+
+def test_count_points_closed_form_anchor():
+    # for p = 3 (mod 4), y^2 = x^3 - x is supersingular with Frobenius
+    # eigenvalues +-i sqrt(p): p^k + 1 - ((i sqrt p)^k + (-i sqrt p)^k) points
+    for p in (3, 7, 11, 19, 23, 31):
+        f = DensePoly.from_ints(field(p), [0, -1, 0, 1])
+        assert cartier._count_points(f, 1) == p + 1
+        assert cartier._count_points(f, 2) == (p + 1) ** 2
+        assert cartier._count_points(f, 3) == p**3 + 1
 
 
 def test_oracle_agreement_random():

@@ -1,6 +1,6 @@
 import json
 
-from cmrank import cartier, cli, ff, poly, search, verify
+from cmrank import cartier, cli, ff, poly, search, strata, verify
 from cmrank.cli import main
 
 
@@ -40,6 +40,26 @@ def test_prank_singular_exits_2(capsys):
     code, _, err = run(capsys, "prank", "--p", "7", "--poly", "0,0,1,1")
     assert code == 2
     assert "squarefree" in err
+
+
+def test_prank_past_the_model_guard_exits_2_before_the_gcd(monkeypatch, capsys):
+    # degree 2g + 3 has genus g + 1, one past MODEL_MAX_GENUS = g, and is
+    # refused before the squarefree gate; degree 2g + 2, genus g, reaches it
+    calls = []
+
+    def record(f):
+        calls.append(f.degree)
+        return False
+
+    monkeypatch.setattr(cartier, "is_squarefree", record)
+    g = cartier.MODEL_MAX_GENUS
+    poly = ",".join(["1"] + ["0"] * (2 * g + 2) + ["1"])
+    code, out, err = run(capsys, "prank", "--p", "3", "--poly", poly)
+    assert (code, out, calls) == (2, "", [])
+    assert f"genus {g + 1} > MODEL_MAX_GENUS = {g}" in err
+    poly = ",".join(["1"] + ["0"] * (2 * g + 1) + ["1"])
+    code, out, err = run(capsys, "prank", "--p", "3", "--poly", poly)
+    assert (code, out, calls) == (2, "", [2 * g + 2]) and "not squarefree" in err
 
 
 def test_prank_power_past_degree_cap_exits_2(capsys):
@@ -239,6 +259,17 @@ def test_strata_commands(capsys):
     assert code == 0
     obj = json.loads(out)
     assert [c["label"] for c in obj["components"]] == ["delta_{1,0}", "xi_{1,0}"]
+
+
+def test_strata_boundary_past_its_guard_exits_2_before_listing(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a component past the guard")
+
+    monkeypatch.setattr(strata, "BoundaryComponent", refuse)
+    g = strata.BOUNDARY_MAX_G + 1
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, "strata", "boundary", "--g", str(g), "--format", fmt)
+        assert (code, out) == (2, "") and f"BOUNDARY_MAX_G = {g - 1}" in err
 
 
 def test_verify_pass_and_report(capsys):

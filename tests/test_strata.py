@@ -1,6 +1,7 @@
 import pytest
 
 from cmrank.strata import (
+    BOUNDARY_MAX_G,
     StratumQuery,
     boundary_components,
     smooth_cover_exists,
@@ -76,7 +77,7 @@ def test_boundary_components_g4():
 
 def test_boundary_component_counts():
     # (g-1) Xi components + (g-2) Delta components before the g1 = 1 split
-    for g in range(2, 13):
+    for g in [*range(2, 13), BOUNDARY_MAX_G]:
         comps = boundary_components(g)
         xi_like = [c for c in comps if c.kind in ("Xi", "delta_ct", "xi_nct")]
         deltas = [c for c in comps if c.kind == "Delta"]
