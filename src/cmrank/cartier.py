@@ -42,6 +42,7 @@ expansion under "auto", where `EXPANSION_CAP` refuses it (CLI exit 2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,16 +53,26 @@ from .ff import FieldCtx, FieldElement, _is_rzero, _rdot, _rinv, _rmul, _rsub, i
 from .poly import DensePoly, _float_exact, is_squarefree, pow_coeffs
 
 # guard of `prank_oracle`, which counts points over GF(p^k), k <= genus, on
-# (k, q) int64 coordinate arrays (`_count_points`).  Coordinates are below
-# ORACLE_MAX_P = 31, each product of two below 31^2, and a coordinate of a
-# product sums at most 2k - 1 of them (k from the schoolbook product, k - 1
-# from reducing x^(2k-2) .. x^k) before it is reduced mod p.  The largest
-# table is p = 31, k = 3: q = 29 791 elements, 0.7 MB per (3, q) array.  One
-# genus-3 oracle call there takes 0.018-0.025 s on a 2-core Xeon VM (five
-# runs each at degree 7 and 8)
-ORACLE_MAX_GENUS = 3
-ORACLE_MAX_P = 31
-assert (2 * ORACLE_MAX_GENUS - 1) * (ORACLE_MAX_P - 1) ** 2 < 2**63
+# (k, p^k) int64 coordinate arrays (`_count_points`): the largest field it
+# lists has q = p^genus elements, and its time and memory follow q.
+# Coordinates are below p, and a coordinate of a product sums at most 2k - 1
+# products below p^2 (k from the schoolbook product, k - 1 from reducing
+# x^(2k-2) .. x^k) before it is reduced mod p.  Under p^k <= ORACLE_MAX_Q the
+# largest such sum is at k = 1, below ORACLE_MAX_Q^2: for k >= 2 it is below
+# (2k - 1) ORACLE_MAX_Q^(2/k) <= (2k - 1) ORACLE_MAX_Q.  Time grows like
+# genus^3 q and memory like genus q.  One call on a random model of degree
+# 2 genus + 1, warm, best of 3, with the whole process's peak RSS, on a
+# 2-core Xeon VM (the last two are refused):
+#   (p, genus)  q          time     peak RSS
+#   (31, 3)     29 791     0.013 s  34 MB
+#   (19, 4)     130 321    0.10 s   54 MB
+#   (7, 6)      117 649    0.26 s   62 MB
+#   (5, 7)      78 125     0.26 s   55 MB
+#   (3, 10)     59 049     0.58 s   58 MB
+#   (3, 11)     177 147    2.6 s    119 MB
+#   (31, 4)     923 521    0.97 s   200 MB
+ORACLE_MAX_Q = 1 << 17
+assert ORACLE_MAX_Q**2 < 2**63
 # cost guard of `_recurrence_block`, the partner of `poly.EXPANSION_CAP`: a
 # query of k steps builds two Python lists of k + 1 entries (the inverse
 # table and the coefficients).  For genus 2 at p = 1 048 573, on a 2-core
@@ -86,9 +97,14 @@ EXPAND_MAX_DEGREE = 1 << 15
 # cost guard of a model, checked before its O(deg^2) squarefree gcd: the
 # g-fold iterate of `cartier_matrix` costs about g^3 Python products.  One
 # `cmrank prank` of a random squarefree degree-257 model (genus 128) on a
-# 2-core Xeon VM: 0.96 s at p = 3, 1.3 s at p = 101, and 2.3 s / 3.7 s over
-# GF(3^2) / GF(101^2).  Genus 200 at p = 3 takes 3.3 s and genus 400 29 s
+# 2-core Xeon VM: 0.96 s at p = 3, 1.3 s at p = 101.  Genus 200 at p = 3
+# takes 3.3 s and genus 400 29 s.  Over GF(p^2) the iterate costs about 3
+# times more, so the bound there is the largest g with 3 g^3 <= 128^3, 88.
+# `cartier_matrix` of a random degree-2g+1 model, best of 3 on that VM:
+#   genus 128: GF(3) 0.54 s, GF(101) 0.72 s, GF(3^2) 1.50 s, GF(101^2) 2.83 s
+#   genus 88:  GF(3^2) 0.55 s, GF(101^2) 0.98 s
 MODEL_MAX_GENUS = 128
+MODEL_MAX_GENUS_EXT = int(MODEL_MAX_GENUS / 3 ** (1 / 3))
 
 
 class RecurrenceUnavailable(ValueError):
@@ -106,7 +122,7 @@ class Coefficients(dict):
 
 class HyperellipticModel:
     """A smooth affine model y^2 = f(x) with squarefree f of degree >= 3 and
-    genus at most MODEL_MAX_GENUS."""
+    genus at most MODEL_MAX_GENUS, or MODEL_MAX_GENUS_EXT over GF(p^2)."""
 
     __slots__ = ("ctx", "f", "genus")
 
@@ -118,6 +134,8 @@ class HyperellipticModel:
         genus = (f.degree + 1) // 2 - 1
         if genus > MODEL_MAX_GENUS:
             raise ValueError(f"genus {genus} > MODEL_MAX_GENUS = {MODEL_MAX_GENUS}")
+        if ctx.ext_degree == 2 and genus > MODEL_MAX_GENUS_EXT:
+            raise ValueError(f"genus {genus} > MODEL_MAX_GENUS_EXT = {MODEL_MAX_GENUS_EXT}")
         if not is_squarefree(f):
             raise ValueError("singular model: f is not squarefree")
         object.__setattr__(self, "ctx", ctx)
@@ -372,17 +390,27 @@ def is_superspecial(C: HyperellipticModel) -> bool:
 # -- independent zeta-function oracle -------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _find_irreducible(p: int, k: int) -> tuple:
     """Low coefficients of the first monic degree-k polynomial over GF(p), in
-    `itertools.product` order of its tails, with no root in GF(p); for k in
-    {2, 3} it is irreducible, since any factor would be linear."""
-    for tail in itertools.product(range(p), repeat=k):
+    `itertools.product` order of its tails, with no root in GF(p^d) for any
+    d <= k/2: it has no factor of degree <= k/2, so it is irreducible (for
+    k = 1, x + 1, by which no product is reduced).  The tails with t0 = 0,
+    which have the root 0, are skipped; built once per (p, k)."""
+    fields = [_elements(p, d) for d in range(1, k // 2 + 1)]
+    for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         coeffs = tail + (1,)
-        if all(
-            sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p for x in range(p)
-        ):
+        if all(_horner(coeffs, X, p, neg_red).any(axis=0).all() for X, neg_red in fields):
             return tail
     raise RuntimeError("no irreducible polynomial found")  # unreachable
+
+
+def _elements(p: int, k: int) -> tuple:
+    """GF(p^k) as a (k, p^k) coordinate array, element n with coordinates
+    n // p^j % p, and the negated low coefficients of its modulus."""
+    digits = p ** np.arange(k, dtype=np.int64)
+    X = np.arange(p**k, dtype=np.int64) // digits[:, None] % p
+    return X, (-np.array(_find_irreducible(p, k), dtype=np.int64)) % p
 
 
 def _ext_mul(a: np.ndarray, b: np.ndarray, p: int, neg_red: np.ndarray) -> np.ndarray:
@@ -398,26 +426,31 @@ def _ext_mul(a: np.ndarray, b: np.ndarray, p: int, neg_red: np.ndarray) -> np.nd
     return prod[:k] % p
 
 
-def _count_points(f: DensePoly, k: int) -> int:
-    """Points of y^2 = f(x) over GF(p^k), the points at infinity included,
-    for f over GF(p): f is evaluated at every element of GF(p^k) at once, by
-    Horner's rule on coordinate arrays, and each value is looked up by its
-    base-p code in a table of the squares."""
-    p = f.ctx.p
-    q = p**k
-    digits = p ** np.arange(k, dtype=np.int64)  # element n has coordinates n // p^j % p
-    X = np.arange(q, dtype=np.int64) // digits[:, None] % p
-    neg_red = (-np.array(_find_irreducible(p, k) if k > 1 else (), dtype=np.int64)) % p
-    is_square = np.zeros(q, dtype=bool)
-    is_square[digits @ _ext_mul(X, X, p, neg_red)] = True
-    is_square[0] = False
-    coeffs = f.raw()  # ints over GF(p), embedded as the first coordinate
-    acc = np.zeros((k, q), dtype=np.int64)
+def _horner(coeffs, X: np.ndarray, p: int, neg_red: np.ndarray) -> np.ndarray:
+    """Values, as a coordinate array like X, of the polynomial over GF(p) with
+    coefficients coeffs (constant first) at every element of X, by Horner's
+    rule; the coefficients are embedded as the first coordinate."""
+    acc = np.zeros_like(X)
     acc[0] = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = _ext_mul(acc, X, p, neg_red)
         acc[0] = (acc[0] + c) % p
-    values = digits @ acc
+    return acc
+
+
+def _count_points(f: DensePoly, k: int) -> int:
+    """Points of y^2 = f(x) over GF(p^k), the points at infinity included,
+    for f over GF(p): f is evaluated at every element of GF(p^k) at once
+    (`_horner`), and each value is looked up by its base-p code in a table of
+    the squares."""
+    p = f.ctx.p
+    X, neg_red = _elements(p, k)
+    digits = p ** np.arange(k, dtype=np.int64)
+    is_square = np.zeros(p**k, dtype=bool)
+    is_square[digits @ _ext_mul(X, X, p, neg_red)] = True
+    is_square[0] = False
+    coeffs = f.raw()  # ints over GF(p)
+    values = digits @ _horner(coeffs, X, p, neg_red)
     total = int(np.count_nonzero(values == 0)) + 2 * int(np.count_nonzero(is_square[values]))
     if f.degree % 2 == 1:
         return total + 1
@@ -425,16 +458,16 @@ def _count_points(f: DensePoly, k: int) -> int:
 
 
 def prank_oracle(C: HyperellipticModel) -> int:
-    """p-rank from point counts: reconstruct the L-polynomial over GF(p^k),
-    k = 1..genus, by Newton's identities and return deg(L mod p)."""
+    """p-rank from point counts: reconstruct the L-polynomial
+    b_0 + b_1 T + ... over GF(p^k), k = 1..genus, by Newton's identities.
+    For i > g, b_i = p^(i-g) b_(2g-i) is divisible by p, so deg(L mod p) is
+    the largest i <= g with p not dividing b_i."""
     if C.ctx.ext_degree != 1:
         raise ValueError("oracle requires a prime base field")
     g = C.genus
     p = C.ctx.p
-    if g > ORACLE_MAX_GENUS or p > ORACLE_MAX_P:
-        raise ValueError(
-            f"oracle guard exceeded: genus {g} > {ORACLE_MAX_GENUS} or p {p} > {ORACLE_MAX_P}"
-        )
+    if p**g > ORACLE_MAX_Q:
+        raise ValueError(f"oracle guard exceeded: p^genus = {p}^{g} > {ORACLE_MAX_Q}")
     power_sums = []
     for k in range(1, g + 1):
         n_k = _count_points(C.f, k)
@@ -451,11 +484,4 @@ def prank_oracle(C: HyperellipticModel) -> int:
         if v.denominator != 1:
             raise RuntimeError("non-integral L-polynomial coefficient")
         b.append(int(v))
-    for i in range(g - 1, -1, -1):
-        b.append(p ** (g - i) * b[i])
-    rank = 0
-    for i in range(2 * g, -1, -1):
-        if b[i] % p:
-            rank = i
-            break
-    return rank
+    return max(i for i in range(g + 1) if b[i] % p)

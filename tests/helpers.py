@@ -55,7 +55,7 @@ def hasse_invariant(E: LegendreCurve) -> FieldElement:
 
 
 class SmallExt:
-    """Scalar GF(p^k) arithmetic, k <= 3, one Python tuple operation per field
+    """Scalar GF(p^k) arithmetic, one Python tuple operation per field
     operation, over the modulus `cartier._find_irreducible(p, k)`."""
 
     def __init__(self, p: int, k: int):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -334,22 +335,56 @@ def test_oracle_genus2_gf19():
 
 
 def test_oracle_guard():
-    with pytest.raises(ValueError):
-        prank_oracle(model(37, [1, 1, 0, 1]))
+    # the oracle is bounded by q = p^genus, not by p: GF(37) at genus 1 lists
+    # 37 elements and is admitted
+    C = model(37, [1, 1, 0, 1])
+    assert prank_oracle(C) == p_rank(C)
     ctx = field(7, 2)
     with pytest.raises(ValueError):
         prank_oracle(HyperellipticModel(ctx, DensePoly.from_ints(ctx, [1, 1, 0, 1])))
 
 
 def test_oracle_genus_guard_fires_before_counting_points(monkeypatch):
+    # for each p, the model x^(2g+1) - x of the first genus g with p^g past
+    # ORACLE_MAX_Q (genus 11 at p = 3, genus 4 at p = 23) is refused before
+    # any point is counted; genus g - 1 is admitted, and reads the p-rank 0
+    # of the counts p^k + 1 put in place of the real ones
     def refuse(*args):
         raise AssertionError("counted points past the oracle guard")
 
-    monkeypatch.setattr(cartier, "_count_points", refuse)
-    C = model(7, [0, -1] + [0] * 7 + [1])  # x^9 - x
-    assert C.genus == cartier.ORACLE_MAX_GENUS + 1
-    with pytest.raises(ValueError, match="oracle guard"):
-        prank_oracle(C)
+    for p in (3, 23):
+        g = next(g for g in itertools.count(1) if p**g > cartier.ORACLE_MAX_Q)
+        monkeypatch.setattr(cartier, "_count_points", refuse)
+        with pytest.raises(ValueError, match="oracle guard"):
+            prank_oracle(model(p, [0, -1] + [0] * (2 * g - 1) + [1]))
+        monkeypatch.setattr(cartier, "_count_points", lambda f, k: f.ctx.p**k + 1)
+        assert prank_oracle(model(p, [0, -1] + [0] * (2 * g - 3) + [1])) == 0
+
+
+def test_find_irreducible_keeps_the_root_free_tail_in_degrees_2_and_3():
+    # in degree k <= 3 a factor would be linear, so the first root-free tail in
+    # `itertools.product` order is the modulus, as before the rule covered k > 3
+    for p in PRIMES_TO_50[:10]:
+        for k in (2, 3):
+            root_free = next(
+                tail
+                for tail in itertools.product(range(p), repeat=k)
+                if all(sum(c * pow(x, i, p) for i, c in enumerate(tail + (1,))) % p for x in range(p))
+            )
+            assert cartier._find_irreducible(p, k) == root_free, (p, k)
+
+
+def test_find_irreducible_has_no_small_factor():
+    # trial division by every monic polynomial of degree 1..k/2, with
+    # `DensePoly` arithmetic, independent of the oracle's array evaluator
+    for p in (3, 5):
+        ctx = field(p)
+        for k in range(2, 7):
+            f = DensePoly.from_ints(ctx, list(cartier._find_irreducible(p, k)) + [1])
+            for d in range(1, k // 2 + 1):
+                for tail in itertools.product(range(p), repeat=d):
+                    _, r = divmod(f, DensePoly.from_ints(ctx, list(tail) + [1]))
+                    assert not r.is_zero, (p, k, tail)
 
 
 def _nonsquare(p):
@@ -358,18 +393,20 @@ def _nonsquare(p):
 
 
 def test_count_points_matches_scalar_reference(monkeypatch):
-    # every prime p <= 31 and k = 1, 2, 3, on squarefree f of odd degree and
-    # of even degree with a square and a non-square leading coefficient (the
-    # points at infinity).  The scalar count takes up to 1.4 s per f at
-    # q = 31^3, so past 13^3 k = 3 checks one of the three shapes per prime,
-    # in turn, at its lowest degree.  The oracle is run on the reference
-    # counts as well
+    # every prime p <= 31 and k = 1, 2, 3 (up to 6 at p = 3 and 4 at p = 5), on
+    # squarefree f of odd degree and of even degree with a square and a
+    # non-square leading coefficient (the points at infinity).  The scalar
+    # count takes up to 1.4 s per f at q = 31^3, so past 13^3 k = 3 checks one
+    # of the three shapes per prime, in turn, at its lowest degree.  The
+    # oracle is run on the reference counts as well
     rng = random.Random(2029)
     for n, p in enumerate(PRIMES_TO_50[:10]):
         ctx = field(p)
-        shapes = [((3, 5, 7), 1), ((4, 6, 8), 1), ((4, 6, 8), _nonsquare(p))]
+        top = {3: 6, 5: 4}.get(p, 3)
+        odd, even = tuple(range(3, 2 * top + 2, 2)), tuple(range(4, 2 * top + 3, 2))
+        shapes = [(odd, 1), (even, 1), (even, _nonsquare(p))]
         for i, (degrees, lead) in enumerate(shapes):
-            ks = (1, 2, 3) if p <= 13 or i == n % 3 else (1, 2)
+            ks = tuple(range(1, top + 1)) if p <= 13 or i == n % 3 else (1, 2)
             deg = degrees[0] if p > 13 and 3 in ks else rng.choice(degrees)
             raw = random_squarefree(rng, ctx, deg).raw()
             scale = lead * pow(raw[-1], -1, p)
@@ -417,7 +454,7 @@ def test_oracle_agreement_f0_zero():
     rng = random.Random(1203)
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         ctx = field(p)
-        for deg in (3, 4, 5, 6, 7, 8) if p <= 13 else (3, 4, 5, 6):
+        for deg in range(3, 15 if p <= 5 else 9 if p <= 13 else 7):
             # h squarefree with h(0) != 0, so x h is squarefree
             h = random_squarefree(rng, ctx, deg - 1, nonzero_const=True)
             C = HyperellipticModel(ctx, h.shift_x(1))
@@ -434,6 +471,17 @@ def test_oracle_agreement_genus3_sample():
     for _ in range(6):
         C = random_model(rng, field(5), 7)
         assert p_rank(C) == prank_oracle(C)
+
+
+def test_oracle_agreement_genus4_to_6():
+    # the oracle's modulus is irreducible in every degree, so it checks the
+    # matrix route in genus 4-6 as well, at both degree parities
+    rng = random.Random(4096)
+    for p in (3, 5, 7):
+        for g in (4, 5, 6):
+            for deg in (2 * g + 1, 2 * g + 2):
+                C = random_model(rng, field(p), deg)
+                assert p_rank(C) == prank_oracle(C), f"disagreement for {C!r}"
 
 
 # -- invariance properties --------------------------------------------------------

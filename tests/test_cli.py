@@ -43,7 +43,8 @@ def test_prank_singular_exits_2(capsys):
 
 
 def test_prank_past_the_model_guard_exits_2_before_the_gcd(monkeypatch, capsys):
-    # degree 2g + 3 has genus g + 1, one past MODEL_MAX_GENUS = g, and is
+    # degree 2g + 3 has genus g + 1, one past the bound g of its field
+    # (MODEL_MAX_GENUS over GF(p), MODEL_MAX_GENUS_EXT over GF(p^2)), and is
     # refused before the squarefree gate; degree 2g + 2, genus g, reaches it
     calls = []
 
@@ -52,14 +53,16 @@ def test_prank_past_the_model_guard_exits_2_before_the_gcd(monkeypatch, capsys):
         return False
 
     monkeypatch.setattr(cartier, "is_squarefree", record)
-    g = cartier.MODEL_MAX_GENUS
-    poly = ",".join(["1"] + ["0"] * (2 * g + 2) + ["1"])
-    code, out, err = run(capsys, "prank", "--p", "3", "--poly", poly)
-    assert (code, out, calls) == (2, "", [])
-    assert f"genus {g + 1} > MODEL_MAX_GENUS = {g}" in err
-    poly = ",".join(["1"] + ["0"] * (2 * g + 1) + ["1"])
-    code, out, err = run(capsys, "prank", "--p", "3", "--poly", poly)
-    assert (code, out, calls) == (2, "", [2 * g + 2]) and "not squarefree" in err
+    for ext, name in (("1", "MODEL_MAX_GENUS"), ("2", "MODEL_MAX_GENUS_EXT")):
+        calls.clear()
+        g = getattr(cartier, name)
+        poly = ",".join(["1"] + ["0"] * (2 * g + 2) + ["1"])
+        code, out, err = run(capsys, "prank", "--p", "3", "--ext", ext, "--poly", poly)
+        assert (code, out, calls) == (2, "", [])
+        assert f"genus {g + 1} > {name} = {g}" in err
+        poly = ",".join(["1"] + ["0"] * (2 * g + 1) + ["1"])
+        code, out, err = run(capsys, "prank", "--p", "3", "--ext", ext, "--poly", poly)
+        assert (code, out, calls) == (2, "", [2 * g + 2]) and "not squarefree" in err
 
 
 def test_prank_power_past_degree_cap_exits_2(capsys):

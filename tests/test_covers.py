@@ -143,6 +143,14 @@ def test_prank_additivity_vs_oracle():
                     + prank_oracle(HyperellipticModel(ctx, t.f3))
                 )
                 assert t.prank_total == expected
+    # one triple past genus 3, with a genus-4 component and p-rank 6 < 8:
+    # over GF(11), (x-2)..(x-10) and (x-1)(x-2)(x-3) leave (x-1)(x-4)..(x-10)
+    # as the third quotient
+    ctx = field(11)
+    f1, f2 = roots_poly(ctx, range(2, 11)), roots_poly(ctx, [1, 2, 3])
+    t = triple_with_pranks(f1, f2)
+    assert (t.genus_total, t.prank_total) == (4 + 1 + 3, 6)
+    assert t.prank_total == sum(prank_oracle(HyperellipticModel(ctx, f)) for f in (f1, f2, t.f3))
 
 
 # -- the x^n - t^n family ------------------------------------------------------------
