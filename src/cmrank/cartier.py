@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -468,20 +467,14 @@ def prank_oracle(C: HyperellipticModel) -> int:
     p = C.ctx.p
     if p**g > ORACLE_MAX_Q:
         raise ValueError(f"oracle guard exceeded: p^genus = {p}^{g} > {ORACLE_MAX_Q}")
-    power_sums = []
+    power_sums = [p**k + 1 - _count_points(C.f, k) for k in range(1, g + 1)]
+    # k sigma_k = sum_{i=1..k} (-1)^(i-1) sigma_(k-i) s_i, on exact integers
+    sigma = [1]
     for k in range(1, g + 1):
-        n_k = _count_points(C.f, k)
-        power_sums.append(p**k + 1 - n_k)
-    sigma = [Fraction(1)]
-    for k in range(1, g + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * sigma[k - i] * power_sums[i - 1]
-        sigma.append(acc / k)
-    b = []
-    for i in range(g + 1):
-        v = (-1) ** i * sigma[i]
-        if v.denominator != 1:
+        acc = sum((-1) ** (i - 1) * sigma[k - i] * power_sums[i - 1] for i in range(1, k + 1))
+        sigma_k, rem = divmod(acc, k)
+        if rem:
             raise RuntimeError("non-integral L-polynomial coefficient")
-        b.append(int(v))
-    return max(i for i in range(g + 1) if b[i] % p)
+        sigma.append(sigma_k)
+    # b_i = (-1)^i sigma_i, and the sign does not change whether p divides it
+    return max(i for i in range(g + 1) if sigma[i] % p)

@@ -13,6 +13,7 @@ supersingular genus-2 pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from math import gcd
 
 from .cartier import HyperellipticModel, p_rank
@@ -90,12 +91,14 @@ def family_xn_tn(n: int, t: FieldElement) -> HyperellipticModel:
     return HyperellipticModel(ctx, f)
 
 
+@cache
 def primitive_root_of_unity(ctx: FieldCtx, order: int) -> FieldElement:
     """The first element of exact multiplicative order `order` in the
     `ctx.elements()` ordering, in closed form: z = a^((q-1)/order) for the
     first nonzero a with z^(order/r) != 1 for every prime r dividing
     `order`.  The elements of exact order `order` are the z^k with k
-    coprime to `order`; the least of them by coordinates is returned."""
+    coprime to `order`; the least of them by coordinates is returned,
+    found once per (ctx, order) in a process."""
     q1 = ctx.order - 1
     if q1 % order != 0:
         raise ValueError(f"GF({ctx.order}) has no element of order {order}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from array import array
+from functools import lru_cache
 
 MAX_PRIME = 1 << 31
 
@@ -238,8 +239,13 @@ class FieldCtx:
         return self.from_coords((a, b))
 
 
+# typed: p = 5.0 equals and hashes like 5, and an untyped memo would hand a
+# context built from one to callers of the other
+@lru_cache(maxsize=None, typed=True)
 def field(p: int, ext_degree: int = 1) -> FieldCtx:
-    """Build the field context; validates p odd prime and ext_degree in {1, 2}."""
+    """The field context, built once per argument tuple in a process;
+    validates p odd prime and ext_degree in {1, 2}.  The memo keeps no
+    exception, so invalid arguments raise on every call."""
     return FieldCtx(p, ext_degree)
 
 

@@ -22,6 +22,8 @@ refuses the power.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .ff import (
@@ -414,8 +416,19 @@ def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
     return DensePoly(a.ctx, x).monic()
 
 
+# memo size of `is_squarefree`.  A `cmrank verify all` pass (seed 1) asks
+# 1 325 times about 878 distinct polynomials: `cache_info()` reads 447 hits
+# at 589 entries or more, 446 at 588 and 443 at 512, since its farthest
+# repeat comes 589 distinct polynomials after the first ask (x^4 - 1 over
+# GF(11), built by lemma43 and again by ss5-small's recheck).  1024 is the
+# power of two above that.  An entry holds its key: at most a genus-128
+# model's 259 coefficients, 11.5 kB with p near 2^31, or over GF(p^2) a
+# genus-88 model's 179, 24 kB; 12 MB and 24 MB for a full memo
+@lru_cache(maxsize=1024)
 def is_squarefree(f: DensePoly) -> bool:
-    """True iff gcd(f, f') is a nonzero constant; false when f' vanishes."""
+    """True iff gcd(f, f') is a nonzero constant; false when f' vanishes.
+    Memoised by f, which hashes and compares by field and coefficients; a
+    degree-0 f raises on every call."""
     if f.degree < 1:
         raise ValueError("squarefree test expects degree >= 1")
     return poly_gcd(f, f.derivative()).degree == 0

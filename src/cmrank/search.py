@@ -490,7 +490,8 @@ def _power_coeffs_vec(F, p: int, inv_table):
 
     F is a (d+1, n) int64 array of residues mod p with 2 <= d <= 6: column i
     holds f_0..f_d of one polynomial, zero-padded above its degree.  Every
-    f_0 must be nonzero and p at most SWEEP_MAX_P.  The recurrence
+    f_0 must be nonzero and p at most SWEEP_MAX_P; inv_table is
+    `_inverse_table(p)`, read for 1/k and 1/f_0.  The recurrence
 
         k f_0 c_k = sum_{j=1..d} ((m+1) j - k) f_j c_{k-j},   m = (p-1)/2,
 
@@ -513,7 +514,7 @@ def _power_coeffs_vec(F, p: int, inv_table):
         # the recurrence divides by f_0: a zero would read every c_k as 0
         raise ValueError("f(0) = 0 in a column: the recurrence divides by f(0)")
     m = (p - 1) // 2
-    fs = F[:0:-1] * _powmod_vec(f0, p - 2, p) % p  # f_d .. f_1, each over f_0
+    fs = F[:0:-1] * inv_table[f0] % p  # f_d .. f_1, each over f_0
     weights = (m + 1) * np.arange(d, 0, -1, dtype=np.int64)
 
     def steps(starts, count):
@@ -1085,7 +1086,9 @@ def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
     oracle on (0, w) once per pair {w, -w}, and counts orbits in closed form
     (module docstring).  The grid's first row, u = 0, is (0, w) for w
     ascending: mode "first" stops at the first good w and counts that row up
-    to it.  Mode "all" lists the good orbits' pairs in the grid's order."""
+    to it.  Mode "all" lists the good orbits' pairs in the grid's order; it
+    refuses as soon as the good orbits whose verdict is known hold more than
+    RECHECK_GUARD pairs, a lower bound on the grid's count."""
     SweepConfig(p, mode)  # validates p and mode
     # checked before the p^2 elements are listed
     calls = (p * p - 1) // 2
@@ -1093,13 +1096,24 @@ def ss5_sweep_ext(p: int, mode: str = "first") -> SearchResult:
         raise ValueError(f"GF({p}^2) takes {calls} oracle calls, past the guard {EXT_ORACLE_GUARD}")
     start = time.monotonic()
     ctx = field(p, 2)
+    q = ctx.order
     one, zero = ctx.one, ctx.zero
     ws, verdicts, sizes = [], {}, None  # w -> the oracle's verdict on (0, w)
+    good_orbits = good_pairs = 0  # mode "all": the good w whose verdict is known
     for w in ctx.elements():
         if w == one or w == -one:
             continue
         if w not in verdicts:
-            verdicts[w] = verdicts[-w] = ss5_check_pair(p, zero, w)
+            verdict = verdicts[w] = verdicts[-w] = ss5_check_pair(p, zero, w)
+            if mode == "all" and verdict.status == "solution":
+                # the orbits of w and -w, or of w = 0 and w = infinity
+                good_orbits += 2
+                good_pairs += 2 * q - 5 if w == zero else 2 * (q - 3)
+                if good_pairs > RECHECK_GUARD:
+                    raise ValueError(
+                        f"mode 'all' at p = {p} reports at least {good_pairs} pairs, beyond "
+                        f"the recheck guard {RECHECK_GUARD} ({good_orbits} good orbits so far)"
+                    )
         ws.append(w)
         if mode == "first" and verdicts[w].status == "solution":
             # one pair (0, w) of the first row per w

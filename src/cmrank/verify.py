@@ -17,7 +17,6 @@ from functools import cache
 from .cartier import (
     HyperellipticModel,
     cartier_matrix,
-    is_superspecial,
     matrix_rank,
     p_rank,
     power_coeffs,
@@ -156,18 +155,19 @@ def verify_genus2_ss(seed=None):
     return rep.done()
 
 
+@cache
 def _candidate_lambdas(p):
-    """The first supersingular lambda plus the first ordinary one, over GF(p^2)."""
+    """The first supersingular lambda plus the first ordinary one, over
+    GF(p^2), as a tuple, with the context and the frozenset of supersingular
+    lambdas; scanned once per p in a process."""
     ctx = field(p, 2)
     ss = supersingular_lambdas(p)
-    picked = ss[:1]
-    ss_set = set(ss)
-    for lam in ctx.elements():
-        if lam.is_zero or lam == ctx.one or lam in ss_set:
-            continue
-        picked.append(lam)
-        break
-    return ctx, picked, ss_set
+    ss_set = frozenset(ss)
+    ordinary = next(
+        lam for lam in ctx.elements()
+        if not (lam.is_zero or lam == ctx.one or lam in ss_set)
+    )
+    return ctx, (*ss[:1], ordinary), ss_set
 
 
 @_suite("prop44")
@@ -238,10 +238,12 @@ def verify_prop44(seed=None):
             tested2 += 1
             f3 = DensePoly.from_roots(ctx, [ctx.zero, ctx.one, lam] + xs)
             f2 = DensePoly.from_roots(ctx, xs)
-            if not is_superspecial(HyperellipticModel(ctx, f3)):
+            # one matrix answers both: superspecial is M = 0, and its p-rank
+            third = cartier_matrix(HyperellipticModel(ctx, f3))
+            if any(not x.is_zero for row in third.M for x in row):
                 fails2.append((n, p, "third quotient not superspecial"))
                 continue
-            f_new = rank(f2) + rank(f3)
+            f_new = rank(f2) + third.p_rank
             if not f_new <= (n - 1) // 2:
                 fails2.append((n, p, f"f_new = {f_new}"))
                 continue

@@ -361,6 +361,24 @@ def test_oracle_genus_guard_fires_before_counting_points(monkeypatch):
         assert prank_oracle(model(p, [0, -1] + [0] * (2 * g - 3) + [1])) == 0
 
 
+def test_oracle_refuses_inconsistent_point_counts(monkeypatch):
+    # y^2 = x^7 - x over GF(5), genus 3, with fake counts N_k = p^k + 1 - s_k.
+    # Newton's identities give sigma_2 = (s_1^2 - s_2) / 2, which is -1/2 for
+    # s = (0, 1), and sigma_3 = s_3 / 3 when s_1 = s_2 = 0, which is 1/3 for
+    # s_3 = 1: each step's division leaves a remainder
+    C = model(5, [0, -1, 0, 0, 0, 0, 0, 1])
+    for power_sums in ((0, 1, 0), (0, 0, 1)):
+        monkeypatch.setattr(
+            cartier, "_count_points", lambda f, k, s=power_sums: 5**k + 1 - s[k - 1]
+        )
+        with pytest.raises(RuntimeError, match="non-integral L-polynomial coefficient"):
+            prank_oracle(C)
+    # integral fake counts, s_k = 0 for k <= 3 as L = 1 + 5^3 T^6 would give,
+    # pass and read p-rank 0
+    monkeypatch.setattr(cartier, "_count_points", lambda f, k: 5**k + 1)
+    assert prank_oracle(C) == 0
+
+
 def test_find_irreducible_keeps_the_root_free_tail_in_degrees_2_and_3():
     # in degree k <= 3 a factor would be linear, so the first root-free tail in
     # `itertools.product` order is the modulus, as before the rule covered k > 3

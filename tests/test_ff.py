@@ -31,6 +31,16 @@ def test_context_rejects_bad_moduli():
         field(7, 3)
 
 
+def test_field_memo_keeps_contexts_and_no_exceptions():
+    assert field(7, 2) is field(7, 2)
+    before = field.cache_info()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="even"):
+            field(4)
+    after = field.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 3, before.currsize)
+
+
 def test_context_refuses_past_max_prime_before_primality(monkeypatch):
     assert P_PAST_MAX == next(q for q in range(ff.MAX_PRIME, ff.MAX_PRIME + 100) if is_prime(q))
 

@@ -128,6 +128,25 @@ def test_squarefree_examples():
         is_squarefree(DensePoly.one(k7))
 
 
+def test_squarefree_memo_answers_each_field_apart():
+    # x^3 + 1 is (x + 1)^3 over GF(3) and squarefree over GF(5): the same
+    # coefficient list in two fields is two questions.  Over GF(7) and
+    # GF(7^2) the answers agree, and are still asked and kept apart
+    coeffs = (1, 0, 0, 1)
+    is_squarefree.cache_clear()
+    for p, expected in ((5, True), (3, False), (5, True), (3, False)):
+        assert is_squarefree(P(field(p), *coeffs)) is expected, p
+    assert is_squarefree.cache_info()[:2] == (2, 2)  # hits, misses
+    for ext in (2, 1, 2, 1):
+        assert is_squarefree(P(field(7, ext), *coeffs)), ext
+    assert is_squarefree.cache_info()[:2] == (4, 4)
+    # a degree-0 input raises on every call and takes no entry
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            is_squarefree(DensePoly.one(field(7)))
+    assert is_squarefree.cache_info().currsize == 4
+
+
 def test_squarefree_vs_root_multiplicity_oracle():
     # construct polynomials from explicit root lists over GF(p^2); squarefree
     # iff the chosen roots are distinct, and the exhaustive root count agrees

@@ -1433,19 +1433,44 @@ def test_ext_search_guards_fire_before_listing_the_field(monkeypatch):
 
 def test_ext_search_all_refuses_before_expanding_an_orbit(monkeypatch):
     # p = 23 has 3156 solution pairs over GF(p^2): with the recheck guard
-    # below them, mode "all" refuses, as the GF(p) sweep does, before any
-    # good orbit is expanded
+    # below them, mode "all" refuses before any good orbit is expanded
     def refuse(*args):
         raise AssertionError("expanded an orbit past the guard")
 
     monkeypatch.setattr(search, "_ext_orbit", refuse)
     monkeypatch.setattr(search, "RECHECK_GUARD", 3155)
-    with pytest.raises(ValueError, match="p = 23 reports 3156 pairs, beyond the recheck guard") as e:
+    with pytest.raises(ValueError, match="p = 23 reports at least 3156 pairs, beyond the recheck") as e:
         ss5_sweep_ext(23, mode="all")
-    # 3156 = 6 (q - 3): six good orbits of the w line, none of them w = 0
-    assert str(e.value).endswith("guard 3155 (6 good orbits)")
+    # 3156 = 6 (q - 3): six good orbits of the w line, none of them w = 0;
+    # the walk passes the guard when it meets the last of them
+    assert str(e.value).endswith("guard 3155 (6 good orbits so far)")
     # mode "first" expands nothing, so the guard does not apply
     assert ss5_sweep_ext(23, mode="first").solutions
+
+
+def test_ext_search_all_refuses_inside_the_walk(monkeypatch):
+    # with the guard below one orbit of q - 3 = 526 pairs, mode "all" refuses
+    # at the first good pair {w, -w}, 2 * 526 pairs, before the oracle has
+    # seen the whole line: the full walk takes (23^2 - 1) / 2 = 264 calls
+    calls = []
+
+    def spy(p, u, v, strategy="auto"):
+        calls.append(v)
+        return ss5_check_pair(p, u, v, strategy)
+
+    monkeypatch.setattr(search, "ss5_check_pair", spy)
+    ss5_sweep_ext(23, mode="all")
+    assert len(calls) == 264
+    calls.clear()
+    monkeypatch.setattr(search, "RECHECK_GUARD", 525)
+    with pytest.raises(ValueError) as e:
+        ss5_sweep_ext(23, mode="all")
+    assert str(e.value) == (
+        "mode 'all' at p = 23 reports at least 1052 pairs, beyond the recheck "
+        "guard 525 (2 good orbits so far)"
+    )
+    assert 0 < len(calls) < 264
+    assert ss5_check_pair(23, calls[-1].ctx.zero, calls[-1]).status == "solution"
 
 
 @pytest.mark.parametrize("p", [23, 47])

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cmrank import cartier
+from cmrank import cartier, poly
 from cmrank.verify import DEFAULT_SEED, SUITES, run_suite
 
 # `cmrank verify all --format json` at the default seed, elapsed_ms removed
@@ -69,14 +69,35 @@ def test_verify_all_report_matches_checked_in_copy():
 
 @pytest.mark.parametrize("suite, distinct_models", [("prop45", 68), ("prop44", 215)])
 def test_suite_builds_one_cartier_matrix_per_distinct_model(monkeypatch, suite, distinct_models):
-    built = []
-    matrix = cartier.cartier_matrix
+    # `_matrix_entries` reads the matrix for both `cartier_matrix` and
+    # `is_superspecial`, so a second read of a model by either route counts
+    read = []
+    entries = cartier._matrix_entries
 
     def spy(C, *args, **kwargs):
-        built.append(C.f)
-        return matrix(C, *args, **kwargs)
+        read.append(C.f)
+        return entries(C, *args, **kwargs)
 
-    monkeypatch.setattr(cartier, "cartier_matrix", spy)
+    monkeypatch.setattr(cartier, "_matrix_entries", spy)
     assert run_suite(suite)["passed"]
-    assert len(set(built)) == distinct_models
-    assert len(built) == distinct_models
+    assert len(set(read)) == distinct_models
+    assert len(read) == distinct_models
+
+
+def test_suite_runs_one_squarefree_gcd_per_distinct_polynomial(monkeypatch):
+    # prop44 asks about most models twice, in `kani_rosen_triple` and again
+    # in `HyperellipticModel`; only `is_squarefree` calls `poly.poly_gcd`
+    # through the poly module, so the spy sees the squarefree gates alone
+    gated = []
+    gcd = poly.poly_gcd
+
+    def spy(a, b):
+        gated.append(a)
+        return gcd(a, b)
+
+    monkeypatch.setattr(poly, "poly_gcd", spy)
+    poly.is_squarefree.cache_clear()
+    assert run_suite("prop44")["passed"]
+    info = poly.is_squarefree.cache_info()
+    assert len(gated) == len(set(gated)) == info.misses == info.currsize
+    assert info.hits > len(gated)
