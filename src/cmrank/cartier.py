@@ -3,16 +3,21 @@
 The matrix entry M[i][j] (1-indexed) is the coefficient c_{p*j - i} of
 f^((p-1)/2); the p-rank is the rank of the g-fold semilinear iterate
 M^(sigma^(g-1)) ... M^(sigma) M, with sigma the entrywise p-power map.
-The iterate is formed by squaring and ranked by one elimination
-(`_raw_rank`), both on raw residues by `ff`'s formulas; a FieldElement
-holds its raw residue, so the returned `CartierData` wraps them with no
-conversion.  Coefficient extraction has two routes: full expansion of
-f^((p-1)/2) (naive) and a linear recurrence that reaches any index within
-p of either end of the coefficient range in O(p) field operations.  When f(0) = 0 the recurrence writes f = x^v h with h(0) != 0
-and reads the low end from h^m, whose coefficients are those of f^m
-shifted by v*m.  An independent zeta-function oracle computes the p-rank
-from point counts so the two routes can be checked against each other; it
-counts on whole arrays of GF(p^k), with numpy and its own modulus only.
+M is ranked by one elimination (`_raw_rank`) on raw residues by `ff`'s
+formulas.  A semilinear power of a zero or an invertible matrix stays zero
+or invertible, so a rank of 0 or g is the p-rank; only for
+0 < rank(M) < g is the iterate formed, by squaring, and ranked.
+`CartierData.iterate` forms it on first access.  A FieldElement holds its
+raw residue, so `CartierData` wraps them with no conversion.
+
+Coefficient extraction has two routes: full expansion of f^((p-1)/2)
+(naive) and a linear recurrence that reaches any index within p of either
+end of the coefficient range in O(p) field operations.  When f(0) = 0 the
+recurrence writes f = x^v h with h(0) != 0 and reads the low end from h^m,
+whose coefficients are those of f^m shifted by v*m.  An independent
+zeta-function oracle computes the p-rank from point counts so the two
+routes can be checked against each other; it counts on whole arrays of
+GF(p^k), with numpy and its own modulus only.
 
 "auto" chooses by cost.  A power of degree n = m*deg(f) at most
 `EXPAND_MAX_DEGREE` = 2^15, the measured crossover, whose sums are exact in
@@ -21,9 +26,10 @@ every entry within its reach (genus <= 2), and full expansion reads the
 rest (the middle entries of genus >= 3).
 
 Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
-arrays up to A = f^(m//2), sets B = A or A*f, and takes each wanted c_k as
-the dot product of A_i and B_(k-i).  Over GF(p^2) a square takes two
-convolutions and a product with f three.  The convolutions run in float64
+arrays up to A = f^(m//2), sets B = A or A*f, and reads each run of
+consecutive wanted c_k, a column of M, by one correlation of B with A per
+coordinate array.  Over GF(p^2) a square takes two convolutions and a
+product with f three.  The convolutions and correlations run in float64
 on int64 arrays, exact by the bound `poly._FLOAT_EXACT` states; a power of
 a non-constant f past that bound is refused.  The quadratic cost is bounded
 by refusing powers of degree m*deg(f) above `poly.EXPANSION_CAP` = 2^17
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import FieldCtx, FieldElement, _is_rzero, _rdot, _rinv, _rmul, _rsub, inverse_table
+from .ff import FieldCtx, FieldElement, _is_rzero, _rdot, _rinv, _rmul, _rrow_sub, inverse_table
 from .poly import DensePoly, _float_exact, is_squarefree, pow_coeffs
 
 # guard of `prank_oracle`, which counts points over GF(p^k), k <= genus, on
@@ -93,15 +99,23 @@ RECURRENCE_CAP = 1 << 20
 # Expansion takes at most about half the time up to n = 2^15, the two are
 # within 10 % from n ~ 40 000, and past that the recurrence's O(p) steps win
 EXPAND_MAX_DEGREE = 1 << 15
-# cost guard of a model, checked before its O(deg^2) squarefree gcd: the
-# g-fold iterate of `cartier_matrix` costs about g^3 Python products.  One
-# `cmrank prank` of a random squarefree degree-257 model (genus 128) on a
-# 2-core Xeon VM: 0.96 s at p = 3, 1.3 s at p = 101.  Genus 200 at p = 3
-# takes 3.3 s and genus 400 29 s.  Over GF(p^2) the iterate costs about 3
-# times more, so the bound there is the largest g with 3 g^3 <= 128^3, 88.
-# `cartier_matrix` of a random degree-2g+1 model, best of 3 on that VM:
-#   genus 128: GF(3) 0.54 s, GF(101) 0.72 s, GF(3^2) 1.50 s, GF(101^2) 2.83 s
-#   genus 88:  GF(3^2) 0.55 s, GF(101^2) 0.98 s
+# cost guard of a model, checked before its O(deg^2) squarefree gcd.  Past
+# the expansion, `cartier_matrix` ranks M, about g^3 / 3 Python products, and
+# only for 0 < rank(M) < g forms the g-fold iterate, about 2 log2(g) matrix
+# products of g^3 Python products each, and ranks it: the iterate is the cost
+# this bounds, and an ordinary model (invertible M) never forms it.  Over
+# GF(p^2) each product costs about 3 times more, so the bound there is the
+# largest g with 3 g^3 <= 128^3, 88.  `cartier_matrix` of a random
+# degree-2g+1 model with invertible M, and of one with rank(M) = p-rank =
+# g - 1 (random over GF(p), moved over GF(p^2) by x -> a x + b with a, b
+# outside GF(p)), best of 3 in each of two runs on a 2-core Xeon VM; genus
+# 128 over GF(p^2) is timed with MODEL_MAX_GENUS_EXT lifted:
+#   genus 128, invertible M: GF(3) 0.02-0.04 s, GF(101) 0.10-0.15 s,
+#     GF(3^2) 0.07-0.08 s, GF(101^2) 0.23-0.28 s
+#   genus 128, iterate formed: GF(3) 0.57-0.60 s, GF(101) 0.71-0.83 s,
+#     GF(3^2) 1.7-1.8 s, GF(101^2) 3.0-4.7 s
+#   genus 88, invertible M: GF(3^2) 0.03-0.05 s, GF(101^2) 0.11-0.14 s
+#   genus 88, iterate formed: GF(3^2) 0.70-0.74 s, GF(101^2) 1.4-1.7 s
 MODEL_MAX_GENUS = 128
 MODEL_MAX_GENUS_EXT = int(MODEL_MAX_GENUS / 3 ** (1 / 3))
 
@@ -150,13 +164,20 @@ class HyperellipticModel:
 
 @dataclass(frozen=True)
 class CartierData:
-    """Cartier-Manin matrix, its semilinear iterate, and the resulting rank."""
+    """Cartier-Manin matrix, its p-rank, and the strategy that read it; the
+    semilinear iterate is formed on first access."""
 
     M: tuple
     p: int
-    iterate: tuple
     p_rank: int
     strategy: str
+
+    @functools.cached_property
+    def iterate(self) -> tuple:
+        """M^(sigma^(g-1)) ... M^(sigma) M, whose rank is the p-rank."""
+        ctx = self.M[0][0].ctx
+        T = _raw_iterate(ctx, _raw_matrix(self.M))
+        return tuple(tuple(FieldElement(ctx, x) for x in row) for row in T)
 
 
 # -- coefficient extraction ----------------------------------------------------
@@ -293,10 +314,7 @@ def _raw_rank(ctx: FieldCtx, rows) -> int:
         for r in range(rank + 1, len(rows)):
             factor = rows[r][col]
             if not _is_rzero(ext, factor):
-                rows[r][col:] = [
-                    _rsub(p, ext, x, _rmul(p, nu, ext, factor, y))
-                    for x, y in zip(rows[r][col:], top)
-                ]
+                rows[r][col:] = _rrow_sub(p, nu, ext, rows[r][col:], factor, top)
         rank += 1
         if rank == len(rows):
             break
@@ -366,11 +384,17 @@ def _matrix_entries(C: HyperellipticModel, strategy: str) -> tuple:
 
 
 def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData:
+    """The Cartier-Manin matrix of C and its p-rank.  A semilinear power of
+    a zero or an invertible M stays zero or invertible, so rank(M) is the
+    p-rank when it is 0 or g; only for 0 < rank(M) < g is the iterate formed
+    and ranked."""
     M, used = _matrix_entries(C, strategy)
     ctx = C.ctx
-    T = _raw_iterate(ctx, _raw_matrix(M))
-    iterate = tuple(tuple(FieldElement(ctx, x) for x in row) for row in T)
-    return CartierData(M=M, p=ctx.p, iterate=iterate, p_rank=_raw_rank(ctx, T), strategy=used)
+    raw = _raw_matrix(M)
+    rank = _raw_rank(ctx, raw)
+    if 0 < rank < C.genus:
+        rank = _raw_rank(ctx, _raw_iterate(ctx, raw))
+    return CartierData(M=M, p=ctx.p, p_rank=rank, strategy=used)
 
 
 def p_rank(C: HyperellipticModel) -> int:

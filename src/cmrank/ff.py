@@ -2,10 +2,10 @@
 
 A scalar has one form, its raw residue: an int in [0, p) for GF(p), and a
 pair (a, b) of them for a + b w in GF(p^2).  The formulas on raw residues,
-`_radd`, `_rsub`, `_rneg`, `_rmul`, `_rdot`, `_rinv`, `_rsmall` and
-`_is_rzero`, live here once: `poly`, `cartier` and `search` call them on raw
-coefficient lists and matrices, and FieldElement, an immutable raw residue
-with its context, implements its operators with them.
+`_radd`, `_rsub`, `_rneg`, `_rmul`, `_rdot`, `_rrow_sub`, `_rinv`, `_rsmall`
+and `_is_rzero`, live here once: `poly`, `cartier` and `search` call them on
+raw coefficient lists and matrices, and FieldElement, an immutable raw
+residue with its context, implements its operators with them.
 
 A context (FieldCtx) fixes the modulus and, for the quadratic extension, the
 defining polynomial w^2 = nu.  The modulus is chosen deterministically so
@@ -112,6 +112,19 @@ def _rdot(p, nu, ext, xs, ys):
         real += a * c + nu * b * d
         imag += a * d + b * c
     return (real % p, imag % p)
+
+
+def _rrow_sub(p, nu, ext, xs, c, ys):
+    """[x - c*y] over paired raw residues, each reduced once: the row update
+    of an elimination or a division step."""
+    if ext == 1:
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+    a, b = c
+    nb = nu * b
+    return [
+        ((x0 - a * y0 - nb * y1) % p, (x1 - a * y1 - b * y0) % p)
+        for (x0, x1), (y0, y1) in zip(xs, ys)
+    ]
 
 
 def _rinv(p, nu, ext, x):

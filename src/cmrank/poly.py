@@ -8,7 +8,8 @@ FieldElement without conversion.  Products switch to an exact numpy
 convolution once operands are long enough for it to pay.
 
 `pow_coeffs` reads single coefficients of a power without forming it: it
-keeps the polynomial as int64 coordinate arrays and squares up to f^(m//2).
+keeps the polynomial as int64 coordinate arrays, squares up to f^(m//2), and
+reads each run of consecutive indices with one correlation per array.
 Over GF(p^2) a square takes two convolutions and any other product three
 (`_arrays_mul`).
 
@@ -17,11 +18,13 @@ Every numpy convolution goes through `_convolve`, which runs it in float64
 loop, about 4x slower) on int64 arrays, and is called only where that is
 exact (`_FLOAT_EXACT`, which states the argument): past that bound a
 product falls back to a schoolbook loop over Python ints, and `pow_coeffs`
-refuses the power.
+refuses the power.  Its correlation reads run in float64 under the same
+bound.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -34,8 +37,8 @@ from .ff import (
     _rinv,
     _rmul,
     _rneg,
+    _rrow_sub,
     _rsmall,
-    _rsub,
     _rzero,
 )
 
@@ -330,7 +333,8 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
 
     f is held as int64 coordinate arrays, one over GF(p) and two over
     GF(p^2), and squared up to A = f^(m//2); with B = A for even m and A*f
-    for odd m, each coefficient c_k is the dot product of A_i and B_(k-i).
+    for odd m, each coefficient c_k is the sum of A_i B_(k-i), and each run
+    of consecutive indices is read by one correlation per coordinate array.
     No sum has more than n + 1 = m deg(f) + 1 terms, so for m >= 1 and
     deg f >= 1 the power is refused with a ValueError, before any array is
     built, unless `_float_exact(n + 1, p)` holds; a constant f is answered
@@ -372,15 +376,29 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
         A = A + ((A[0] + A[1]) % p,)
         B = B + ((B[0] + B[1]) % p,)
     la, lb = len(A[0]), len(B[0])
-    out = {}
-    for k in indices:
-        lo, hi = max(0, k - lb + 1), min(k, la - 1)
-        if lo > hi:
-            out[k] = ctx.zero
-            continue
-        d = [int(np.dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1])) for a, b in zip(A, B)]
-        c = d[0] % p if ext == 1 else ((d[0] + nu * d[1]) % p, (d[2] - d[0] - d[1]) % p)
-        out[k] = FieldElement(ctx, c)
+    # c_k = sum_i A_i B_(k-i) is entry k of the correlation of Bz, B with
+    # la - 1 zeros on each side, with A reversed, so one `np.correlate` over
+    # Bz[k0 : k1 + la] reads a whole run k0..k1.  Its sums have at most
+    # la <= n + 1 terms below p^2, exact in float64 by the check above
+    pad = np.zeros(la - 1)
+    Bz = [np.concatenate((pad, b.astype(np.float64), pad)) for b in B]
+    Ar = [a[::-1].astype(np.float64) for a in A]
+    out = dict.fromkeys(indices, ctx.zero)  # an index outside A*B reads zero
+    ks = sorted(k for k in out if 0 <= k <= la + lb - 2)
+    for _, run in itertools.groupby(enumerate(ks), lambda t: t[1] - t[0]):
+        run = [k for _, k in run]
+        k0, k1 = run[0], run[-1]
+        d = [
+            np.correlate(bz[k0 : k1 + la], ar, "valid").astype(np.int64)
+            for bz, ar in zip(Bz, Ar)
+        ]
+        if ext == 1:
+            cs = (d[0] % p).tolist()
+        else:  # nu d_1 may pass 2^63, so d_1 is reduced first
+            real = (d[0] + nu * (d[1] % p)) % p
+            cs = zip(real.tolist(), ((d[2] - d[0] - d[1]) % p).tolist())
+        for k, c in zip(run, cs):
+            out[k] = FieldElement(ctx, c)
     return out
 
 
@@ -391,14 +409,14 @@ def _raw_divmod(ctx: FieldCtx, a, b):
     rem = list(a)
     d = len(b) - 1
     lead_inv = _rinv(p, nu, ext, b[-1])
+    low = b[:d]
     quo = [_rzero(ext)] * max(len(rem) - d, 0)
     for i in range(len(rem) - 1, d - 1, -1):
         if _is_rzero(ext, rem[i]):
             continue
         q = quo[i - d] = _rmul(p, nu, ext, rem[i], lead_inv)
         # the top term cancels: only the d below it change, and it is dropped
-        for j in range(d):
-            rem[i - d + j] = _rsub(p, ext, rem[i - d + j], _rmul(p, nu, ext, q, b[j]))
+        rem[i - d : i] = _rrow_sub(p, nu, ext, rem[i - d : i], q, low)
     del rem[d:]
     while rem and _is_rzero(ext, rem[-1]):
         rem.pop()

@@ -247,7 +247,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from math import comb, isqrt
@@ -1032,10 +1032,17 @@ def result_path(results_dir, p: int) -> Path:
 
 def result_text(result: SearchResult) -> str:
     """The record of a result as `write_result` stores it and `cmrank ss5`
-    prints it.  `indent` makes `json` use its pure-Python encoder, about
-    1.3 s for the 348 832 pairs of p = 43 607, so callers that need the text
-    twice build it once."""
-    return json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n"
+    prints it: `json.dumps(record, sort_keys=True, indent=2)` and a newline.
+    `indent` makes `json` use its pure-Python encoder, about 1.3 s for the
+    348 832 pairs of p = 43 607, so a GF(p) record is dumped without its
+    pairs, and they are formatted as that encoder writes them and spliced
+    into the empty list that ends the dump ("solutions" is the last key).
+    An --ext-field record holds strings and is dumped whole."""
+    if result.mode.startswith("ext-") or not result.solutions:
+        return json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n"
+    head = json.dumps(replace(result, solutions=[]).to_json(), sort_keys=True, indent=2)
+    pairs = ",\n".join(["    [\n      %d,\n      %d\n    ]" % s for s in result.solutions])
+    return head.removesuffix("[]\n}") + "[\n" + pairs + "\n  ]\n}\n"
 
 
 def write_result(results_dir, result: SearchResult, text: str | None = None) -> Path:

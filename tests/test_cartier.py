@@ -16,7 +16,7 @@ from cmrank.cartier import (
     prank_oracle,
 )
 from cmrank.ff import field, inverse_table
-from cmrank.poly import DensePoly
+from cmrank.poly import DensePoly, parse_poly
 
 from helpers import count_points_scalar, random_model, random_poly, random_squarefree
 
@@ -696,6 +696,69 @@ def test_iterate_rank_is_stable():
             F = _mat_frob(F)
             longer = _mat_mul(F, longer)
         assert matrix_rank(longer) == matrix_rank(T) == p_rank(C)
+
+
+def _rank_deficient_models():
+    """Models with 0 < rank(M) < g whose p-rank is below rank(M), each with
+    (rank(M), p-rank): the iterate must be formed for them."""
+    ctx = field(5, 2)
+    ext = HyperellipticModel(ctx, parse_poly(ctx, "1+2*w,4*w,4,2+2*w,1+w,4*w,1"))
+    return [
+        (model(7, [4, 1, 1, 5, 3, 5, 1]), 1, 0),  # genus 2
+        (model(11, [1, 8, 7, 6, 8, 4, 4, 1]), 2, 1),  # genus 3
+        (ext, 1, 0),  # genus 2 over GF(5^2)
+    ]
+
+
+def test_prank_below_the_rank_of_a_singular_matrix():
+    for C, rank_m, expected in _rank_deficient_models():
+        data = cartier_matrix(C)
+        assert 0 < matrix_rank(data.M) == rank_m < C.genus, C
+        assert data.p_rank == expected == matrix_rank(data.iterate), C
+        if C.ctx.ext_degree == 1:
+            assert prank_oracle(C) == expected, C
+
+
+def test_iterate_is_formed_only_for_a_singular_nonzero_matrix(monkeypatch):
+    calls = []
+    original = cartier._raw_iterate
+
+    def spy(ctx, M):
+        calls.append(len(M))
+        return original(ctx, M)
+
+    monkeypatch.setattr(cartier, "_raw_iterate", spy)
+    rng = random.Random(3303)
+    # y^2 = x^p - x has M = 0: genus 2 at p = 5, genus 3 at p = 7
+    zero = [model(p, [0, -1] + [0] * (p - 2) + [1]) for p in (5, 7)]
+    invertible = [random_model(rng, field(p, ext), rng.randrange(5, 10))
+                  for p in (101, 1009) for ext in (1, 2) for _ in range(3)]
+    for C in zero + invertible:
+        data = cartier_matrix(C)
+        assert matrix_rank(data.M) in (0, C.genus), C
+        assert data.p_rank == matrix_rank(data.M), C
+    assert [data.p_rank for data in map(cartier_matrix, zero)] == [0, 0]
+    assert calls == []
+    for C, _, expected in _rank_deficient_models():
+        assert p_rank(C) == expected
+    assert calls == [2, 3, 2]
+    # the lazy iterate forms it once, on first access
+    data = cartier_matrix(invertible[0])
+    assert data.iterate is data.iterate and len(calls) == 4
+
+
+def test_p_rank_matches_oracle_on_random_models():
+    # genus 2-4 at p <= 13, where p^genus stays under the oracle's guard
+    rng = random.Random(1414)
+    non_ordinary = singular = 0
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(12):
+            C = random_model(rng, field(p), 2 * rng.randrange(2, 5) + 1 + rng.randrange(2))
+            data = cartier_matrix(C)
+            assert data.p_rank == prank_oracle(C), (p, C)
+            non_ordinary += data.p_rank < C.genus
+            singular += 0 < matrix_rank(data.M) < C.genus
+    assert non_ordinary >= 8 and singular >= 8, (non_ordinary, singular)
 
 
 def test_rank_formula_xn_tn():

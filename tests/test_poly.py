@@ -266,6 +266,39 @@ def test_pow_coeffs_zero_polynomial_and_out_of_range():
     assert pow_coeffs(f, 3, [-1, 3, 4]) == {-1: ctx.zero, 3: ctx.one, 4: ctx.zero}
 
 
+def test_pow_coeffs_reads_runs_like_the_naive_power():
+    # c_k is read a run of consecutive indices at a time from A = f^(m//2) of
+    # length la and B = A or A f of length lb; runs cross the ends of A and
+    # B, and indices outside [0, top] read zero.  The last prime is the
+    # largest p = 3 (mod 4) whose sums stay exact for m = 13: there nu = p - 1
+    # times a sum of GF(p^2) products passes 2^63
+    rng = random.Random(7117)
+    deg = 5
+    near_bound = next(
+        q for q in range(math.isqrt((poly._FLOAT_EXACT - 1) // (13 * deg + 1)), 1, -1)
+        if q % 4 == 3 and is_prime(q)
+    )
+    for p in (7, 101, near_bound):
+        for ext in (1, 2):
+            ctx = field(p, ext)
+            for m in (1, 2, 3, 8, 13):
+                f = random_poly(rng, ctx, deg)
+                h = poly_pow_naive(f, m)
+                top = m * deg
+                la = m // 2 * deg + 1
+                lb = top + 2 - la
+                index_sets = [
+                    [1, 2, 3, 6, 7, top - 4, top - 3, top - 1],  # runs with gaps
+                    list(range(0, la + 2)) + list(range(lb - 3, top + 1)),
+                    [0, top],
+                    [-3, -2, -1, 0, top, top + 1, top + 2, 2 * top + 9],
+                    list(range(-2, top + 3)),
+                ]
+                for indices in index_sets:
+                    expected = {k: h.coeff(k) for k in indices}
+                    assert pow_coeffs(f, m, indices) == expected, (p, ext, m, indices)
+
+
 def test_pow_coeffs_matches_recurrence_at_every_reachable_index():
     # the recurrence is independent of any expansion; it reaches the indices
     # within p of either end of [0, m deg] when f(0) != 0

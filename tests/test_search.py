@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -33,6 +34,7 @@ from cmrank.search import (
     _w_line,
     load_result,
     result_path,
+    result_text,
     ss5_check_pair,
     ss5_sweep,
     ss5_sweep_ext,
@@ -1247,6 +1249,26 @@ def test_certified_recheck_matches_own_rows_at_10007():
         models = np.stack([E, D, F], axis=2).reshape(7, -1)
         assert not _cartier_entries_vec(p, models, inv_table).any(), start
     verify_solution_story(p, us, vs)
+
+
+def test_result_text_is_the_indented_json_dump():
+    # the spliced GF(p) record is byte for byte json.dumps with sort_keys and
+    # indent 2: at every prime p = 11 (mod 12) below 1000 and at 10 007, in
+    # both modes, for an empty solution list, and for --ext-field records
+    def dumped(result):
+        return json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n"
+
+    results = [
+        ss5_sweep(SweepConfig(p=p, mode=mode))
+        for p in [*range(11, 1000, 12), 10007]
+        if is_prime(p)
+        for mode in ("first", "all")
+    ]
+    assert any(not r.solutions for r in results) and sum(len(r.solutions) > 1 for r in results) > 20
+    empty = dataclasses.replace(results[-1], solutions=[])
+    results += [empty, ss5_sweep_ext(11, mode="first"), ss5_sweep_ext(11, mode="all")]
+    for r in results:
+        assert result_text(r) == dumped(r), (r.p, r.mode)
 
 
 def test_sweep_p11_solutions_sound():
