@@ -20,22 +20,29 @@ routes can be checked against each other; it counts on whole arrays of
 GF(p^k), with numpy and its own modulus only.
 
 "auto" chooses by cost.  A power of degree n = m*deg(f) at most
-`EXPAND_MAX_DEGREE` = 2^15, the measured crossover, whose sums are exact in
-float64 is expanded, the faster route there.  Past it the recurrence reads
-every entry within its reach (genus <= 2), and full expansion reads the
-rest (the middle entries of genus >= 3).
+`EXPAND_MAX_DEGREE` = 2^15 whose sums are exact in float64 is expanded, the
+faster route there.  Past it the recurrence reads every entry within its
+reach (genus <= 2), and full expansion reads the rest (the middle entries
+of genus >= 3).
 
 Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
-arrays up to A = f^(m//2), sets B = A or A*f, and reads each run of
-consecutive wanted c_k, a column of M, by one correlation of B with A per
-coordinate array.  Over GF(p^2) a square takes two convolutions and a
-product with f three.  The convolutions and correlations run in float64
-on int64 arrays, exact by the bound `poly._FLOAT_EXACT` states; a power of
-a non-constant f past that bound is refused.  The quadratic cost is bounded
-by refusing powers of degree m*deg(f) above `poly.EXPANSION_CAP` = 2^17
-with a ValueError (CLI exit 2) before any array is built.  Genus >= 3
-models reach it from p ~ 37 000 (degree 7) or p ~ 18 700 (degree 14),
-since their middle entries are out of the recurrence's reach.
+arrays up to A = f^(m//2) and sets B = A or A*f.  A genus-1 or -2 matrix
+is read by one dot product of A with B per entry, and a larger one by one
+correlation per column of M, a run of consecutive wanted c_k; each per
+coordinate array.  Squarings whose operands have at least
+`poly._FFT_MIN_LEN` terms run by real FFT wherever Percival's rounding
+bound keeps every value within 1/16 of its integer (`poly._fft_exact`),
+with a tripwire that redoes a product directly if any value lies more
+than 1/8 away; a genus-6 query at p = 4001 takes about 1.2 ms by it, 11 ms
+by direct convolution.  Over GF(p^2) a direct square takes two
+convolutions and a product with f three.  The direct convolutions and the
+reads run in float64 or int64, exact by the bound `poly._FLOAT_EXACT`
+states; a power of a non-constant f past that bound is refused.  The
+direct route's quadratic cost is bounded by refusing powers of degree
+m*deg(f) above `poly.EXPANSION_CAP` = 2^17 with a ValueError (CLI exit 2)
+before any array is built.  Genus >= 3 models reach it from p ~ 37 000
+(degree 7) or p ~ 18 700 (degree 14), since their middle entries are out
+of the recurrence's reach.
 
 The recurrence here (`_recurrence_block`) is the scalar one: it serves a
 single model, of any degree, over GF(p) or GF(p^2); `search._power_coeffs_vec`
@@ -88,16 +95,23 @@ RECURRENCE_CAP = 1 << 20
 # the crossover of "auto": a power of degree n = m*deg(f) at most this is read
 # by full expansion, which is faster there than the recurrence even where the
 # recurrence reaches every index.  One genus 1-2 Cartier-Manin query, best of
-# 3-5 runs on a 2-core Xeon VM, recurrence / expansion in ms:
+# 3 runs on a 2-core Xeon VM, recurrence / expansion in ms:
 #   p       deg  n       GF(p)        GF(p^2)
-#   1 009   6    3 024   2.2 / 0.21   5.3 / 0.82
-#   10 007  6    30 018  39 / 19      95 / 39
-#   11 003  6    33 006  43 / 22      104 / 48
-#   20 011  4    40 020  28 / 28      56 / 60
-#   30 011  3    45 015  46 / 44      91 / 84
-#   30 011  6    90 030  108 / 154    324 / 329
-# Expansion takes at most about half the time up to n = 2^15, the two are
-# within 10 % from n ~ 40 000, and past that the recurrence's O(p) steps win
+#   1 009   6    3 024   1.9 / 0.19   4.2 / 0.47
+#   10 007  6    30 018  21 / 1.4     51 / 4.5
+#   11 003  6    33 006  23 / 2.0     56 / 6.6
+#   15 013  6    45 036  32 / 2.3     68 / 5.8
+#   16 001  6    48 000  33 / 27      72 / 53
+#   20 011  4    40 020  18 / 21      38 / 45
+#   30 011  3    45 015  25 / 32      48 / 57
+#   30 011  6    90 030  63 / 116     146 / 236
+# Expansion's long squarings take the FFT route while its rounding bound
+# admits them, at degree 6 up to p ~ 15 000, and there expansion is 10-15
+# times faster; past that they are convolved directly, the two are within
+# about 20 % up to n ~ 50 000, and the recurrence's O(p) steps win beyond.
+# The constant stays at 2^15, the crossover measured before the FFT route:
+# raising it would change the strategy `prank` reports for genus <= 2
+# queries with n past 2^15
 EXPAND_MAX_DEGREE = 1 << 15
 # cost guard of a model, checked before its O(deg^2) squarefree gcd.  Past
 # the expansion, `cartier_matrix` ranks M, about g^3 / 3 Python products, and

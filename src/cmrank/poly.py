@@ -9,22 +9,31 @@ convolution once operands are long enough for it to pay.
 
 `pow_coeffs` reads single coefficients of a power without forming it: it
 keeps the polynomial as int64 coordinate arrays, squares up to f^(m//2), and
-reads each run of consecutive indices with one correlation per array.
-Over GF(p^2) a square takes two convolutions and any other product three
-(`_arrays_mul`).
+reads a few indices by one dot product each, or more by one correlation per
+run of consecutive indices, per array.  Over GF(p^2) a direct square takes
+two convolutions and any other product three (`_arrays_mul`).
 
-Every numpy convolution goes through `_convolve`, which runs it in float64
-(numpy convolves float64 through its SIMD dot kernel, int64 in a scalar
-loop, about 4x slower) on int64 arrays, and is called only where that is
-exact (`_FLOAT_EXACT`, which states the argument): past that bound a
-product falls back to a schoolbook loop over Python ints, and `pow_coeffs`
-refuses the power.  Its correlation reads run in float64 under the same
-bound.
+Every direct numpy convolution goes through `_convolve`, which runs it in
+float64 (numpy convolves float64 through its SIMD dot kernel, int64 in a
+scalar loop, about 4x slower) on int64 arrays, and is called only where
+that is exact (`_FLOAT_EXACT`, which states the argument): past that bound
+a product falls back to a schoolbook loop over Python ints, and
+`pow_coeffs` refuses the power.  Its reads run in int64 and float64 under
+the same bound.
+
+The squarings and products of `pow_coeffs` whose shorter operand has at
+least `_FFT_MIN_LEN` terms take an O(n log n) route instead (`_fft_mul`):
+a real FFT of length N = 2^k, a pointwise product, the inverse transform
+and `np.rint`.  It is taken only where Percival's bound on the rounding
+error of an FFT product stays below 1/16 (`_fft_exact`, which states it),
+so every rounded value is the exact integer; a tripwire redoes a product by
+`_convolve` if any value lies more than 1/8 from an integer.  `DensePoly`
+products never take it, so `poly_pow_naive` shares no code with it.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -43,10 +52,14 @@ from .ff import (
 )
 
 DEGREE_CAP = 1 << 24
-# cost guard of `pow_coeffs`: its last squaring is about (n/2)^2 multiply-adds
-# for a power of degree n, 4*10^9 at the guard, 18 times the n ~ 7*10^3 of a
-# genus-6 Cartier-Manin expansion at p ~ 1100.  At the guard on a 2-core Xeon
-# VM (range of three runs): 0.3 s over GF(p) and 0.9-1.1 s over GF(p^2)
+# cost guard of `pow_coeffs`: convolved directly, its last squaring is about
+# (n/2)^2 multiply-adds for a power of degree n, 4*10^9 at the guard, 18
+# times the n ~ 7*10^3 of a genus-6 Cartier-Manin expansion at p ~ 1100.
+# The FFT route's squarings take O(n log n), but a Cartier-Manin expansion
+# at the guard has p ~ 37 000, where the rounding bound refuses its long
+# squarings.  At the guard on a 2-core Xeon VM, best of 3: degree 7 at
+# p = 37 447, 0.22 s over GF(p) and 0.44 s over GF(p^2); degree 8 at
+# p = 101, by the FFT route, 8 ms and 23 ms
 EXPANSION_CAP = 1 << 17
 _NUMPY_MIN_LEN = 32
 # the one exactness bound of the numpy routes.  When no output sums more than
@@ -66,6 +79,84 @@ assert (EXPANSION_CAP + 1) * ((1 << 18) - 1) ** 2 < _FLOAT_EXACT
 
 def _float_exact(terms, p):
     return terms * (p - 1) ** 2 < _FLOAT_EXACT
+
+
+# crossover of the FFT route: a square or product whose shorter operand has
+# fewer terms is convolved directly.  A square of random residues mod 1009,
+# direct / FFT in us, median of five best-of-5 runs on a 2-core Xeon VM:
+#   length  GF(p)      GF(p^2)
+#   300     20 / 31    49 / 57
+#   400     27 / 32    68 / 62
+#   450     33 / 33    79 / 66
+#   512     42 / 33    96 / 70
+#   513     42 / 45    95 / 98    (N doubles to 2048)
+#   600     54 / 46    116 / 102
+#   1 000   115 / 50   276 / 119
+#   1 500   215 / 81   519 / 203
+_FFT_MIN_LEN = 450
+# rounding bound of the FFT route.  Percival ("Rapid multiplication modulo
+# the sum and difference of highly composite numbers", 2003, Theorem 5.1;
+# compare Higham, Accuracy and Stability of Numerical Algorithms, 24.1)
+# bounds the error of z = x * y computed by FFTs of length N = 2^k in
+# float64, with unit roundoff e = 2^-53 and twiddle factors within b of
+# their exact values, by
+#   |z' - z|_inf <= |x|_2 |y|_2 ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1),
+# which for b <= e is B(k) |x|_2 |y|_2 with B(k) = (6k + (3k+1) sqrt5) e to
+# first order (the rest is below 10^-13 of it for any k <= 64).  Residues
+# below p give |x|_2 |y|_2 <= (p-1)^2 sqrt(la lb), and a product is admitted
+# when B(k) (p-1)^2 sqrt(la lb) <= _FFT_ADMIT = 1/16.  Every value then lies
+# within 1/16 of the exact integer, so `np.rint` returns it.  The theorem
+# treats a radix-2 complex transform; numpy's pocketfft is mixed-radix and
+# real, and the factor 8 between 1/16 and the 1/2 that rounding tolerates is
+# the margin for that.  The tripwire `_FFT_TRIPWIRE` = 1/8 checks it on
+# every product: a larger distance to the nearest integer redoes the product
+# directly.  An admitted product's exact values are at most
+# min(la, lb) (p-1)^2 <= _FFT_ADMIT / B(k) <= _FFT_ADMIT / B(1), below 2^53,
+# so they are float64 integers, and int64 holds them
+_FFT_ADMIT = 1 / 16
+_FFT_TRIPWIRE = 1 / 8
+assert _FFT_ADMIT < _FFT_TRIPWIRE < 1 / 2
+assert _FFT_ADMIT / ((6 + 4 * math.sqrt(5)) * 2.0**-53) < _FLOAT_EXACT
+
+
+def _fft_exact(la, lb, p):
+    """Whether the rounding bound above admits an FFT product of residue
+    arrays of lengths la and lb."""
+    k = (la + lb - 2).bit_length()  # N = 2^k >= la + lb - 1
+    error = (6 * k + (3 * k + 1) * math.sqrt(5)) * 2.0**-53
+    return error * (p - 1) ** 2 * math.sqrt(la * lb) <= _FFT_ADMIT
+
+
+def _fft_mul(a, b, p, nu):
+    """`_arrays_mul` by real FFTs, for operands that `_fft_exact` admits; None
+    when the tripwire finds a value more than `_FFT_TRIPWIRE` from an integer.
+
+    Each coordinate array gets one spectrum, which a square reuses; each
+    product of two coordinate arrays is one inverse transform.  Over GF(p^2)
+    a square takes a0^2, a1^2 and a0 a1, and a product the four a_i b_j, all
+    of residues, so the bound covers each.  numpy.fft is reached through
+    `np.fft` at call time: a process that never multiplies past the
+    crossover does not import it."""
+    fft = np.fft
+    n = len(a[0]) + len(b[0]) - 1
+    size = 1 << (n - 1).bit_length()
+    sa = fft.rfft(np.array(a, dtype=np.float64), size)
+    if a is b:
+        sb = sa
+        i, j = ([0], [0]) if len(a) == 1 else ([0, 1, 0], [0, 1, 1])
+    else:
+        sb = fft.rfft(np.array(b, dtype=np.float64), size)
+        i, j = ([0], [0]) if len(a) == 1 else ([0, 1, 0, 1], [0, 1, 1, 0])
+    z = fft.irfft(sa[i] * sb[j], size)[:, :n]
+    r = np.rint(z)
+    if np.abs(z - r).max() > _FFT_TRIPWIRE:
+        return None
+    q = r.astype(np.int64) % p
+    if len(a) == 1:
+        return (q[0],)
+    if a is b:
+        return ((q[0] + nu * q[1]) % p, 2 * q[2] % p)
+    return ((q[0] + nu * q[1]) % p, (q[2] + q[3]) % p)
 
 
 def _convolve(a, b):
@@ -315,7 +406,14 @@ def _arrays_mul(a, b, p, nu):
     term (a0+a1)(b0+b1) - a0 b0 - a1 b1, and a square two:
     (a0 + a1 w)^2 = (a0+a1)(a0+nu a1) - (1+nu) a0 a1 + 2 a0 a1 w.  Each
     convolution's operands are residues mod p, and a0 a1 is reduced before
-    it is scaled by 1 + nu <= p, so that term stays below p^2 in int64."""
+    it is scaled by 1 + nu <= p, so that term stays below p^2 in int64.
+    Operands past the crossover `_FFT_MIN_LEN` that `_fft_exact` admits take
+    `_fft_mul` instead."""
+    la, lb = len(a[0]), len(b[0])
+    if la >= _FFT_MIN_LEN <= lb and _fft_exact(la, lb, p):
+        out = _fft_mul(a, b, p, nu)
+        if out is not None:
+            return out
     if len(a) == 1:
         return (_convolve(a[0], b[0]) % p,)
     if a is b:
@@ -328,13 +426,29 @@ def _arrays_mul(a, b, p, nu):
     return ((q00 + nu * q11) % p, (qs - q00 - q11) % p)
 
 
+# a read of at most this many coefficients (a genus-1 or -2 matrix) takes one
+# int64 dot product per coefficient and coordinate array and has no set-up;
+# a longer one pads and converts every array once and then takes one
+# correlation per run.  Read time in us, dots / correlations, of the matrix
+# entries from random A and B, best of 9 on a 2-core Xeon VM:
+#   p      genus  GF(p)        GF(p^2)
+#   13     1      2.1 / 5.6    4.5 / 12.2
+#   101    2      7.8 / 8.7    17.4 / 17.1
+#   1 009  2      10.2 / 12.0  24.5 / 27.5
+#   1 009  3      23.3 / 15.8  55.8 / 38.0
+#   1 009  6      98 / 43      260 / 120
+_DOT_READ_MAX = 4
+
+
 def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
     """Coefficients of f^m at the given indices, without forming f^m.
 
     f is held as int64 coordinate arrays, one over GF(p) and two over
     GF(p^2), and squared up to A = f^(m//2); with B = A for even m and A*f
-    for odd m, each coefficient c_k is the sum of A_i B_(k-i), and each run
-    of consecutive indices is read by one correlation per coordinate array.
+    for odd m, each coefficient c_k is the sum of A_i B_(k-i).  Up to
+    `_DOT_READ_MAX` coefficients are read by one dot product each per
+    coordinate array, more by one correlation per run of consecutive
+    indices and coordinate array.
     No sum has more than n + 1 = m deg(f) + 1 terms, so for m >= 1 and
     deg f >= 1 the power is refused with a ValueError, before any array is
     built, unless `_float_exact(n + 1, p)` holds; a constant f is answered
@@ -376,29 +490,42 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
         A = A + ((A[0] + A[1]) % p,)
         B = B + ((B[0] + B[1]) % p,)
     la, lb = len(A[0]), len(B[0])
+    out = dict.fromkeys(indices, ctx.zero)  # an index outside A*B reads zero
+    if len(out) <= _DOT_READ_MAX:  # int64 sums below 2^53 by the check above
+        for k in out:
+            lo, hi = max(0, k - lb + 1), min(k, la - 1)
+            if lo > hi:
+                continue
+            d = [int(np.dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1])) for a, b in zip(A, B)]
+            c = d[0] % p if ext == 1 else ((d[0] + nu * d[1]) % p, (d[2] - d[0] - d[1]) % p)
+            out[k] = FieldElement(ctx, c)
+        return out
+    ks = sorted(k for k in out if 0 <= k <= la + lb - 2)
     # c_k = sum_i A_i B_(k-i) is entry k of the correlation of Bz, B with
     # la - 1 zeros on each side, with A reversed, so one `np.correlate` over
     # Bz[k0 : k1 + la] reads a whole run k0..k1.  Its sums have at most
-    # la <= n + 1 terms below p^2, exact in float64 by the check above
-    pad = np.zeros(la - 1)
-    Bz = [np.concatenate((pad, b.astype(np.float64), pad)) for b in B]
-    Ar = [a[::-1].astype(np.float64) for a in A]
-    out = dict.fromkeys(indices, ctx.zero)  # an index outside A*B reads zero
-    ks = sorted(k for k in out if 0 <= k <= la + lb - 2)
-    for _, run in itertools.groupby(enumerate(ks), lambda t: t[1] - t[0]):
-        run = [k for _, k in run]
-        k0, k1 = run[0], run[-1]
-        d = [
-            np.correlate(bz[k0 : k1 + la], ar, "valid").astype(np.int64)
-            for bz, ar in zip(Bz, Ar)
-        ]
-        if ext == 1:
-            cs = (d[0] % p).tolist()
-        else:  # nu d_1 may pass 2^63, so d_1 is reduced first
-            real = (d[0] + nu * (d[1] % p)) % p
-            cs = zip(real.tolist(), ((d[2] - d[0] - d[1]) % p).tolist())
-        for k, c in zip(run, cs):
-            out[k] = FieldElement(ctx, c)
+    # la <= n + 1 terms below p^2, exact in float64 by the check above.  Bz
+    # and the reversed A hold the coordinate arrays as rows, each built in
+    # one step, and the sums of all runs are reduced together
+    Bz = np.zeros((len(B), lb + 2 * (la - 1)))
+    Bz[:, la - 1 : la - 1 + lb] = B
+    Ar = np.array(A, dtype=np.float64)[:, ::-1].copy()
+    d = np.empty((len(B), len(ks)))
+    start = 0
+    for end in range(1, len(ks) + 1):
+        if end == len(ks) or ks[end] != ks[end - 1] + 1:  # ks[start:end] is a run
+            k0, k1 = ks[start], ks[end - 1]
+            for row, bz, ar in zip(d, Bz, Ar):
+                row[start:end] = np.correlate(bz[k0 : k1 + la], ar, "valid")
+            start = end
+    d = d.astype(np.int64)
+    if ext == 1:
+        cs = (d[0] % p).tolist()
+    else:  # nu d_1 may pass 2^63, so d_1 is reduced first
+        real = (d[0] + nu * (d[1] % p)) % p
+        cs = zip(real.tolist(), ((d[2] - d[0] - d[1]) % p).tolist())
+    for k, c in zip(ks, cs):
+        out[k] = FieldElement(ctx, c)
     return out
 
 

@@ -446,8 +446,161 @@ def test_pow_coeffs_cost_guard_boundary(monkeypatch):
     monkeypatch.setattr(poly, "EXPANSION_CAP", 70)
     assert pow_coeffs(f, 10, [35]) == {35: (f**10).coeff(35)}
     monkeypatch.setattr(np, "convolve", _no_convolution)
+    monkeypatch.setattr(np.fft, "rfft", _no_convolution)
+    monkeypatch.setattr(np.fft, "irfft", _no_convolution)
     with pytest.raises(ValueError, match="cost guard"):
         pow_coeffs(f, 11, [35])
+
+
+# -- the FFT route of pow_coeffs' squarings and products ------------------------------
+
+
+def _percival_bound(la, lb, p):
+    """Percival's bound on the rounding error of an FFT product of residue
+    arrays of lengths la and lb, to first order, twiddles within 2^-53."""
+    k = (la + lb - 2).bit_length()
+    return (6 * k + (3 * k + 1) * math.sqrt(5)) * 2.0**-53 * (p - 1) ** 2 * math.sqrt(la * lb)
+
+
+def _spy(monkeypatch, owner, name):
+    """Record the arguments and result of each call to owner.name, which
+    keeps working."""
+    real = getattr(owner, name)
+    seen = []
+
+    def spy(*args):
+        out = real(*args)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+# squares and products at the crossover and past it; the last two have
+# operands of unequal length
+@pytest.mark.parametrize(
+    "la, lb", [(450, 450), (1000, 1000), (2048, 2048), (450, 700), (3000, 500)]
+)
+@pytest.mark.parametrize("ext", [1, 2])
+def test_fft_route_matches_direct_at_the_admission_edge(monkeypatch, la, lb, ext):
+    # all-(p-1) operands make |a|_2 |b|_2 as large as residues allow: the
+    # worst case of the norm bound, at the largest prime the bound admits.
+    # Random residues tell the coordinates apart
+    q = math.isqrt(int(poly._FFT_ADMIT / _percival_bound(la, lb, 2))) + 2
+    p = next(r for r in range(q, 2, -1) if is_prime(r) and poly._fft_exact(la, lb, r))
+    assert not poly._fft_exact(la, lb, next(r for r in range(p + 1, 2 * p) if is_prime(r)))
+    assert poly._float_exact(min(la, lb), p)  # the direct route is exact too
+    nu = field(p, ext).nu
+    rng = np.random.default_rng(la * lb + ext)
+    pairs = []
+    for draw in (lambda n: np.full(n, p - 1, dtype=np.int64), lambda n: rng.integers(0, p, n)):
+        a = tuple(draw(la) for _ in range(ext))
+        b = tuple(draw(lb) for _ in range(ext))
+        pairs += [(a, a), (a, b)] if la == lb else [(a, b)]
+    for x, y in pairs:
+        with monkeypatch.context() as m:
+            z = _spy(m, np.fft, "irfft")
+            got = poly._fft_mul(x, y, p, nu)
+        with monkeypatch.context() as m:
+            m.setattr(poly, "_FFT_MIN_LEN", 1 << 62)
+            expected = poly._arrays_mul(x, y, p, nu)
+        assert got is not None and len(got) == ext
+        for g, e in zip(got, expected):
+            assert g.dtype == np.int64 and np.array_equal(g, e), (la, lb, ext, x is y)
+        ((_, z),) = z
+        error = np.abs(z - np.rint(z)).max()
+        # measured with numpy 2.4: 2^4.8 to 2^6.4 below the bound for these
+        # operands, so the admitted 1/16 leaves errors below 1/128 in practice
+        assert error * 2**3 <= _percival_bound(la, lb, p) <= poly._FFT_ADMIT
+
+
+def _cartier_indices(p, genus):
+    return sorted({p * j - i for j in range(1, genus + 1) for i in range(1, genus + 1)})
+
+
+# genus 6 at p = 1009 and 4001, genus 3 at p = 10 007: every long squaring is
+# admitted there
+@pytest.mark.parametrize("p, deg", [(1009, 13), (4001, 14), (10007, 7)])
+@pytest.mark.parametrize("ext", [1, 2])
+def test_pow_coeffs_fft_route_matches_the_naive_power(monkeypatch, p, deg, ext):
+    ctx = field(p, ext)
+    f = random_poly(random.Random(p * ext + deg), ctx, deg)
+    m = (p - 1) // 2
+    indices = _cartier_indices(p, (deg - 1) // 2) + [0, m * deg // 2, m * deg]
+    h = poly_pow_naive(f, m)
+    routed = _spy(monkeypatch, poly, "_fft_mul")
+    assert pow_coeffs(f, m, indices) == {k: h.coeff(k) for k in indices}
+    assert routed and all(out is not None for _, out in routed)
+
+
+@pytest.mark.parametrize("p, deg", [(101, 13), (30011, 7)])
+@pytest.mark.parametrize("ext", [1, 2])
+def test_pow_coeffs_fft_route_not_taken_below_the_crossover_or_past_the_bound(
+    monkeypatch, p, deg, ext
+):
+    # at p = 101 every operand is shorter than the crossover.  At p = 30 011
+    # the bound admits squarings of up to about 4 000 terms and refuses the
+    # last two, of about 26 000 and 52 000 terms, which are convolved directly
+    ctx = field(p, ext)
+    f = random_poly(random.Random(p), ctx, deg)
+    m = (p - 1) // 2
+    indices = _cartier_indices(p, (deg - 1) // 2)
+    routed = _spy(monkeypatch, poly, "_fft_mul")
+    direct = _spy(monkeypatch, poly, "_convolve")
+    got = pow_coeffs(f, m, indices)
+    longest_direct = max(len(a) for (a, _), _ in direct)
+    if p == 101:
+        assert not routed and longest_direct < poly._FFT_MIN_LEN
+        h = poly_pow_naive(f, m)
+        assert got == {k: h.coeff(k) for k in indices}
+        return
+    assert longest_direct == m // 2 * deg + 1  # the last squaring, of A
+    assert not poly._fft_exact(longest_direct, longest_direct, p)
+    assert routed and max(len(a[0]) for (a, *_), _ in routed) < longest_direct // 4
+    # the last row of M, c_(3p-i), is within p of the top: the recurrence
+    # reads it independently
+    top = m * deg
+    high = _recurrence_block(f.reverse(), m, p - 1, inverse_table(p, p - 1))
+    last_row = [k for k in indices if top - k < p]
+    assert len(last_row) == 3
+    for k in last_row:
+        assert got[k] == ctx.from_coords((high[top - k],) if ext == 1 else high[top - k])
+
+
+@pytest.mark.parametrize("ext", [1, 2])
+def test_fft_tripwire_redoes_the_product_directly(monkeypatch, ext):
+    # an inverse transform 0.3 off every integer is caught: the products are
+    # redone by the direct route, and the answer stays exact
+    p, deg = 1009, 13
+    ctx = field(p, ext)
+    f = random_poly(random.Random(4242 + ext), ctx, deg)
+    m = (p - 1) // 2
+    indices = _cartier_indices(p, 6)
+    h = poly_pow_naive(f, m)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
+    routed = _spy(monkeypatch, poly, "_fft_mul")
+    direct = _spy(monkeypatch, poly, "_convolve")
+    assert pow_coeffs(f, m, indices) == {k: h.coeff(k) for k in indices}
+    assert routed and all(out is None for _, out in routed)
+    assert max(len(a) for (a, _), _ in direct) >= poly._FFT_MIN_LEN
+
+
+def test_oracles_never_reach_the_fft(monkeypatch):
+    # poly_pow_naive and DensePoly products stay on the direct convolution,
+    # so they check the FFT route rather than share it
+    monkeypatch.setattr(np.fft, "rfft", _no_convolution)
+    monkeypatch.setattr(np.fft, "irfft", _no_convolution)
+    monkeypatch.setattr(poly, "_fft_mul", _no_convolution)
+    rng = random.Random(97)
+    for ext in (1, 2):
+        ctx = field(1009, ext)
+        f = random_poly(rng, ctx, 13)
+        assert poly_pow_naive(f, 504).degree == 504 * 13
+        a, b = random_poly(rng, ctx, 3000), random_poly(rng, ctx, 2000)
+        assert poly._fft_exact(3001, 2001, 1009)
+        assert (a * b).degree == 5000
 
 
 def test_int64_bounds_of_the_constants():
