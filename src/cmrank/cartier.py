@@ -1,14 +1,15 @@
 """Cartier-Manin matrices of hyperelliptic models y^2 = f(x) and the p-rank.
 
 The matrix entry M[i][j] (1-indexed) is the coefficient c_{p*j - i} of
-f^((p-1)/2); the p-rank is the rank of the g-fold semilinear iterate
-M^(sigma^(g-1)) ... M^(sigma) M, with sigma the entrywise p-power map.
-M is ranked by one elimination (`_raw_rank`) on raw residues by `ff`'s
-formulas.  A semilinear power of a zero or an invertible matrix stays zero
-or invertible, so a rank of 0 or g is the p-rank; only for
-0 < rank(M) < g is the iterate formed, by squaring, and ranked.
-`CartierData.iterate` forms it on first access.  A FieldElement holds its
-raw residue, so `CartierData` wraps them with no conversion.
+f^((p-1)/2), a layout written once, in `_layout`, where every reader of a
+matrix in cmrank takes its indices.  The p-rank is the rank of the g-fold
+semilinear iterate M^(sigma^(g-1)) ... M^(sigma) M, with sigma the
+entrywise p-power map.  M is ranked by one elimination (`_raw_rank`) on
+raw residues by `ff`'s formulas.  A semilinear power of a zero or an
+invertible matrix stays zero or invertible, so a rank of 0 or g is the
+p-rank; only for 0 < rank(M) < g is the iterate formed, by squaring, and
+ranked.  `CartierData.iterate` forms it on first access.  A FieldElement
+holds its raw residue, so `CartierData` wraps them with no conversion.
 
 Coefficient extraction has two routes: full expansion of f^((p-1)/2)
 (naive) and a linear recurrence that reaches any index within p of either
@@ -44,13 +45,16 @@ before any array is built.  Genus >= 3 models reach it from p ~ 37 000
 (degree 7) or p ~ 18 700 (degree 14), since their middle entries are out
 of the recurrence's reach.
 
-The recurrence here (`_recurrence_block`) is the scalar one: it serves a
-single model, of any degree, over GF(p) or GF(p^2); `search._power_coeffs_vec`
-is its vectorized twin for batches of GF(p) models of degree 2 to 6, which
-reads c_{p-2} and c_{p-1} only and runs narrow batches in blocks of steps.
-It runs up to p steps and keeps about p values, so it is refused past
-`RECURRENCE_CAP` steps: a query that would need more falls back to full
-expansion under "auto", where `EXPANSION_CAP` refuses it (CLI exit 2).
+The recurrence has two forms here.  `_recurrence_block` is the scalar
+one: it serves a single model, of any degree, over GF(p) or GF(p^2), for
+`power_coeffs`.  It runs up to p steps and keeps about p values, so it is
+refused past `RECURRENCE_CAP` steps: a query that would need more falls
+back to full expansion under "auto", where `EXPANSION_CAP` refuses it (CLI
+exit 2).  `_power_coeffs_vec` is the batched one, for many GF(p) models of
+degree 2 to 6 at once: it reads c_{p-2} and c_{p-1} only, in blocks of
+steps after Bostan, Gaudry and Schost, and `_cartier_entries_vec` reads
+genus-1 and -2 matrices with it for the genus-5 sweep's recheck in
+`search`.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -92,6 +97,27 @@ assert ORACLE_MAX_Q**2 < 2**63
 # Unbounded, a query near the field bound p < 2^31 takes 2^11 times that:
 # hours, and hundreds of GB
 RECURRENCE_CAP = 1 << 20
+# the largest p `_power_coeffs_vec` takes, so that every int64 accumulation
+# stays exact: each recurrence term weight * f_j * c_{k-j}, on the window or
+# in a block, is below p^3 and at most six are summed; the product of the
+# blocks' step matrices, entries below p, applied to the window sums d
+# products below p^2
+_BATCH_MAX_P = 1 << 20
+assert 6 * _BATCH_MAX_P**3 < 1 << 63
+assert 6 * _BATCH_MAX_P**2 < 1 << 63
+# step weights `_power_coeffs_vec` tabulates at once, six per step and block:
+# 192 KB, where one table up to _BATCH_MAX_P would be about 50 MB
+_WEIGHT_BLOCK = 4096
+# window values the blocks of `_power_coeffs_vec` hold at once, d^2 per
+# column and block: 128 KB of int64, twice that with the window's copy.  A
+# blocked step does d times the arithmetic of a plain one per column, so
+# blocks run only when more than d fit: at p = 100 019, d = 6, 5 columns take
+# 79 ms in 91 blocks against 750 ms on the window alone, 45 columns 490
+# against 590 ms in 10 blocks, and 75 columns would take 740 against 610 ms
+# in 6.  So one pair of the genus-5 recheck, five columns, runs 91 blocks,
+# and so do mode "all"'s leaders, one pair per normal form; more than 13
+# pairs with entries to compute run on the window alone
+_BLOCK_BUDGET = 1 << 14
 # the crossover of "auto": a power of degree n = m*deg(f) at most this is read
 # by full expansion, which is faster there than the recurrence even where the
 # recurrence reaches every index.  One genus 1-2 Cartier-Manin query, best of
@@ -233,6 +259,100 @@ def _recurrence_block(f: DensePoly, m: int, upto: int, inv) -> list:
         kinv = inv[k]
         c.append((a0 % p * kinv % p, a1 % p * kinv % p))
     return c[d:]
+
+
+@functools.lru_cache(maxsize=1)
+def _inverse_table(p: int):
+    """`inverse_table(p, p - 1)` as a read-only int64 array, kept for the
+    last p asked: every batched read of one prime shares it."""
+    table = np.frombuffer(inverse_table(p, p - 1), dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _power_coeffs_vec(F, p: int):
+    """c_{p-2} and c_{p-1} of f^((p-1)/2) for every column f of F, as a
+    (2, n) array: the batched twin of `_recurrence_block`.
+
+    F is a (d+1, n) int64 array of residues mod p with 2 <= d <= 6: column i
+    holds f_0..f_d of one polynomial, zero-padded above its degree.  Every
+    f_0 must be nonzero and p at most _BATCH_MAX_P; 1/k and 1/f_0 are read
+    from `_inverse_table(p)`.  The recurrence
+
+        k f_0 c_k = sum_{j=1..d} ((m+1) j - k) f_j c_{k-j},   m = (p-1)/2,
+
+    keeps only the window c_{k-d}..c_{k-1}, on which step k acts linearly.
+    Its p - 1 steps are split as R + T B: the first R run on the window
+    itself, one product and sum per step for all columns at once; the other
+    T B run as T blocks of B steps, in lockstep.  Each block starts from the
+    d unit windows, so after its B steps it holds its step matrix, a d x d
+    matrix per column; the T matrices are multiplied by a product tree and
+    applied to the window.  That is R + B + log2 T numpy steps, below
+    T + (p-1)/T + log2 T, at d times the arithmetic: the cheap form of
+    Bostan, Gaudry and Schost, "Linear recurrences with polynomial
+    coefficients and application to integer factorization and Cartier-Manin
+    operator" (2007).  T is near sqrt(1.5 (p-1)) when the blocks' windows
+    fit in _BLOCK_BUDGET values, else the most that fit; when no more than
+    d fit, all p - 1 steps run on the window, O(p d n) work in O(d n)
+    memory."""
+    d, n = F.shape[0] - 1, F.shape[1]
+    if not 2 <= d <= 6 or p > _BATCH_MAX_P:
+        raise ValueError(f"need 2 <= d <= 6 and p <= {_BATCH_MAX_P}")
+    f0 = F[0]
+    if not f0.all():
+        # the recurrence divides by f_0: a zero would read every c_k as 0
+        raise ValueError("f(0) = 0 in a column: the recurrence divides by f(0)")
+    m = (p - 1) // 2
+    inv_table = _inverse_table(p)
+    fs = F[:0:-1] * inv_table[f0] % p  # f_d .. f_1, each over f_0
+    weights = (m + 1) * np.arange(d, 0, -1, dtype=np.int64)
+
+    def steps(starts, count):
+        # (t, w) for the steps t = 1..count of windows whose step t is
+        # k = starts + t, w the weights ((m+1) j - k) / k, j = d..1, of each
+        # window, tabulated a chunk of steps at a time
+        chunk = max(1, _WEIGHT_BLOCK // np.size(starts))
+        for first in range(1, count + 1, chunk):
+            ts = np.arange(first, min(first + chunk, count + 1))
+            ks = np.add.outer(ts, starts)
+            yield from zip(ts.tolist(), (weights - ks[..., None]) * inv_table[ks][..., None] % p)
+
+    blocks = min(isqrt(6 * (p - 1)) // 2, _BLOCK_BUDGET // (d * d * n))
+    length = (p - 1) // blocks if blocks > d else 0
+    rest = p - 1 - blocks * length
+    # c_t sits in rows t mod d and t mod d + d of a window, so for r = t mod d
+    # the rows r .. r+d-1 hold c_{t-d} .. c_{t-1}, in the order of fs
+    window = np.zeros((2 * d, n), dtype=np.int64)
+    window[0] = window[d] = [pow(c, m, p) for c in f0.tolist()]  # c_0; c_{-1} .. c_{1-d} = 0
+    for k, w in steps(0, rest):
+        r = k % d
+        window[r] = window[r + d] = np.einsum("i,in,in->n", w, fs, window[r : r + d]) % p
+    r = (rest + 1) % d
+    state = window[r : r + d]  # c_{R+1-d} .. c_R
+    if length:
+        # the blocks' windows, indexed by the local step t, with axes (row,
+        # block and column, unit): unit window i is c_{i+1-d} = 1
+        units = np.zeros((2 * d, blocks * n, d), dtype=np.int64)
+        for i in range(d):
+            units[(i + 1) % d, :, i] = units[(i + 1) % d + d, :, i] = 1
+        for t, w in steps(rest + length * np.arange(blocks), length):
+            r = t % d
+            # weight * f_j of every block and column, below p^2, times the
+            # rows of every unit window
+            coef = (w[:, None, :] * fs.T).reshape(-1, 1, d)
+            ck = (coef @ units[r : r + d].transpose(1, 0, 2))[:, 0] % p
+            units[r] = units[r + d] = ck
+        r = (length + 1) % d
+        # the step matrix of block b and column c at [b, c]: its row is the
+        # window position after the block, its column the unit it started from
+        chain = units[r : r + d].reshape(d, blocks, n, d).transpose(1, 2, 0, 3)
+        while len(chain) > 1:
+            # the later block of each pair multiplies from the left
+            pairs = len(chain) // 2 * 2
+            joined = chain[1:pairs:2] @ chain[0:pairs:2] % p
+            chain = np.concatenate([joined, chain[pairs:]])
+        state = np.einsum("nij,jn->in", chain[0], state) % p
+    return state[-2:]
 
 
 def _recurrence_obstacle(p: int, low: int, top: int, indices) -> str | None:
@@ -379,22 +499,55 @@ def _raw_iterate(ctx: FieldCtx, M):
 # -- the Cartier-Manin matrix ---------------------------------------------------
 
 
+def _layout(p: int, g: int) -> list:
+    """The index k of c_k, the coefficient of f^((p-1)/2), at each entry of a
+    genus-g Cartier-Manin matrix in characteristic p, row by row: M[i][j],
+    1-indexed, is c_{p*j - i}."""
+    return [[p * j - i for j in range(1, g + 1)] for i in range(1, g + 1)]
+
+
 def _matrix_entries(C: HyperellipticModel, strategy: str) -> tuple:
     """The Cartier-Manin matrix of C and the strategy that read it."""
     ctx = C.ctx
-    p = ctx.p
-    g = C.genus
-    m = (p - 1) // 2
+    m = (ctx.p - 1) // 2
     top = m * C.f.degree
-    wanted = [p * j - i for j in range(1, g + 1) for i in range(1, g + 1)]
-    in_range = {k for k in wanted if 0 <= k <= top}
-    coeffs = power_coeffs(C.f, m, in_range, strategy)
-    zero = ctx.zero
-    M = tuple(
-        tuple(coeffs.get(p * j - i, zero) for j in range(1, g + 1))
-        for i in range(1, g + 1)
-    )
+    layout = _layout(ctx.p, C.genus)
+    coeffs = power_coeffs(C.f, m, {k for row in layout for k in row if 0 <= k <= top}, strategy)
+    M = tuple(tuple(coeffs.get(k, ctx.zero) for k in row) for row in layout)
     return M, coeffs.strategy
+
+
+def _degrees(R):
+    """The degree of every column of the coefficient rows R, -1 for zero."""
+    nonzero = R != 0
+    return np.where(nonzero.any(axis=0), len(R) - 1 - nonzero[::-1].argmax(axis=0), -1)
+
+
+def _cartier_entries_vec(p: int, models):
+    """Cartier-Manin matrices of y^2 = f for every column f of models, a
+    (7, n) int64 array of coefficient rows mod p, low to high, as an
+    (n, 2, 2) int64 array, zero outside a genus-1 matrix.
+
+    Each f has degree 4 or 6 and f(0) != 0.  `_power_coeffs_vec` reads the
+    entries at the low end, c_{p-2} and c_{p-1}; for degree 6 those at the
+    high end, c_k for k > p, are c_{3(p-1)-k} of the reverse of f, as in
+    `power_coeffs`.  So a genus-1 model takes one column of the recurrence
+    and a genus-2 model two."""
+    degree = _degrees(models)
+    wrong = np.flatnonzero((degree != 4) & (degree != 6))
+    if wrong.size:
+        f = models[:, wrong[0]].tolist()
+        raise ValueError(f"expected degree 4 or 6 over GF({p}), got coefficients {f}")
+    two = degree == 6  # genus 2; the reverses of these follow the n models
+    n = len(degree)
+    ends = _power_coeffs_vec(np.hstack([models, models[::-1, two]]), p)  # c_{p-2}, c_{p-1}
+    out = np.zeros((n, 2, 2), dtype=np.int64)
+    for (i, j), k in np.ndenumerate(_layout(p, 2)):
+        # a genus-1 matrix is c_{p-1} alone; a sextic's c_k past p is
+        # c_{3(p-1)-k} of its reverse's power, row 2p-1-k of its ends
+        rows = slice(None) if k == p - 1 else two
+        out[rows, i, j] = ends[k - (p - 2), :n][rows] if k < p else ends[2 * p - 1 - k, n:]
+    return out
 
 
 def cartier_matrix(C: HyperellipticModel, strategy: str = "auto") -> CartierData:

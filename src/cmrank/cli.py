@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (all checks passed for `verify`), 1 a verification
-suite reported a failing check, 2 usage or input-validation error, 3 an
-internal error (any other exception, with its traceback on stderr).
+suite reported a failing check, 2 usage or input-validation error, or a
+results path that cannot be read or written (an OSError), 3 an internal
+error (any other exception, with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, IndexError) as e:
+    except (ValueError, IndexError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -199,30 +199,14 @@ keeps the pairs of a form in batch order, and the forms that have led
 carry from slice to slice.  A batch of one pair, as mode "first"'s, forms
 nothing.
 
-Each entry computed is read through a vectorized coefficient recurrence,
-`_power_coeffs_vec`, five rows per pair: E_u, D_v and the genus-2 quotient
-from their low ends, D_v and the genus-2 quotient again reversed for the
-entries near the top.  f(0) != 0 for all three, since 1 - u^2 != 0,
-u^2 + 1 != 0 (p = 3 mod 4) and v^4 + v^2 + 1 != 0 (p = 2 mod 3), so no row
-needs full expansion.
-
-Each step of that recurrence acts linearly on its window of the last d
-coefficients, so the p - 1 steps need not run one at a time.  They run as
-T blocks of B steps that advance in lockstep, each from the d unit windows,
-which leaves each block's step matrix; a product tree multiplies the T
-matrices, and the product is applied to the window after the R = p - 1 - T B
-steps run on it first.  This is the cheap form of Bostan, Gaudry and Schost,
-"Linear recurrences with polynomial coefficients and application to integer
-factorization and Cartier-Manin operator" (2007): about T + (p-1)/T numpy
-steps instead of p - 1, at d times the arithmetic, with every product exact
-in int64.  T is near sqrt(1.5 p), but bounded by a budget on the blocks'
-window values (`_BLOCK_BUDGET`): the five columns of one pair run at most
-91 blocks, about 11 600 steps at p = 1 048 559.  Blocks run only when more
-than d fit: a pass of more than 13 pairs with entries to compute takes
-every step on its window, where a step over many columns is already
-vectorized and a blocked one would cost d times more.  Mode "all" computes
+Each entry computed is read by `cartier._cartier_entries_vec`, the batched
+coefficient recurrence that `cartier` documents, five columns per pair:
+E_u, D_v and the genus-2 quotient from their low ends, D_v and the genus-2
+quotient again reversed for the entries near the top.  f(0) != 0 for all
+three, since 1 - u^2 != 0, u^2 + 1 != 0 (p = 3 mod 4) and v^4 + v^2 + 1 != 0
+(p = 2 mod 3), so no row needs full expansion.  Mode "all" computes
 entries for the leaders of its few normal forms (2 at p = 10 007, 4 at
-43 607) and so runs blocks.
+43 607), so its recurrence runs in blocks of steps, as mode "first"'s does.
 
 The recheck shares only the family's closed form with the kernel, no
 decision code: it checks every pair's own three quotients, through the
@@ -249,15 +233,23 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
-from math import comb, isqrt
+from itertools import chain, product
+from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .cartier import HyperellipticModel, power_coeffs
+from .cartier import (
+    _BATCH_MAX_P,
+    HyperellipticModel,
+    _cartier_entries_vec,
+    _inverse_table,
+    _layout,
+    _matrix_entries,
+    power_coeffs,
+)
 from .covers import kani_rosen_triple
-from .ff import FieldElement, _rsmall, _rzero, field, inverse_table, is_prime
+from .ff import FieldElement, _rsmall, _rzero, field, is_prime
 from .poly import DensePoly, is_squarefree, poly_gcd
 
 # oracle calls `ss5_sweep_ext` may make, (p^2 - 1)/2, checked before it lists
@@ -266,15 +258,10 @@ from .poly import DensePoly, is_squarefree, poly_gcd
 # every p < 512
 EXT_ORACLE_GUARD = 1 << 17
 ENUM_GUARD = 1_200_000
-# keeps every int64 accumulation of `_power_coeffs_vec` exact: each recurrence
-# term weight * f_j * c_{k-j}, on the window or in a block, is below p^3 and
-# at most six are summed; the
-# family's rows stay below 2^42 (`_transport`) and 3 p^2 (`_rows_mul`)
-SWEEP_MAX_P = 1 << 20
-assert 6 * SWEEP_MAX_P**3 < 1 << 63
-# `_power_coeffs_vec` multiplies its blocks' step matrices, entries below p,
-# and applies the product to the window: each entry sums d products below p^2
-assert 6 * SWEEP_MAX_P**2 < 1 << 63
+# the bound of the recheck's batched recurrence (`cartier._BATCH_MAX_P`),
+# under which its int64 sums are exact; the family's rows stay below 2^42
+# (`_transport`) and 3 p^2 (`_rows_mul`)
+SWEEP_MAX_P = _BATCH_MAX_P
 # `_pull_back` sums, for each coefficient, residues times the entries of a
 # row of its tensor, whose absolute values sum to at most 7 C(6, 3) = 140
 assert 7 * comb(6, 3) * SWEEP_MAX_P < 1 << 63
@@ -299,19 +286,6 @@ RECHECK_GUARD = 1 << 20
 # entry computation, so a pass of certified pairs costs their quotient rows
 # and normal forms, about 1.3 ms at 512 pairs (2-core Xeon VM)
 RECHECK_SLICE = 512
-# step weights `_power_coeffs_vec` tabulates at once, six per step and block:
-# 192 KB, where one table up to SWEEP_MAX_P would be about 50 MB
-_WEIGHT_BLOCK = 4096
-# window values the blocks of `_power_coeffs_vec` hold at once, d^2 per
-# column and block: 128 KB of int64, twice that with the window's copy.  A
-# blocked step does d times the arithmetic of a plain one per column, so
-# blocks run only when more than d fit: at p = 100 019, d = 6, 5 columns take
-# 79 ms in 91 blocks against 750 ms on the window alone, 45 columns 490
-# against 590 ms in 10 blocks, and 75 columns would take 740 against 610 ms
-# in 6.  So one pair of the recheck, five columns, runs 91 blocks, and so
-# do mode "all"'s leaders, one pair per normal form; more than 13 pairs
-# with entries to compute run on the window alone
-_BLOCK_BUDGET = 1 << 14
 # w per pass of the kernel's models and ladder: 256 KB an int64 array, where
 # all w at SWEEP_MAX_P take 8 MB an array; g1, a4 and a6 are kept for every w
 _LADDER_BLOCK = 1 << 15
@@ -342,6 +316,11 @@ class SweepConfig:
             raise ValueError("threads must be positive")
 
 
+# the fields of a sweep record and of its counts (README, "File formats")
+_RECORD_FIELDS = {"p", "mode", "solutions", "counts", "elapsed_ms"}
+_COUNT_FIELDS = {"tested", "excluded_uv", "excluded_gcd", "excluded_singular"}
+
+
 @dataclass
 class SearchResult:
     p: int
@@ -360,14 +339,23 @@ class SearchResult:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SearchResult":
-        return cls(
-            p=obj["p"],
-            mode=obj["mode"],
-            solutions=[tuple(s) for s in obj["solutions"]],
-            counts=dict(obj["counts"]),
-            elapsed_ms=obj["elapsed_ms"],
-        )
+    def from_json(cls, obj) -> "SearchResult":
+        """The result a GF(p) sweep record holds.  Refuses with a ValueError
+        anything but exactly the record's fields and its counts' (README,
+        "File formats"), with integer counts, time and pairs, and a p and
+        mode that `SweepConfig` accepts."""
+        if not isinstance(obj, dict) or obj.keys() != _RECORD_FIELDS:
+            raise ValueError(f"a record has exactly the fields {sorted(_RECORD_FIELDS)}")
+        counts, pairs = obj["counts"], obj["solutions"]
+        if not isinstance(counts, dict) or counts.keys() != _COUNT_FIELDS:
+            raise ValueError(f"its counts have exactly the fields {sorted(_COUNT_FIELDS)}")
+        if not isinstance(pairs, list) or any(type(s) is not list or len(s) != 2 for s in pairs):
+            raise ValueError("its solutions are not a list of pairs")
+        numbers = [obj["p"], obj["elapsed_ms"], *counts.values(), *chain.from_iterable(pairs)]
+        if any(type(x) is not int for x in numbers):
+            raise ValueError("p, elapsed_ms, the counts and the pairs hold integers only")
+        SweepConfig(obj["p"], obj["mode"])
+        return cls(obj["p"], obj["mode"], list(map(tuple, pairs)), dict(counts), obj["elapsed_ms"])
 
 
 @dataclass(frozen=True)
@@ -453,12 +441,7 @@ def ss5_check_pair(
     f = a_poly * b_poly
     if not is_squarefree(f):
         return CheckResult(status="excluded", reason="singular")
-    m = (p - 1) // 2
-    coeffs = power_coeffs(f, m, {p - 2, p - 1, 2 * p - 2, 2 * p - 1}, strategy)
-    a = coeffs[p - 1]
-    b = coeffs[2 * p - 1]
-    c = coeffs[p - 2]
-    d = coeffs[2 * p - 2]
+    (a, b), (c, d) = _matrix_entries(HyperellipticModel(ctx, f), strategy)[0]
     eq1 = (a * d - b * c).is_zero
     eq2 = (a * b ** (p - 1) + d**p).is_zero
     eq3 = (a**p + c ** (p - 1) * d).is_zero
@@ -466,138 +449,7 @@ def ss5_check_pair(
     return CheckResult(status=status, entries=(a, b, c, d))
 
 
-# -- vectorized coefficient recurrence, for the recheck ---------------------------
-
-
-def _powmod_vec(base, e: int, p: int):
-    r = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            r = r * b % p
-        b = b * b % p
-        e >>= 1
-    return r
-
-
-def _inverse_table(p: int):
-    return np.frombuffer(inverse_table(p, p - 1), dtype=np.int64)
-
-
-def _power_coeffs_vec(F, p: int, inv_table):
-    """c_{p-2} and c_{p-1} of f^((p-1)/2) for every column f of F, as a
-    (2, n) array.
-
-    F is a (d+1, n) int64 array of residues mod p with 2 <= d <= 6: column i
-    holds f_0..f_d of one polynomial, zero-padded above its degree.  Every
-    f_0 must be nonzero and p at most SWEEP_MAX_P; inv_table is
-    `_inverse_table(p)`, read for 1/k and 1/f_0.  The recurrence
-
-        k f_0 c_k = sum_{j=1..d} ((m+1) j - k) f_j c_{k-j},   m = (p-1)/2,
-
-    keeps only the window c_{k-d}..c_{k-1}, on which step k acts linearly.
-    Its p - 1 steps are split as R + T B: the first R run on the window
-    itself, one product and sum per step for all columns at once; the other
-    T B run as T blocks of B steps, in lockstep.  Each block starts from the
-    d unit windows, so after its B steps it holds its step matrix, a d x d
-    matrix per column; the T matrices are multiplied by a product tree and
-    applied to the window.  That is R + B + log2 T numpy steps, below
-    T + (p-1)/T + log2 T, at d times the arithmetic.  T is near
-    sqrt(1.5 (p-1)) when the blocks' windows fit in _BLOCK_BUDGET values,
-    else the most that fit; when no more than d fit, all p - 1 steps run on
-    the window, O(p d n) work in O(d n) memory."""
-    d, n = F.shape[0] - 1, F.shape[1]
-    if not 2 <= d <= 6 or p > SWEEP_MAX_P:
-        raise ValueError(f"need 2 <= d <= 6 and p <= {SWEEP_MAX_P}")
-    f0 = F[0]
-    if not f0.all():
-        # the recurrence divides by f_0: a zero would read every c_k as 0
-        raise ValueError("f(0) = 0 in a column: the recurrence divides by f(0)")
-    m = (p - 1) // 2
-    fs = F[:0:-1] * inv_table[f0] % p  # f_d .. f_1, each over f_0
-    weights = (m + 1) * np.arange(d, 0, -1, dtype=np.int64)
-
-    def steps(starts, count):
-        # (t, w) for the steps t = 1..count of windows whose step t is
-        # k = starts + t, w the weights ((m+1) j - k) / k, j = d..1, of each
-        # window, tabulated a chunk of steps at a time
-        chunk = max(1, _WEIGHT_BLOCK // np.size(starts))
-        for first in range(1, count + 1, chunk):
-            ts = np.arange(first, min(first + chunk, count + 1))
-            ks = np.add.outer(ts, starts)
-            yield from zip(ts.tolist(), (weights - ks[..., None]) * inv_table[ks][..., None] % p)
-
-    blocks = min(isqrt(6 * (p - 1)) // 2, _BLOCK_BUDGET // (d * d * n))
-    length = (p - 1) // blocks if blocks > d else 0
-    rest = p - 1 - blocks * length
-    # c_t sits in rows t mod d and t mod d + d of a window, so for r = t mod d
-    # the rows r .. r+d-1 hold c_{t-d} .. c_{t-1}, in the order of fs
-    window = np.zeros((2 * d, n), dtype=np.int64)
-    window[0] = window[d] = _powmod_vec(f0, m, p)  # c_0; c_{-1} .. c_{1-d} = 0
-    for k, w in steps(0, rest):
-        r = k % d
-        window[r] = window[r + d] = np.einsum("i,in,in->n", w, fs, window[r : r + d]) % p
-    r = (rest + 1) % d
-    state = window[r : r + d]  # c_{R+1-d} .. c_R
-    if length:
-        # the blocks' windows, indexed by the local step t, with axes (row,
-        # block and column, unit): unit window i is c_{i+1-d} = 1
-        units = np.zeros((2 * d, blocks * n, d), dtype=np.int64)
-        for i in range(d):
-            units[(i + 1) % d, :, i] = units[(i + 1) % d + d, :, i] = 1
-        for t, w in steps(rest + length * np.arange(blocks), length):
-            r = t % d
-            # weight * f_j of every block and column, below p^2, times the
-            # rows of every unit window
-            coef = (w[:, None, :] * fs.T).reshape(-1, 1, d)
-            ck = (coef @ units[r : r + d].transpose(1, 0, 2))[:, 0] % p
-            units[r] = units[r + d] = ck
-        r = (length + 1) % d
-        # the step matrix of block b and column c at [b, c]: its row is the
-        # window position after the block, its column the unit it started from
-        chain = units[r : r + d].reshape(d, blocks, n, d).transpose(1, 2, 0, 3)
-        while len(chain) > 1:
-            # the later block of each pair multiplies from the left
-            pairs = len(chain) // 2 * 2
-            joined = chain[1:pairs:2] @ chain[0:pairs:2] % p
-            chain = np.concatenate([joined, chain[pairs:]])
-        state = np.einsum("nij,jn->in", chain[0], state) % p
-    return state[-2:]
-
-
-def _cartier_entries_vec(p: int, models, inv_table):
-    """Cartier-Manin matrices of y^2 = f for every column f of models, a
-    (7, n) int64 array of coefficient rows mod p, low to high, as an
-    (n, 2, 2) int64 array, zero outside a genus-1 matrix.
-
-    Each f has degree 4 or 6 and f(0) != 0.  The entries are c_{p-1},
-    c_{p-2} (first column) and c_{2p-1}, c_{2p-2} (second) of f^((p-1)/2);
-    for degree 6 the second column is c_{p-2}, c_{p-1} of the reverse of f,
-    as in `cartier.power_coeffs`.  So a genus-1 model takes one column of the
-    recurrence and a genus-2 model two."""
-    degree = _degrees(models)
-    wrong = np.flatnonzero((degree != 4) & (degree != 6))
-    if wrong.size:
-        f = DensePoly(field(p), models[:, wrong[0]].tolist())
-        raise ValueError(f"expected degree 4 or 6 over GF({p}), got {f!r}")
-    two = degree == 6  # genus 2; the reverses of these follow the n models
-    n = len(degree)
-    pm2, pm1 = _power_coeffs_vec(np.hstack([models, models[::-1, two]]), p, inv_table)
-    out = np.zeros((n, 2, 2), dtype=np.int64)
-    out[:, 0, 0] = pm1[:n]
-    out[two, 1, 0] = pm2[:n][two]
-    out[two, 0, 1] = pm2[n:]
-    out[two, 1, 1] = pm1[n:]
-    return out
-
-
 # -- polynomial checks, pair by pair -----------------------------------------------
-
-
-def _degrees(R):
-    """The degree of every column of the coefficient rows R, -1 for zero."""
-    nonzero = R != 0
-    return np.where(nonzero.any(axis=0), len(R) - 1 - nonzero[::-1].argmax(axis=0), -1)
 
 
 _QUOTIENT_NAMES = ("E_u", "D_v", "the genus-2 quotient")
@@ -672,10 +524,7 @@ def _pull_back(Q, U, p: int):
     return np.einsum("jt,tn->jn", _pull_back_tensor(n), terms) % p
 
 
-_QUOTIENT_DEGREES = (4, 6, 6)  # E_u, D_v and the genus-2 quotient
-
-
-def _normal_forms(p: int, U, rows, inv_table):
+def _normal_forms(p: int, U, rows):
     """The normal form of every pair with u in U and quotient rows
     (E, D, F): each quotient pulled back by M_(-u) and scaled to 1 at its
     first nonzero coefficient, stacked into one (19, N) array.  Two pairs
@@ -684,18 +533,19 @@ def _normal_forms(p: int, U, rows, inv_table):
     they share every verdict of the recheck (module docstring).
 
     The form is zero where it proves nothing: where 1 - u^2 = 0 and M_(-u)
-    is not invertible; where a degree is not exactly _QUOTIENT_DEGREES, since
-    a lower degree is a root at infinity that the gcds and squarefreeness
-    tests of the polynomials do not see; and where a constant term is 0,
-    which `_cartier_entries_vec` refuses, so that such a pair still reaches
-    that refusal."""
+    is not invertible; where the top row of E, D or F is zero, so that a
+    degree is below the 4, 6 or 6 its rows run to and its form is taken at,
+    since a lower degree is a root at infinity that the gcds and
+    squarefreeness tests of the polynomials do not see; and where a constant
+    term is 0, which `_cartier_entries_vec` refuses, so that such a pair
+    still reaches that refusal."""
     ok = (1 - U * U) % p != 0
     forms = []
-    for Q, n in zip(rows, _QUOTIENT_DEGREES):
-        ok &= (_degrees(Q) == n) & (Q[0] != 0)
+    for Q in rows:
+        ok &= (Q[-1] != 0) & (Q[0] != 0)
         P = _pull_back(Q, U, p)
         first = P[(P != 0).argmax(axis=0), np.arange(U.size)]
-        forms.append(P * inv_table[first] % p)
+        forms.append(P * _inverse_table(p)[first] % p)
     return np.vstack(forms) * ok
 
 
@@ -708,7 +558,7 @@ def _w_line(p: int):
     return np.delete(np.arange(p, dtype=np.int64), [1, p - 1])
 
 
-def _orbit(p: int, w, inv_table):
+def _orbit(p: int, w):
     """The grid pairs (u, v) with invariant w, in ascending order: v = 1/u for
     w = infinity (None), whose orbit has the verdict of w = 0, else
     v = (u+w)/(1+uw) for u != -1/w.  There are p - 2 of them for w = 0 and
@@ -716,11 +566,11 @@ def _orbit(p: int, w, inv_table):
     us = np.concatenate(([0], np.arange(2, p - 1, dtype=np.int64)))
     if w is None:
         us = us[us != 0]
-        vs = inv_table[us]
+        vs = _inverse_table(p)[us]
     else:
         den = (1 + us * w) % p
         us = us[den != 0]
-        vs = (us + w) * inv_table[den[den != 0]] % p
+        vs = (us + w) * _inverse_table(p)[den[den != 0]] % p
     return list(zip(us.tolist(), vs.tolist()))
 
 
@@ -881,7 +731,7 @@ def _grid_counts(p: int, q: int, excluded: dict, solution, mode: str, sizes=None
     return counts, good
 
 
-def _sweep_w_line(p: int, inv_table, mode: str = "all"):
+def _sweep_w_line(p: int, mode: str = "all"):
     """Full-grid counts and the sorted solution pairs, before re-verification;
     in mode "first" only the least pair.  That is (0, least good w): (0, w)
     lies in the orbit of every finite w with the least u, and w = infinity
@@ -897,7 +747,7 @@ def _sweep_w_line(p: int, inv_table, mode: str = "all"):
     ws = W.tolist() + [None]
     if mode == "first":
         return counts, [(0, ws[good[0]])] if good.size else []
-    solutions = sorted(pair for i in good for pair in _orbit(p, ws[i], inv_table))
+    solutions = sorted(pair for i in good for pair in _orbit(p, ws[i]))
     return counts, solutions
 
 
@@ -923,8 +773,7 @@ def verify_solution_story(p: int, u, v):
     if p > SWEEP_MAX_P:
         raise ValueError(f"p = {p} exceeds the kernel bound {SWEEP_MAX_P}")
     field(p)  # refuses p that is not an odd prime
-    if us.size:
-        _recheck(p, us, vs, _inverse_table(p))
+    _recheck(p, us, vs)  # an empty batch checks nothing
 
 
 def _integers(x) -> bool:
@@ -935,18 +784,17 @@ def _integers(x) -> bool:
     return x.dtype == object and all(isinstance(e, (int, np.integer)) for e in x.flat)
 
 
-def _recheck(p: int, us, vs, inv_table):
+def _recheck(p: int, us, vs):
     """`verify_solution_story` on validated integer arrays, in slices of
-    RECHECK_SLICE pairs, with the inverse table of p built by the caller.
-    The normal forms that have led, carried from slice to slice, are those
-    whose later pairs are certified."""
+    RECHECK_SLICE pairs.  The normal forms that have led, carried from slice
+    to slice, are those whose later pairs are certified."""
     seen = set()
     for start in range(0, us.size, RECHECK_SLICE):
         part = slice(start, start + RECHECK_SLICE)
-        _recheck_slice(p, us[part], vs[part], inv_table, seen)
+        _recheck_slice(p, us[part], vs[part], seen)
 
 
-def _recheck_slice(p: int, us, vs, inv_table, seen):
+def _recheck_slice(p: int, us, vs, seen):
     """Recheck the pairs (us[i], vs[i]) of one slice, given the set of the
     nonzero normal forms whose first pair came in an earlier slice, which it
     extends.  The first pair of each nonzero form leads it; every later pair
@@ -966,7 +814,7 @@ def _recheck_slice(p: int, us, vs, inv_table, seen):
     E, D, F = _quotient_rows(U, V, p)
     own = np.ones(us.size, dtype=bool)
     if us.size > 1 or seen:
-        forms = _normal_forms(p, U, (E, D, F), inv_table)
+        forms = _normal_forms(p, U, (E, D, F))
         # a stable sort: the pairs of one form stay in batch order
         order = np.lexsort(forms)
         forms = forms[:, order]
@@ -980,8 +828,6 @@ def _recheck_slice(p: int, us, vs, inv_table, seen):
                 seen.add(key)
                 own[order[i]] = True
     own = np.flatnonzero(own)
-    if not own.size:
-        return
     us, vs = us[own], vs[own]
     E, D, F = (Q[:, own] for Q in (E, D, F))
     ctx, n, failure = field(p), len(us), None
@@ -996,7 +842,7 @@ def _recheck_slice(p: int, us, vs, inv_table, seen):
     if n:
         E = np.vstack([E[:, :n], np.zeros_like(E[:2, :n])])
         models = np.stack([E, D[:, :n], F[:, :n]], axis=2).reshape(7, 3 * n)
-        entries = _cartier_entries_vec(p, models, inv_table)
+        entries = _cartier_entries_vec(p, models)
         nonzero = entries.reshape(-1, 3, 4).any(axis=2)
         if nonzero.any():
             i, q = np.argwhere(nonzero)[0]
@@ -1012,11 +858,10 @@ def ss5_sweep(cfg: SweepConfig) -> SearchResult:
     (and re-verified)."""
     start = time.monotonic()
     p = cfg.p
-    inv_table = _inverse_table(p)
-    counts, solutions = _sweep_w_line(p, inv_table, cfg.mode)
+    counts, solutions = _sweep_w_line(p, cfg.mode)
     if solutions:
         us, vs = map(np.array, zip(*solutions))
-        _recheck(p, us, vs, inv_table)
+        _recheck(p, us, vs)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return SearchResult(
         p=p, mode=cfg.mode, solutions=solutions, counts=counts, elapsed_ms=elapsed_ms
@@ -1056,10 +901,19 @@ def write_result(results_dir, result: SearchResult, text: str | None = None) -> 
 
 
 def load_result(results_dir, p: int):
+    """The record cached for p, None if there is none.  A file that is not
+    JSON, or not a record of p that `SearchResult.from_json` accepts, is
+    refused with a ValueError that names it."""
     path = result_path(results_dir, p)
     if not path.exists():
         return None
-    return SearchResult.from_json(json.loads(path.read_text()))
+    try:
+        result = SearchResult.from_json(json.loads(path.read_text()))
+        if result.p != p:
+            raise ValueError(f"it holds the record of p = {result.p}")
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}; rerun with --force to recompute it") from None
+    return result
 
 
 def sweep_with_cache(cfg: SweepConfig, results_dir, force: bool = False):
@@ -1166,18 +1020,16 @@ def superspecial_g2_enumeration(p: int, q: int) -> list:
     if q**6 + q**5 > ENUM_GUARD:
         raise ValueError(f"candidate count {q**6 + q**5} exceeds the guard {ENUM_GUARD}")
     m = (p - 1) // 2
-    needed = [p * j - i for j in (1, 2) for i in (1, 2)]
+    needed = [k for row in _layout(p, 2) for k in row]
     out = []
     for d in (5, 6):
         # for m = 1 the matrix entries are plain coefficient reads of f, so
         # only tails with those coefficients zero are generated
         for coeffs in _monic_tails(ctx, d, needed if m == 1 else ()):
             f = DensePoly(ctx, coeffs)
-            if m > 1:
-                top = m * d
-                vals = power_coeffs(f, m, {k for k in needed if k <= top}, "naive")
-                if any(not v.is_zero for v in vals.values()):
-                    continue
+            # every needed index, at most 2p - 1, is within m d for d >= 5
+            if m > 1 and any(not c.is_zero for c in power_coeffs(f, m, needed, "naive").values()):
+                continue
             if is_squarefree(f):
                 out.append(HyperellipticModel(ctx, f))
     return out

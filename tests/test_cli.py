@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cmrank import cartier, cli, ff, poly, search, strata, verify
 from cmrank.cli import main
 
@@ -239,6 +241,61 @@ def test_ss5_range_recomputes_records_cached_in_another_mode(tmp_path, capsys):
         assert code == 0
         assert rows(results_dir, mode) == rows(tmp_path / f"fresh-{mode}", mode), cached
         assert search.load_result(results_dir, 47).mode == mode
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["ss5", "--p", "11"], "file"),
+        (["ss5-range", "--from", "11", "--to", "12"], "file"),
+        (["ss5", "--p", "11"], "record directory"),
+        (["ss5-range", "--from", "11", "--to", "12"], "record directory"),
+        (["ss5-range", "--from", "11", "--to", "12", "--force"], "record directory"),
+    ],
+    ids=["ss5-file", "range-file", "ss5-dir", "range-dir", "range-force-dir"],
+)
+def test_results_path_errors_exit_2(tmp_path, capsys, argv, target):
+    # a results directory that is a file, or a directory where the record of
+    # p = 11 belongs, is an input error: one line, no traceback
+    if target == "file":
+        results = tmp_path / "results"
+        results.write_text("")
+    else:
+        results = tmp_path
+        search.result_path(results, 11).mkdir(parents=True)
+    code, _, err = run(capsys, *argv, "--results-dir", str(results))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("Not a directory" if target == "file" else "Is a directory") in err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"p": 11}', "exactly the fields"),
+        (None, "record of p = 23"),
+        ("{not json", "Expecting property name"),
+    ],
+    ids=["missing-fields", "other-prime", "not-json"],
+)
+def test_ss5_range_refuses_an_untrusted_record(tmp_path, capsys, text, problem):
+    # a record that lacks the contract's fields, holds another prime (here
+    # p = 23's record, which would print 11 as solution-free) or is not JSON
+    # exits 2 naming the file, and --force recomputes it
+    argv = ["ss5-range", "--from", "11", "--to", "12", "--results-dir", str(tmp_path)]
+    path = search.result_path(tmp_path, 11)
+    if text is None:
+        assert run(capsys, "ss5", "--p", "23", "--results-dir", str(tmp_path))[0] == 0
+        text = search.result_path(tmp_path, 23).read_text()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out.count("\n") == 1  # the header alone
+    assert err.startswith(f"error: {path}: ") and problem in err and "--force" in err
+    assert err.count("\n") == 1
+    code, out, _ = run(capsys, *argv, "--force")
+    assert code == 0 and out.splitlines()[1].startswith("11,1,1,0,2,")
+    assert search.load_result(tmp_path, 11).p == 11
 
 
 def test_enumerate_ss_g2(capsys):

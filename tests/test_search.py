@@ -8,8 +8,16 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from cmrank import search
-from cmrank.cartier import HyperellipticModel, _raw_matrix, cartier_matrix, is_superspecial
+from cmrank import cartier, search
+from cmrank.cartier import (
+    HyperellipticModel,
+    _cartier_entries_vec,
+    _inverse_table,
+    _power_coeffs_vec,
+    _raw_matrix,
+    cartier_matrix,
+    is_superspecial,
+)
 from cmrank.covers import kani_rosen_triple, triple_with_pranks
 from cmrank.ff import FieldCtx, field, inverse_table, is_prime
 from cmrank.poly import DensePoly, is_squarefree, pow_coeffs
@@ -17,15 +25,11 @@ from cmrank.search import (
     _A_FACTOR,
     _B_FACTORS,
     SweepConfig,
-    _cartier_entries_vec,
     _classify,
     _ladder_finite,
     _monic_tails,
-    _inverse_table,
     _orbit,
     _pair_polys,
-    _power_coeffs_vec,
-    _powmod_vec,
     _quotient_rows,
     _rows_mul,
     _split_models,
@@ -208,7 +212,7 @@ def test_palindromic_reduction_against_oracle():
     for p in (23, 131):
         ctx = field(p)
         grid = [x for x in range(p) if x not in (1, p - 1)]
-        solutions = rng.sample(_sweep_w_line(p, _inverse_table(p))[1], 2)
+        solutions = rng.sample(_sweep_w_line(p)[1], 2)
         checks = [ss5_check_pair(p, ctx.elem(u), ctx.elem(v)) for u, v in solutions]
         while len(checks) < 40:
             r = ss5_check_pair(p, ctx.elem(rng.choice(grid)), ctx.elem(rng.choice(grid)))
@@ -245,7 +249,7 @@ def test_recheck_never_expands_or_runs_p_rank(monkeypatch):
     from cmrank import cartier, covers
 
     p = 23
-    expected = _sweep_w_line(p, _inverse_table(p))[1]
+    expected = _sweep_w_line(p)[1]
     assert len(expected) == 80
 
     def refuse(*args, **kwargs):
@@ -257,13 +261,14 @@ def test_recheck_never_expands_or_runs_p_rank(monkeypatch):
     assert ss5_sweep(SweepConfig(p=p, mode="all")).solutions == expected
 
 
-def _recurrence_ends_vec(fs, m: int, p: int, inv_table):
+def _recurrence_ends_vec(fs, m: int, p: int):
     """c_{p-2} and c_{p-1} of f^m for the columns f_0..f_6 in fs, one term
-    at a time: the oracle of `_power_coeffs_vec`."""
+    at a time, with c_0, 1/f_0 and 1/k by builtin pow: the oracle of
+    `_power_coeffs_vec`."""
     f0 = fs[0]
     c_prev = [None] * 6  # c_{k-1} .. c_{k-6}
-    c0 = _powmod_vec(f0, m, p)
-    inv_f0 = _powmod_vec(f0, p - 2, p)
+    c0 = np.array([pow(c, m, p) for c in f0.tolist()], dtype=np.int64)
+    inv_f0 = np.array([pow(c, -1, p) for c in f0.tolist()], dtype=np.int64)
     c_prev[0] = c0
     zeros = np.zeros_like(f0)
     for j in range(1, 6):
@@ -277,7 +282,7 @@ def _recurrence_ends_vec(fs, m: int, p: int, inv_table):
             weight = ((m + 1) * j - k) % p
             if weight:
                 acc += weight * fs[j] * c_prev[j - 1]
-        ck = acc % p * int(inv_table[k]) % p * inv_f0 % p
+        ck = acc % p * pow(k, -1, p) % p * inv_f0 % p
         if k == p - 2:
             out_pm2 = ck
         c_prev = [ck] + c_prev[:5]
@@ -319,7 +324,7 @@ def _exclusions_by_resultants(p, W):
     return excluded_gcd, (~excluded_gcd) & (disc_a == 0)
 
 
-def _classify_by_recurrence(p, W, inv_table):
+def _classify_by_recurrence(p, W):
     """The kernel before the elliptic split, kept as its oracle: the
     resultant exclusions, then a = c = 0 read off f^((p-1)/2) by the
     coefficient recurrence.  Returns (excluded_gcd, excluded_singular,
@@ -330,7 +335,7 @@ def _classify_by_recurrence(p, W, inv_table):
     solution = np.zeros_like(live)
     idx = np.flatnonzero(live)
     if idx.size:
-        c, a = _power_coeffs_vec(f[:, idx], p, inv_table)
+        c, a = _power_coeffs_vec(f[:, idx], p)
         solution[idx] = (a == 0) & (c == 0)
     return excluded_gcd, excluded_singular, solution
 
@@ -342,19 +347,19 @@ def test_kernel_recurrence_matches_per_term_oracle():
     primes = [p for p in range(11, 500, 12) if is_prime(p)]
     assert len(primes) == 25
     for p in primes:
-        F, inv_table = _sextics(p, _w_line(p)), _inverse_table(p)
-        out = _power_coeffs_vec(F, p, inv_table)
-        c, a = _recurrence_ends_vec(list(F), (p - 1) // 2, p, inv_table)
+        F = _sextics(p, _w_line(p))
+        out = _power_coeffs_vec(F, p)
+        c, a = _recurrence_ends_vec(list(F), (p - 1) // 2, p)
         assert (out[0] == c).all() and (out[1] == a).all(), p
 
 
-def _ends_with_blocks(monkeypatch, F, p, inv_table, blocks):
+def _ends_with_blocks(monkeypatch, F, p, blocks):
     """`_power_coeffs_vec` forced to `blocks` blocks through its budget; one
     block means all steps on the window."""
     d, n = F.shape[0] - 1, F.shape[1]
     assert blocks == 1 or d < blocks <= isqrt(6 * (p - 1)) // 2
-    monkeypatch.setattr(search, "_BLOCK_BUDGET", blocks * d * d * n)
-    return _power_coeffs_vec(F, p, inv_table)
+    monkeypatch.setattr(cartier, "_BLOCK_BUDGET", blocks * d * d * n)
+    return _power_coeffs_vec(F, p)
 
 
 def test_blocked_recurrence_matches_per_term_oracle(monkeypatch):
@@ -366,20 +371,20 @@ def test_blocked_recurrence_matches_per_term_oracle(monkeypatch):
     rng = np.random.default_rng(17)
     exact = set()
     for p in _primes_11_mod_12(500) + [100019]:
-        n, inv_table = 5, _inverse_table(p)
+        n = 5
         cols = {}
         for d in (2, 4, 6):
             cols[d] = rng.integers(0, p, size=(d + 1, n))
             cols[d][0] = rng.integers(1, p, size=n)
         padded = np.hstack([np.vstack([F, np.zeros((6 - d, n), np.int64)])
                             for d, F in cols.items()])
-        ends = np.stack(_recurrence_ends_vec(list(padded), (p - 1) // 2, p, inv_table))
+        ends = np.stack(_recurrence_ends_vec(list(padded), (p - 1) // 2, p))
         for (d, F), expected in zip(cols.items(), np.split(ends, 3, axis=1)):
-            assert (_power_coeffs_vec(F, p, inv_table) == expected).all(), (p, d)
+            assert (_power_coeffs_vec(F, p) == expected).all(), (p, d)
             if p > 500:
                 continue
             for blocks in [1, *range(d + 1, isqrt(6 * (p - 1)) // 2 + 1)]:
-                got = _ends_with_blocks(monkeypatch, F, p, inv_table, blocks)
+                got = _ends_with_blocks(monkeypatch, F, p, blocks)
                 assert (got == expected).all(), (p, d, blocks)
                 exact.add((p - 1) % blocks == 0 if blocks > 1 else None)
             monkeypatch.undo()
@@ -391,18 +396,18 @@ def _primes_11_mod_12(below):
 
 
 def _check_split_against_recurrence(monkeypatch, p):
-    W, inv_table = _w_line(p), _inverse_table(p)
-    gcd, singular, solution = _classify_by_recurrence(p, W, inv_table)
+    W = _w_line(p)
+    gcd, singular, solution = _classify_by_recurrence(p, W)
     # the kernel writes no singular exclusion
     assert not singular.any(), p
     expected = gcd, solution
     got = _classify(p, W)
     for name, e, g in zip(("gcd", "solution"), expected, got):
         assert (e == g).all(), (p, name)
-    split = _sweep_w_line(p, inv_table, "first")
+    split = _sweep_w_line(p, "first")
     with monkeypatch.context() as m:
         m.setattr(search, "_classify", lambda p, W: expected)
-        assert _sweep_w_line(p, inv_table, "first") == split, p
+        assert _sweep_w_line(p, "first") == split, p
     return W[got[1]].tolist()
 
 
@@ -641,7 +646,7 @@ def test_batched_entries_match_scalar_route_and_expansion():
     for p in (11, 23, 47, 59, 71):
         ctx = field(p)
         m = (p - 1) // 2
-        pairs = _sweep_w_line(p, _inverse_table(p))[1]
+        pairs = _sweep_w_line(p)[1]
         grid = [x for x in range(p) if x not in (1, p - 1)]
         non_solutions = 0
         while non_solutions < 10:
@@ -652,7 +657,7 @@ def test_batched_entries_match_scalar_route_and_expansion():
         polys = [f for u, v in pairs for f in _quotients(ctx, u, v)]
         for deg in (4, 6):
             polys += [random_squarefree(rng, ctx, deg, nonzero_const=True) for _ in range(6)]
-        entries = _cartier_entries_vec(p, _model_rows(polys), _inverse_table(p))
+        entries = _cartier_entries_vec(p, _model_rows(polys))
         assert entries.shape == (len(polys), 2, 2)
         for f, got in zip(polys, entries.tolist()):
             M = _raw_matrix(cartier_matrix(HyperellipticModel(ctx, f)).M)
@@ -666,9 +671,7 @@ def test_batched_entries_match_scalar_route_and_expansion():
         assert not by_pair[:-10].any()
         assert by_pair[-10:, 2].any(axis=1).all()  # the genus-2 quotient fails
     with pytest.raises(ValueError, match="degree 4 or 6"):
-        _cartier_entries_vec(
-            p, _model_rows([random_squarefree(rng, ctx, 5, nonzero_const=True)]), None
-        )
+        _cartier_entries_vec(p, _model_rows([random_squarefree(rng, ctx, 5, nonzero_const=True)]))
 
 
 def _generic_verdict(ctx, u, v):
@@ -719,9 +722,9 @@ def test_vectorized_recurrence_refuses_zero_constant():
     p = 23
     F = np.array([[1, 3, 0], [2, 2, 2], [1, 0, 5]], dtype=np.int64)  # f_0 = 0 in column 2
     with pytest.raises(ValueError, match="f\\(0\\) = 0"):
-        _power_coeffs_vec(F, p, _inverse_table(p))
+        _power_coeffs_vec(F, p)
     # without the zero column the same rows run
-    assert _power_coeffs_vec(F[:, :2], p, _inverse_table(p)).shape == (2, 2)
+    assert _power_coeffs_vec(F[:, :2], p).shape == (2, 2)
 
 
 def test_recheck_golden_at_a_large_prime():
@@ -756,17 +759,17 @@ def test_recheck_guard_admits_every_prime_below_1000_and_10007(monkeypatch):
     # the guard bounds the pair count; it refuses 126 839 (tests/test_cli.py),
     # not these
     for p in _primes_11_mod_12(1000) + [10007]:
-        solutions = _sweep_w_line(p, _inverse_table(p))[1]
+        solutions = _sweep_w_line(p)[1]
         assert len(solutions) <= search.RECHECK_GUARD, p
     # nor 43 607, whose 348 832 pairs are counted before any is listed
     monkeypatch.setattr(search, "_orbit", lambda *args: [])
-    _sweep_w_line(43607, _inverse_table(43607))
+    _sweep_w_line(43607)
 
 
 def test_recheck_batch_names_the_first_failing_pair():
     p = 23
     ctx = field(p)
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    solutions = _sweep_w_line(p)[1]
     grid = [(u, v) for u in range(2, p - 1) for v in range(2, p - 1)]
     gcd_pair = next(
         (u, v) for u, v in grid
@@ -803,18 +806,26 @@ def test_recheck_batch_names_the_first_failing_pair():
 
 
 def test_sweep_builds_one_inverse_table(monkeypatch):
+    # the orbits, the normal forms and the batched recurrence of a mode-all
+    # sweep and its recheck read one table, which nobody can write into; a
+    # later sweep of the same prime reuses it
     calls = []
 
     def spy(p, upto):
         calls.append(p)
         return inverse_table(p, upto)
 
-    monkeypatch.setattr(search, "inverse_table", spy)
-    for mode in ("first", "all"):
-        result = ss5_sweep(SweepConfig(p=47, mode=mode))
-        assert result.solutions  # so the recheck ran
-        assert calls == [47]
-        calls.clear()
+    monkeypatch.setattr(cartier, "inverse_table", spy)
+    _inverse_table.cache_clear()
+    result = ss5_sweep(SweepConfig(p=47, mode="all"))
+    assert len(result.solutions) > 1  # so orbits, forms and entries ran
+    assert calls == [47]
+    with pytest.raises(ValueError, match="read-only"):
+        _inverse_table(47)[2] = 0
+    assert ss5_sweep(SweepConfig(p=47, mode="first")).solutions == result.solutions[:1]
+    assert calls == [47]
+    ss5_sweep(SweepConfig(p=59, mode="all"))
+    assert calls == [47, 59]
 
 
 def _recheck_outcome(p, pairs):
@@ -841,7 +852,7 @@ def test_recheck_slices_match_unsliced(monkeypatch):
     # a passing batch, a non-solution and a pair that fails a polynomial check
     # in the third slice of 7
     p = 47
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    solutions = _sweep_w_line(p)[1]
     ctx = field(p)
     assert ss5_check_pair(p, ctx.elem(4), ctx.elem(18)).status == "not_solution"
     gcd_pair = _gcd_excluded_pair(p)
@@ -895,7 +906,7 @@ def _w_of(p, u, v):
 
 
 def _forms_of(p, U, V):
-    return search._normal_forms(p, U, _quotient_rows(U, V, p), _inverse_table(p))
+    return search._normal_forms(p, U, _quotient_rows(U, V, p))
 
 
 def test_family_pulls_back_to_its_w_representative():
@@ -922,7 +933,7 @@ def test_certificate_refuses_what_it_cannot_prove():
     # the rows of another class, perturbed rows and non-invertible maps give
     # another form, or none
     p = 23
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    solutions = _sweep_w_line(p)[1]
     (u, v), other = (
         next(s for s in solutions if s != (0, 4) and _w_of(p, *s) == 4),
         next(s for s in solutions if _w_of(p, *s) not in (4, 6) and s[0] != 0),
@@ -932,7 +943,7 @@ def test_certificate_refuses_what_it_cannot_prove():
         return _quotient_rows(np.array([u]), np.array([v]), p)
 
     def form(rows, u=u):
-        return search._normal_forms(p, np.array([u]), rows, _inverse_table(p))[:, 0]
+        return search._normal_forms(p, np.array([u]), rows)[:, 0]
 
     target = form(rows_of(0, 4), u=0)
     assert target.any()
@@ -998,7 +1009,7 @@ def test_failed_certificates_take_their_own_rows(monkeypatch):
     # own rows, and every message of the batch test stays the same, also when
     # every form is refused
     p = 23
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    solutions = _sweep_w_line(p)[1]
     gcd_pair = _gcd_excluded_pair(p)
     same_class = [s for s in solutions if _w_of(p, *s) == _w_of(p, 4, 18)]
     assert not same_class  # (4, 18) leads its class; add a follower of it
@@ -1022,8 +1033,8 @@ def test_failed_certificates_take_their_own_rows(monkeypatch):
     forms = len({col.tobytes() for col in _forms_of(p, *np.array(solutions).T).T})
     normal_forms = search._normal_forms
 
-    def refuse_target(p, U, rows_, inv_table):
-        forms = normal_forms(p, U, rows_, inv_table)
+    def refuse_target(p, U, rows_):
+        forms = normal_forms(p, U, rows_)
         hit = np.all([(R == r[:, None]).all(axis=0) for R, r in zip(rows_, rows)], axis=0)
         return forms * ~hit
 
@@ -1041,7 +1052,7 @@ def test_perturbed_follower_rows_are_named(monkeypatch):
     # a follower whose rows are those of the non-solution (4, 18) has another
     # normal form, and is named with its own (u, v), as without forms
     p = 23
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    solutions = _sweep_w_line(p)[1]
     target = solutions[30]
     quotient_rows = search._quotient_rows
 
@@ -1081,7 +1092,7 @@ def test_follower_with_gcd_excluded_rows_takes_its_own_ranks(monkeypatch):
     # form no earlier pair has, and is named with its own polynomial error,
     # whose numbers are those of the planted rows, as without forms
     p = 23
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    solutions = _sweep_w_line(p)[1]
     at = 30
     target = solutions[at]
     assert any(_w_of(p, *s) == _w_of(p, *target) for s in solutions[:at])
@@ -1109,7 +1120,7 @@ def test_genus_2_rows_of_another_class_are_named(monkeypatch):
     # its normal form is not its class's, and it is named with that check,
     # also when every form is refused
     p = 23
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    solutions = _sweep_w_line(p)[1]
     target = solutions[30]
     other = next(s for s in solutions if _w_of(p, *s) != _w_of(p, *target) and s[0] != target[0])
     rows = [R[:, 0] for R in _quotient_rows(np.array([target[0]]), np.array([target[1]]), p)]
@@ -1132,8 +1143,7 @@ def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
     # is the one with every form refused
     p = 23
     ctx = field(p)
-    inv = _inverse_table(p)
-    solutions = _sweep_w_line(p, inv)[1]
+    solutions = _sweep_w_line(p)[1]
     leader = solutions[0]
     follower = next(s for s in solutions if s[0] != 0 and _w_of(p, *s) == _w_of(p, *leader))
     lead_rows = [R[:, 0] for R in _quotient_rows(np.array([leader[0]]), np.array([leader[1]]), p)]
@@ -1142,7 +1152,7 @@ def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
     lead_rows[2] = _model_rows([b * DensePoly(ctx, [-3, 1])])[:, 0]
     follow_rows = [search._pull_back(R[:, None], np.array([-follower[0] % p]), p)[:, 0]
                    for R in lead_rows]
-    assert [search._degrees(R[:, None])[0] for R in follow_rows] == [4, 6, 6]
+    assert [cartier._degrees(R[:, None])[0] for R in follow_rows] == [4, 6, 6]
     # without the degree condition the two would share a form: their
     # pull-backs are proportional
     for L, R in zip(lead_rows, follow_rows):
@@ -1151,7 +1161,7 @@ def test_leader_of_lower_degree_certifies_nobody(monkeypatch):
         assert a[0] and c[0] and (a * c[0] % p == c * a[0] % p).all()
     us = np.array([leader[0], follower[0]])
     rows = [np.stack(R, axis=1) for R in zip(lead_rows, follow_rows)]
-    forms = search._normal_forms(p, us, rows, inv)
+    forms = search._normal_forms(p, us, rows)
     assert not forms[:, 0].any() and forms[:, 1].any()
     _plant_rows(monkeypatch, {leader: lead_rows, follower: follow_rows})
     routed = []
@@ -1185,7 +1195,7 @@ def test_one_pair_batch_pulls_nothing_back(monkeypatch):
     assert pulled == []
     inv = _inverse_table(p)
     by_form = {}
-    for u, v in reversed(_sweep_w_line(p, inv)[1]):
+    for u, v in reversed(_sweep_w_line(p)[1]):
         w = _w_of(p, u, v)
         by_form[min(w, inv[w])] = (u, v)
     leaders = sorted(by_form.values())
@@ -1203,7 +1213,7 @@ def test_shuffled_batches_name_what_own_rows_name(monkeypatch):
     # refused, and a passing shuffle routes one pair per form, its leaders
     # carried across slices
     p = 23
-    solutions = _sweep_w_line(p, _inverse_table(p))[1]
+    solutions = _sweep_w_line(p)[1]
     values = [0, *range(2, p - 1)]
     planted = [s for s in product(values, repeat=2) if _w_of(p, *s) == _w_of(p, 4, 18)]
     planted.append(_gcd_excluded_pair(p))
@@ -1235,8 +1245,7 @@ def test_certified_recheck_matches_own_rows_at_10007():
     # for the leaders alone, says
     p = 10007
     ctx = field(p)
-    inv_table = _inverse_table(p)
-    solutions = _sweep_w_line(p, inv_table)[1]
+    solutions = _sweep_w_line(p)[1]
     assert len(solutions) == 40016
     us, vs = np.array(solutions).T
     for start in range(0, us.size, 512):
@@ -1247,7 +1256,7 @@ def test_certified_recheck_matches_own_rows_at_10007():
             search._polynomial_facts(ctx, u, v, E[:, i], D[:, i], F[:, i])
         E = np.vstack([E, np.zeros_like(E[:2])])
         models = np.stack([E, D, F], axis=2).reshape(7, -1)
-        assert not _cartier_entries_vec(p, models, inv_table).any(), start
+        assert not _cartier_entries_vec(p, models).any(), start
     verify_solution_story(p, us, vs)
 
 
@@ -1323,12 +1332,11 @@ def _check_counts_invariant(p):
     assert c["excluded_uv"] == p * p - (p - 2) ** 2
     # the orbits partition the grid with the closed-form sizes, and the counts
     # are their sizes summed per verdict
-    inv = _inverse_table(p)
     verdicts = _w_verdicts(p)
     by_verdict = {"gcd": 0, "singular": 0, "solution": 0, "not_solution": 0}
     seen = set()
     for w, verdict in verdicts.items():
-        orbit = _orbit(p, w, inv)
+        orbit = _orbit(p, w)
         assert len(orbit) == (p - 2 if w == 0 else p - 3)
         assert orbit == sorted(orbit)
         seen.update(orbit)
@@ -1344,9 +1352,8 @@ def test_sweep_mode_first_is_first_of_mode_all():
     # mode "first" reads (0, least good w) without expanding any orbit; the
     # sorted expansion of mode "all" is its oracle, without the recheck
     for p in _primes_11_mod_12(1000):
-        inv_table = _inverse_table(p)
-        counts, solutions = _sweep_w_line(p, inv_table, "all")
-        assert _sweep_w_line(p, inv_table, "first") == (counts, solutions[:1]), p
+        counts, solutions = _sweep_w_line(p, "all")
+        assert _sweep_w_line(p, "first") == (counts, solutions[:1]), p
     for p in (23, 47):
         full = ss5_sweep(SweepConfig(p=p, mode="all"))
         first = ss5_sweep(SweepConfig(p=p, mode="first"))
@@ -1361,7 +1368,7 @@ def test_sweep_verdict_invariant_on_orbits():
     ctx = field(p)
     rng = random.Random(131)
     verdicts = _w_verdicts(p)
-    solutions = set(_sweep_w_line(p, _inverse_table(p))[1])
+    solutions = set(_sweep_w_line(p)[1])
     finite = [w for w in verdicts if w not in (0, None)]
     kinds = {
         "diagonal": 0,
@@ -1416,6 +1423,25 @@ def test_results_cache_roundtrip(tmp_path):
 
 def test_load_missing_returns_none(tmp_path):
     assert load_result(tmp_path, 11) is None
+
+
+def test_load_result_checks_the_contract(tmp_path):
+    # a record as written loads; a changed mode, a count or pair that is not
+    # an integer, or a solution that is not a pair is refused, naming the file
+    sweep_with_cache(SweepConfig(p=11, mode="all"), tmp_path)
+    path = result_path(tmp_path, 11)
+    good = json.loads(path.read_text())
+    assert load_result(tmp_path, 11).to_json() == good
+    for change, problem in (
+        ({"mode": "ext-all"}, "mode must be 'first' or 'all'"),
+        ({"counts": {**good["counts"], "tested": 49.0}}, "integers only"),
+        ({"solutions": [[0, "2"]]}, "integers only"),
+        ({"solutions": [[0, 2, 3]]}, "not a list of pairs"),
+        ({"counts": {"tested": 49}}, "counts have exactly the fields"),
+    ):
+        path.write_text(json.dumps({**good, **change}))
+        with pytest.raises(ValueError, match="p=11.json: .*" + problem):
+            load_result(tmp_path, 11)
 
 
 def _first_prime_past_the_ext_guard():
