@@ -20,11 +20,17 @@ zeta-function oracle computes the p-rank from point counts so the two
 routes can be checked against each other; it counts on whole arrays of
 GF(p^k), with numpy and its own modulus only.
 
-"auto" chooses by cost.  A power of degree n = m*deg(f) at most
+"auto" chooses by cost.  One function, `_route`, picks the route of every
+`power_coeffs` read and words every refusal of one, and it alone reads the
+three constants of that choice.  A power of degree n = m*deg(f) at most
 `EXPAND_MAX_DEGREE` = 2^15 whose sums are exact in float64 is expanded, the
 faster route there.  Past it the recurrence reads every entry within its
-reach (genus <= 2), and full expansion reads the rest (the middle entries
-of genus >= 3).
+reach (genus <= 2) and at most `RECURRENCE_CAP` steps from an end, and
+full expansion reads the rest (the middle entries of genus >= 3) up to
+degree `EXPANSION_CAP`.  A read that no route takes is refused with a
+ValueError (CLI exit 2) that says why each route was refused.  `poly`
+keeps only its own arithmetic preconditions: a negative m, `DEGREE_CAP`
+and the float64 bound.
 
 Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
 arrays up to A = f^(m//2) and sets B = A or A*f.  A genus-1 or -2 matrix
@@ -39,18 +45,17 @@ by direct convolution.  Over GF(p^2) a direct square takes two
 convolutions and a product with f three.  The direct convolutions and the
 reads run in float64 or int64, exact by the bound `poly._FLOAT_EXACT`
 states; a power of a non-constant f past that bound is refused.  The
-direct route's quadratic cost is bounded by refusing powers of degree
-m*deg(f) above `poly.EXPANSION_CAP` = 2^17 with a ValueError (CLI exit 2)
-before any array is built.  Genus >= 3 models reach it from p ~ 37 000
-(degree 7) or p ~ 18 700 (degree 14), since their middle entries are out
-of the recurrence's reach.
+direct route's quadratic cost is bounded by `EXPANSION_CAP` = 2^17 on the
+degree m*deg(f), checked by `_route` before any array is built.  Genus >= 3
+models reach it from p ~ 37 000 (degree 7) or p ~ 18 700 (degree 14),
+since their middle entries are out of the recurrence's reach.
 
 The recurrence has two forms here.  `_recurrence_block` is the scalar
 one: it serves a single model, of any degree, over GF(p) or GF(p^2), for
-`power_coeffs`.  It runs up to p steps and keeps about p values, so it is
-refused past `RECURRENCE_CAP` steps: a query that would need more falls
-back to full expansion under "auto", where `EXPANSION_CAP` refuses it (CLI
-exit 2).  `_power_coeffs_vec` is the batched one, for many GF(p) models of
+`power_coeffs`.  It runs up to p steps and keeps about p values, so
+`_route` refuses it past `RECURRENCE_CAP` steps: a query that would need
+more falls back to full expansion under "auto", up to `EXPANSION_CAP`.
+`_power_coeffs_vec` is the batched one, for many GF(p) models of
 degree 2 to 6 at once: it reads c_{p-2} and c_{p-1} only, in blocks of
 steps after Bostan, Gaudry and Schost, and `_cartier_entries_vec` reads
 genus-1 and -2 matrices with it for the genus-5 sweep's recheck in
@@ -67,7 +72,7 @@ from math import isqrt
 import numpy as np
 
 from .ff import FieldCtx, FieldElement, _is_rzero, _rdot, _rinv, _rmul, _rrow_sub, inverse_table
-from .poly import DensePoly, _float_exact, is_squarefree, pow_coeffs
+from .poly import _FLOAT_EXACT, DensePoly, _float_exact, is_squarefree, pow_coeffs
 
 # guard of `prank_oracle`, which counts points over GF(p^k), k <= genus, on
 # (k, p^k) int64 coordinate arrays (`_count_points`): the largest field it
@@ -90,12 +95,46 @@ from .poly import DensePoly, _float_exact, is_squarefree, pow_coeffs
 #   (31, 4)     923 521    0.97 s   200 MB
 ORACLE_MAX_Q = 1 << 17
 assert ORACLE_MAX_Q**2 < 2**63
-# cost guard of `_recurrence_block`, the partner of `poly.EXPANSION_CAP`: a
-# query of k steps builds two Python lists of k + 1 entries (the inverse
-# table and the coefficients).  For genus 2 at p = 1 048 573, on a 2-core
-# Xeon VM: 3.5 s and 157 MB peak over GF(p), 6.3 s and 285 MB over GF(p^2).
-# Unbounded, a query near the field bound p < 2^31 takes 2^11 times that:
-# hours, and hundreds of GB
+# the crossover of "auto": a power of degree n = m*deg(f) at most this is read
+# by full expansion, which is faster there than the recurrence even where the
+# recurrence reaches every index.  One genus 1-2 Cartier-Manin query, best of
+# 3 runs on a 2-core Xeon VM, recurrence / expansion in ms:
+#   p       deg  n       GF(p)        GF(p^2)
+#   1 009   6    3 024   1.9 / 0.19   4.2 / 0.47
+#   10 007  6    30 018  21 / 1.4     51 / 4.5
+#   11 003  6    33 006  23 / 2.0     56 / 6.6
+#   15 013  6    45 036  32 / 2.3     68 / 5.8
+#   16 001  6    48 000  33 / 27      72 / 53
+#   20 011  4    40 020  18 / 21      38 / 45
+#   30 011  3    45 015  25 / 32      48 / 57
+#   30 011  6    90 030  63 / 116     146 / 236
+# Expansion's long squarings take the FFT route while its rounding bound
+# admits them, at degree 6 up to p ~ 15 000, and there expansion is 10-15
+# times faster; past that they are convolved directly, the two are within
+# about 20 % up to n ~ 50 000, and the recurrence's O(p) steps win beyond.
+# The constant stays at 2^15, the crossover measured before the FFT route:
+# raising it would change the strategy `prank` reports for genus <= 2
+# queries with n past 2^15
+EXPAND_MAX_DEGREE = 1 << 15
+# cost guard of full expansion (`poly.pow_coeffs`), read by `_route`:
+# convolved directly, its last squaring is about (n/2)^2 multiply-adds for a
+# power of degree n, 4*10^9 at the guard, 18 times the n ~ 7*10^3 of a
+# genus-6 Cartier-Manin expansion at p ~ 1100.  The FFT route's squarings
+# take O(n log n), but a Cartier-Manin expansion at the guard has p ~ 37 000,
+# where the rounding bound refuses its long squarings.  At the guard on a
+# 2-core Xeon VM, best of 3: degree 7 at p = 37 447, 0.22 s over GF(p) and
+# 0.44 s over GF(p^2); degree 8 at p = 101, by the FFT route, 8 ms and 23 ms.
+# A Cartier-Manin expansion has m = (p-1)/2 and deg f >= 3, so the guard
+# refuses every one with p >= 2^18, and below 2^18 the assert keeps its sums
+# of at most n + 1 products exact in float64 (`poly._FLOAT_EXACT`)
+EXPANSION_CAP = 1 << 17
+assert (EXPANSION_CAP + 1) * ((1 << 18) - 1) ** 2 < _FLOAT_EXACT
+# cost guard of `_recurrence_block`, the partner of `EXPANSION_CAP`, read by
+# `_route`: a query of k steps builds two Python lists of k + 1 entries (the
+# inverse table and the coefficients).  For genus 2 at p = 1 048 573, on a
+# 2-core Xeon VM: 3.5 s and 157 MB peak over GF(p), 6.3 s and 285 MB over
+# GF(p^2).  Unbounded, a query near the field bound p < 2^31 takes 2^11
+# times that: hours, and hundreds of GB
 RECURRENCE_CAP = 1 << 20
 # the largest p `_power_coeffs_vec` takes, so that every int64 accumulation
 # stays exact: each recurrence term weight * f_j * c_{k-j}, on the window or
@@ -118,27 +157,6 @@ _WEIGHT_BLOCK = 4096
 # and so do mode "all"'s leaders, one pair per normal form; more than 13
 # pairs with entries to compute run on the window alone
 _BLOCK_BUDGET = 1 << 14
-# the crossover of "auto": a power of degree n = m*deg(f) at most this is read
-# by full expansion, which is faster there than the recurrence even where the
-# recurrence reaches every index.  One genus 1-2 Cartier-Manin query, best of
-# 3 runs on a 2-core Xeon VM, recurrence / expansion in ms:
-#   p       deg  n       GF(p)        GF(p^2)
-#   1 009   6    3 024   1.9 / 0.19   4.2 / 0.47
-#   10 007  6    30 018  21 / 1.4     51 / 4.5
-#   11 003  6    33 006  23 / 2.0     56 / 6.6
-#   15 013  6    45 036  32 / 2.3     68 / 5.8
-#   16 001  6    48 000  33 / 27      72 / 53
-#   20 011  4    40 020  18 / 21      38 / 45
-#   30 011  3    45 015  25 / 32      48 / 57
-#   30 011  6    90 030  63 / 116     146 / 236
-# Expansion's long squarings take the FFT route while its rounding bound
-# admits them, at degree 6 up to p ~ 15 000, and there expansion is 10-15
-# times faster; past that they are convolved directly, the two are within
-# about 20 % up to n ~ 50 000, and the recurrence's O(p) steps win beyond.
-# The constant stays at 2^15, the crossover measured before the FFT route:
-# raising it would change the strategy `prank` reports for genus <= 2
-# queries with n past 2^15
-EXPAND_MAX_DEGREE = 1 << 15
 # cost guard of a model, checked before its O(deg^2) squarefree gcd.  Past
 # the expansion, `cartier_matrix` ranks M, about g^3 / 3 Python products, and
 # only for 0 < rank(M) < g forms the g-fold iterate, about 2 log2(g) matrix
@@ -355,31 +373,57 @@ def _power_coeffs_vec(F, p: int):
     return state[-2:]
 
 
-def _recurrence_obstacle(p: int, low: int, top: int, indices) -> str | None:
-    """Why the recurrence cannot read these coefficients of f^m = x^low h^m,
-    h(0) != 0, top = m*deg(f), or None when it can: every index below low,
-    or within p of low or of top and at most RECURRENCE_CAP steps from it."""
-    unreachable = [k for k in indices if k - low >= p and top - k >= p]
-    if unreachable:
-        return f"indices {unreachable} are not within p of either end"
-    steps = max(max(k - low, 0) if k - low < p else top - k for k in indices)
-    if steps > RECURRENCE_CAP:
-        return f"{steps} recurrence steps exceed the cost guard {RECURRENCE_CAP}"
-    return None
+def _x_order(f: DensePoly) -> int:
+    """The v with f = x^v h and h(0) != 0, for a nonzero f."""
+    return next(i for i, c in enumerate(f.raw()) if not _is_rzero(f.ctx.ext_degree, c))
+
+
+def _route(f: DensePoly, m: int, indices, strategy: str) -> str:
+    """The route of a `power_coeffs` read of f^m at indices, a sorted
+    nonempty list within [0, m*deg(f)]: "naive" (full expansion by
+    `pow_coeffs`) or "recurrence".  The one place that weighs the two:
+    it reads EXPAND_MAX_DEGREE, RECURRENCE_CAP and EXPANSION_CAP, and it
+    refuses a read that strategy leaves no route for with a ValueError
+    that says why each route was refused (RecurrenceUnavailable when
+    strategy is "recurrence").
+
+    "naive", m = 0 and a constant f take full expansion.  "auto" expands a
+    power of degree n = m*deg(f) at most EXPAND_MAX_DEGREE whose sums
+    `poly._float_exact` keeps exact.  Otherwise the recurrence, on
+    f = x^v h with h(0) != 0, reads an index below v*m as 0 and any other
+    within p of v*m or of n, at most RECURRENCE_CAP steps from that end;
+    where it cannot, "auto" expands.  Expansion is refused past degree
+    EXPANSION_CAP."""
+    p, n = f.ctx.p, m * f.degree
+    if strategy == "auto" and n <= EXPAND_MAX_DEGREE and _float_exact(n + 1, p):
+        return "naive"
+    refusals = []
+    if strategy != "naive" and m and f.degree >= 1:
+        low = _x_order(f) * m
+        far = [k for k in indices if k - low >= p and n - k >= p]
+        steps = max(max(k - low, 0) if k - low < p else n - k for k in indices)
+        if far:
+            refusals.append(f"indices {far} are not within p of either end")
+        elif steps > RECURRENCE_CAP:
+            refusals.append(f"{steps} recurrence steps exceed the cost guard {RECURRENCE_CAP}")
+        else:
+            return "recurrence"
+        if strategy == "recurrence":
+            raise RecurrenceUnavailable(refusals[0])
+    if n > EXPANSION_CAP:
+        refusals.append(f"degree {n} of the full expansion exceeds the cost guard {EXPANSION_CAP}")
+        raise ValueError("; ".join(refusals))
+    return "naive"
 
 
 def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coefficients:
-    """Exact coefficients of f^m at the requested indices.
+    """Exact coefficients of f^m at the requested indices, read by the route
+    `_route` picks under strategy, "naive", "recurrence" or "auto"; the
+    result's strategy names it.
 
-    strategy "recurrence" writes f = x^v h with h(0) != 0, so that
+    The recurrence writes f = x^v h with h(0) != 0, so that
     f^m = x^(v*m) h^m: an index k < v*m reads 0, k - v*m < p is read from
-    the low end of h^m and m*deg(f) - k < p from the high end of f^m, at
-    most RECURRENCE_CAP steps from that end, and any other index is refused.
-    "auto" uses full expansion for a power of degree m*deg(f) at most
-    EXPAND_MAX_DEGREE whose sums `poly._float_exact` keeps exact, where it
-    is the faster route; past that it uses the recurrence when every index
-    is within its reach, and full expansion otherwise.  The result's
-    strategy names the route taken.
+    the low end of h^m and m*deg(f) - k < p from the high end of f^m.
     """
     if strategy not in ("naive", "recurrence", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -392,19 +436,12 @@ def power_coeffs(f: DensePoly, m: int, indices, strategy: str = "auto") -> Coeff
             raise IndexError(f"index {k} out of range [0, {top}]")
     if not indices:
         return Coefficients({}, "naive")
+    if _route(f, m, indices, strategy) == "naive":
+        return Coefficients(pow_coeffs(f, m, indices), "naive")
     ctx = f.ctx
     p = ctx.p
-    if strategy == "naive" or m == 0 or f.degree < 1:
-        return Coefficients(pow_coeffs(f, m, indices), "naive")
-    if strategy == "auto" and top <= EXPAND_MAX_DEGREE and _float_exact(top + 1, p):
-        return Coefficients(pow_coeffs(f, m, indices), "naive")
-    v = next(i for i, c in enumerate(f.raw()) if not _is_rzero(ctx.ext_degree, c))  # f = x^v h
+    v = _x_order(f)
     low = v * m
-    obstacle = _recurrence_obstacle(p, low, top, indices)
-    if obstacle is not None:
-        if strategy == "recurrence":
-            raise RecurrenceUnavailable(obstacle)
-        return Coefficients(pow_coeffs(f, m, indices), "naive")
 
     forward = [k for k in indices if low <= k < low + p]
     backward = [k for k in indices if k >= low + p]

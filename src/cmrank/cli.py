@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import asdict
 from functools import lru_cache
 
 from .cartier import HyperellipticModel, cartier_matrix
@@ -178,16 +179,20 @@ def _cmd_ss5_range(args) -> int:
         for p in range(args.start, args.stop)
         if p % 12 == 11 and is_prime(p)
     ]
-    print("p,found,num_solutions,first_u,first_v,tested,elapsed_ms")
+    # the header goes out with the first row, so a prime refused before it
+    # leaves stdout empty; a range that holds no prime prints it alone
+    header = "p,found,num_solutions,first_u,first_v,tested,elapsed_ms\n"
     for cfg in cfgs:
         result, _ = sweep_with_cache(cfg, args.results_dir, force=args.force)
         found = bool(result.solutions)
         first_u = result.solutions[0][0] if found else ""
         first_v = result.solutions[0][1] if found else ""
         print(
-            f"{cfg.p},{int(found)},{len(result.solutions)},{first_u},{first_v},"
+            f"{header}{cfg.p},{int(found)},{len(result.solutions)},{first_u},{first_v},"
             f"{result.counts['tested']},{result.elapsed_ms}"
         )
+        header = ""
+    print(header, end="")
     return 0
 
 
@@ -212,18 +217,7 @@ def _cmd_strata(args) -> int:
         return 0
     if args.strata_cmd == "boundary":
         comps = boundary_components(args.g)
-        rows = [
-            {
-                "label": c.label,
-                "kind": c.kind,
-                "g1": c.g1,
-                "g2": c.g2,
-                "dim": c.dim,
-                "contained_in": c.contained_in,
-                "note": c.note,
-            }
-            for c in comps
-        ]
+        rows = [{"label": c.label, **asdict(c)} for c in comps]
         if args.format == "table":
             for r in rows:
                 note = f"  ({r['note']})" if r["note"] else ""

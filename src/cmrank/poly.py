@@ -19,7 +19,11 @@ scalar loop, about 4x slower) on int64 arrays, and is called only where
 that is exact (`_FLOAT_EXACT`, which states the argument): past that bound
 a product falls back to a schoolbook loop over Python ints, and
 `pow_coeffs` refuses the power.  Its reads run in int64 and float64 under
-the same bound.
+the same bound.  That refusal, a negative exponent and `DEGREE_CAP` are
+the only ones `pow_coeffs` makes: they are its arithmetic preconditions.
+Whether a power is worth expanding at all, its cost guard and the choice
+between expansion and the coefficient recurrence, is Cartier-Manin policy
+and lives in `cartier._route`.
 
 The squarings and products of `pow_coeffs` whose shorter operand has at
 least `_FFT_MIN_LEN` terms take an O(n log n) route instead (`_fft_mul`):
@@ -52,15 +56,6 @@ from .ff import (
 )
 
 DEGREE_CAP = 1 << 24
-# cost guard of `pow_coeffs`: convolved directly, its last squaring is about
-# (n/2)^2 multiply-adds for a power of degree n, 4*10^9 at the guard, 18
-# times the n ~ 7*10^3 of a genus-6 Cartier-Manin expansion at p ~ 1100.
-# The FFT route's squarings take O(n log n), but a Cartier-Manin expansion
-# at the guard has p ~ 37 000, where the rounding bound refuses its long
-# squarings.  At the guard on a 2-core Xeon VM, best of 3: degree 7 at
-# p = 37 447, 0.22 s over GF(p) and 0.44 s over GF(p^2); degree 8 at
-# p = 101, by the FFT route, 8 ms and 23 ms
-EXPANSION_CAP = 1 << 17
 _NUMPY_MIN_LEN = 32
 # the one exactness bound of the numpy routes.  When no output sums more than
 # `terms` products of residues, each product and every partial sum, in any
@@ -70,11 +65,10 @@ _NUMPY_MIN_LEN = 32
 # Karatsuba's cross term and the GF(p^2) square's (a0+a1)(a0+nu a1) reduce
 # their operands mod p first, so those are residues too.  A power of degree n
 # sums at most n + 1 products per output, and `pow_coeffs` refuses one past
-# this bound.  No Cartier-Manin expansion reaches it: those have m = (p-1)/2
-# and deg f >= 3, so EXPANSION_CAP refuses every one with p >= 2^18, and
-# below 2^18 the assert keeps them exact
+# this bound.  No Cartier-Manin expansion reaches it: `cartier._route`
+# refuses their powers past its cost guard before `pow_coeffs` is called,
+# and an assert next to that guard keeps every admitted one below the bound
 _FLOAT_EXACT = 1 << 53
-assert (EXPANSION_CAP + 1) * ((1 << 18) - 1) ** 2 < _FLOAT_EXACT
 
 
 def _float_exact(terms, p):
@@ -199,6 +193,17 @@ def _raw_mul(ctx: FieldCtx, a, b):
     ]
 
 
+def _power_degree(f, m: int) -> int:
+    """The degree m*deg(f) of f^m, refusing a negative m and a power whose
+    degree reaches DEGREE_CAP."""
+    if m < 0:
+        raise ValueError("negative polynomial power")
+    n = m * f.degree
+    if n >= DEGREE_CAP:
+        raise ValueError(f"degree {n} of the power exceeds the cap {DEGREE_CAP}")
+    return n
+
+
 class DensePoly:
     """Immutable dense polynomial; index = degree of the monomial."""
 
@@ -317,14 +322,9 @@ class DensePoly:
         return DensePoly(self.ctx, [_rmul(p, nu, ext, x, raw) for x in self._c])
 
     def __pow__(self, m: int):
-        if m < 0:
-            raise ValueError("negative polynomial power")
         # every intermediate power has degree at most m * degree, so this one
         # check keeps the products below the constructor's cap
-        if m * self.degree >= DEGREE_CAP:
-            raise ValueError(
-                f"degree {m * self.degree} of the power exceeds the cap {DEGREE_CAP}"
-            )
+        _power_degree(self, m)
         result = DensePoly.one(self.ctx)
         base = self
         while m:
@@ -454,15 +454,7 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
     built, unless `_float_exact(n + 1, p)` holds; a constant f is answered
     directly.
     """
-    if m < 0:
-        raise ValueError("negative polynomial power")
-    n = m * f.degree
-    if n >= DEGREE_CAP:
-        raise ValueError(f"degree {n} of the power exceeds the cap {DEGREE_CAP}")
-    if n > EXPANSION_CAP:
-        raise ValueError(
-            f"degree {n} of the full expansion exceeds the cost guard {EXPANSION_CAP}"
-        )
+    n = _power_degree(f, m)
     ctx = f.ctx
     p, nu, ext = ctx.p, ctx.nu, ctx.ext_degree
     if f.degree < 1:  # f^m is the constant f(0)^m, with 0^0 = 1

@@ -891,12 +891,16 @@ def result_text(result: SearchResult) -> str:
 
 
 def write_result(results_dir, result: SearchResult, text: str | None = None) -> Path:
-    """Persist result atomically; text, if given, is its `result_text`."""
+    """Persist result atomically; text, if given, is its `result_text`.  The
+    temp file is removed when the rename fails."""
     path = result_path(results_dir, result.p)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".json.tmp")
     tmp.write_text(result_text(result) if text is None else text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

@@ -259,6 +259,94 @@ def test_auto_answers_small_powers_past_the_float_bound():
     assert got == {k: ctx.elem(comb(1000, k)) for k in idx}
 
 
+# -- _route: the route of every power_coeffs read, and each refusal -------------
+
+FAR = "are not within p of either end"
+STEPS = "recurrence steps exceed the cost guard"
+SEXTIC = [1, 1, 0, 0, 0, 0, 1]  # f(0) != 0
+X_SEXTIC = [0] + SEXTIC  # f = x h, h(0) != 0: the low end is m
+# at p = 1 048 573, t (p-1)^2 < 2^53 holds up to t = 8192 terms
+FLOAT_LAST = 8192
+# (p, f, m, indices, constants set in cartier, then the route or the refusal
+# of strategies "naive", "recurrence" and "auto"); EXPAND_MAX_DEGREE = 0
+# puts "auto" past its crossover
+ROUTES = {
+    "crossover-at-n": (101, SEXTIC, 50, [99, 100], {"EXPAND_MAX_DEGREE": 300},
+                       "naive", "recurrence", "naive"),
+    "crossover-below-n": (101, SEXTIC, 50, [99, 100], {"EXPAND_MAX_DEGREE": 299},
+                          "naive", "recurrence", "recurrence"),
+    "float-exact": (1048573, [1, 1], FLOAT_LAST - 1, [0, FLOAT_LAST - 1], {},
+                    "naive", "recurrence", "naive"),
+    "float-inexact": (1048573, [1, 1], FLOAT_LAST, [0, FLOAT_LAST], {},
+                      "naive", "recurrence", "recurrence"),
+    "const-f": (1048573, [3], 10**6, [0], {"EXPANSION_CAP": 0},
+                "naive", "naive", "naive"),
+    # p = 11, m = 5, degree 6: the range is 0..30
+    "low-end-within-p": (11, SEXTIC, 5, [0, 10], {"EXPAND_MAX_DEGREE": 0},
+                         "naive", "recurrence", "recurrence"),
+    "low-end-past-p": (11, SEXTIC, 5, [10, 11], {"EXPAND_MAX_DEGREE": 0},
+                       "naive", f"indices \\[11\\] {FAR}", "naive"),
+    "high-end-within-p": (11, SEXTIC, 5, [20, 30], {"EXPAND_MAX_DEGREE": 0},
+                          "naive", "recurrence", "recurrence"),
+    "high-end-past-p": (11, SEXTIC, 5, [19, 20], {"EXPAND_MAX_DEGREE": 0},
+                        "naive", f"indices \\[19\\] {FAR}", "naive"),
+    # f(0) = 0, degree 7: indices below 5 read 0, the range is 5..35
+    "x-low-end-within-p": (11, X_SEXTIC, 5, [4, 15], {"EXPAND_MAX_DEGREE": 0},
+                           "naive", "recurrence", "recurrence"),
+    "x-low-end-past-p": (11, X_SEXTIC, 5, [16], {"EXPAND_MAX_DEGREE": 0},
+                         "naive", f"indices \\[16\\] {FAR}", "naive"),
+    "x-high-end-within-p": (11, X_SEXTIC, 5, [25], {"EXPAND_MAX_DEGREE": 0},
+                            "naive", "recurrence", "recurrence"),
+    "x-high-end-past-p": (11, X_SEXTIC, 5, [24], {"EXPAND_MAX_DEGREE": 0},
+                          "naive", f"indices \\[24\\] {FAR}", "naive"),
+    # p = 23, m = 11: 21 steps from the low end (0), or from the top (66)
+    "steps-at-cap": (23, SEXTIC, 11, [21, 45], {"EXPAND_MAX_DEGREE": 0, "RECURRENCE_CAP": 21},
+                     "naive", "recurrence", "recurrence"),
+    "low-steps-past-cap": (23, SEXTIC, 11, [22], {"EXPAND_MAX_DEGREE": 0, "RECURRENCE_CAP": 21},
+                           "naive", f"22 {STEPS} 21", "naive"),
+    "high-steps-past-cap": (23, SEXTIC, 11, [44], {"EXPAND_MAX_DEGREE": 0, "RECURRENCE_CAP": 21},
+                            "naive", f"22 {STEPS} 21", "naive"),
+    "x-steps-at-cap": (23, X_SEXTIC, 11, [32], {"EXPAND_MAX_DEGREE": 0, "RECURRENCE_CAP": 21},
+                       "naive", "recurrence", "recurrence"),
+    "x-steps-past-cap": (23, X_SEXTIC, 11, [33], {"EXPAND_MAX_DEGREE": 0, "RECURRENCE_CAP": 21},
+                         "naive", f"22 {STEPS} 21", "naive"),
+    # the power has degree 66
+    "expansion-at-cap": (23, SEXTIC, 11, [33], {"EXPAND_MAX_DEGREE": 0, "EXPANSION_CAP": 66},
+                         "naive", f"indices \\[33\\] {FAR}", "naive"),
+    "expansion-past-cap": (
+        23, SEXTIC, 11, [33], {"EXPAND_MAX_DEGREE": 0, "EXPANSION_CAP": 65},
+        "^degree 66 of the full expansion exceeds the cost guard 65$",
+        f"^indices \\[33\\] {FAR}$",
+        f"^indices \\[33\\] {FAR}; degree 66 of the full expansion exceeds the cost guard 65$",
+    ),
+    "expansion-past-cap-in-reach": (
+        23, SEXTIC, 11, [21], {"EXPAND_MAX_DEGREE": 0, "EXPANSION_CAP": 65},
+        "cost guard 65", "recurrence", "recurrence",
+    ),
+    "both-guards": (
+        23, SEXTIC, 11, [22], {"EXPAND_MAX_DEGREE": 0, "RECURRENCE_CAP": 21, "EXPANSION_CAP": 65},
+        "^degree 66 of the full expansion exceeds the cost guard 65$",
+        f"^22 {STEPS} 21$",
+        f"^22 {STEPS} 21; degree 66 of the full expansion exceeds the cost guard 65$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROUTES.values(), ids=ROUTES)
+def test_route_table(monkeypatch, case):
+    p, ints, m, indices, constants, *wanted = case
+    for name, value in constants.items():
+        monkeypatch.setattr(cartier, name, value)
+    f = DensePoly.from_ints(field(p), ints)
+    for strategy, want in zip(("naive", "recurrence", "auto"), wanted):
+        if want in ("naive", "recurrence"):
+            assert cartier._route(f, m, indices, strategy) == want, strategy
+        else:
+            refusal = RecurrenceUnavailable if strategy == "recurrence" else ValueError
+            with pytest.raises(refusal, match=want):
+                cartier._route(f, m, indices, strategy)
+
+
 # -- cartier_matrix / p_rank / is_superspecial -----------------------------------
 
 

@@ -68,10 +68,11 @@ def test_prank_past_the_model_guard_exits_2_before_the_gcd(monkeypatch, capsys):
 
 
 def test_prank_power_past_degree_cap_exits_2(capsys):
-    # genus 3 takes the naive route: f^((p-1)/2) would have degree about 7.5e9
+    # genus 3: the middle entries are out of the recurrence's reach, and
+    # f^((p-1)/2) would have degree about 7.5e9, past the expansion's guard
     code, _, err = run(capsys, "prank", "--p", "2147483629", "--poly", "1,0,0,0,0,0,0,1")
     assert code == 2
-    assert "exceeds the cap" in err
+    assert "not within p" in err and "full expansion exceeds the cost guard" in err
 
 
 def test_prank_past_the_recurrence_guard_exits_2(monkeypatch, capsys):
@@ -87,7 +88,27 @@ def test_prank_past_the_recurrence_guard_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cartier, "_recurrence_block", refuse)
     monkeypatch.setattr(np, "convolve", refuse)
     code, _, err = run(capsys, "prank", "--p", "2147483647", "--poly", "1,0,0,1")
-    assert code == 2 and "exceeds the cap" in err
+    assert code == 2 and "recurrence steps exceed the cost guard" in err
+    assert "full expansion exceeds the cost guard" in err
+
+
+def test_prank_refusal_names_why_each_route_was_refused(monkeypatch, capsys):
+    # genus 3 at p = 40 009: the middle entries c_(2p-i) are more than p from
+    # both ends, and the power's degree 7 (p-1)/2 = 140 028 is past the
+    # expansion's guard; nothing is computed
+    import numpy as np
+
+    def refuse(*args):
+        raise AssertionError("ran past the cost guards")
+
+    monkeypatch.setattr(cartier, "_recurrence_block", refuse)
+    monkeypatch.setattr(np, "convolve", refuse)
+    code, out, err = run(capsys, "prank", "--p", "40009", "--poly", "1,2,0,3,1,5,0,1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: indices [80015, 80016, 80017] are not within p of either end; "
+        "degree 140028 of the full expansion exceeds the cost guard 131072\n"
+    )
 
 
 def test_prank_f0_zero_past_the_expansion_guard_uses_the_recurrence(monkeypatch, capsys):
@@ -218,6 +239,11 @@ def test_ss5_range_csv_and_cache(tmp_path, capsys):
     )
     for a, b in zip(lines, out2.strip().splitlines()):
         assert a.split(",")[:6] == b.split(",")[:6]
+    # a range that holds no prime p = 11 (mod 12) prints the header alone
+    code, out, _ = run(
+        capsys, "ss5-range", "--from", "12", "--to", "23", "--results-dir", str(tmp_path)
+    )
+    assert (code, out) == (0, lines[0] + "\n")
 
 
 def test_ss5_range_recomputes_records_cached_in_another_mode(tmp_path, capsys):
@@ -256,7 +282,8 @@ def test_ss5_range_recomputes_records_cached_in_another_mode(tmp_path, capsys):
 )
 def test_results_path_errors_exit_2(tmp_path, capsys, argv, target):
     # a results directory that is a file, or a directory where the record of
-    # p = 11 belongs, is an input error: one line, no traceback
+    # p = 11 belongs, is an input error: one line, no traceback, and no temp
+    # file left beside the record
     if target == "file":
         results = tmp_path / "results"
         results.write_text("")
@@ -267,6 +294,8 @@ def test_results_path_errors_exit_2(tmp_path, capsys, argv, target):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("Not a directory" if target == "file" else "Is a directory") in err
+    if target == "record directory":
+        assert list(tmp_path.rglob("*.json.tmp")) == []
 
 
 @pytest.mark.parametrize(
@@ -290,7 +319,7 @@ def test_ss5_range_refuses_an_untrusted_record(tmp_path, capsys, text, problem):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out.count("\n") == 1  # the header alone
+    assert (code, out) == (2, "")  # the header goes out with the first row
     assert err.startswith(f"error: {path}: ") and problem in err and "--force" in err
     assert err.count("\n") == 1
     code, out, _ = run(capsys, *argv, "--force")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cmrank import cli, poly, search
+from cmrank import cartier, cli, poly, search
 from cmrank.cartier import _recurrence_block, power_coeffs
 from cmrank.ff import field, inverse_table, is_prime
 from cmrank.poly import (
@@ -234,7 +234,7 @@ def test_pow_degree_cap_boundary(monkeypatch):
 
 # -- pow_coeffs: single coefficients of f^m without forming it -----------------------
 
-# a prime past 2^18, where every Cartier-Manin expansion is past EXPANSION_CAP
+# a prime past 2^18, where every Cartier-Manin expansion is past cartier.EXPANSION_CAP
 P_LARGE = 524309
 
 
@@ -442,14 +442,16 @@ def test_prank_cost_guard_exits_2_before_convolving(monkeypatch, capsys, p):
 
 
 def test_pow_coeffs_cost_guard_boundary(monkeypatch):
+    # the guard on full expansion is cartier's: a degree-70 power expands at
+    # 70, a degree-77 one is refused before any product
     f = P(field(101, 2), 3, 1, 4, 1, 5, 9, 2, 6)  # degree 7
-    monkeypatch.setattr(poly, "EXPANSION_CAP", 70)
-    assert pow_coeffs(f, 10, [35]) == {35: (f**10).coeff(35)}
+    monkeypatch.setattr(cartier, "EXPANSION_CAP", 70)
+    assert power_coeffs(f, 10, [35], "naive") == {35: (f**10).coeff(35)}
     monkeypatch.setattr(np, "convolve", _no_convolution)
     monkeypatch.setattr(np.fft, "rfft", _no_convolution)
     monkeypatch.setattr(np.fft, "irfft", _no_convolution)
-    with pytest.raises(ValueError, match="cost guard"):
-        pow_coeffs(f, 11, [35])
+    with pytest.raises(ValueError, match="cost guard 70"):
+        power_coeffs(f, 11, [35], "naive")
 
 
 # -- the FFT route of pow_coeffs' squarings and products ------------------------------
@@ -617,10 +619,10 @@ def test_int64_bounds_of_the_constants():
     # a sum below 2^53
     assert -(2**63) < -2 * p_max and p_max + p_max * p_max < 2**63
     assert -(2**63) < -p_max * (p_max - 1)
-    assert poly.EXPANSION_CAP < poly.DEGREE_CAP
+    assert cartier.EXPANSION_CAP < poly.DEGREE_CAP
     # a cartier expansion sums at most EXPANSION_CAP + 1 products per output,
     # so below p = 2^18 its convolutions take the float64 route
-    assert poly._float_exact(poly.EXPANSION_CAP + 1, (1 << 18) - 1)
+    assert poly._float_exact(cartier.EXPANSION_CAP + 1, (1 << 18) - 1)
     # the recheck's recurrence sums six terms, each below p^3
     assert 6 * search.SWEEP_MAX_P**3 < 2**63
     # the sweep kernel's models, ladder and traces reduce after every
