@@ -33,17 +33,16 @@ keeps only its own arithmetic preconditions: a negative m, `DEGREE_CAP`
 and the float64 bound.
 
 Full expansion (`poly.pow_coeffs`) never forms f^m: it squares coordinate
-arrays up to A = f^(m//2) and sets B = A or A*f.  A genus-1 or -2 matrix
-is read by one dot product of A with B per entry, and a larger one by one
-correlation per column of M, a run of consecutive wanted c_k; each per
-coordinate array.  Squarings whose operands have at least
+arrays up to A = f^(m//2) and sets B = A or A*f.  Every matrix is read by
+one int64 correlation of A with B per column of M, a run of consecutive
+wanted c_k, and coordinate array.  Squarings whose operands have at least
 `poly._FFT_MIN_LEN` terms run by real FFT wherever Percival's rounding
 bound keeps every value within 1/16 of its integer (`poly._fft_exact`),
 with a tripwire that redoes a product directly if any value lies more
 than 1/8 away; a genus-6 query at p = 4001 takes about 1.2 ms by it, 11 ms
 by direct convolution.  Over GF(p^2) a direct square takes two
-convolutions and a product with f three.  The direct convolutions and the
-reads run in float64 or int64, exact by the bound `poly._FLOAT_EXACT`
+convolutions and a product with f three.  The direct convolutions run in
+float64 and the reads in int64, exact by the bound `poly._FLOAT_EXACT`
 states; a power of a non-constant f past that bound is refused.  The
 direct route's quadratic cost is bounded by `EXPANSION_CAP` = 2^17 on the
 degree m*deg(f), checked by `_route` before any array is built.  Genus >= 3
@@ -191,6 +190,22 @@ class Coefficients(dict):
         self.strategy = strategy
 
 
+def _genus(degree: int) -> int:
+    """Genus of y^2 = f for a squarefree f of this degree."""
+    return (degree + 1) // 2 - 1
+
+
+def _guarded_genus(f: DensePoly) -> int:
+    """`_genus` of f, refusing a model past its field's guard; callers take
+    it before the O(deg^2) squarefree gcd."""
+    genus = _genus(f.degree)
+    if genus > MODEL_MAX_GENUS:
+        raise ValueError(f"genus {genus} > MODEL_MAX_GENUS = {MODEL_MAX_GENUS}")
+    if f.ctx.ext_degree == 2 and genus > MODEL_MAX_GENUS_EXT:
+        raise ValueError(f"genus {genus} > MODEL_MAX_GENUS_EXT = {MODEL_MAX_GENUS_EXT}")
+    return genus
+
+
 class HyperellipticModel:
     """A smooth affine model y^2 = f(x) with squarefree f of degree >= 3 and
     genus at most MODEL_MAX_GENUS, or MODEL_MAX_GENUS_EXT over GF(p^2)."""
@@ -202,11 +217,7 @@ class HyperellipticModel:
             raise ValueError("polynomial context does not match the model context")
         if f.degree < 3:
             raise ValueError(f"deg f = {f.degree} < 3")
-        genus = (f.degree + 1) // 2 - 1
-        if genus > MODEL_MAX_GENUS:
-            raise ValueError(f"genus {genus} > MODEL_MAX_GENUS = {MODEL_MAX_GENUS}")
-        if ctx.ext_degree == 2 and genus > MODEL_MAX_GENUS_EXT:
-            raise ValueError(f"genus {genus} > MODEL_MAX_GENUS_EXT = {MODEL_MAX_GENUS_EXT}")
+        genus = _guarded_genus(f)
         if not is_squarefree(f):
             raise ValueError("singular model: f is not squarefree")
         object.__setattr__(self, "ctx", ctx)

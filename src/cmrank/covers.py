@@ -16,14 +16,10 @@ from dataclasses import dataclass, replace
 from functools import cache
 from math import gcd
 
-from .cartier import HyperellipticModel, p_rank
+from .cartier import HyperellipticModel, _genus, _guarded_genus, p_rank
 from .curves import supersingular_lambdas
 from .ff import FieldCtx, FieldElement, field, is_prime
 from .poly import DensePoly, is_squarefree, poly_gcd
-
-
-def _genus_of_degree(d: int) -> int:
-    return (d + 1) // 2 - 1
 
 
 @dataclass(frozen=True)
@@ -39,9 +35,13 @@ class QuotientTriple:
 
 
 def kani_rosen_triple(f1: DensePoly, f2: DensePoly) -> QuotientTriple:
-    """Quotient data for the normalized fiber product of y^2 = f1 and z^2 = f2."""
+    """Quotient data for the normalized fiber product of y^2 = f1 and z^2 = f2.
+    An input past its field's model guard is refused before any gcd, as
+    `HyperellipticModel` refuses it."""
     if f1.ctx != f2.ctx:
         raise ValueError("context mismatch between the two covers")
+    for f in (f1, f2):
+        _guarded_genus(f)
     for f in (f1, f2):
         if f.degree < 3:
             raise ValueError(f"deg {f.degree} < 3: quotient would not be a curve model")
@@ -51,11 +51,7 @@ def kani_rosen_triple(f1: DensePoly, f2: DensePoly) -> QuotientTriple:
     f3 = (f1 // g) * (f2 // g)
     if f3.degree == 0:
         raise ValueError("f1*f2 is a perfect square: the cover is disconnected")
-    genera = (
-        _genus_of_degree(f1.degree),
-        _genus_of_degree(f2.degree),
-        _genus_of_degree(f3.degree),
-    )
+    genera = (_genus(f1.degree), _genus(f2.degree), _genus(f3.degree))
     return QuotientTriple(
         fE=f1, f2=f2, f3=f3, genera=genera, genus_total=sum(genera)
     )
@@ -63,7 +59,7 @@ def kani_rosen_triple(f1: DensePoly, f2: DensePoly) -> QuotientTriple:
 
 def component_p_rank(f: DensePoly) -> int:
     """p-rank of the quotient with model polynomial f (zero for genus 0)."""
-    if _genus_of_degree(f.degree) == 0:
+    if _genus(f.degree) == 0:
         return 0
     return p_rank(HyperellipticModel(f.ctx, f))
 

@@ -9,18 +9,19 @@ convolution once operands are long enough for it to pay.
 
 `pow_coeffs` reads single coefficients of a power without forming it: it
 keeps the polynomial as int64 coordinate arrays, squares up to f^(m//2), and
-reads a few indices by one dot product each, or more by one correlation per
-run of consecutive indices, per array.  Over GF(p^2) a direct square takes
-two convolutions and any other product three (`_arrays_mul`).
+reads every set of indices, one or a whole matrix, by one int64 correlation
+per run of consecutive indices and array.  Over GF(p^2) a direct square
+takes two convolutions and any other product three (`_arrays_mul`).
 
 Every direct numpy convolution goes through `_convolve`, which runs it in
 float64 (numpy convolves float64 through its SIMD dot kernel, int64 in a
 scalar loop, about 4x slower) on int64 arrays, and is called only where
 that is exact (`_FLOAT_EXACT`, which states the argument): past that bound
 a product falls back to a schoolbook loop over Python ints, and
-`pow_coeffs` refuses the power.  Its reads run in int64 and float64 under
-the same bound.  That refusal, a negative exponent and `DEGREE_CAP` are
-the only ones `pow_coeffs` makes: they are its arithmetic preconditions.
+`pow_coeffs` refuses the power.  Its read runs in int64 under the same
+bound; numpy correlates int64 without BLAS.  That refusal, a negative
+exponent and `DEGREE_CAP` are the only ones `pow_coeffs` makes: they are
+its arithmetic preconditions.
 Whether a power is worth expanding at all, its cost guard and the choice
 between expansion and the coefficient recurrence, is Cartier-Manin policy
 and lives in `cartier._route`.
@@ -61,7 +62,7 @@ _NUMPY_MIN_LEN = 32
 # `terms` products of residues, each product and every partial sum, in any
 # order and with or without FMA, is a non-negative integer at most
 # terms * (p-1)^2: float64 convolutions are exact while that is below 2^53,
-# and so are the int64 arrays, reductions and dot products around them.
+# and the int64 arrays, reductions and correlations around them hold it.
 # Karatsuba's cross term and the GF(p^2) square's (a0+a1)(a0+nu a1) reduce
 # their operands mod p first, so those are residues too.  A power of degree n
 # sums at most n + 1 products per output, and `pow_coeffs` refuses one past
@@ -426,29 +427,14 @@ def _arrays_mul(a, b, p, nu):
     return ((q00 + nu * q11) % p, (qs - q00 - q11) % p)
 
 
-# a read of at most this many coefficients (a genus-1 or -2 matrix) takes one
-# int64 dot product per coefficient and coordinate array and has no set-up;
-# a longer one pads and converts every array once and then takes one
-# correlation per run.  Read time in us, dots / correlations, of the matrix
-# entries from random A and B, best of 9 on a 2-core Xeon VM:
-#   p      genus  GF(p)        GF(p^2)
-#   13     1      2.1 / 5.6    4.5 / 12.2
-#   101    2      7.8 / 8.7    17.4 / 17.1
-#   1 009  2      10.2 / 12.0  24.5 / 27.5
-#   1 009  3      23.3 / 15.8  55.8 / 38.0
-#   1 009  6      98 / 43      260 / 120
-_DOT_READ_MAX = 4
-
-
 def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
     """Coefficients of f^m at the given indices, without forming f^m.
 
     f is held as int64 coordinate arrays, one over GF(p) and two over
     GF(p^2), and squared up to A = f^(m//2); with B = A for even m and A*f
-    for odd m, each coefficient c_k is the sum of A_i B_(k-i).  Up to
-    `_DOT_READ_MAX` coefficients are read by one dot product each per
-    coordinate array, more by one correlation per run of consecutive
-    indices and coordinate array.
+    for odd m, each coefficient c_k is the sum of A_i B_(k-i).  Every read
+    takes one int64 correlation per run of consecutive indices and
+    coordinate array.
     No sum has more than n + 1 = m deg(f) + 1 terms, so for m >= 1 and
     deg f >= 1 the power is refused with a ValueError, before any array is
     built, unless `_float_exact(n + 1, p)` holds; a constant f is answered
@@ -483,26 +469,18 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
         B = B + ((B[0] + B[1]) % p,)
     la, lb = len(A[0]), len(B[0])
     out = dict.fromkeys(indices, ctx.zero)  # an index outside A*B reads zero
-    if len(out) <= _DOT_READ_MAX:  # int64 sums below 2^53 by the check above
-        for k in out:
-            lo, hi = max(0, k - lb + 1), min(k, la - 1)
-            if lo > hi:
-                continue
-            d = [int(np.dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1])) for a, b in zip(A, B)]
-            c = d[0] % p if ext == 1 else ((d[0] + nu * d[1]) % p, (d[2] - d[0] - d[1]) % p)
-            out[k] = FieldElement(ctx, c)
-        return out
     ks = sorted(k for k in out if 0 <= k <= la + lb - 2)
     # c_k = sum_i A_i B_(k-i) is entry k of the correlation of Bz, B with
     # la - 1 zeros on each side, with A reversed, so one `np.correlate` over
-    # Bz[k0 : k1 + la] reads a whole run k0..k1.  Its sums have at most
-    # la <= n + 1 terms below p^2, exact in float64 by the check above.  Bz
-    # and the reversed A hold the coordinate arrays as rows, each built in
-    # one step, and the sums of all runs are reduced together
-    Bz = np.zeros((len(B), lb + 2 * (la - 1)))
+    # Bz[k0 : k1 + la] reads a whole run k0..k1.  It runs in int64, which
+    # takes no BLAS path: its sums have at most la <= n + 1 terms below p^2,
+    # below 2^53 by the check above.  Bz and the reversed A hold the
+    # coordinate arrays as rows, each built in one step, and the sums of all
+    # runs are reduced together
+    Bz = np.zeros((len(B), lb + 2 * (la - 1)), dtype=np.int64)
     Bz[:, la - 1 : la - 1 + lb] = B
-    Ar = np.array(A, dtype=np.float64)[:, ::-1].copy()
-    d = np.empty((len(B), len(ks)))
+    Ar = np.array(A)[:, ::-1].copy()
+    d = np.empty((len(B), len(ks)), dtype=np.int64)
     start = 0
     for end in range(1, len(ks) + 1):
         if end == len(ks) or ks[end] != ks[end - 1] + 1:  # ks[start:end] is a run
@@ -510,7 +488,6 @@ def pow_coeffs(f: DensePoly, m: int, indices) -> dict:
             for row, bz, ar in zip(d, Bz, Ar):
                 row[start:end] = np.correlate(bz[k0 : k1 + la], ar, "valid")
             start = end
-    d = d.astype(np.int64)
     if ext == 1:
         cs = (d[0] % p).tolist()
     else:  # nu d_1 may pass 2^63, so d_1 is reduced first

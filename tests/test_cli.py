@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cmrank import cartier, cli, ff, poly, search, strata, verify
+from cmrank import cartier, cli, covers, ff, poly, search, strata, verify
 from cmrank.cli import main
 
 
@@ -47,7 +47,8 @@ def test_prank_singular_exits_2(capsys):
 def test_prank_past_the_model_guard_exits_2_before_the_gcd(monkeypatch, capsys):
     # degree 2g + 3 has genus g + 1, one past the bound g of its field
     # (MODEL_MAX_GENUS over GF(p), MODEL_MAX_GENUS_EXT over GF(p^2)), and is
-    # refused before the squarefree gate; degree 2g + 2, genus g, reaches it
+    # refused before the squarefree gate; degree 2g + 2, genus g, reaches it.
+    # `fiber` takes it as --f1, beside a cubic --f2
     calls = []
 
     def record(f):
@@ -55,16 +56,22 @@ def test_prank_past_the_model_guard_exits_2_before_the_gcd(monkeypatch, capsys):
         return False
 
     monkeypatch.setattr(cartier, "is_squarefree", record)
+    monkeypatch.setattr(covers, "is_squarefree", record)
+    commands = (
+        (["prank", "--poly"], "not squarefree"),
+        (["fiber", "--f2", "1,0,0,1", "--f1"], "singular input model"),
+    )
     for ext, name in (("1", "MODEL_MAX_GENUS"), ("2", "MODEL_MAX_GENUS_EXT")):
-        calls.clear()
         g = getattr(cartier, name)
-        poly = ",".join(["1"] + ["0"] * (2 * g + 2) + ["1"])
-        code, out, err = run(capsys, "prank", "--p", "3", "--ext", ext, "--poly", poly)
-        assert (code, out, calls) == (2, "", [])
-        assert f"genus {g + 1} > {name} = {g}" in err
-        poly = ",".join(["1"] + ["0"] * (2 * g + 1) + ["1"])
-        code, out, err = run(capsys, "prank", "--p", "3", "--ext", ext, "--poly", poly)
-        assert (code, out, calls) == (2, "", [2 * g + 2]) and "not squarefree" in err
+        for command, singular in commands:
+            calls.clear()
+            poly = ",".join(["1"] + ["0"] * (2 * g + 2) + ["1"])
+            code, out, err = run(capsys, *command, poly, "--p", "3", "--ext", ext)
+            assert (code, out, calls) == (2, "", [])
+            assert f"genus {g + 1} > {name} = {g}" in err
+            poly = ",".join(["1"] + ["0"] * (2 * g + 1) + ["1"])
+            code, out, err = run(capsys, *command, poly, "--p", "3", "--ext", ext)
+            assert (code, out, calls) == (2, "", [2 * g + 2]) and singular in err
 
 
 def test_prank_power_past_degree_cap_exits_2(capsys):

@@ -293,6 +293,12 @@ def test_pow_coeffs_reads_runs_like_the_naive_power():
                     [0, top],
                     [-3, -2, -1, 0, top, top + 1, top + 2, 2 * top + 9],
                     list(range(-2, top + 3)),
+                    # single indices and a genus-2-shaped read of two runs of two
+                    [0],
+                    [la - 1],
+                    [la],
+                    [top],
+                    [1, 2, top - 2, top - 1],
                 ]
                 for indices in index_sets:
                     expected = {k: h.coeff(k) for k in indices}
@@ -606,12 +612,12 @@ def test_oracles_never_reach_the_fft(monkeypatch):
 
 
 def test_int64_bounds_of_the_constants():
-    # numpy convolves and takes dot products only where _float_exact holds,
+    # numpy convolves and correlates only where _float_exact holds,
     # so for some terms >= 1 and p at most p_max
     p_max = 1 + math.isqrt(poly._FLOAT_EXACT - 1)
     assert poly._float_exact(1, p_max) and not poly._float_exact(1, p_max + 1)
     # there every sum of products of residues is an integer below 2^53, so
-    # the int64 arrays and the dot products over them are exact as well
+    # the int64 arrays and the correlations over them are exact as well
     assert poly._FLOAT_EXACT < 2**63
     # the cross term takes two reduced convolutions from that sum, and the
     # GF(p^2) real part adds nu < p times a reduced convolution to another;
